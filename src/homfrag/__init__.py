@@ -22,7 +22,6 @@ from .errors import (
     NonPositiveEntryError,
     NotComputableError,
     OutsideRegimeError,
-    RateNotComputableError,
     RegimeWarning,
     SumExceedsOneError,
     ThinningDirectionError,
@@ -33,8 +32,6 @@ from .ldp import (
     PresenceEstimate,
     RatioTrace,
     corollary_functional,
-    estimate_U_direct,
-    estimate_V_direct,
     estimate_V_manyto1,
     presence_summary,
     ratio_trace,

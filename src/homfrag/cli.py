@@ -19,7 +19,6 @@ import json
 import math
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 from .analytics import PhiEvaluator, detect_geometric
 from .errors import (
@@ -37,10 +36,10 @@ from .martingales import (
     truncated_estimator,
 )
 from .measures import model_from_json, model_to_json
-from .partitions import simulate_partition, simulate_subordinator
+from .partitions import PartitionOfN, simulate_partition, simulate_subordinator
 from .ranked import DEFAULT_MAX_FRAGMENTS, simulate
 from .measures import MassPartition
-from .streams import Stream, derive_key, replica_key
+from .streams import Stream, derive_key, map_replicas, replica_key
 from .tilting import (
     EventLog,
     simulate_event_log,
@@ -287,6 +286,11 @@ def _validate_params(command, params, model):
         a, b = params.get("alpha"), params.get("beta")
         if a is not None and b is not None and a >= b:
             problems.append(f"need alpha < beta, got [{a}, {b}]")
+        grid = params.get("t_grid")
+        if (params["estimator"] == "ratio" and grid is not None
+                and len(set(grid)) < 2):
+            problems.append("ldp --estimator ratio needs two or more distinct "
+                            "--t-grid times")
     return problems
 
 
@@ -297,7 +301,7 @@ def _cell(v):
     if v is None:
         return ""
     if isinstance(v, float):
-        return repr(v)
+        return repr(float(v))  # np.float64 is a float, but its repr is not
     return str(v)
 
 
@@ -327,14 +331,6 @@ def render(cfg, header_extra, fmt, columns, rows):
         lines.append(_dumps(header))
         lines.extend(_dumps(r) for r in rows)
     return "\n".join(lines) + "\n"
-
-
-def _replica_map(cfg, fn):
-    """Apply fn(replica_index) for every replica, in index order."""
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            return list(pool.map(fn, range(cfg.replicas)))
-    return [fn(i) for i in range(cfg.replicas)]
 
 
 # --- command implementations -------------------------------------------------
@@ -373,7 +369,8 @@ def _cmd_simulate(cfg):
                  "frozen_mass": s.frozen_mass, "epsilon": s.eps_freeze,
                  "seed": key} for s in snaps]
 
-    rows = [r for chunk in _replica_map(cfg, one) for r in chunk]
+    rows = [r for chunk in map_replicas(one, cfg.replicas, cfg.threads)
+            for r in chunk]
     header = {"t_end": pr["t_end"], "eps_freeze": pr["eps_freeze"],
               "snapshots": pr["snapshots"]}
     return header, "jsonl", None, rows
@@ -387,20 +384,9 @@ def _cmd_partition(cfg):
         boundaries.append(len(rows))
         path = simulate_partition(cfg.model, pr["n"], pr["t_end"],
                                   replica_key(cfg.seed, i))
-        assignment = [0] * pr["n"]
-        next_label = 1
-        for ev in path.events:
-            for el, lab in zip(ev.elements.tolist(),
-                               ev.sub_assignment.tolist()):
-                assignment[el] = next_label + lab
-            next_label += int(ev.sub_assignment.max()) + 1
-            canon = {}
-            block_of = []
-            for lab in assignment:
-                if lab not in canon:
-                    canon[lab] = len(canon)
-                block_of.append(canon[lab])
-            rows.append({"t": ev.time, "block_of": block_of})
+        for t, labels in path.refinements():
+            rows.append({"t": t,
+                         "block_of": PartitionOfN(labels).assignment.tolist()})
     header = {"n": pr["n"], "t_end": pr["t_end"],
               "replica_row_start": boundaries}
     return header, "jsonl", None, rows
@@ -554,16 +540,16 @@ def _cmd_ldp(cfg):
                 f"window-count prediction is Gaussian-regime (p <= p_bar = "
                 f"{pb:.6g}); got p = {pr['p']}", RegimeWarning, stacklevel=2,
             )
+        summaries = presence_summary(
+            cfg.model, ev, pr["p"], pr["t_grid"], pr["alpha"], pr["beta"],
+            pr["eps_freeze"], cfg.replicas, cfg.seed, threads=cfg.threads,
+            max_fragments=pr["max_fragments"])
+        d1 = ev.phi_derivs(pr["p"]).first
         rows = []
-        for t in pr["t_grid"]:
-            s = presence_summary(cfg.model, ev, pr["p"], t, pr["alpha"],
-                                 pr["beta"], pr["eps_freeze"], cfg.replicas,
-                                 cfg.seed, threads=cfg.threads,
-                                 max_fragments=pr["max_fragments"])
-            d1 = ev.phi_derivs(pr["p"]).first
-            scale = math.sqrt(t) * math.exp(
-                -t * ((pr["p"] + 1.0) * d1 - ev.phi(pr["p"])))
-            rows.append((t, s.x, s.v_mean, s.v_stderr, s.v_predicted,
+        for s in summaries:
+            scale = math.sqrt(s.t) * math.exp(
+                -s.t * ((pr["p"] + 1.0) * d1 - ev.phi(pr["p"])))
+            rows.append((s.t, s.x, s.v_mean, s.v_stderr, s.v_predicted,
                          s.v_mean * scale, s.u_mean, s.u_stderr))
         header["limit_constant"] = ev.v_limit_constant(pr["p"], pr["alpha"],
                                                        pr["beta"])

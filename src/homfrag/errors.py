@@ -29,10 +29,6 @@ class ModelNotFiniteError(FragmentationError):
     """Operation requires a finite-rate model (truncate first)."""
 
 
-class RateNotComputableError(FragmentationError):
-    """Family cannot report the requested truncated rate."""
-
-
 class BelowPLowerError(FragmentationError):
     """Moment index is at or below the integrability threshold."""
 

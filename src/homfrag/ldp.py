@@ -18,9 +18,10 @@ from collections import namedtuple
 
 import numpy as np
 
-from .errors import OutsideRegimeError, RegimeWarning
+from .errors import NotComputableError, OutsideRegimeError, RegimeWarning
+from .martingales import replica_values
 from .partitions import simulate_subordinator
-from .ranked import DEFAULT_MAX_FRAGMENTS, empirical_interval_count, simulate
+from .ranked import DEFAULT_MAX_FRAGMENTS, empirical_interval_count
 from .streams import Stream, derive_key, replica_key
 
 PresenceEstimate = namedtuple(
@@ -40,33 +41,23 @@ def window_center(evaluator, p, t):
     return -t * evaluator.phi_derivs(p).first
 
 
-def _window_counts(model, x, t, alpha, beta, eps_freeze, n_replicas, seed,
-                   threads, max_fragments):
-    """Per-replica window counts at one time: the common kernel of U and V."""
-    est = lambda snap: float(empirical_interval_count(snap, x, alpha, beta))
-
-    def one(i):
-        snaps = simulate(model, t, [t], eps_freeze, replica_key(seed, i),
-                         max_fragments=max_fragments)
-        return est(snaps[0])
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            vals = list(pool.map(one, range(n_replicas)))
-    else:
-        vals = [one(i) for i in range(n_replicas)]
-    return np.array(vals)
+def _window_counts_at(model, evaluator, p, times, alpha, beta, eps_freeze,
+                      n_replicas, seed, threads, max_fragments):
+    """Window centers and the (len(times), n_replicas) window-count matrix."""
+    xs = {float(t): window_center(evaluator, p, t) for t in times}
+    counts = replica_values(
+        lambda snap: empirical_interval_count(snap, xs[snap.time], alpha, beta),
+        model, times, n_replicas, seed, eps_freeze, threads=threads,
+        max_fragments=max_fragments)
+    return [xs[float(t)] for t in times], counts
 
 
-def estimate_V_direct(model, evaluator, p, t, alpha, beta, eps_freeze,
-                      n_replicas, seed, *, threads=1,
-                      max_fragments=DEFAULT_MAX_FRAGMENTS):
-    """Mean window count from full population runs; returns (mean, stderr)."""
-    x = window_center(evaluator, p, t)
-    counts = _window_counts(model, x, t, alpha, beta, eps_freeze, n_replicas,
-                            seed, threads, max_fragments)
-    return float(counts.mean()), float(counts.std(ddof=1) / math.sqrt(n_replicas))
+def _presence(row):
+    """(u, u_stderr, v, v_stderr) of one row of window counts."""
+    n = len(row)
+    u = float((row > 0).mean())
+    return (u, math.sqrt(max(u * (1.0 - u), 0.0) / n),
+            float(row.mean()), float(row.std(ddof=1) / math.sqrt(n)))
 
 
 def estimate_V_manyto1(model, evaluator, p, t, alpha, beta, n_replicas, seed):
@@ -86,34 +77,29 @@ def estimate_V_manyto1(model, evaluator, p, t, alpha, beta, n_replicas, seed):
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_replicas))
 
 
-def estimate_U_direct(model, evaluator, p, t, alpha, beta, eps_freeze,
-                      n_replicas, seed, *, threads=1,
-                      max_fragments=DEFAULT_MAX_FRAGMENTS):
-    """Probability that the window holds at least one fragment: (mean, stderr)."""
-    x = window_center(evaluator, p, t)
-    counts = _window_counts(model, x, t, alpha, beta, eps_freeze, n_replicas,
-                            seed, threads, max_fragments)
-    u = float((counts > 0).mean())
-    return u, math.sqrt(max(u * (1.0 - u), 0.0) / n_replicas)
-
-
 def presence_summary(model, evaluator, p, t, alpha, beta, eps_freeze,
                      n_replicas, seed, *, threads=1,
                      max_fragments=DEFAULT_MAX_FRAGMENTS):
-    """Direct U and V estimates from one set of runs, plus the V prediction."""
-    x = window_center(evaluator, p, t)
-    counts = _window_counts(model, x, t, alpha, beta, eps_freeze, n_replicas,
-                            seed, threads, max_fragments)
-    u = float((counts > 0).mean())
-    return PresenceEstimate(
-        p=p, t=t, x=x, alpha=alpha, beta=beta,
-        v_mean=float(counts.mean()),
-        v_stderr=float(counts.std(ddof=1) / math.sqrt(n_replicas)),
-        v_predicted=evaluator.v_asymptote(p, t, alpha, beta),
-        u_mean=u,
-        u_stderr=math.sqrt(max(u * (1.0 - u), 0.0) / n_replicas),
-        n_replicas=n_replicas,
-    )
+    """Direct U and V estimates from one set of runs, plus the V prediction.
+
+    t may be a scalar or a list; each replica is simulated once, to the
+    largest time.  Returns one PresenceEstimate per time, in the order given
+    (scalar in, scalar out).
+    """
+    scalar = np.isscalar(t)
+    t_list = [t] if scalar else list(t)
+    xs, counts = _window_counts_at(model, evaluator, p, t_list, alpha, beta,
+                                   eps_freeze, n_replicas, seed, threads,
+                                   max_fragments)
+    out = []
+    for s, x, row in zip(t_list, xs, counts):
+        u, u_se, v, v_se = _presence(row)
+        out.append(PresenceEstimate(
+            p=p, t=s, x=x, alpha=alpha, beta=beta, v_mean=v, v_stderr=v_se,
+            v_predicted=evaluator.v_asymptote(p, s, alpha, beta),
+            u_mean=u, u_stderr=u_se, n_replicas=n_replicas,
+        ))
+    return out[0] if scalar else out
 
 
 class RatioTrace:
@@ -134,10 +120,7 @@ class RatioTrace:
         self.points = []
         self._boot_ratios = []
         for row, t in zip(counts, self.t_grid):
-            u = float((row > 0).mean())
-            v = float(row.mean())
-            u_se = math.sqrt(max(u * (1.0 - u), 0.0) / n)
-            v_se = float(row.std(ddof=1) / math.sqrt(n))
+            u, u_se, v, v_se = _presence(row)
             res = row[idx]                      # (n_boot, n)
             with np.errstate(invalid="ignore", divide="ignore"):
                 ratios = (res > 0).mean(axis=1) / res.mean(axis=1)
@@ -155,12 +138,21 @@ class RatioTrace:
         """Last-two-point slope of the ratio with a bootstrap interval.
 
         Returns (slope, lo, hi); a stabilized trace has 0 inside [lo, hi].
+        Raises NotComputableError when the last two grid times coincide or
+        when no bootstrap resample has a finite ratio at one of them (no
+        replica had a fragment in the window).
         """
         if len(self.t_grid) < 2:
             raise ValueError("need at least two grid times for a slope")
         dt = self.t_grid[-1] - self.t_grid[-2]
         a, b = self._boot_ratios[-2], self._boot_ratios[-1]
         m = min(len(a), len(b))
+        if dt <= 0.0 or m == 0:
+            raise NotComputableError(
+                f"no ratio slope between t = {self.t_grid[-2]} and "
+                f"t = {self.t_grid[-1]}: the times coincide or a window "
+                "stayed empty in every replica"
+            )
         slopes = (b[:m] - a[:m]) / dt
         slope = (self.points[-1].ratio - self.points[-2].ratio) / dt
         lo, hi = np.percentile(slopes, [2.5, 97.5])
@@ -182,13 +174,9 @@ def ratio_trace(model, evaluator, p, t_grid, alpha, beta, eps_freeze,
             RegimeWarning, stacklevel=2,
         )
     t_grid = sorted(float(t) for t in t_grid)
-    xs = [window_center(evaluator, p, t) for t in t_grid]
-    counts = np.zeros((len(t_grid), n_replicas))
-    for i in range(n_replicas):
-        snaps = simulate(model, t_grid[-1], t_grid, eps_freeze,
-                         replica_key(seed, i), max_fragments=max_fragments)
-        for k, snap in enumerate(snaps):
-            counts[k, i] = empirical_interval_count(snap, xs[k], alpha, beta)
+    _, counts = _window_counts_at(model, evaluator, p, t_grid, alpha, beta,
+                                  eps_freeze, n_replicas, seed, 1,
+                                  max_fragments)
     return RatioTrace(t_grid, counts, seed, n_boot=n_boot)
 
 

@@ -12,14 +12,13 @@ martingale is uniformly integrable its mean is exactly a.
 """
 
 from collections import namedtuple
-from concurrent.futures import ThreadPoolExecutor
 import math
 
 import numpy as np
 
 from .errors import BarrierFlagsMissingError, BelowPLowerError
 from .ranked import DEFAULT_MAX_FRAGMENTS, simulate
-from .streams import replica_key
+from .streams import map_replicas, replica_key
 
 MCResult = namedtuple("MCResult", ["mean", "stderr", "n", "frozen_mass_mean"])
 
@@ -102,6 +101,26 @@ def truncated_estimator(evaluator, a):
     return lambda snap: truncated_ma(snap, evaluator, a)
 
 
+def replica_values(fn, model, times, n_replicas, seed, eps_freeze, *,
+                   barrier_slope=None, threads=1,
+                   max_fragments=DEFAULT_MAX_FRAGMENTS):
+    """fn(snapshot) of every replica (one run each) at every time.
+
+    Shape (len(times), n_replicas, *fn's shape), rows in the order given.
+    """
+    t_list = [float(t) for t in times]
+
+    def one(i):
+        snaps = simulate(model, max(t_list), t_list, eps_freeze,
+                         replica_key(seed, i), barrier_slope=barrier_slope,
+                         max_fragments=max_fragments)
+        at = {s.time: s for s in snaps}
+        return [fn(at[t]) for t in t_list]
+
+    rows = np.array(map_replicas(one, n_replicas, threads), dtype=float)
+    return np.ascontiguousarray(np.moveaxis(rows, 0, 1))
+
+
 def mc_mean(estimator, model, times, n_replicas, seed, eps_freeze, *,
             barrier_slope=None, threads=1,
             max_fragments=DEFAULT_MAX_FRAGMENTS):
@@ -110,33 +129,19 @@ def mc_mean(estimator, model, times, n_replicas, seed, eps_freeze, *,
     times may be a scalar or a list; each replica is simulated once with
     snapshots at all requested times.  Replica i uses the stream keyed by
     (seed, i), so results do not depend on the thread count.  Returns one
-    MCResult per time (scalar in, scalar out).
+    MCResult per time, in the order given (scalar in, scalar out).
     """
     scalar = np.isscalar(times)
-    t_list = [float(times)] if scalar else [float(t) for t in times]
-    t_end = max(t_list)
-
-    def one(i):
-        snaps = simulate(model, t_end, t_list, eps_freeze,
-                         replica_key(seed, i), barrier_slope=barrier_slope,
-                         max_fragments=max_fragments)
-        return [estimator(s) for s in snaps], [s.frozen_mass for s in snaps]
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, range(n_replicas)))
-    else:
-        rows = [one(i) for i in range(n_replicas)]
-
-    vals = np.array([r[0] for r in rows])      # (n_replicas, n_times)
-    frozen = np.array([r[1] for r in rows])
+    vals = replica_values(lambda s: (estimator(s), s.frozen_mass), model,
+                          [times] if scalar else times, n_replicas, seed,
+                          eps_freeze, barrier_slope=barrier_slope,
+                          threads=threads, max_fragments=max_fragments)
     out = []
-    for j in range(len(t_list)):
-        v = vals[:, j]
+    for v, frozen in zip(vals[..., 0], vals[..., 1]):
         out.append(MCResult(
             mean=float(v.mean()),
             stderr=float(v.std(ddof=1) / math.sqrt(n_replicas)) if n_replicas > 1 else float("nan"),
             n=n_replicas,
-            frozen_mass_mean=float(frozen[:, j].mean()),
+            frozen_mass_mean=float(frozen.mean()),
         ))
     return out[0] if scalar else out

@@ -53,7 +53,7 @@ class MassPartition:
     __slots__ = ("masses", "_total")
 
     def __init__(self, masses):
-        masses = tuple(float(m) for m in masses)
+        masses = tuple(map(float, masses))
         if not masses:
             raise TrivialSplitError("mass partition has no positive entries")
         total = 0.0

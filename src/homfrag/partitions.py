@@ -17,12 +17,14 @@ import heapq
 import math
 from bisect import bisect_right
 from collections import namedtuple
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import NotComputableError
-from .measures import MassPartition, sample_size_biased
+from .measures import MassPartition
 from .streams import Stream, derive_key
+from .tilting import simulate_event_log
 
 PartitionEvent = namedtuple("PartitionEvent", ["time", "elements", "sub_assignment"])
 
@@ -30,8 +32,9 @@ PartitionEvent = namedtuple("PartitionEvent", ["time", "elements", "sub_assignme
 def _canonical_labels(labels):
     """Relabel an integer array by order of first appearance (0, 1, 2, ...)."""
     uniq, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
-    rank = np.argsort(np.argsort(first, kind="stable"), kind="stable")
-    return rank[inverse], len(uniq)
+    table = np.empty(len(uniq), dtype=np.int64)
+    table[np.argsort(first, kind="stable")] = np.arange(len(uniq))
+    return table[inverse], len(uniq)
 
 
 class PartitionOfN:
@@ -146,16 +149,26 @@ class NestedPartitionPath:
         self.tagged_trace = tagged_trace  # (time, new size of block of 0)
         self.seed = seed
 
-    def partition_at(self, t):
-        """Partition after all events with time <= t."""
-        assignment = np.zeros(self.n, dtype=np.int64)
+    def refinements(self, t=math.inf):
+        """Yield (time, block labels) after each event with time <= t.
+
+        The labels are not canonical and live in one array updated in place.
+        """
+        labels = np.zeros(self.n, dtype=np.int64)
         next_label = 1
         for ev in self.events:
             if ev.time > t:
                 break
-            assignment[ev.elements] = next_label + ev.sub_assignment
+            labels[ev.elements] = next_label + ev.sub_assignment
             next_label += int(ev.sub_assignment.max()) + 1
-        return PartitionOfN(assignment)
+            yield ev.time, labels
+
+    def partition_at(self, t):
+        """Partition after all events with time <= t."""
+        labels = np.zeros(self.n, dtype=np.int64)
+        for _, labels in self.refinements(t):
+            pass
+        return PartitionOfN(labels)
 
     def tagged_block_size(self, t):
         """Size of the block containing point 0 at time t."""
@@ -218,10 +231,8 @@ def simulate_partition(model, n, t_end, seed, evaluator=None,
         events.append(PartitionEvent(ring, elements, sub.assignment))
         if elements[0] == 0:
             tagged_trace.append((ring, int(np.count_nonzero(sub.assignment == 0))))
-        order = np.argsort(sub.assignment, kind="stable")
-        bounds = np.searchsorted(sub.assignment[order], np.arange(1, sub.num_blocks))
-        for label, chunk in enumerate(np.split(order, bounds)):
-            child = elements[np.sort(chunk)]
+        for label, block in enumerate(sub.blocks()):
+            child = elements[block]
             if len(child) >= 2:
                 child_key = derive_key(key, label)
                 stream.reset(child_key)
@@ -250,35 +261,27 @@ class SubordinatorPath:
     __slots__ = ("jump_times", "jump_sizes", "t_end", "_cum")
 
     def __init__(self, jump_times, jump_sizes, t_end):
-        self.jump_times = np.asarray(jump_times, dtype=float)
-        self.jump_sizes = np.asarray(jump_sizes, dtype=float)
+        self.jump_times = list(jump_times)
+        self.jump_sizes = list(jump_sizes)
         self.t_end = t_end
-        self._cum = np.cumsum(self.jump_sizes) if len(self.jump_sizes) else np.array([])
+        self._cum = list(accumulate(self.jump_sizes))
 
     def value(self, t):
         """Path value: sum of jumps up to and including time t."""
         if t > self.t_end:
             raise ValueError(f"path simulated only to {self.t_end}, asked at {t}")
-        i = int(np.searchsorted(self.jump_times, t, side="right"))
-        return 0.0 if i == 0 else float(self._cum[i - 1])
+        i = bisect_right(self.jump_times, t)
+        return 0.0 if i == 0 else self._cum[i - 1]
 
 
 def simulate_subordinator(model, t_end, seed):
     """Exact tagged-piece path: jumps -log(size-biased piece) at rate nu's total.
 
-    One stream drives the whole path: waiting time, then split draw, then
-    the size-biased pick, repeated.
+    The jumps are read off the untilted event log of the same seed: one
+    stream drives the whole path (waiting time, split draw, size-biased
+    pick, repeated).
     """
-    stream = Stream(derive_key(seed, 0))
-    rate = model.total_rate
-    t = 0.0
-    times = []
-    sizes = []
-    while True:
-        t += stream.exponential(rate)
-        if t > t_end:
-            break
-        mass, _, _ = sample_size_biased(model, stream)
-        times.append(t)
-        sizes.append(-math.log(mass))
-    return SubordinatorPath(times, sizes, t_end)
+    log = simulate_event_log(model, t_end, seed)
+    sizes = [-math.log(part.masses[j])
+             for part, j in zip(log.partitions, log.picks)]
+    return SubordinatorPath(log.times, sizes, t_end)

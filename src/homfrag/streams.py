@@ -14,6 +14,7 @@ integer ops per draw) and batches cheaply through numpy for vector draws.
 """
 
 from bisect import bisect_right
+from concurrent.futures import ThreadPoolExecutor
 import math
 
 import numpy as np
@@ -42,6 +43,18 @@ def derive_key(key, index):
 def replica_key(master_seed, replica):
     """Stream key for one replica: a pure function of (master seed, index)."""
     return derive_key(master_seed & MASK64, replica)
+
+
+def map_replicas(fn, n_replicas, threads):
+    """[fn(0), ..., fn(n_replicas - 1)] on up to `threads` threads.
+
+    fn(i) must depend only on i (replica i draws from replica_key(seed, i));
+    results come back in index order, so they do not depend on `threads`.
+    """
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, range(n_replicas)))
+    return [fn(i) for i in range(n_replicas)]
 
 
 class Stream:

@@ -76,6 +76,28 @@ def spine_child_select(partition, p, stream):
     return stream.pick(cum)
 
 
+def walk_tagged_line(rate, t_end, key, draw):
+    """One line of descent to t_end: events at `rate` on the stream `key`.
+
+    draw(stream) gives each event's (split, index of the followed piece,
+    importance weight).  Returns (times, splits, picks, weight product).
+    """
+    stream = Stream(key)
+    exponential = stream.exponential
+    t = 0.0
+    weight = 1.0
+    times, parts, picks = [], [], []
+    while True:
+        t += exponential(rate)
+        if t > t_end:
+            return times, parts, picks, weight
+        part, j, w = draw(stream)
+        weight *= w
+        times.append(t)
+        parts.append(part)
+        picks.append(j)
+
+
 class SpineRun:
     """One spine trajectory plus the fragments it shed.
 
@@ -117,38 +139,30 @@ def simulate_spine(model, p, t_end, seed, evaluator=None, *,
     if with_population and eps_freeze is None:
         raise ValueError("with_population requires eps_freeze")
     rate = tilted_split_rate(model, evaluator, p)
+
+    def draw(stream):
+        split = sample_tilted_split(model, p, stream, evaluator)
+        j = spine_child_select(split.partition, p, stream)
+        return split.partition, j, split.weight
+
     spine_key = derive_key(seed, 0)
-    stream = Stream(spine_key)
-    t = 0.0
+    times, parts, picks, weight = walk_tagged_line(rate, t_end, spine_key, draw)
     lm = 0.0
-    weight = 1.0
-    jump_times = []
-    jump_sizes = []
-    roots = []
-    n_events = 0
-    while True:
-        t += stream.exponential(rate)
-        if t > t_end:
-            break
-        draw = sample_tilted_split(model, p, stream, evaluator)
-        weight *= draw.weight
-        part = draw.partition
-        j = spine_child_select(part, p, stream)
-        event_key = derive_key(spine_key, n_events)
+    jump_sizes, roots = [], []
+    for k, (t, part, j) in enumerate(zip(times, parts, picks)):
+        event_key = derive_key(spine_key, k)
         for i, m in enumerate(part.masses):
             if i != j:
                 roots.append((t, lm + math.log(m), derive_key(event_key, i)))
-        jump_times.append(t)
         jump_sizes.append(-math.log(part.masses[j]))
         lm += math.log(part.masses[j])
-        n_events += 1
 
     population = None
     if with_population:
         logs = [lm]
         frozen_mass = 0.0
         frozen_count = 0
-        event_count = n_events
+        event_count = len(times)
         for birth, root_lm, key in roots:
             snaps = simulate(model, t_end, [t_end], eps_freeze, 0,
                              root_key=key, initial_log_mass=root_lm,
@@ -164,7 +178,7 @@ def simulate_spine(model, p, t_end, seed, evaluator=None, *,
             frozen_count=frozen_count, event_count=event_count,
             eps_freeze=eps_freeze, seed=seed,
         )
-    return SpineRun(p, t_end, jump_times, jump_sizes, roots, weight, seed,
+    return SpineRun(p, t_end, times, jump_sizes, roots, weight, seed,
                     population=population)
 
 
@@ -191,17 +205,13 @@ class EventLog:
 
 def simulate_event_log(model, t_end, seed):
     """Untilted tagged-fragment event stream: rate nu_total, size-biased picks."""
-    stream = Stream(derive_key(seed, 0))
-    t = 0.0
-    times, parts, picks = [], [], []
-    while True:
-        t += stream.exponential(model.total_rate)
-        if t > t_end:
-            break
+
+    def draw(stream):
         _, j, part = sample_size_biased(model, stream)
-        times.append(t)
-        parts.append(part)
-        picks.append(j)
+        return part, j, 1.0
+
+    times, parts, picks, _ = walk_tagged_line(model.total_rate, t_end,
+                                              derive_key(seed, 0), draw)
     return EventLog(t_end, times, parts, picks)
 
 

@@ -25,7 +25,7 @@ from scipy import stats
 
 from homfrag.analytics import detect_geometric
 from homfrag.cli import main as cli_main
-from homfrag.ldp import estimate_V_direct, estimate_V_manyto1, ratio_trace
+from homfrag.ldp import estimate_V_manyto1, presence_summary, ratio_trace
 from homfrag.martingales import (
     additive_estimator,
     derivative_estimator,
@@ -300,8 +300,9 @@ def test_criterion_10_presence_estimators(ub, ub_eval, dyadic, dyadic_eval,
     t0 = perf_counter()
     p, alpha, beta = 0.5, -0.2, 0.2
 
-    m_dir, se_dir = estimate_V_direct(ub, ub_eval, p, 4.0, alpha, beta, 1e-8,
-                                      4000, 1001)
+    direct = presence_summary(ub, ub_eval, p, 4.0, alpha, beta, 1e-8, 4000,
+                              1001)
+    m_dir, se_dir = direct.v_mean, direct.v_stderr
     m_m1, se_m1 = estimate_V_manyto1(ub, ub_eval, p, 4.0, alpha, beta,
                                      200_000, 1002)
     lo1, hi1 = m_dir - 1.96 * se_dir, m_dir + 1.96 * se_dir

@@ -7,6 +7,8 @@ import pytest
 
 from homfrag.cli import main
 from homfrag.measures import model_to_json
+from homfrag.partitions import simulate_partition
+from homfrag.streams import replica_key
 
 
 @pytest.fixture()
@@ -371,3 +373,117 @@ def test_output_bytes_independent_of_threads(capsys, ub_model_file, tmp_path):
         assert code == 0
         texts.append(path.read_bytes())
     assert texts[0] == texts[1]
+
+
+def test_phi_monte_carlo_cells_parse_as_floats(capsys, ub_model_file):
+    code, out, _ = run_cli(capsys, [
+        "--seed", "27", "--model", ub_model_file,
+        "phi", "--q-min", "0", "--q-max", "2", "--points", "3",
+        "--mode", "monte_carlo"])
+    assert code == 0
+    _, columns, rows = parse_csv(out)
+    assert len(rows) == 3
+    for row in rows:
+        assert len(row) == len(columns)
+        for cell in row:
+            float(cell)
+
+
+RATIO_ARGS = ["ldp", "--estimator", "ratio", "--p", "2.0", "--alpha", "-0.2",
+              "--beta", "0.2", "--eps-freeze", "1e-8"]
+
+
+def test_ldp_ratio_needs_two_grid_times(capsys, ub_model_file):
+    for grid in ("2.0", "2.0,2.0"):
+        code, out, err = run_cli(capsys, [
+            "--seed", "28", "--model", ub_model_file, "--replicas", "5"]
+            + RATIO_ARGS + ["--t-grid", grid])
+        assert code == 2
+        assert out == ""
+        assert "two or more distinct --t-grid times" in err
+
+
+def test_ldp_ratio_with_an_always_empty_window_exits_2(capsys,
+                                                       ub_model_file):
+    # the single replica has no fragment in the window at one of the two
+    # times, so no bootstrap resample gives a finite ratio there
+    code, out, err = run_cli(capsys, [
+        "--seed", "7", "--model", ub_model_file, "--replicas", "1"]
+        + RATIO_ARGS + ["--t-grid", "1,2"])
+    assert code == 2
+    assert out == ""
+    assert "NotComputableError" in err and "Traceback" not in err
+
+
+def test_partition_rows_match_partition_at(capsys, ub_model_file, ub):
+    code, out, _ = run_cli(capsys, [
+        "--seed", "29", "--model", ub_model_file, "--replicas", "3",
+        "partition", "--n", "60", "--t-end", "3.0"])
+    assert code == 0
+    header, rows = parse_jsonl(out)
+    assert len(rows) > 0
+    bounds = header["replica_row_start"] + [len(rows)]
+    for i in range(3):
+        path = simulate_partition(ub, 60, 3.0, replica_key(29, i))
+        chunk = rows[bounds[i]:bounds[i + 1]]
+        assert len(chunk) == len(path.events)
+        for row in chunk:
+            assert row["block_of"] == path.partition_at(row["t"]).assignment.tolist()
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+def _strict_json(text):
+    return json.loads(text, parse_constant=_reject_constant)
+
+
+SUBCOMMAND_RUNS = {
+    "phi": ["phi", "--q-min", "0", "--q-max", "3", "--points", "4"],
+    "simulate": ["simulate", "--t-end", "2", "--eps-freeze", "1e-3",
+                 "--snapshots", "1,2"],
+    "partition": ["partition", "--n", "20", "--t-end", "2"],
+    "subordinator": ["subordinator", "--t-end", "2"],
+    "martingale": ["martingale", "--kind", "derivative", "--t-grid", "1,2",
+                   "--eps-freeze", "1e-5"],
+    "spine": ["spine", "--p", "-0.5", "--t-end", "2"],
+    "thin": ["thin", "--p", "1"],
+    "ldp": ["ldp", "--p", "0.5", "--alpha", "-0.2", "--beta", "0.2",
+            "--t-grid", "1,2", "--eps-freeze", "1e-6"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_RUNS))
+def test_subcommand_output_is_well_formed(capsys, ub_model_file, tmp_path,
+                                          command):
+    """Exit 0, no traceback, strict JSON, and CSV cells that parse as floats."""
+    args = SUBCOMMAND_RUNS[command]
+    if command == "thin":
+        events = tmp_path / "events.jsonl"
+        code, _, _ = run_cli(capsys, [
+            "--seed", "30", "--model", ub_model_file, "--replicas", "4",
+            "--out", str(events), "subordinator", "--t-end", "2",
+            "--event-log"])
+        assert code == 0
+        args = args + ["--input", str(events)]
+    code, out, err = run_cli(capsys, [
+        "--seed", "30", "--model", ub_model_file, "--replicas", "4"] + args)
+    assert code == 0
+    assert "Traceback" not in err
+    assert out.endswith("\n")
+    lines = out[:-1].split("\n")
+    if lines[0].startswith("# "):
+        _strict_json(lines[0][2:])
+        columns = lines[1].split(",")
+        assert len(lines) > 2
+        for line in lines[2:]:
+            cells = line.split(",")
+            assert len(cells) == len(columns)
+            for cell in cells:
+                float(cell)
+    else:
+        _strict_json(lines[0])
+        assert len(lines) > 1
+        for line in lines[1:]:
+            _strict_json(line)

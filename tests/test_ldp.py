@@ -6,11 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
-from homfrag.errors import OutsideRegimeError, RegimeWarning
+from homfrag.errors import NotComputableError, OutsideRegimeError, RegimeWarning
 from homfrag.ldp import (
+    RatioTrace,
     corollary_functional,
-    estimate_U_direct,
-    estimate_V_direct,
     estimate_V_manyto1,
     presence_summary,
     ratio_trace,
@@ -35,17 +34,15 @@ def test_manyto1_matches_lattice_value(dyadic, dyadic_eval):
 
 
 def test_direct_matches_compound_poisson_value(ub, ub_eval):
-    mean, se = estimate_V_direct(ub, ub_eval, 0.5, 2.0, -0.2, 0.2, 1e-8,
-                                 4000, 401)
+    est = presence_summary(ub, ub_eval, 0.5, 2.0, -0.2, 0.2, 1e-8, 4000, 401)
+    mean, se = est.v_mean, est.v_stderr
     assert se > 0
     assert abs(mean - 0.337176) < 4 * se
 
 
 def test_direct_presence_probability_bounds_mean(ub, ub_eval):
-    u, u_se = estimate_U_direct(ub, ub_eval, 0.5, 2.0, -0.2, 0.2, 1e-8,
-                                500, 402)
-    v, _ = estimate_V_direct(ub, ub_eval, 0.5, 2.0, -0.2, 0.2, 1e-8,
-                             500, 402)
+    est = presence_summary(ub, ub_eval, 0.5, 2.0, -0.2, 0.2, 1e-8, 500, 402)
+    u, v = est.u_mean, est.v_mean
     assert 0.0 <= u <= 1.0
     assert u <= v  # counts are integers, so P(N > 0) <= E[N] replica-wise
 
@@ -90,6 +87,31 @@ def test_ratio_trace_slope_needs_two_times(ub, ub_eval):
         trace = ratio_trace(ub, ub_eval, p, [2.0], -0.5, 0.5, 1e-8, 50, 406)
     with pytest.raises(ValueError):
         trace.slope_ci()
+
+
+def test_ratio_trace_slope_needs_a_finite_ratio_at_both_times():
+    # no replica ever has a fragment in the window: every bootstrap ratio
+    # is 0/0, so there is no slope to report
+    trace = RatioTrace([1.0, 2.0], np.zeros((2, 5)), seed=1, n_boot=20)
+    assert all(math.isnan(point.ratio) for point in trace.points)
+    with pytest.raises(NotComputableError):
+        trace.slope_ci()
+    # coinciding last two times leave no time step for the slope
+    trace = RatioTrace([1.0, 1.0], np.ones((2, 5)), seed=1, n_boot=20)
+    with pytest.raises(NotComputableError):
+        trace.slope_ci()
+
+
+def test_presence_summary_over_a_time_list(ub, ub_eval):
+    # one run per replica, observed at every time, gives the same estimate
+    # as a separate call per time; the order of the times is kept
+    times = [2.0, 1.0]
+    ests = presence_summary(ub, ub_eval, 0.5, times, -0.2, 0.2, 1e-8, 60, 409,
+                            threads=2)
+    assert [e.t for e in ests] == times
+    for est, t in zip(ests, times):
+        assert est == presence_summary(ub, ub_eval, 0.5, t, -0.2, 0.2, 1e-8,
+                                       60, 409)
 
 
 def test_corollary_functional_manual_recompute(ub, ub_eval):

@@ -138,3 +138,11 @@ def test_mc_mean_threaded_matches_serial(ub, ub_eval):
         assert a.mean == b.mean
         assert a.stderr == b.stderr
         assert a.frozen_mass_mean == b.frozen_mass_mean
+
+
+def test_mc_mean_keeps_the_order_of_the_times(ub, ub_eval):
+    est = additive_estimator(ub_eval, 0.5)
+    fwd = mc_mean(est, ub, [0.5, 2.0], 30, 906, 1e-6)
+    back = mc_mean(est, ub, [2.0, 0.5], 30, 906, 1e-6)
+    assert back == fwd[::-1]
+    assert fwd[0] == mc_mean(est, ub, 0.5, 30, 906, 1e-6)

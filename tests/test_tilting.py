@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from homfrag.analytics import PhiEvaluator
 from homfrag.errors import BelowPLowerError, ThinningDirectionError
-from homfrag.measures import MassPartition
+from homfrag.measures import AtomicModel, MassPartition
 from homfrag.partitions import simulate_subordinator
 from homfrag.streams import Stream, derive_key
 from homfrag.tilting import (
@@ -162,3 +163,30 @@ def test_thinning_deterministic_and_preserving(ub):
     assert a.times == log.times
     assert a.picks == log.picks
     assert len(a.kept_events()) == sum(a.kept)
+
+
+def test_subordinator_event_log_and_spine_share_one_walk():
+    # three distinct masses, so each shed root's piece index can be read
+    # back from its log-mass
+    model = AtomicModel([([0.5, 0.3, 0.2], 1.0)])
+    seed = 4242
+    sub = simulate_subordinator(model, 3.0, seed)
+    log = simulate_event_log(model, 3.0, seed)
+    assert len(log) > 0
+    assert sub.jump_times == log.times
+    assert sub.jump_sizes == [
+        -math.log(part.masses[j]) for part, j in zip(log.partitions, log.picks)]
+
+    run = simulate_spine(model, 0.5, 3.0, seed, PhiEvaluator(model))
+    assert len(run.jump_times) > 0
+    spine_key = derive_key(seed, 0)
+    masses = model.atoms[0][0].masses
+    seen = set()
+    for t, lm, key in run.unmarked_roots:
+        k = run.jump_times.index(t)
+        piece = math.exp(lm + sum(run.jump_sizes[:k]))
+        i = min(range(len(masses)), key=lambda r: abs(masses[r] - piece))
+        assert piece == pytest.approx(masses[i], rel=1e-12)
+        assert key == derive_key(derive_key(spine_key, k), i)
+        seen.add((k, i))
+    assert len(seen) == len(run.unmarked_roots) == 2 * len(run.jump_times)
