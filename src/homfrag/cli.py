@@ -26,6 +26,7 @@ from .errors import (
     BudgetExceededError,
     ConfigError,
     FragmentationError,
+    NotComputableError,
     RegimeWarning,
 )
 from .ldp import presence_summary, ratio_trace
@@ -39,7 +40,7 @@ from .measures import model_from_json, model_to_json
 from .partitions import PartitionOfN, simulate_partition, simulate_subordinator
 from .ranked import DEFAULT_MAX_FRAGMENTS, simulate
 from .measures import MassPartition
-from .streams import Stream, derive_key, map_replicas, replica_key
+from .streams import MASK64, Stream, derive_key, map_replicas, replica_key
 from .tilting import (
     EventLog,
     simulate_event_log,
@@ -174,8 +175,11 @@ def parse_config(argv):
     if seed is None:
         problems.append("seed is required (--seed or config 'seed'); "
                         "runs are never seeded from the clock")
-    elif not isinstance(seed, int):
+    elif not isinstance(seed, int) or isinstance(seed, bool):
         problems.append(f"seed must be an integer, got {seed!r}")
+    elif not 0 <= seed <= MASK64:
+        # streams use the seed's low 64 bits, so a wider seed would alias one
+        problems.append(f"seed must be in [0, 2**64), got {seed}")
 
     replicas = ns.replicas if ns.replicas is not None else file_cfg.get("replicas", 1)
     if not isinstance(replicas, int) or replicas < 1:
@@ -225,8 +229,29 @@ def _require(params, names, problems, command):
             problems.append(f"{command} requires --{name.replace('_', '-')}")
 
 
+def _check_times(command, params, problems):
+    """Finite times >= 0, snapshots in [0, t_end] (NaN fails every check).
+
+    Only partition takes t_end = inf (shatter fully, a finite walk on n
+    points); elsewhere an infinite horizon never ends.
+    """
+    t_end = params.get("t_end")
+    if t_end is not None and not (
+            0.0 <= t_end < math.inf or (command == "partition" and t_end >= 0.0)):
+        problems.append(f"t_end must be finite and >= 0, got {t_end}")
+    if any(not 0.0 <= t < math.inf for t in params.get("t_grid") or []):
+        problems.append("t_grid times must be finite and >= 0, "
+                        f"got {params['t_grid']}")
+    snaps = params.get("snapshots")
+    if (snaps is not None and t_end is not None and t_end >= 0.0
+            and any(not 0.0 <= s <= t_end for s in snaps)):
+        problems.append(f"snapshots must lie in [0, t_end = {t_end}], "
+                        f"got {snaps}")
+
+
 def _validate_params(command, params, model):
     problems = []
+    _check_times(command, params, problems)
     if command == "phi":
         _require(params, ["q_min", "q_max"], problems, command)
         params.setdefault("points", 50)
@@ -415,7 +440,15 @@ def _cmd_subordinator(cfg):
     return header, "csv", ("replica", "jump_time", "jump_size"), rows
 
 
+def _require_two_replicas(cfg):
+    if cfg.replicas < 2:
+        raise NotComputableError(
+            f"{cfg.command} reports standard errors, and a standard error "
+            f"needs at least two replicas; got --replicas {cfg.replicas}")
+
+
 def _cmd_martingale(cfg):
+    _require_two_replicas(cfg)
     pr = cfg.params
     ev = PhiEvaluator(cfg.model)
     kind = pr["kind"]
@@ -522,6 +555,7 @@ def _cmd_thin(cfg):
 
 
 def _cmd_ldp(cfg):
+    _require_two_replicas(cfg)
     pr = cfg.params
     ev = PhiEvaluator(cfg.model)
     geo = detect_geometric(cfg.model)
@@ -558,7 +592,7 @@ def _cmd_ldp(cfg):
         return header, "csv", cols, rows
     trace = ratio_trace(cfg.model, ev, pr["p"], pr["t_grid"], pr["alpha"],
                         pr["beta"], pr["eps_freeze"], cfg.replicas, cfg.seed,
-                        n_boot=pr["n_boot"],
+                        n_boot=pr["n_boot"], threads=cfg.threads,
                         max_fragments=pr["max_fragments"])
     slope, lo, hi = trace.slope_ci()
     header.update({"slope": slope, "slope_lo": lo, "slope_hi": hi})

@@ -20,9 +20,9 @@ import numpy as np
 
 from .errors import NotComputableError, OutsideRegimeError, RegimeWarning
 from .martingales import replica_values
-from .partitions import simulate_subordinator
+from .partitions import subordinator_values
 from .ranked import DEFAULT_MAX_FRAGMENTS, empirical_interval_count
-from .streams import Stream, derive_key, replica_key
+from .streams import Stream, derive_key, lanewise
 
 PresenceEstimate = namedtuple(
     "PresenceEstimate",
@@ -65,15 +65,19 @@ def estimate_V_manyto1(model, evaluator, p, t, alpha, beta, n_replicas, seed):
 
     Each replica contributes e^{xi(t)} if -xi(t) lands in the window, else 0.
     No population is grown, so there is no freezing bias and the cost per
-    replica is O(number of tagged jumps).
+    replica is O(number of tagged jumps).  Replica i is the path of
+    simulate_subordinator at replica_key(seed, i); all of them are walked
+    together by subordinator_values.
     """
+    if n_replicas < 2:
+        raise ValueError(
+            f"a standard error needs at least two replicas, got {n_replicas}")
     x = window_center(evaluator, p, t)
     lo, hi = x + alpha, x + beta
-    vals = np.empty(n_replicas)
-    for i in range(n_replicas):
-        path = simulate_subordinator(model, t, replica_key(seed, i))
-        xi = path.value(t)
-        vals[i] = math.exp(xi) if lo <= -xi <= hi else 0.0
+    xi = subordinator_values(model, t, seed, n_replicas)
+    inside = np.flatnonzero((lo <= -xi) & (-xi <= hi))
+    vals = np.zeros(n_replicas)
+    vals[inside] = lanewise(math.exp, xi[inside])
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_replicas))
 
 
@@ -160,7 +164,7 @@ class RatioTrace:
 
 
 def ratio_trace(model, evaluator, p, t_grid, alpha, beta, eps_freeze,
-                n_replicas, seed, *, n_boot=500,
+                n_replicas, seed, *, n_boot=500, threads=1,
                 max_fragments=DEFAULT_MAX_FRAGMENTS):
     """Window counts over a time grid (one run per replica, all times observed).
 
@@ -175,7 +179,7 @@ def ratio_trace(model, evaluator, p, t_grid, alpha, beta, eps_freeze,
         )
     t_grid = sorted(float(t) for t in t_grid)
     _, counts = _window_counts_at(model, evaluator, p, t_grid, alpha, beta,
-                                  eps_freeze, n_replicas, seed, 1,
+                                  eps_freeze, n_replicas, seed, threads,
                                   max_fragments)
     return RatioTrace(t_grid, counts, seed, n_boot=n_boot)
 

@@ -16,6 +16,8 @@ either in closed form, or through a density for quadrature, or not at all
 
 import math
 
+import numpy as np
+
 from .errors import (
     DustNotSupportedError,
     InvalidModelError,
@@ -26,6 +28,7 @@ from .errors import (
     UnknownFamilyError,
 )
 from .numerics import adaptive_simpson
+from .streams import lanewise
 
 
 def _folded_symmetric(f, m):
@@ -156,6 +159,14 @@ class DislocationModel:
         """Draw one split as a ranked tuple of floats (hot path)."""
         raise NotImplementedError
 
+    def sample_masses_batch(self, streams, idx):
+        """One split per lane of a StreamBatch, as a zero-padded matrix.
+
+        Row r equals sample_masses on the scalar stream of lane idx[r], bit
+        for bit, and advances that lane by the same draws.
+        """
+        raise NotImplementedError
+
     def sample(self, stream):
         return MassPartition(self.sample_masses(stream))
 
@@ -200,6 +211,10 @@ class AtomicModel(DislocationModel):
         for _, w in atoms:
             acc += w
             self._cum.append(acc)
+        self._cum_array = np.array(self._cum)
+        width = max(len(p) for p, _ in atoms)
+        self._padded = np.array([p.masses + (0.0,) * (width - len(p))
+                                 for p, _ in atoms])
         self.p_lower = -math.inf  # finite sums of positive powers always converge
 
     def sample_masses(self, stream):
@@ -207,6 +222,12 @@ class AtomicModel(DislocationModel):
 
     def sample(self, stream):
         return self.atoms[stream.pick(self._cum)][0]
+
+    def sample_masses_batch(self, streams, idx):
+        # Stream.pick: bisect_right of u * total in the running weights
+        u = streams.uniform(idx) * self._cum[-1]
+        j = np.searchsorted(self._cum_array, u, side="right")
+        return self._padded[np.minimum(j, len(self._cum) - 1)]
 
     def phi_closed(self, q):
         tot = 0.0
@@ -254,6 +275,12 @@ class UniformBinaryModel(DislocationModel):
         if u < 0.5:
             return (1.0 - u, u)
         return (u, 1.0 - u)
+
+    def sample_masses_batch(self, streams, idx):
+        u = self.epsilon + self.total_rate * streams.uniform_open(idx)
+        v = 1.0 - u
+        # (1 - u, u) if u < 0.5 else (u, 1 - u): the larger piece first
+        return np.column_stack((np.maximum(u, v), np.minimum(u, v)))
 
     def phi_closed(self, q):
         e = self.epsilon
@@ -367,6 +394,11 @@ class PowerTailBinaryModel(DislocationModel):
             v = 0.5  # guard against round-off just past the endpoint
         return (1.0 - v, v)
 
+    def sample_masses_batch(self, streams, idx):
+        v = lanewise(self._inverse_cdf, streams.uniform(idx))  # libm pow
+        v = np.where(v > 0.5, 0.5, v)
+        return np.column_stack((1.0 - v, v))
+
     def _density(self, v):
         return self.c * v ** (-self.gamma)
 
@@ -419,6 +451,29 @@ def sample_size_biased(model, stream):
         if u < acc:
             return m, j, part
     return part.masses[-1], len(part.masses) - 1, part
+
+
+def sample_size_biased_batch(model, streams, idx):
+    """sample_size_biased on every lane of a StreamBatch, bit for bit.
+
+    Returns (picked masses, their indices, the zero-padded split matrix).
+    """
+    if not model.conservative:
+        raise DustNotSupportedError("size-biased pick needs a conservative model")
+    masses = model.sample_masses_batch(streams, idx)
+    u = streams.uniform(idx)
+    # the scalar rule picks the first j with u < acc after acc += m_j; acc
+    # never decreases, so that j is the number of steps with u >= acc
+    acc = np.zeros(len(u))
+    pick = np.zeros(len(u), dtype=np.intp)
+    for column in masses.T:
+        acc += column
+        pick += u >= acc
+    # padding adds nothing, so a pick past the end means no acc exceeded u:
+    # the scalar rule then falls back to the last real piece
+    over = np.flatnonzero(pick == masses.shape[1])
+    pick[over] = np.count_nonzero(masses[over], axis=1) - 1
+    return masses[np.arange(len(pick)), pick], pick, masses
 
 
 # --- families and truncation ---------------------------------------------

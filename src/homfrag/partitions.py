@@ -10,7 +10,8 @@ paintbox draw conditioned on being non-trivial (plain rejection).
 
 The block containing point 0 plays a special role: minus the log of its
 normalized size estimates the tagged-piece subordinator, which
-`simulate_subordinator` also samples exactly by size-biased picks.
+`simulate_subordinator` also samples exactly by size-biased picks, one path
+at a time, and `subordinator_values` for many replicas at once.
 """
 
 import heapq
@@ -22,9 +23,19 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import NotComputableError
-from .measures import MassPartition
-from .streams import Stream, derive_key
+from .measures import MassPartition, sample_size_biased_batch
+from .streams import (
+    Stream,
+    StreamBatch,
+    derive_key,
+    derive_keys,
+    lanewise,
+    replica_keys,
+)
 from .tilting import simulate_event_log
+
+# lanes walked together by subordinator_values: bounds its memory, not a knob
+_CHUNK_LANES = 1 << 16
 
 PartitionEvent = namedtuple("PartitionEvent", ["time", "elements", "sub_assignment"])
 
@@ -285,3 +296,39 @@ def simulate_subordinator(model, t_end, seed):
     sizes = [-math.log(part.masses[j])
              for part, j in zip(log.partitions, log.picks)]
     return SubordinatorPath(log.times, sizes, t_end)
+
+
+def subordinator_values(model, t_end, seed, n_replicas):
+    """xi(t_end) of replicas 0, ..., n_replicas - 1 of the tagged subordinator.
+
+    Entry i equals simulate_subordinator(model, t_end,
+    replica_key(seed, i)).value(t_end) bit for bit.  All live lanes advance
+    one event per generation on their own streams, with the scalar walk's
+    draws and arithmetic: waits -log1p(-u) / rate, the size-biased pick of
+    the split, jumps -log(picked mass) summed in event order.  Lanes are
+    independent and walked in fixed-size chunks, so memory stays bounded and
+    no entry depends on the chunk size or on n_replicas.
+    """
+    rate = model.total_rate
+    keys = derive_keys(replica_keys(seed, n_replicas), 0)
+    out = np.empty(n_replicas)
+    for start in range(0, n_replicas, _CHUNK_LANES):
+        streams = StreamBatch(keys[start:start + _CHUNK_LANES])
+        live = np.arange(len(streams.state))     # lanes still walking
+        t = np.zeros(len(live))
+        xi = np.zeros(len(live))
+        first = True    # live lanes move in step: all have as many jumps
+        while True:
+            t += -lanewise(math.log1p, -streams.uniform(live)) / rate
+            ended = t > t_end
+            out[start + live[ended]] = xi[ended]
+            live, t, xi = live[~ended], t[~ended], xi[~ended]
+            if not live.size:
+                break
+            picked, _, _ = sample_size_biased_batch(model, streams, live)
+            jump = -lanewise(math.log, picked)
+            # the scalar running sum starts at the first jump, not at 0.0 +
+            # jump (which would turn a -0.0 jump into 0.0)
+            xi = jump if first else xi + jump
+            first = False
+    return out

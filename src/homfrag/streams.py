@@ -24,6 +24,9 @@ GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 _KEY_SALT = 0xA5A5A5A5A5A5A5A5  # keeps the key-derivation domain disjoint from draws
 
 _U64_GAMMA = np.uint64(GOLDEN_GAMMA)
+_U64_MIX = (np.uint64(30), np.uint64(0xBF58476D1CE4E5B9),
+            np.uint64(27), np.uint64(0x94D049BB133111EB), np.uint64(31))
+_U64_11 = np.uint64(11)
 _INV_2_53 = 2.0 ** -53
 
 
@@ -43,6 +46,36 @@ def derive_key(key, index):
 def replica_key(master_seed, replica):
     """Stream key for one replica: a pure function of (master seed, index)."""
     return derive_key(master_seed & MASK64, replica)
+
+
+def _mix64_u64(z):
+    """mix64 of every word of a fresh np.uint64 array, in place (wrapping)."""
+    s1, m1, s2, m2, s3 = _U64_MIX
+    z ^= z >> s1
+    z *= m1
+    z ^= z >> s2
+    z *= m2
+    z ^= z >> s3
+    return z
+
+
+def _unit_floats(state):
+    """Uniforms in [0, 1) drawn from fresh np.uint64 states, as Stream.uniform."""
+    z = _mix64_u64(state)
+    z >>= _U64_11
+    return z * _INV_2_53
+
+
+def derive_keys(keys, index):
+    """derive_key(k, index) of every key of a np.uint64 array."""
+    step = np.uint64((GOLDEN_GAMMA * (index + 1)) & MASK64)
+    return _mix64_u64((keys ^ np.uint64(_KEY_SALT)) + step)
+
+
+def replica_keys(master_seed, n):
+    """[replica_key(master_seed, i) for i in range(n)] as a np.uint64 array."""
+    salted = np.uint64((master_seed & MASK64) ^ _KEY_SALT)
+    return _mix64_u64(salted + _U64_GAMMA * np.arange(1, n + 1, dtype=np.uint64))
 
 
 def map_replicas(fn, n_replicas, threads):
@@ -95,10 +128,7 @@ class Stream:
         steps = np.arange(1, n + 1, dtype=np.uint64)
         z = np.uint64(self.state) + _U64_GAMMA * steps
         self.state = int(z[-1]) if n else self.state
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        z = z ^ (z >> np.uint64(31))
-        return (z >> np.uint64(11)) * _INV_2_53
+        return _unit_floats(z)
 
     def exponential(self, rate):
         """Exponential waiting time with the given rate."""
@@ -111,3 +141,42 @@ class Stream:
         u = self.uniform() * cumweights[-1]
         j = bisect_right(cumweights, u)
         return min(j, len(cumweights) - 1)
+
+
+def lanewise(fn, x):
+    """fn on every entry of a float array, one scalar call per entry.
+
+    Batched code maps the scalar code's transcendentals (math.log, log1p,
+    exp, pow) this way: numpy's SIMD ufuncs can differ from libm in the last
+    bit, so a lane would no longer equal its scalar walk.
+    """
+    return np.fromiter(map(fn, x.tolist()), float, len(x))
+
+
+class StreamBatch:
+    """Many SplitMix64 streams, one per lane, drawn lane-wise in numpy.
+
+    Lane i is Stream(keys[i]): every draw below equals the scalar draw of
+    the same name on that lane's stream, bit for bit.  idx selects the lanes
+    that draw (distinct indices); the others do not advance.
+    """
+
+    __slots__ = ("state",)
+
+    def __init__(self, keys):
+        self.state = _mix64_u64(np.array(keys, dtype=np.uint64))
+
+    def uniform(self, idx):
+        """One uniform in [0, 1) per lane in idx."""
+        z = self.state[idx] + _U64_GAMMA
+        self.state[idx] = z
+        return _unit_floats(z)  # mixes z in place; the stored state is a copy
+
+    def uniform_open(self, idx):
+        """One uniform in (0, 1) per lane in idx; only lanes that drew 0 redraw."""
+        u = self.uniform(idx)
+        zero = np.flatnonzero(u == 0.0)
+        while zero.size:
+            u[zero] = self.uniform(idx[zero])
+            zero = zero[u[zero] == 0.0]
+        return u

@@ -415,6 +415,120 @@ def test_ldp_ratio_with_an_always_empty_window_exits_2(capsys,
     assert "NotComputableError" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("args", [
+    ["martingale", "--kind", "additive", "--p", "0.5", "--t-grid", "1",
+     "--eps-freeze", "1e-3"],
+    ["ldp", "--p", "0.5", "--alpha", "-0.2", "--beta", "0.2", "--t-grid", "1",
+     "--eps-freeze", "1e-3"],
+])
+def test_standard_errors_need_two_replicas(capsys, ub_model_file, args):
+    code, out, err = run_cli(capsys, [
+        "--seed", "3", "--model", ub_model_file, "--replicas", "1"] + args)
+    assert code == 2
+    assert out == ""
+    assert "NotComputableError" in err and "two replicas" in err
+    assert "Traceback" not in err
+
+
+def test_ldp_ratio_runs_on_the_requested_threads(capsys, ub_model_file,
+                                                 monkeypatch):
+    import homfrag.martingales as martingales
+    seen = []
+    runner = martingales.map_replicas
+
+    def spy(fn, n_replicas, threads):
+        seen.append(threads)
+        return runner(fn, n_replicas, threads)
+
+    monkeypatch.setattr(martingales, "map_replicas", spy)
+    outs = []
+    for threads in ("1", "2"):
+        code, out, _ = run_cli(capsys, [
+            "--seed", "31", "--model", ub_model_file, "--replicas", "30",
+            "--threads", threads] + RATIO_ARGS
+            + ["--t-grid", "1,2", "--n-boot", "50"])
+        assert code == 0
+        outs.append(out)
+    assert seen == [1, 2]
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("args, problem", [
+    (["simulate", "--t-end", "-1", "--eps-freeze", "1e-3"],
+     "t_end must be finite and >= 0"),
+    (["simulate", "--t-end", "2", "--eps-freeze", "1e-3", "--snapshots", "3"],
+     "snapshots must lie in [0, t_end = 2.0]"),
+    (["simulate", "--t-end", "2", "--eps-freeze", "1e-3", "--snapshots",
+      "1,-0.5"], "snapshots must lie in [0, t_end = 2.0]"),
+    (["partition", "--n", "5", "--t-end", "-1"], "t_end must be finite and >= 0"),
+    (["subordinator", "--t-end", "-1"], "t_end must be finite and >= 0"),
+    (["spine", "--p", "0.5", "--t-end", "-1"], "t_end must be finite and >= 0"),
+    (["subordinator", "--t-end", "inf"], "t_end must be finite and >= 0"),
+    (["spine", "--p", "0.5", "--t-end", "nan"], "t_end must be finite and >= 0"),
+    (["martingale", "--kind", "additive", "--p", "0.5", "--t-grid", "1,-1",
+      "--eps-freeze", "1e-3"], "t_grid times must be finite and >= 0"),
+    (["ldp", "--p", "0.5", "--alpha", "-0.2", "--beta", "0.2", "--t-grid",
+      "2,-1", "--eps-freeze", "1e-3"], "t_grid times must be finite and >= 0"),
+    (["martingale", "--kind", "derivative", "--t-grid", "1,inf",
+      "--eps-freeze", "1e-3"], "t_grid times must be finite and >= 0"),
+])
+def test_times_out_of_range_exit_2(capsys, ub_model_file, args, problem):
+    code, out, err = run_cli(capsys, [
+        "--seed", "3", "--model", ub_model_file, "--replicas", "2"] + args)
+    assert code == 2
+    assert out == ""
+    assert problem in err and "Traceback" not in err
+
+
+def _subordinator_config(tmp_path, ub, seed):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"command": "subordinator", "seed": seed,
+                               "model": model_to_json(ub),
+                               "params": {"t_end": 1.0}}))
+    return str(cfg)
+
+
+def test_partition_takes_an_infinite_horizon(capsys, ub_model_file):
+    code, out, _ = run_cli(capsys, [
+        "--seed", "3", "--model", ub_model_file,
+        "partition", "--n", "6", "--t-end", "inf"])
+    assert code == 0
+    _, rows = parse_jsonl(out)
+    assert rows[-1]["block_of"] == list(range(6))   # shattered into singletons
+
+
+def test_a_boolean_seed_is_rejected(capsys, tmp_path, ub):
+    code, out, err = run_cli(capsys, [
+        "--config", _subordinator_config(tmp_path, ub, True)])
+    assert code == 2
+    assert out == ""
+    assert "seed must be an integer, got True" in err
+
+
+@pytest.mark.parametrize("seed", [-1, -5, 2**64, 2**64 + 5])
+def test_seeds_outside_64_bits_are_rejected(capsys, tmp_path, ub,
+                                            ub_model_file, seed):
+    for argv in (["--seed", str(seed), "--model", ub_model_file,
+                  "subordinator", "--t-end", "1"],
+                 ["--config", _subordinator_config(tmp_path, ub, seed)]):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "seed must be in [0, 2**64)" in err
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_seeds_at_the_ends_of_the_range_are_accepted(capsys, tmp_path, ub,
+                                                     ub_model_file, seed):
+    for argv in (["--seed", str(seed), "--model", ub_model_file,
+                  "subordinator", "--t-end", "1"],
+                 ["--config", _subordinator_config(tmp_path, ub, seed)]):
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        header, _, _ = parse_csv(out)
+        assert header["seed"] == seed
+
+
 def test_partition_rows_match_partition_at(capsys, ub_model_file, ub):
     code, out, _ = run_cli(capsys, [
         "--seed", "29", "--model", ub_model_file, "--replicas", "3",

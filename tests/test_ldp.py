@@ -15,7 +15,9 @@ from homfrag.ldp import (
     ratio_trace,
     window_center,
 )
+from homfrag.partitions import simulate_subordinator
 from homfrag.ranked import PopulationSnapshot, simulate
+from homfrag.streams import replica_key
 
 
 def test_window_center(ub_eval):
@@ -31,6 +33,27 @@ def test_manyto1_matches_lattice_value(dyadic, dyadic_eval):
                                   30_000, 400)
     assert se > 0
     assert abs(mean - 4.0 * math.exp(-2.0)) < 3 * se
+
+
+def test_manyto1_equals_the_per_path_estimate(ub, ub_eval, dyadic, dyadic_eval):
+    # the estimator before replica batching: one subordinator walk per path
+    for model, ev, t, window in ((ub, ub_eval, 4.0, (-0.2, 0.2)),
+                                 (dyadic, dyadic_eval, 2.0, (-0.3, 0.3))):
+        x = window_center(ev, 0.5, t)
+        lo, hi = x + window[0], x + window[1]
+        vals = np.empty(300)
+        for i in range(300):
+            xi = simulate_subordinator(model, t, replica_key(402, i)).value(t)
+            vals[i] = math.exp(xi) if lo <= -xi <= hi else 0.0
+        expected = (float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(300)))
+        got = estimate_V_manyto1(model, ev, 0.5, t, *window, 300, 402)
+        assert repr(got) == repr(expected)
+
+
+def test_manyto1_needs_two_replicas(ub, ub_eval):
+    for n in (0, 1):
+        with pytest.raises(ValueError, match="two replicas"):
+            estimate_V_manyto1(ub, ub_eval, 0.5, 2.0, -0.2, 0.2, n, 1)
 
 
 def test_direct_matches_compound_poisson_value(ub, ub_eval):

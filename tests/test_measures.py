@@ -26,6 +26,7 @@ from homfrag.measures import (
     model_from_json,
     model_to_json,
     sample_size_biased,
+    sample_size_biased_batch,
     sample_split,
     truncate_family,
     validate,
@@ -251,6 +252,44 @@ def test_size_biased_rejects_dust():
     dusty = AtomicModel([([0.4, 0.3], 1.0)])
     with pytest.raises(DustNotSupportedError):
         sample_size_biased(dusty, Stream(1))
+    with pytest.raises(DustNotSupportedError):
+        sample_size_biased_batch(dusty, None, np.arange(3))
+
+
+class _FixedStream(Stream):
+    """A scalar stream whose uniforms are given."""
+
+    def __init__(self, values):
+        super().__init__(0)
+        self.values = iter(values)
+
+    def uniform(self):
+        return next(self.values)
+
+
+class _FixedBatch:
+    """A StreamBatch stand-in whose per-lane uniforms are given, call by call."""
+
+    def __init__(self, rounds):
+        self.rounds = iter(rounds)
+
+    def uniform(self, idx):
+        return np.array(next(self.rounds))
+
+
+def test_size_biased_batch_pick_rule_matches_the_scalar_rule():
+    # the masses sum to 1 - 5e-10 (conservative within tolerance): a draw
+    # above that sum falls back to the last piece in both engines
+    model = AtomicModel([([0.5, 0.3, 0.2 - 5e-10], 1.0), ([0.6, 0.4], 1.0)])
+    atoms = [0.1, 0.1, 0.1, 0.1, 0.7, 0.7]
+    picks = [0.0, 0.5, 0.8, 0.9999999999, 0.6, 0.59]
+    mass, pick, masses = sample_size_biased_batch(
+        model, _FixedBatch([atoms, picks]), np.arange(len(atoms)))
+    assert pick.tolist() == [0, 1, 2, 2, 1, 0]
+    for r, (a, u) in enumerate(zip(atoms, picks)):
+        m, j, part = sample_size_biased(model, _FixedStream([a, u]))
+        assert (mass[r], pick[r]) == (m, j)
+        assert tuple(masses[r][:len(part)]) == part.masses
 
 
 # --- families and JSON -------------------------------------------------------

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from homfrag import partitions
+from homfrag.errors import DustNotSupportedError
+from homfrag.measures import AtomicModel, PowerTailBinaryModel, UniformBinaryModel
 from homfrag.partitions import (
     PartitionOfN,
     block_frequency_estimates,
@@ -15,9 +18,17 @@ from homfrag.partitions import (
     simulate_partition,
     simulate_subordinator,
     split_rate,
+    subordinator_values,
     tagged_xi,
 )
-from homfrag.streams import Stream
+from homfrag.streams import (
+    GOLDEN_GAMMA,
+    MASK64,
+    Stream,
+    StreamBatch,
+    replica_key,
+    replica_keys,
+)
 
 
 # --- PartitionOfN ------------------------------------------------------------
@@ -214,3 +225,134 @@ def test_tagged_xi_close_to_subordinator_mean(ub):
            for seed in range(6000)]
     # E xi(1) = phi'(0) = 0.5; four combined standard errors of slack
     assert abs(np.mean(vals) - np.mean(ref)) < 0.13
+
+
+# --- batched subordinator ----------------------------------------------------------
+
+BATCH_MODELS = {
+    "uniform": UniformBinaryModel(),
+    "uniform_eps0.1": UniformBinaryModel(epsilon=0.1),
+    "power_tail_gamma1": PowerTailBinaryModel(epsilon=0.02, gamma=1.0),
+    "power_tail_gamma1.5": PowerTailBinaryModel(epsilon=0.02, gamma=1.5),
+    "dyadic": AtomicModel([([0.5, 0.5], 1.0)]),
+    "ternary_binary": AtomicModel([([0.5, 0.3, 0.2], 1.0), ([0.6, 0.4], 2.0)]),
+}
+
+
+def per_path_values(model, t, seed, n):
+    """The per-path oracle: one simulate_subordinator walk per replica."""
+    return np.array([simulate_subordinator(model, t, replica_key(seed, i)).value(t)
+                     for i in range(n)])
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_MODELS))
+@given(seed=st.integers(min_value=0, max_value=MASK64),
+       n=st.integers(min_value=0, max_value=24),
+       t=st.sampled_from([0.0, 0.02, 0.3, 1.5, 8.0]))
+@example(seed=3, n=24, t=8.0)
+@example(seed=4, n=24, t=0.02)  # most lanes see no event
+@settings(max_examples=20, deadline=None)
+def test_subordinator_values_equal_the_per_path_walk_bit_for_bit(name, seed, n, t):
+    model = BATCH_MODELS[name]
+    assert same_bits(subordinator_values(model, t, seed, n),
+                     per_path_values(model, t, seed, n))
+
+
+def test_subordinator_values_do_not_depend_on_batch_size_or_chunks(ub, monkeypatch):
+    full = subordinator_values(ub, 2.0, 31, 40)
+    for k in (1, 7, 39):
+        assert same_bits(subordinator_values(ub, 2.0, 31, k), full[:k])
+    for lanes in (1, 3, 16):
+        monkeypatch.setattr(partitions, "_CHUNK_LANES", lanes)
+        assert same_bits(subordinator_values(ub, 2.0, 31, 40), full)
+
+
+def test_subordinator_values_across_a_chunk_boundary(ub):
+    # a call of more than one chunk at a short horizon (few events per lane)
+    c = partitions._CHUNK_LANES
+    vals = subordinator_values(ub, 0.2, 32, c + 5)
+    assert same_bits(vals[:9], subordinator_values(ub, 0.2, 32, 9))
+    around = np.array([simulate_subordinator(ub, 0.2, replica_key(32, i)).value(0.2)
+                       for i in range(c - 4, c + 5)])
+    assert same_bits(vals[c - 4:], around)
+    assert (vals > 0).any()
+
+
+def _unxorshift(y, shift):
+    x = y
+    for _ in range(64 // shift + 1):
+        x = y ^ (x >> shift)
+    return x
+
+
+def _mix64_inverse(z):
+    z = _unxorshift(z, 31)
+    z = (z * pow(0x94D049BB133111EB, -1, 1 << 64)) & MASK64
+    z = _unxorshift(z, 27)
+    z = (z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & MASK64
+    return _unxorshift(z, 30)
+
+
+def _key_whose_draw_is_zero(k):
+    """A stream key whose k-th draw (1-based) is exactly 0.0.
+
+    Draw k is mix64(mix64(key) + k*gamma) and mix64(0) = 0, so the key is
+    the mix64 preimage of -k*gamma.  A natural zero has probability 2^-53.
+    """
+    return _mix64_inverse((-k * GOLDEN_GAMMA) & MASK64)
+
+
+def _draw(key, k):
+    """Draw k (1-based) of the scalar stream keyed by key."""
+    s = Stream(key)
+    for _ in range(k - 1):
+        s.uniform()
+    return s.uniform()
+
+
+def test_uniform_open_redraws_only_the_lanes_that_drew_zero(ub):
+    keys = [5, _key_whose_draw_is_zero(1), 6, _key_whose_draw_is_zero(2)]
+    assert _draw(keys[1], 1) == 0.0 and _draw(keys[3], 2) == 0.0
+    idx = np.arange(len(keys))
+
+    batch = StreamBatch(np.array(keys, dtype=np.uint64))
+    u = batch.uniform_open(np.array([1, 2]))
+    assert u.tolist() == [_draw(keys[1], 2), _draw(keys[2], 1)]
+    # lane 1 drew twice, lane 2 once, lanes 0 and 3 not at all
+    assert batch.uniform(idx).tolist() == [
+        _draw(keys[0], 1), _draw(keys[1], 3), _draw(keys[2], 2), _draw(keys[3], 1)]
+
+    # through the model: lane 1 redraws in the first split, lane 3 in the second
+    batch = StreamBatch(np.array(keys, dtype=np.uint64))
+    scalar = [Stream(k) for k in keys]
+    for _ in range(2):
+        rows = ub.sample_masses_batch(batch, idx)
+        assert [tuple(r) for r in rows] == [ub.sample_masses(s) for s in scalar]
+    assert batch.uniform(idx).tolist() == [s.uniform() for s in scalar]
+
+
+def test_subordinator_values_reject_dust():
+    dusty = AtomicModel([([0.5, 0.3], 1.0)])
+    with pytest.raises(DustNotSupportedError):
+        subordinator_values(dusty, 5.0, 1, 10)
+    with pytest.raises(DustNotSupportedError):
+        simulate_subordinator(dusty, 5.0, replica_key(1, 0))
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_MODELS))
+def test_sample_masses_batch_rows_equal_sample_masses(name):
+    model = BATCH_MODELS[name]
+    keys = replica_keys(7, 50)
+    batch = StreamBatch(keys)
+    scalar = [Stream(int(k)) for k in keys]
+    for idx in (np.arange(50), np.arange(1, 50, 2), np.arange(50)):
+        rows = model.sample_masses_batch(batch, idx)
+        for row, i in zip(rows, idx):
+            masses = tuple(model.sample_masses(scalar[i]))
+            assert tuple(row[:len(masses)]) == masses
+            assert not row[len(masses):].any()

@@ -7,7 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homfrag.streams import GOLDEN_GAMMA, MASK64, Stream, derive_key, mix64, replica_key
+from homfrag.streams import (
+    GOLDEN_GAMMA,
+    MASK64,
+    Stream,
+    StreamBatch,
+    derive_key,
+    derive_keys,
+    mix64,
+    replica_key,
+    replica_keys,
+)
 
 
 def test_mix64_deterministic_and_nontrivial():
@@ -112,3 +122,24 @@ def test_pick_respects_cumulative_weights():
 def test_pick_singleton():
     s = Stream(1)
     assert all(s.pick([1.0]) == 0 for _ in range(100))
+
+
+@given(st.integers(min_value=-2**70, max_value=2**70), st.integers(min_value=0, max_value=3))
+@settings(max_examples=100, deadline=None)
+def test_vectorised_keys_match_scalar_keys(seed, index):
+    keys = replica_keys(seed, 5)
+    assert keys.dtype == np.uint64
+    assert [int(k) for k in keys] == [replica_key(seed, i) for i in range(5)]
+    assert [int(k) for k in derive_keys(keys, index)] == [
+        derive_key(replica_key(seed, i), index) for i in range(5)]
+
+
+def test_stream_batch_lanes_are_scalar_streams():
+    keys = replica_keys(17, 6)
+    batch = StreamBatch(keys)
+    scalar = [Stream(int(k)) for k in keys]
+    for idx in ([0, 1, 2, 3, 4, 5], [1, 4], [5], [0, 2, 3]):
+        u = batch.uniform(np.array(idx))
+        assert u.tolist() == [scalar[i].uniform() for i in idx]
+        u = batch.uniform_open(np.array(idx))
+        assert u.tolist() == [scalar[i].uniform_open() for i in idx]
