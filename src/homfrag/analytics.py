@@ -51,6 +51,8 @@ class PhiEvaluator:
         self.quad_tol = quad_tol
         self._p_bar = None
         self.p_bar_residual = None
+        self._phi_memo = {}
+        self._derivs_memo = {}
         if mode == "monte_carlo":
             stream = Stream(derive_key(mc_seed, 0))
             vals = []
@@ -73,6 +75,15 @@ class PhiEvaluator:
             )
 
     def phi(self, q):
+        """phi(q), computed once per q (estimators ask for the same q per
+        snapshot; in quadrature mode each evaluation is a full quadrature)."""
+        try:
+            return self._phi_memo[q]
+        except KeyError:
+            val = self._phi_memo[q] = self._phi(q)
+            return val
+
+    def _phi(self, q):
         self._check_q(q)
         mode = self.mode
         if mode in ("auto", "closed_form"):
@@ -109,7 +120,14 @@ class PhiEvaluator:
         return self.model.total_rate * (1.0 - per.mean())
 
     def phi_derivs(self, q):
-        """(phi'(q), phi''(q), absolute error estimate)."""
+        """(phi'(q), phi''(q), absolute error estimate), once per q."""
+        try:
+            return self._derivs_memo[q]
+        except KeyError:
+            val = self._derivs_memo[q] = self._phi_derivs(q)
+            return val
+
+    def _phi_derivs(self, q):
         self._check_q(q)
         mode = self.mode
         if mode in ("auto", "closed_form"):

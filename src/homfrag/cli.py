@@ -38,9 +38,10 @@ from .martingales import (
 )
 from .measures import model_from_json, model_to_json
 from .partitions import PartitionOfN, simulate_partition, simulate_subordinator
-from .ranked import DEFAULT_MAX_FRAGMENTS, simulate
+# simulate stays a name of this module for callers that wrap its library calls
+from .ranked import DEFAULT_MAX_FRAGMENTS, simulate, simulate_replicas  # noqa: F401
 from .measures import MassPartition
-from .streams import MASK64, Stream, derive_key, map_replicas, replica_key
+from .streams import MASK64, Stream, derive_key, replica_key
 from .tilting import (
     EventLog,
     simulate_event_log,
@@ -385,17 +386,16 @@ def _cmd_phi(cfg):
 def _cmd_simulate(cfg):
     pr = cfg.params
 
-    def one(i):
-        key = replica_key(cfg.seed, i)
-        snaps = simulate(cfg.model, pr["t_end"], pr["snapshots"],
-                         pr["eps_freeze"], key,
-                         max_fragments=pr["max_fragments"])
+    def lines(snaps):
         return [{"t": s.time, "log_masses": s.log_masses.tolist(),
                  "frozen_mass": s.frozen_mass, "epsilon": s.eps_freeze,
-                 "seed": key} for s in snaps]
+                 "seed": s.seed} for s in snaps]
 
-    rows = [r for chunk in map_replicas(one, cfg.replicas, cfg.threads)
-            for r in chunk]
+    rows = [r for lane in simulate_replicas(
+                cfg.model, pr["t_end"], pr["snapshots"], pr["eps_freeze"],
+                cfg.seed, cfg.replicas, max_fragments=pr["max_fragments"],
+                reduce=lines, threads=cfg.threads)
+            for r in lane]
     header = {"t_end": pr["t_end"], "eps_freeze": pr["eps_freeze"],
               "snapshots": pr["snapshots"]}
     return header, "jsonl", None, rows
@@ -504,6 +504,36 @@ def _cmd_spine(cfg):
                            "spine_log_mass"), rows
 
 
+_EVENT_FIELDS = ("replica", "t", "masses", "pick")
+_EVENT_FIELD_SET = frozenset(_EVENT_FIELDS)
+
+
+def _event_record_problems(n, rec):
+    """Why event-log record n (1-based, after the header) cannot be thinned.
+
+    Records come from json.loads, so numbers are exactly int or float and
+    type() tells them from booleans.
+    """
+    if type(rec) is not dict:
+        return [f"event-log record {n} is not a JSON object"]
+    if not rec.keys() >= _EVENT_FIELD_SET:
+        missing = [k for k in _EVENT_FIELDS if k not in rec]
+        return [f"event-log record {n} lacks {', '.join(missing)}"]
+    replica, masses, pick = rec["replica"], rec["masses"], rec["pick"]
+    problems = []
+    if type(replica) is not int:
+        problems.append(f"event-log record {n}: replica must be an integer, "
+                        f"got {replica!r}")
+    if (type(masses) is not list or not masses
+            or not all(type(m) is float or type(m) is int for m in masses)):
+        problems.append(f"event-log record {n}: masses must be a non-empty "
+                        f"list of numbers, got {masses!r}")
+    elif type(pick) is not int or not 0 <= pick < len(masses):
+        problems.append(f"event-log record {n}: pick must index masses, "
+                        f"got {pick!r}")
+    return problems
+
+
 def _cmd_thin(cfg):
     pr = cfg.params
     ev = PhiEvaluator(cfg.model)
@@ -522,6 +552,10 @@ def _cmd_thin(cfg):
     if not isinstance(in_header, dict) or in_header.get("stream") != "event_log":
         raise ConfigError(["thin input must be a subordinator --event-log stream"])
     t_end = in_header.get("t_end")
+    problems = [problem for n, rec in enumerate(records, 1)
+                for problem in _event_record_problems(n, rec)]
+    if problems:
+        raise ConfigError(problems)
 
     by_replica = {}
     for rec in records:

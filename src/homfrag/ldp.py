@@ -19,7 +19,7 @@ from collections import namedtuple
 import numpy as np
 
 from .errors import NotComputableError, OutsideRegimeError, RegimeWarning
-from .martingales import replica_values
+from .martingales import check_replicas, replica_values
 from .partitions import subordinator_values
 from .ranked import DEFAULT_MAX_FRAGMENTS, empirical_interval_count
 from .streams import Stream, derive_key, lanewise
@@ -69,9 +69,7 @@ def estimate_V_manyto1(model, evaluator, p, t, alpha, beta, n_replicas, seed):
     simulate_subordinator at replica_key(seed, i); all of them are walked
     together by subordinator_values.
     """
-    if n_replicas < 2:
-        raise ValueError(
-            f"a standard error needs at least two replicas, got {n_replicas}")
+    check_replicas(n_replicas)
     x = window_center(evaluator, p, t)
     lo, hi = x + alpha, x + beta
     xi = subordinator_values(model, t, seed, n_replicas)
@@ -88,8 +86,10 @@ def presence_summary(model, evaluator, p, t, alpha, beta, eps_freeze,
 
     t may be a scalar or a list; each replica is simulated once, to the
     largest time.  Returns one PresenceEstimate per time, in the order given
-    (scalar in, scalar out).
+    (scalar in, scalar out).  Needs at least two replicas (ValueError
+    otherwise).
     """
+    check_replicas(n_replicas)
     scalar = np.isscalar(t)
     t_list = [t] if scalar else list(t)
     xs, counts = _window_counts_at(model, evaluator, p, t_list, alpha, beta,
@@ -169,8 +169,10 @@ def ratio_trace(model, evaluator, p, t_grid, alpha, beta, eps_freeze,
     """Window counts over a time grid (one run per replica, all times observed).
 
     For p at or below the critical index the ratio has no limiting constant;
-    a RegimeWarning is emitted and the trace is returned anyway.
+    a RegimeWarning is emitted and the trace is returned anyway.  Needs at
+    least two replicas (ValueError otherwise).
     """
+    check_replicas(n_replicas)
     pb = evaluator.p_bar()
     if p <= pb:
         warnings.warn(

@@ -17,8 +17,7 @@ import math
 import numpy as np
 
 from .errors import BarrierFlagsMissingError, BelowPLowerError
-from .ranked import DEFAULT_MAX_FRAGMENTS, simulate
-from .streams import map_replicas, replica_key
+from .ranked import DEFAULT_MAX_FRAGMENTS, simulate_replicas
 
 MCResult = namedtuple("MCResult", ["mean", "stderr", "n", "frozen_mass_mean"])
 
@@ -101,23 +100,32 @@ def truncated_estimator(evaluator, a):
     return lambda snap: truncated_ma(snap, evaluator, a)
 
 
+def check_replicas(n_replicas):
+    """Refuse fewer than two replicas: a standard error needs two."""
+    if n_replicas < 2:
+        raise ValueError(
+            f"a standard error needs at least two replicas, got {n_replicas}")
+
+
 def replica_values(fn, model, times, n_replicas, seed, eps_freeze, *,
                    barrier_slope=None, threads=1,
                    max_fragments=DEFAULT_MAX_FRAGMENTS):
     """fn(snapshot) of every replica (one run each) at every time.
 
     Shape (len(times), n_replicas, *fn's shape), rows in the order given.
+    Replica i is simulate(..., replica_key(seed, i)); all replicas grow
+    together on the generation-batched engine.
     """
     t_list = [float(t) for t in times]
 
-    def one(i):
-        snaps = simulate(model, max(t_list), t_list, eps_freeze,
-                         replica_key(seed, i), barrier_slope=barrier_slope,
-                         max_fragments=max_fragments)
+    def observe(snaps):
         at = {s.time: s for s in snaps}
         return [fn(at[t]) for t in t_list]
 
-    rows = np.array(map_replicas(one, n_replicas, threads), dtype=float)
+    rows = np.array(simulate_replicas(
+        model, max(t_list), t_list, eps_freeze, seed, n_replicas,
+        barrier_slope=barrier_slope, max_fragments=max_fragments,
+        reduce=observe, threads=threads), dtype=float)
     return np.ascontiguousarray(np.moveaxis(rows, 0, 1))
 
 
@@ -129,8 +137,10 @@ def mc_mean(estimator, model, times, n_replicas, seed, eps_freeze, *,
     times may be a scalar or a list; each replica is simulated once with
     snapshots at all requested times.  Replica i uses the stream keyed by
     (seed, i), so results do not depend on the thread count.  Returns one
-    MCResult per time, in the order given (scalar in, scalar out).
+    MCResult per time, in the order given (scalar in, scalar out).  Needs
+    at least two replicas (ValueError otherwise).
     """
+    check_replicas(n_replicas)
     scalar = np.isscalar(times)
     vals = replica_values(lambda s: (estimator(s), s.frozen_mass), model,
                           [times] if scalar else times, n_replicas, seed,
@@ -140,7 +150,7 @@ def mc_mean(estimator, model, times, n_replicas, seed, eps_freeze, *,
     for v, frozen in zip(vals[..., 0], vals[..., 1]):
         out.append(MCResult(
             mean=float(v.mean()),
-            stderr=float(v.std(ddof=1) / math.sqrt(n_replicas)) if n_replicas > 1 else float("nan"),
+            stderr=float(v.std(ddof=1) / math.sqrt(n_replicas)),
             n=n_replicas,
             frozen_mass_mean=float(frozen.mean()),
         ))

@@ -1,11 +1,27 @@
-"""Event-driven simulation of the ranked fragment population.
+"""Generation-batched simulation of the ranked fragment population.
 
 Each fragment keeps its mass until an exponential clock of rate
 model.total_rate rings, then splits by an independent draw from the model.
-Fragments evolve independently, so the tree is traversed depth-first with
-an explicit stack and per-fragment streams keyed by the genealogical path;
-the realization is a pure function of (model, seed) and does not depend on
-traversal order.
+Every fragment draws from its own stream, keyed by its genealogical path
+(child j of the fragment keyed k is keyed derive_key(k, j)), so a
+realization is a pure function of (model, root key) and does not depend on
+the order in which fragments are processed.
+
+One engine runs any number of independent populations (lanes; a lane is a
+root key, an initial log mass and a start time).  It advances all live
+fragments of a chunk of lanes one generation at a time: one StreamBatch
+draw for every fragment's lifetime, one sample_masses_batch for those that
+split before t_end.  log1p, log and exp go through `lanewise` libm calls.
+
+Every lane equals, bit for bit, a depth-first walk that pops fragments off
+a stack and pushes the children of a split in index order (the order the
+package's reference test oracle uses).  The engine keeps each fragment's
+parent and reconstructs that walk's visiting order afterwards: subtree
+sizes bottom-up, then rank(child j) = rank(parent) + 1 + the subtree sizes
+of its unfrozen siblings j' > j.  The rank orders each lane's frozen-mass
+additions (floating-point sums depend on order) and breaks ties in the
+ranking of live masses.  Outputs therefore do not depend on the chunk size,
+on a lane's position in its batch, or on the thread count.
 
 Fragments whose mass falls below eps_freeze at birth are frozen: they stop
 splitting and their mass is tracked in a separate ledger so that
@@ -17,15 +33,25 @@ log-mass + s*c over its completed ancestor reigns, so that after the run
 any additive barrier level a can be tested without re-simulating.
 """
 
-from bisect import bisect_left
 import math
 
 import numpy as np
 
 from .errors import BudgetExceededError
-from .streams import Stream, derive_key
+from .streams import (
+    StreamBatch,
+    derive_key,
+    derive_keys,
+    lanewise,
+    map_replicas,
+    replica_keys,
+)
 
 DEFAULT_MAX_FRAGMENTS = 10_000_000
+# lanes grown together, and the fragments a multi-lane chunk may hold:
+# they bound memory, they are not knobs
+_CHUNK_LANES = 64
+_CHUNK_FRAGMENTS = 1 << 20
 
 
 class PopulationSnapshot:
@@ -76,108 +102,290 @@ def simulate(model, t_end, snapshot_times, eps_freeze, seed, *,
     it exists so a caller embedding sub-populations (the spine) can hand
     each shed fragment its own genealogical key.
     """
-    if not 0.0 < eps_freeze < 1.0:
-        raise ValueError(f"eps_freeze must be in (0, 1), got {eps_freeze}")
-    if t_end < start_time:
-        raise ValueError(f"t_end {t_end} precedes start time {start_time}")
-    snaps = sorted(float(s) for s in snapshot_times)
-    if snaps and (snaps[0] < start_time or snaps[-1] > t_end):
-        raise ValueError(
-            f"snapshot times must lie in [{start_time}, {t_end}], got {snaps}"
-        )
-    n_snaps = len(snaps)
-    live_logs = [[] for _ in range(n_snaps)]
-    live_stats = [[] for _ in range(n_snaps)] if barrier_slope is not None else None
-    frozen_mass_bucket = [0.0] * (n_snaps + 1)
-    frozen_count_bucket = [0] * (n_snaps + 1)
-    event_bucket = [0] * (n_snaps + 1)
-
-    log_eps = math.log(eps_freeze)
-    rate = model.total_rate
-    conservative = model.conservative
-    slope = barrier_slope
-    log = math.log
-    sample_masses = model.sample_masses
-    stream = Stream(0)
-
     if root_key is None:
         root_key = derive_key(seed, 0)
-    created = 0
-    # stack of (key, log_mass, birth_time, lineage_line_peak)
-    stack = [(root_key, initial_log_mass, start_time, -math.inf)]
-    if initial_log_mass < log_eps:
-        stack.pop()
-        created = 1
-        i = bisect_left(snaps, start_time)
-        frozen_mass_bucket[i] += math.exp(initial_log_mass)
-        frozen_count_bucket[i] += 1
+    return simulate_lanes(
+        model, t_end, snapshot_times, eps_freeze, [seed], [root_key],
+        initial_log_mass=initial_log_mass, start_time=start_time,
+        barrier_slope=barrier_slope, max_fragments=max_fragments)[0]
 
-    while stack:
-        key, lm, birth, peak = stack.pop()
-        created += 1
-        if created > max_fragments:
-            raise BudgetExceededError(
-                f"fragment budget {max_fragments} exceeded at t <= {t_end} "
-                f"(eps_freeze={eps_freeze})"
-            )
-        stream.reset(key)
-        death = birth + stream.exponential(rate)
-        hi = bisect_left(snaps, death) if death <= t_end else n_snaps
-        lo = bisect_left(snaps, birth)
-        for i in range(lo, hi):
-            live_logs[i].append(lm)
+
+def simulate_replicas(model, t_end, snapshot_times, eps_freeze, seed,
+                      n_replicas, **kw):
+    """simulate_lanes over replicas 0, ..., n_replicas - 1 of a master seed.
+
+    Lane i is simulate(..., replica_key(seed, i)); keyword arguments pass
+    through to simulate_lanes.
+    """
+    seeds = replica_keys(seed, n_replicas)
+    return simulate_lanes(model, t_end, snapshot_times, eps_freeze,
+                          seeds.tolist(), derive_keys(seeds, 0), **kw)
+
+
+def simulate_lanes(model, t_end, snapshot_times, eps_freeze, seeds, root_keys,
+                   *, initial_log_mass=0.0, start_time=0.0,
+                   barrier_slope=None, max_fragments=DEFAULT_MAX_FRAGMENTS,
+                   reduce=None, threads=1):
+    """Snapshots of independent populations, one per lane.
+
+    Lane i grows from one fragment keyed root_keys[i], of log mass
+    initial_log_mass[i], born at start_time[i] (a scalar applies to every
+    lane); seeds[i] only labels its snapshots.  Entry i of the result is
+    reduce(snapshots of lane i), or the snapshot list itself, equal to what
+    simulate(..., seeds[i], root_key=root_keys[i], ...) returns.
+
+    Lanes grow in chunks of _CHUNK_LANES, on up to `threads` threads.  A
+    chunk whose fragments outgrow _CHUNK_FRAGMENTS is regrown one lane at a
+    time, so memory stays bounded; max_fragments bounds each lane.
+    """
+    if not 0.0 < eps_freeze < 1.0:
+        raise ValueError(f"eps_freeze must be in (0, 1), got {eps_freeze}")
+    n = len(seeds)
+    keys = np.asarray(root_keys, dtype=np.uint64)
+    lms = np.broadcast_to(np.asarray(initial_log_mass, dtype=float), (n,))
+    births = np.broadcast_to(np.asarray(start_time, dtype=float), (n,))
+    latest = start_time
+    if np.ndim(start_time):
+        latest = float(births.max()) if n else -math.inf
+    if t_end < latest:
+        raise ValueError(f"t_end {t_end} precedes start time {latest}")
+    snaps = sorted(float(s) for s in snapshot_times)
+    if snaps and (snaps[0] < latest or snaps[-1] > t_end):
+        raise ValueError(
+            f"snapshot times must lie in [{latest}, {t_end}], got {snaps}"
+        )
+    reduce = reduce or (lambda lane_snaps: lane_snaps)
+    run = dict(model=model, t_end=t_end, snaps=snaps, eps_freeze=eps_freeze,
+               slope=barrier_slope, max_fragments=max_fragments)
+
+    def grow(lo, hi):
+        part = slice(lo, hi)
+        return _grow(keys[part], lms[part], births[part], seeds[part],
+                     cap=_CHUNK_FRAGMENTS if hi - lo > 1 else None, **run)
+
+    def chunk(c):
+        lo, hi = c * _CHUNK_LANES, min(n, (c + 1) * _CHUNK_LANES)
+        try:
+            lanes = grow(lo, hi)
+        except _ChunkFull:
+            lanes = [grow(i, i + 1)[0] for i in range(lo, hi)]
+        return [reduce(lane_snaps) for lane_snaps in lanes]
+
+    n_chunks = -(-n // _CHUNK_LANES)
+    return [out for part in map_replicas(chunk, n_chunks, threads)
+            for out in part]
+
+
+class _ChunkFull(Exception):
+    """A multi-lane chunk holds more than _CHUNK_FRAGMENTS fragments."""
+
+
+def _grow(keys, lm, birth, seeds, *, model, t_end, snaps, eps_freeze, slope,
+          max_fragments, cap):
+    """Snapshot lists of a chunk of lanes (see simulate_lanes).
+
+    Raises _ChunkFull once the chunk holds more than cap fragments.
+    """
+    n_lanes, n_snaps = len(keys), len(snaps)
+    nb = n_snaps + 1                     # buckets: before each snapshot, after all
+    times = np.array(snaps)
+    log_eps = math.log(eps_freeze)
+    rate = model.total_rate
+
+    # frozen ledger: cell (lane * nb + bucket, the first snapshot at or after
+    # freezing), parent fragment (-1: the root itself), piece, mass
+    frozen = [[], [], [], []]
+    split_cells = []                     # cell of every split
+    live = [[], [], [], []]              # lane * n_snaps + snapshot, fragment,
+                                         # log mass, barrier statistic
+    gen_lanes, starts, parents = [], [], []   # per generation; the parent
+                                              # of generation 0 is None
+    cold_roots = lm < log_eps
+    root_frozen = np.flatnonzero(cold_roots)
+    if root_frozen.size:
+        for col, v in zip(frozen, (
+                root_frozen * nb + np.searchsorted(times, birth[root_frozen]),
+                np.full(root_frozen.size, -1), np.zeros(root_frozen.size, int),
+                lanewise(math.exp, lm[root_frozen]))):
+            col.append(v)
+    n_frozen = root_frozen.size
+    alive = np.flatnonzero(~cold_roots)
+    g_lane, g_key, g_lm, g_birth = alive, keys[alive], lm[alive], birth[alive]
+    g_peak = np.full(alive.size, -math.inf)
+    g_parent = None
+    width = 0
+    offset = 0
+    while g_lane.size:
+        n = g_lane.size
+        frag = offset + np.arange(n)
+        gen_lanes.append(g_lane)
+        starts.append(offset)
+        parents.append(g_parent)
+        offset += n
+        streams = StreamBatch(g_key)
+        death = g_birth + -lanewise(math.log1p, -streams.uniform(np.arange(n))) / rate
+        splits = death <= t_end
+        lo = np.searchsorted(times, g_birth)
+        reps = np.where(splits, np.searchsorted(times, death), n_snaps) - lo
+        who = np.repeat(np.arange(n), reps)
+        if who.size:
+            snap = lo[who]
+            if who.size > np.count_nonzero(reps):   # alive at several snapshots
+                snap += np.arange(who.size) - np.repeat(np.cumsum(reps) - reps, reps)
+            entry_lm = g_lm[who]
+            stat = None
             if slope is not None:
-                s = lm + snaps[i] * slope
-                live_stats[i].append(s if s > peak else peak)
-        if death > t_end:
-            continue
-        masses = sample_masses(stream)
-        if conservative:
-            total = 0.0
-            for m in masses:
-                total += m
-            if abs(total - 1.0) > 1e-9:
+                s = entry_lm + times[snap] * slope
+                stat = np.where(s > g_peak[who], s, g_peak[who])
+            for col, v in zip(live, (g_lane[who] * n_snaps + snap, frag[who],
+                                     entry_lm, stat)):
+                col.append(v)
+
+        sp = np.flatnonzero(splits)
+        if not sp.size:
+            break
+        masses = model.sample_masses_batch(streams, sp)
+        width = max(width, masses.shape[1])
+        if model.conservative:
+            total = masses[:, 0].copy()
+            for column in masses.T[1:]:
+                total += column
+            off = np.abs(total - 1.0) > 1e-9
+            if off.any():
                 raise AssertionError(
-                    f"conservative model produced split with mass {total}"
+                    f"conservative model produced split with mass {total[off][0]}"
                 )
-        child_peak = peak
+        sp_lane, sp_lm, sp_death, sp_frag = g_lane[sp], g_lm[sp], death[sp], frag[sp]
+        sp_cell = sp_lane * nb + np.searchsorted(times, sp_death)
+        split_cells.append(sp_cell)
+        child_peak = g_peak[sp]
         if slope is not None:
-            s = lm + death * slope
-            if s > child_peak:
-                child_peak = s
-        spawn = stream.spawn_key
-        event_bucket[bisect_left(snaps, death)] += 1
-        for j, frac in enumerate(masses):
-            clm = lm + log(frac)
-            if clm < log_eps:
-                created += 1
-                i = bisect_left(snaps, death)
-                frozen_mass_bucket[i] += math.exp(clm)
-                frozen_count_bucket[i] += 1
-            else:
-                stack.append((spawn(j), clm, death, child_peak))
+            s = sp_lm + sp_death * slope
+            child_peak = np.where(s > child_peak, s, child_peak)
+
+        rows, piece = np.nonzero(masses)          # row-major: (parent, j)
+        clm = sp_lm[rows] + lanewise(math.log, masses[rows, piece])
+        cold = clm < log_eps
+        if cold.any():
+            r = rows[cold]
+            for col, v in zip(frozen, (sp_cell[r], sp_frag[r], piece[cold],
+                                       lanewise(math.exp, clm[cold]))):
+                col.append(v)
+            n_frozen += r.size
+        warm = ~cold
+        r = rows[warm]
+        g_parent = sp_frag[r]
+        g_lane, g_lm, g_birth, g_peak = sp_lane[r], clm[warm], sp_death[r], child_peak[r]
+        g_key = derive_keys(g_key[sp][r], piece[warm])
+        held = offset + g_lane.size + n_frozen
+        if cap is not None and held > cap:
+            raise _ChunkFull
+        # the walk checks its budget as it pops; by its last pop it has
+        # counted every fragment but (at most `width`) frozen children of it
+        if held - width > max_fragments:
+            pops = np.bincount(np.concatenate(gen_lanes + [g_lane]),
+                               minlength=n_lanes)
+            cold_lanes = np.concatenate(frozen[0] + [np.zeros(0, int)]) // nb
+            if (pops + np.bincount(cold_lanes, minlength=n_lanes) - width
+                    > max_fragments).any():
+                _over_budget(max_fragments, t_end, eps_freeze)
+
+    rank = _walk_ranks(parents, starts, offset)
+    f_cell, f_parent, f_piece, f_mass = (
+        np.concatenate(col) if col else np.zeros(0, int) for col in frozen)
+    f_rank = np.full(f_parent.size, -1)
+    f_rank[f_parent >= 0] = rank[f_parent[f_parent >= 0]]
+    if offset + n_frozen > max_fragments:
+        pops = np.bincount(np.concatenate(gen_lanes), minlength=n_lanes)
+        _check_budget(pops, f_cell // nb, f_rank, max_fragments, t_end,
+                      eps_freeze)
+
+    # per-lane frozen mass of every bucket, each summed in walk order
+    order = np.lexsort((f_piece, f_rank, f_cell))
+    acc = np.zeros(n_lanes * nb)
+    np.add.at(acc, f_cell[order], f_mass[order])
+    acc = acc.reshape(n_lanes, nb)
+    f_count = np.bincount(f_cell, minlength=n_lanes * nb).reshape(n_lanes, nb)
+    e_cell = np.concatenate(split_cells) if split_cells else np.zeros(0, int)
+    e_count = np.bincount(e_cell, minlength=n_lanes * nb).reshape(n_lanes, nb)
+    frozen_mass = np.zeros((n_lanes, n_snaps))
+    running = np.zeros(n_lanes)
+    for i in range(n_snaps):
+        running = running + acc[:, i]
+        frozen_mass[:, i] = running
+    frozen_mass = frozen_mass.tolist()
+    frozen_count = np.cumsum(f_count[:, :n_snaps], axis=1).tolist()
+    event_count = np.cumsum(e_count[:, :n_snaps], axis=1).tolist()
+
+    # live masses of every (lane, snapshot), decreasing, ties in walk order
+    if live[0]:
+        cell, frag, entry_lm = (np.concatenate(col) for col in live[:3])
+        order = np.lexsort((rank[frag], -entry_lm, cell))
+        cell, entry_lm = cell[order], entry_lm[order]
+        stat = np.concatenate(live[3])[order] if slope is not None else None
+    else:
+        cell = entry_lm = np.zeros(0)
+        stat = None if slope is None else entry_lm
+    bounds = np.searchsorted(cell, np.arange(n_lanes * n_snaps + 1)).tolist()
 
     out = []
-    frozen_mass = 0.0
-    frozen_count = 0
-    event_count = 0
-    for i, t in enumerate(snaps):
-        frozen_mass += frozen_mass_bucket[i]
-        frozen_count += frozen_count_bucket[i]
-        event_count += event_bucket[i]
-        lm = np.array(live_logs[i])
-        order = np.argsort(-lm, kind="stable")
-        lm = lm[order]
-        stats = None
-        if live_stats is not None:
-            stats = np.array(live_stats[i])[order]
-        out.append(PopulationSnapshot(
-            time=t, log_masses=lm, frozen_mass=frozen_mass,
-            frozen_count=frozen_count, event_count=event_count,
-            eps_freeze=eps_freeze, seed=seed, barrier_slope=slope,
-            barrier_stats=stats,
-        ))
+    for a in range(n_lanes):
+        lane_snaps = []
+        for i, t in enumerate(snaps):
+            c = a * n_snaps + i
+            part = slice(bounds[c], bounds[c + 1])
+            lane_snaps.append(PopulationSnapshot(
+                time=t, log_masses=entry_lm[part],
+                frozen_mass=frozen_mass[a][i], frozen_count=frozen_count[a][i],
+                event_count=event_count[a][i], eps_freeze=eps_freeze,
+                seed=seeds[a], barrier_slope=slope,
+                barrier_stats=None if stat is None else stat[part],
+            ))
+        out.append(lane_snaps)
     return out
+
+
+def _walk_ranks(parents, starts, n_fragments):
+    """Depth-first visiting rank of every fragment within its lane.
+
+    Fragments are numbered generation by generation; generation g starts at
+    starts[g] and parents[g] holds each of its fragments' parent (None for
+    the roots).  Siblings are contiguous and in piece order.  The walk pops
+    the last-pushed child first, so child j comes right after its parent,
+    and after the whole subtrees of its siblings j' > j.
+    """
+    bounds = starts + [n_fragments]
+    rank = np.zeros(n_fragments, dtype=np.int64)
+    sizes = [np.ones(n_fragments - bounds[-2] if starts else 0, dtype=np.int64)]
+    for g in range(len(starts) - 1, 0, -1):     # subtree sizes, bottom-up
+        below = np.bincount(parents[g] - bounds[g - 1], weights=sizes[-1],
+                            minlength=bounds[g] - bounds[g - 1])
+        sizes.append(1 + below.astype(np.int64))
+    sizes.reverse()
+    for g in range(1, len(starts)):             # ranks, top-down
+        parent = parents[g]
+        done = np.cumsum(sizes[g])
+        last = np.searchsorted(parent, parent, side="right") - 1
+        rank[bounds[g]:bounds[g + 1]] = rank[parent] + 1 + done[last] - done
+    return rank
+
+
+def _check_budget(pops, f_lane, f_rank, max_fragments, t_end, eps_freeze):
+    """Raise where the walk would: when, at its last pop (the lane's highest
+    rank), its count of created fragments exceeds the budget."""
+    n_lanes = pops.size
+    created = pops + np.bincount(f_lane, minlength=n_lanes)
+    last = f_rank == pops[f_lane] - 1
+    after = np.bincount(f_lane[last], minlength=n_lanes)
+    if ((pops > 0) & (created - after > max_fragments)).any():
+        _over_budget(max_fragments, t_end, eps_freeze)
+
+
+def _over_budget(max_fragments, t_end, eps_freeze):
+    raise BudgetExceededError(
+        f"fragment budget {max_fragments} exceeded at t <= {t_end} "
+        f"(eps_freeze={eps_freeze})"
+    )
 
 
 def empirical_moment(snapshot, theta):

@@ -67,8 +67,14 @@ def _unit_floats(state):
 
 
 def derive_keys(keys, index):
-    """derive_key(k, index) of every key of a np.uint64 array."""
-    step = np.uint64((GOLDEN_GAMMA * (index + 1)) & MASK64)
+    """derive_key(k, index) of every key of a np.uint64 array.
+
+    index is one int for all keys or an integer array aligned with keys.
+    """
+    if np.ndim(index):
+        step = (np.asarray(index, dtype=np.uint64) + np.uint64(1)) * _U64_GAMMA
+    else:
+        step = np.uint64((GOLDEN_GAMMA * (index + 1)) & MASK64)
     return _mix64_u64((keys ^ np.uint64(_KEY_SALT)) + step)
 
 

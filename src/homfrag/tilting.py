@@ -22,7 +22,7 @@ from .errors import (
     ThinningDirectionError,
 )
 from .measures import sample_size_biased, SplitSample
-from .ranked import DEFAULT_MAX_FRAGMENTS, PopulationSnapshot, simulate
+from .ranked import DEFAULT_MAX_FRAGMENTS, PopulationSnapshot, simulate_lanes
 from .streams import Stream, derive_key
 
 
@@ -163,11 +163,12 @@ def simulate_spine(model, p, t_end, seed, evaluator=None, *,
         frozen_mass = 0.0
         frozen_count = 0
         event_count = len(times)
-        for birth, root_lm, key in roots:
-            snaps = simulate(model, t_end, [t_end], eps_freeze, 0,
-                             root_key=key, initial_log_mass=root_lm,
-                             start_time=birth, max_fragments=max_fragments)
-            s = snaps[0]
+        births, root_lms, keys = zip(*roots) if roots else ((), (), ())
+        shed = simulate_lanes(
+            model, t_end, [t_end], eps_freeze, [0] * len(roots), keys,
+            initial_log_mass=root_lms, start_time=births,
+            max_fragments=max_fragments, reduce=lambda snaps: snaps[0])
+        for s in shed:
             logs.extend(s.log_masses.tolist())
             frozen_mass += s.frozen_mass
             frozen_count += s.frozen_count

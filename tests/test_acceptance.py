@@ -30,6 +30,7 @@ from homfrag.martingales import (
     additive_estimator,
     derivative_estimator,
     mc_mean,
+    replica_values,
     truncated_estimator,
 )
 from homfrag.measures import model_to_json, sample_size_biased
@@ -39,7 +40,7 @@ from homfrag.partitions import (
     split_rate,
     tagged_xi,
 )
-from homfrag.ranked import empirical_moment, simulate
+from homfrag.ranked import empirical_moment
 from homfrag.streams import Stream, derive_key, replica_key
 from homfrag.tilting import (
     esscher_exponent,
@@ -74,11 +75,9 @@ def test_criterion_01_closed_form_phi(ub, ub_eval, dyadic, dyadic_eval,
 
 def test_criterion_02_conservation(ub, acceptance_report):
     t0 = perf_counter()
-    worst = 0.0
-    for i in range(1000):
-        snaps = simulate(ub, 3.0, [1.0, 2.0, 3.0], 0.01, replica_key(201, i))
-        for s in snaps:
-            worst = max(worst, abs(s.total_mass + s.frozen_mass - 1.0))
+    worst = float(replica_values(
+        lambda s: abs(s.total_mass + s.frozen_mass - 1.0),
+        ub, [1.0, 2.0, 3.0], 1000, 201, 0.01).max())
     elapsed = perf_counter() - t0
     ok = worst <= 1e-9 and elapsed < 60.0
     acceptance_report(
@@ -89,12 +88,9 @@ def test_criterion_02_conservation(ub, acceptance_report):
 def test_criterion_03_mean_intensity(ub, acceptance_report):
     t0 = perf_counter()
     theta, t, n, eps = 2.0, 3.0, 10_000, 1e-6
-    vals = np.empty(n)
-    frozen = np.empty(n)
-    for i in range(n):
-        snap = simulate(ub, t, [t], eps, replica_key(301, i))[0]
-        vals[i] = empirical_moment(snap, theta)
-        frozen[i] = snap.frozen_mass
+    vals, frozen = replica_values(
+        lambda s: (empirical_moment(s, theta), s.frozen_mass),
+        ub, [t], n, 301, eps)[0].T.copy()
     target = math.exp(-1.0)  # e^{-t phi(theta-1)} at theta=2, t=3
     se = vals.std(ddof=1) / math.sqrt(n)
     # fragments frozen below eps contribute at most eps^(theta-1) * frozen mass
@@ -122,10 +118,8 @@ def test_criterion_04_additive_martingale(ub, ub_eval, acceptance_report):
     # the distribution collapses to 0; the median makes that visible
     p_dg = ub_eval.p_bar() + 1.0
     est = additive_estimator(ub_eval, p_dg)
-    vals = np.array([
-        [est(s) for s in simulate(ub, 4.0, times, 1e-7, replica_key(403, i))]
-        for i in range(10_000)])
-    med = np.median(vals, axis=0)
+    vals = replica_values(est, ub, times, 10_000, 403, 1e-7)
+    med = np.median(vals, axis=1)
     collapse_ok = med[0] > med[1] > med[2]
     elapsed = perf_counter() - t0
     ok = mean_ok and collapse_ok and elapsed < 300.0
@@ -271,10 +265,7 @@ def test_criterion_09_derivative_martingale(ub, ub_eval, acceptance_report):
     dest = derivative_estimator(ub_eval)
     frac = {}
     for t, n, seed in ((4.0, 2000, 903), (8.0, 2000, 904), (12.0, 200, 905)):
-        neg = 0
-        for i in range(n):
-            snap = simulate(ub, t, [t], 1e-7, replica_key(seed, i))[0]
-            neg += dest(snap) < 0.0
+        neg = int((replica_values(dest, ub, [t], n, seed, 1e-7) < 0.0).sum())
         frac[t] = neg / n
     neg_ok = frac[8.0] >= 0.85 and frac[4.0] < frac[8.0]
 

@@ -432,15 +432,15 @@ def test_standard_errors_need_two_replicas(capsys, ub_model_file, args):
 
 def test_ldp_ratio_runs_on_the_requested_threads(capsys, ub_model_file,
                                                  monkeypatch):
-    import homfrag.martingales as martingales
+    import homfrag.ranked as ranked
     seen = []
-    runner = martingales.map_replicas
+    runner = ranked.map_replicas
 
-    def spy(fn, n_replicas, threads):
+    def spy(fn, n_chunks, threads):
         seen.append(threads)
-        return runner(fn, n_replicas, threads)
+        return runner(fn, n_chunks, threads)
 
-    monkeypatch.setattr(martingales, "map_replicas", spy)
+    monkeypatch.setattr(ranked, "map_replicas", spy)
     outs = []
     for threads in ("1", "2"):
         code, out, _ = run_cli(capsys, [
@@ -601,3 +601,76 @@ def test_subcommand_output_is_well_formed(capsys, ub_model_file, tmp_path,
         assert len(lines) > 1
         for line in lines[1:]:
             _strict_json(line)
+
+
+@pytest.mark.parametrize("record, problem", [
+    ([1, 0.5, [0.6, 0.4], 0], "is not a JSON object"),
+    ("text", "is not a JSON object"),
+    ({"t": 0.5, "masses": [0.6, 0.4], "pick": 0}, "lacks replica"),
+    ({"replica": 0, "masses": [0.6, 0.4]}, "lacks t, pick"),
+    ({"replica": "0", "t": 0.5, "masses": [0.6, 0.4], "pick": 0},
+     "replica must be an integer"),
+    ({"replica": 1.5, "t": 0.5, "masses": [0.6, 0.4], "pick": 0},
+     "replica must be an integer"),
+    ({"replica": True, "t": 0.5, "masses": [0.6, 0.4], "pick": 0},
+     "replica must be an integer"),
+    ({"replica": 0, "t": 0.5, "masses": "0.6", "pick": 0},
+     "masses must be a non-empty list"),
+    ({"replica": 0, "t": 0.5, "masses": [0.6, 0.4], "pick": 2},
+     "pick must index masses"),
+])
+def test_thin_rejects_malformed_event_records(capsys, ub_model_file, tmp_path,
+                                              record, problem):
+    log_path = tmp_path / "events.jsonl"
+    code, _, _ = run_cli(capsys, [
+        "--seed", "14", "--model", ub_model_file, "--replicas", "2",
+        "--out", str(log_path), "subordinator", "--t-end", "1.0",
+        "--event-log"])
+    assert code == 0
+    with open(log_path, "a") as fh:
+        fh.write(json.dumps(record) + "\n")
+    code, out, err = run_cli(capsys, [
+        "--seed", "14", "--model", ub_model_file,
+        "thin", "--p", "1.0", "--input", str(log_path)])
+    assert code == 2
+    assert out == ""
+    assert "configuration errors" in err and problem in err
+    assert "Traceback" not in err
+
+
+def test_memoised_phi_leaves_martingale_bytes_unchanged(capsys, tmp_path,
+                                                        monkeypatch):
+    from homfrag.analytics import PhiEvaluator
+    from homfrag.measures import PowerTailBinaryModel
+
+    model_file = tmp_path / "ptail.json"
+    model_file.write_text(json.dumps({
+        "kind": "truncated", "family": "power_tail_binary", "epsilon": 0.2}))
+    quadratures = []
+    quadrature = PowerTailBinaryModel.phi_quadrature
+
+    def counted(self, q, abs_tol=1e-10):
+        quadratures.append(q)
+        return quadrature(self, q, abs_tol=abs_tol)
+
+    monkeypatch.setattr(PowerTailBinaryModel, "phi_quadrature", counted)
+
+    def outputs():
+        outs = []
+        for kind in (["additive", "--p", "0.5"], ["derivative"],
+                     ["truncated", "--a", "1.0"]):
+            code, out, _ = run_cli(capsys, [
+                "--seed", "23", "--model", str(model_file), "--replicas", "30",
+                "martingale", "--kind"] + kind + [
+                "--t-grid", "0.5,1.5", "--eps-freeze", "1e-4"])
+            assert code == 0
+            outs.append(out)
+        return outs
+
+    memoised = outputs()
+    memoised_calls = len(quadratures)
+    monkeypatch.setattr(PhiEvaluator, "phi", PhiEvaluator._phi)
+    monkeypatch.setattr(PhiEvaluator, "phi_derivs", PhiEvaluator._phi_derivs)
+    quadratures.clear()
+    assert outputs() == memoised
+    assert memoised_calls < len(quadratures)

@@ -182,3 +182,17 @@ def test_corollary_functional_mean_near_limit(ub, ub_eval):
                              ub_eval, p, [alpha, beta], [1.0])
         for i in range(1500)])
     assert abs(vals.mean() - target) < 0.25 * target
+
+
+@pytest.mark.filterwarnings("error")
+def test_population_window_estimators_need_two_replicas(ub, ub_eval):
+    for n in (0, 1):
+        with pytest.raises(ValueError, match="two replicas"):
+            presence_summary(ub, ub_eval, 0.5, 1.0, -0.2, 0.2, 1e-3, n, 5)
+        with pytest.raises(ValueError, match="two replicas"):
+            presence_summary(ub, ub_eval, 0.5, [1.0, 2.0], -0.2, 0.2, 1e-3,
+                             n, 5)
+        with pytest.raises(ValueError, match="two replicas"):
+            ratio_trace(ub, ub_eval, 2.0, [1.0, 2.0], -0.2, 0.2, 1e-3, n, 5)
+    s = presence_summary(ub, ub_eval, 0.5, 1.0, -0.2, 0.2, 1e-3, 2, 5)
+    assert math.isfinite(s.v_stderr) and math.isfinite(s.u_stderr)

@@ -13,6 +13,7 @@ from homfrag.martingales import (
     derivative_estimator,
     derivative_sensitivity,
     mc_mean,
+    replica_values,
     truncated_estimator,
     truncated_ma,
 )
@@ -146,3 +147,26 @@ def test_mc_mean_keeps_the_order_of_the_times(ub, ub_eval):
     back = mc_mean(est, ub, [2.0, 0.5], 30, 906, 1e-6)
     assert back == fwd[::-1]
     assert fwd[0] == mc_mean(est, ub, 0.5, 30, 906, 1e-6)
+
+
+@pytest.mark.filterwarnings("error")
+def test_mc_mean_needs_two_replicas(ub, ub_eval):
+    est = additive_estimator(ub_eval, 0.5)
+    for n in (0, 1):
+        with pytest.raises(ValueError, match="two replicas"):
+            mc_mean(est, ub, 1.0, n, 3, 1e-3)
+        with pytest.raises(ValueError, match="two replicas"):
+            mc_mean(est, ub, [0.5, 1.0], n, 3, 1e-3)
+    r = mc_mean(est, ub, 1.0, 2, 3, 1e-3)   # no warning, finite stderr
+    assert math.isfinite(r.stderr) and r.n == 2
+
+
+def test_replica_values_match_one_lane_runs(ub, ub_eval):
+    est = derivative_estimator(ub_eval)
+    vals = replica_values(lambda s: (est(s), s.frozen_mass), ub, [2.0, 0.5],
+                          7, 19, 1e-4)
+    assert vals.shape == (2, 7, 2)
+    for i in range(7):
+        snaps = simulate(ub, 2.0, [0.5, 2.0], 1e-4, replica_key(19, i))
+        for row, snap in zip(vals, snaps[::-1]):
+            assert row[i].tolist() == [est(snap), snap.frozen_mass]

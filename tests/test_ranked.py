@@ -1,14 +1,25 @@
-"""Ranked population runs: conservation, determinism, freezing, barriers."""
+"""Ranked population runs: conservation, determinism, freezing, barriers,
+and the generation-batched engine against the depth-first oracle."""
 
 import math
 from collections import Counter
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
+from dfs_oracle import simulate_dfs
+from homfrag import AtomicModel, PowerTailBinaryModel, UniformBinaryModel
+from homfrag import ranked
 from homfrag.errors import BudgetExceededError
-from homfrag.ranked import empirical_interval_count, empirical_moment, simulate
-from homfrag.streams import derive_key
+from homfrag.ranked import (
+    empirical_interval_count,
+    empirical_moment,
+    simulate,
+    simulate_lanes,
+    simulate_replicas,
+)
+from homfrag.streams import derive_key, replica_keys
 
 
 def test_argument_validation(ub):
@@ -135,3 +146,170 @@ def test_empirical_interval_count(ub):
     assert empirical_interval_count(snap, x, -0.3, 0.3) == manual
     with pytest.raises(ValueError):
         empirical_interval_count(snap, x, 0.3, -0.3)
+
+
+# --- the generation-batched engine against the depth-first oracle ----------
+
+MODELS = {
+    "uniform": (UniformBinaryModel(), 3.0),
+    "uniform_eps": (UniformBinaryModel(epsilon=0.1), 3.0),
+    "power_tail": (PowerTailBinaryModel(epsilon=0.01), 0.3),
+    "dyadic": (AtomicModel([([0.5, 0.5], 1.0)]), 3.0),
+    # ternary and binary atoms: equal masses everywhere, so ranking ties
+    "ternary_binary": (AtomicModel([([0.5, 0.25, 0.25], 1.0),
+                                    ([0.5, 0.5], 0.7)]), 2.0),
+}
+
+
+def assert_same_lane(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.time == w.time and g.seed == w.seed
+        assert g.log_masses.dtype == w.log_masses.dtype
+        assert g.log_masses.tobytes() == w.log_masses.tobytes()
+        assert (g.barrier_stats is None) == (w.barrier_stats is None)
+        if w.barrier_stats is not None:
+            assert g.barrier_stats.tobytes() == w.barrier_stats.tobytes()
+        assert g.barrier_slope == w.barrier_slope
+        assert repr(g.frozen_mass) == repr(w.frozen_mass)
+        assert repr(g.frozen_count) == repr(w.frozen_count)
+        assert repr(g.event_count) == repr(w.event_count)
+
+
+@st.composite
+def engine_runs(draw):
+    name = draw(st.sampled_from(sorted(MODELS)))
+    model, horizon = MODELS[name]
+    t_end = horizon * draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    fractions = draw(st.lists(st.sampled_from([0.0, 0.3, 0.5, 0.8, 1.0]),
+                              max_size=4))
+    snaps = [t_end * f for f in fractions]
+    eps = 10.0 ** draw(st.floats(-9.0, -2.0))
+    slope = draw(st.sampled_from([None, 0.0, 0.7, -1.3]))
+    n = draw(st.integers(1, 6))
+    # lanes start no later than the first snapshot; some roots are light
+    # enough to freeze at birth
+    first = min(snaps, default=t_end)
+    starts = draw(st.lists(st.sampled_from([0.0, 0.25, 1.0]), min_size=n,
+                           max_size=n))
+    starts = [first * s for s in starts]
+    lms = draw(st.lists(st.sampled_from([0.0, -0.7, -3.0, -25.0]),
+                        min_size=n, max_size=n))
+    seed = draw(st.integers(0, 2**64 - 1))
+    return model, t_end, snaps, eps, slope, starts, lms, seed
+
+
+@settings(max_examples=60, deadline=None)
+@given(engine_runs())
+def test_every_lane_equals_the_depth_first_walk(run):
+    model, t_end, snaps, eps, slope, starts, lms, seed = run
+    keys = replica_keys(seed, len(starts))
+    labels = [seed + i for i in range(len(starts))]
+    lanes = simulate_lanes(model, t_end, snaps, eps, labels, keys,
+                           initial_log_mass=lms, start_time=starts,
+                           barrier_slope=slope)
+    for label, key, lm, start, got in zip(labels, keys.tolist(), lms, starts,
+                                          lanes):
+        want = simulate_dfs(model, t_end, snaps, eps, label, root_key=key,
+                            initial_log_mass=lm, start_time=start,
+                            barrier_slope=slope)
+        assert_same_lane(got, want)
+
+
+def test_simulate_is_the_one_lane_engine(ub):
+    for seed in range(5):
+        assert_same_lane(
+            simulate(ub, 2.5, [0.5, 2.5], 1e-4, seed, barrier_slope=0.3),
+            simulate_dfs(ub, 2.5, [0.5, 2.5], 1e-4, seed, barrier_slope=0.3))
+
+
+def _replicas(model, **kw):
+    return simulate_replicas(model, 2.0, [0.7, 2.0], 1e-3, 61, 23,
+                             barrier_slope=0.5, **kw)
+
+
+def test_chunking_does_not_change_lanes(ub, monkeypatch):
+    ternary = MODELS["ternary_binary"][0]
+    for model in (ub, ternary):
+        whole = _replicas(model)
+        for lanes in (1, 4, 7):
+            monkeypatch.setattr(ranked, "_CHUNK_LANES", lanes)
+            for a, b in zip(_replicas(model), whole):
+                assert_same_lane(a, b)
+        monkeypatch.setattr(ranked, "_CHUNK_LANES", 64)
+        # chunks that outgrow their fragment cap are regrown lane by lane
+        monkeypatch.setattr(ranked, "_CHUNK_FRAGMENTS", 40)
+        for a, b in zip(_replicas(model), whole):
+            assert_same_lane(a, b)
+        monkeypatch.setattr(ranked, "_CHUNK_FRAGMENTS", 1 << 20)
+
+
+def test_lane_position_and_threads_do_not_change_lanes(ub, monkeypatch):
+    monkeypatch.setattr(ranked, "_CHUNK_LANES", 5)
+    keys = replica_keys(404, 12)
+    labels = list(range(12))
+    run = lambda k, lab, **kw: simulate_lanes(ub, 2.0, [1.0, 2.0], 1e-3, lab,
+                                              k, **kw)
+    forward = run(keys, labels)
+    backward = run(keys[::-1], labels[::-1])
+    for a, b in zip(forward, backward[::-1]):
+        assert_same_lane(a, b)
+    for i in (0, 7, 11):
+        assert_same_lane(run(keys[i:i + 1], labels[i:i + 1])[0], forward[i])
+    for a, b in zip(run(keys, labels, threads=2), forward):
+        assert_same_lane(a, b)
+
+
+def test_reduce_and_empty_batches(ub):
+    counts = simulate_replicas(ub, 1.0, [1.0], 1e-3, 8, 9,
+                               reduce=lambda snaps: snaps[0].n_live)
+    assert counts == [s[0].n_live for s in simulate_replicas(ub, 1.0, [1.0],
+                                                             1e-3, 8, 9)]
+    assert simulate_lanes(ub, 1.0, [1.0], 1e-3, [], [], start_time=[]) == []
+
+
+def _oracle_raises(model, t_end, eps, seed, budget):
+    try:
+        simulate_dfs(model, t_end, [t_end], eps, seed, max_fragments=budget)
+    except BudgetExceededError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("name, t_end, eps", [
+    ("uniform", 3.0, 1e-3),
+    ("ternary_binary", 2.0, 0.3),       # last pops have frozen children
+    ("dyadic", 3.0, 0.1),
+])
+def test_budget_raises_exactly_where_the_walk_does(name, t_end, eps):
+    model = MODELS[name][0]
+    tails = 0
+    for seed in range(6):
+        snap = simulate(model, t_end, [t_end], eps, seed)[0]
+        created = snap.n_live + snap.frozen_count + snap.event_count
+        # the walk counts as it pops, so the smallest budget it survives is
+        # created minus the frozen children of its last pop
+        low = next(b for b in range(created, 0, -1)
+                   if _oracle_raises(model, t_end, eps, seed, b - 1))
+        tails += low < created
+        for budget in range(max(1, low - 3), created + 2):
+            raises = budget < low
+            assert _oracle_raises(model, t_end, eps, seed, budget) == raises
+            if raises:
+                with pytest.raises(BudgetExceededError):
+                    simulate(model, t_end, [t_end], eps, seed,
+                             max_fragments=budget)
+            else:
+                simulate(model, t_end, [t_end], eps, seed,
+                         max_fragments=budget)
+    if name == "ternary_binary":
+        assert tails > 0
+
+
+def test_budget_counts_each_lane_separately(ub):
+    snaps = simulate_replicas(ub, 3.0, [3.0], 1e-3, 5, 30)
+    sizes = [s[0].n_live + s[0].frozen_count + s[0].event_count for s in snaps]
+    simulate_replicas(ub, 3.0, [3.0], 1e-3, 5, 30, max_fragments=max(sizes))
+    with pytest.raises(BudgetExceededError):
+        simulate_replicas(ub, 3.0, [3.0], 1e-3, 5, 30,
+                          max_fragments=max(sizes) - 3)
