@@ -50,19 +50,16 @@ from .measures import (
     DislocationModel,
     MassPartition,
     PowerTailBinaryModel,
-    SplitSample,
     UniformBinaryModel,
     model_from_json,
     model_to_json,
     sample_size_biased,
-    sample_split,
     truncate_family,
     validate,
 )
 from .partitions import (
     NestedPartitionPath,
     PartitionOfN,
-    SubordinatorPath,
     block_frequency_estimates,
     paintbox,
     simulate_partition,
@@ -78,8 +75,7 @@ from .ranked import (
 )
 from .streams import Stream, derive_key, mix64, replica_key
 from .tilting import (
-    EventLog,
-    SpineRun,
+    TaggedLine,
     esscher_exponent,
     sample_tilted_split,
     simulate_event_log,

@@ -43,7 +43,7 @@ from .ranked import DEFAULT_MAX_FRAGMENTS, simulate, simulate_replicas  # noqa: 
 from .measures import MassPartition
 from .streams import MASK64, Stream, derive_key, replica_key
 from .tilting import (
-    EventLog,
+    TaggedLine,
     simulate_event_log,
     simulate_spine,
     thin_fiber,
@@ -56,6 +56,9 @@ _COMMANDS = ("phi", "simulate", "partition", "subordinator", "martingale",
              "spine", "thin", "ldp")
 _CONFIG_KEYS = {"command", "model", "seed", "replicas", "threads", "out",
                 "strict", "params"}
+# a NaN or infinite value here would reach the arithmetic (a NaN tilt makes
+# the spine's waits NaN, and its walk never ends)
+_FINITE_PARAMS = ("p", "a", "alpha", "beta", "q_min", "q_max")
 
 
 class RunConfig:
@@ -240,9 +243,11 @@ def _check_times(command, params, problems):
     if t_end is not None and not (
             0.0 <= t_end < math.inf or (command == "partition" and t_end >= 0.0)):
         problems.append(f"t_end must be finite and >= 0, got {t_end}")
-    if any(not 0.0 <= t < math.inf for t in params.get("t_grid") or []):
-        problems.append("t_grid times must be finite and >= 0, "
-                        f"got {params['t_grid']}")
+    grid = params.get("t_grid")
+    if grid == []:
+        problems.append("t_grid needs one or more times")
+    if any(not 0.0 <= t < math.inf for t in grid or []):
+        problems.append(f"t_grid times must be finite and >= 0, got {grid}")
     snaps = params.get("snapshots")
     if (snaps is not None and t_end is not None and t_end >= 0.0
             and any(not 0.0 <= s <= t_end for s in snaps)):
@@ -253,6 +258,17 @@ def _check_times(command, params, problems):
 def _validate_params(command, params, model):
     problems = []
     _check_times(command, params, problems)
+    for name in _FINITE_PARAMS:
+        v = params.get(name)
+        if v is not None and not (type(v) in (int, float)
+                                  and math.isfinite(v)):
+            problems.append(f"{name} must be a finite number, got {v!r}")
+    eps = params.get("eps_freeze")
+    if eps is not None and not 0.0 < eps < 1.0:
+        problems.append(f"eps_freeze must be in (0, 1), got {eps}")
+    for name in ("max_fragments", "n_boot"):
+        if params.get(name) is not None and params[name] < 1:
+            problems.append(f"{name} must be >= 1, got {params[name]}")
     if command == "phi":
         _require(params, ["q_min", "q_max"], problems, command)
         params.setdefault("points", 50)
@@ -272,9 +288,6 @@ def _validate_params(command, params, model):
         if params.get("t_end") is not None:
             params.setdefault("snapshots", [params["t_end"]])
         params.setdefault("max_fragments", DEFAULT_MAX_FRAGMENTS)
-        eps = params.get("eps_freeze")
-        if eps is not None and not 0.0 < eps < 1.0:
-            problems.append(f"eps_freeze must be in (0, 1), got {eps}")
     elif command == "partition":
         _require(params, ["n", "t_end"], problems, command)
         if params.get("n") is not None and params["n"] < 1:
@@ -313,6 +326,9 @@ def _validate_params(command, params, model):
         if a is not None and b is not None and a >= b:
             problems.append(f"need alpha < beta, got [{a}, {b}]")
         grid = params.get("t_grid")
+        if 0.0 in (grid or []):
+            problems.append("ldp needs t_grid times > 0 (windows at t = 0 "
+                            "hold no asymptotics)")
         if (params["estimator"] == "ratio" and grid is not None
                 and len(set(grid)) < 2):
             problems.append("ldp --estimator ratio needs two or more distinct "
@@ -424,7 +440,7 @@ def _cmd_subordinator(cfg):
         for i in range(cfg.replicas):
             log = simulate_event_log(cfg.model, pr["t_end"],
                                      replica_key(cfg.seed, i))
-            for t, part, j in zip(log.times, log.partitions, log.picks):
+            for t, part, j in zip(log.jump_times, log.partitions, log.picks):
                 rows.append({"replica": i, "t": t,
                              "masses": list(part.masses), "pick": j})
         header = {"t_end": pr["t_end"], "rate": cfg.model.total_rate,
@@ -491,14 +507,17 @@ def _cmd_spine(cfg):
                              with_population=pr["with_population"],
                              eps_freeze=pr.get("eps_freeze"))
         weights.append(run.weight)
-        n_shed.append(len(run.unmarked_roots))
+        n_shed.append(sum(len(part) for part in run.partitions) - len(run))
         lm = 0.0
         for t, s in zip(run.jump_times, run.jump_sizes):
             lm -= s
             rows.append((i, t, s, lm))
+    w_sq = sum(w * w for w in weights)
     header = {"p": pr["p"], "t_end": pr["t_end"],
               "tilted_rate": tilted_split_rate(cfg.model, ev, pr["p"]),
               "weight_mean": sum(weights) / len(weights),
+              # effective sample size of the importance weights
+              "weight_ess": sum(weights) ** 2 / w_sq if w_sq > 0.0 else None,
               "shed_fragments_mean": sum(n_shed) / len(n_shed)}
     return header, "csv", ("replica", "jump_time", "jump_size",
                            "spine_log_mass"), rows
@@ -520,10 +539,14 @@ def _event_record_problems(n, rec):
         missing = [k for k in _EVENT_FIELDS if k not in rec]
         return [f"event-log record {n} lacks {', '.join(missing)}"]
     replica, masses, pick = rec["replica"], rec["masses"], rec["pick"]
+    t = rec["t"]
     problems = []
     if type(replica) is not int:
         problems.append(f"event-log record {n}: replica must be an integer, "
                         f"got {replica!r}")
+    if type(t) not in (int, float) or not math.isfinite(t):
+        problems.append(f"event-log record {n}: t must be a finite number, "
+                        f"got {t!r}")
     if (type(masses) is not list or not masses
             or not all(type(m) is float or type(m) is int for m in masses)):
         problems.append(f"event-log record {n}: masses must be a non-empty "
@@ -566,13 +589,15 @@ def _cmd_thin(cfg):
     kept_total = 0
     for rep in sorted(by_replica):
         recs = by_replica[rep]
-        log = EventLog(
+        key = replica_key(cfg.seed, rep)
+        log = TaggedLine(
             t_end,
             [r["t"] for r in recs],
             [MassPartition(r["masses"]) for r in recs],
             [r["pick"] for r in recs],
+            key,
         )
-        stream = Stream(derive_key(replica_key(cfg.seed, rep), 1))
+        stream = Stream(derive_key(key, 1))
         thinned = thin_fiber(log, p, stream)
         for rec, kept in zip(recs, thinned.kept):
             out = dict(rec)
@@ -629,6 +654,11 @@ def _cmd_ldp(cfg):
                         n_boot=pr["n_boot"], threads=cfg.threads,
                         max_fragments=pr["max_fragments"])
     slope, lo, hi = trace.slope_ci()
+    empty = [pt.t for pt in trace.points if math.isnan(pt.ratio)]
+    if empty:
+        raise NotComputableError(
+            f"no U/V ratio at t = {empty}: the window stayed empty in every "
+            "replica")
     header.update({"slope": slope, "slope_lo": lo, "slope_hi": hi})
     rows = [tuple(p) for p in trace.points]
     cols = ("t", "u", "u_stderr", "v", "v_stderr", "ratio", "ratio_lo",

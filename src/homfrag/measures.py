@@ -134,19 +134,6 @@ def validate(raw, allow_trivial=False):
     return part
 
 
-class SplitSample:
-    """One draw from a (possibly reweighted) split distribution."""
-
-    __slots__ = ("partition", "weight")
-
-    def __init__(self, partition, weight=1.0):
-        self.partition = partition
-        self.weight = weight
-
-    def __repr__(self):
-        return f"SplitSample({self.partition!r}, weight={self.weight})"
-
-
 class DislocationModel:
     """Base class: finite total rate + exact sampler + analytic hooks."""
 
@@ -428,11 +415,6 @@ class PowerTailBinaryModel(DislocationModel):
             "params": {"c": self.c, "gamma": self.gamma},
             "epsilon": self.epsilon,
         }
-
-
-def sample_split(model, stream):
-    """One exact draw from the model's normalized split distribution."""
-    return SplitSample(model.sample(stream), 1.0)
 
 
 def sample_size_biased(model, stream):

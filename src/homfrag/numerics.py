@@ -19,12 +19,11 @@ def adaptive_simpson(f, a, b, abs_tol=1e-10, max_depth=50):
     """Integrate f on [a, b] with adaptive Simpson to an absolute tolerance.
 
     Returns (value, error_estimate).  Raises NotComputableError if the
-    recursion cannot reach the tolerance before max_depth.
+    recursion cannot reach the tolerance before max_depth, or if f overflows
+    or divides by zero on the way.
     """
     if a == b:
         return 0.0, 0.0
-    fa, fb = f(a), f(b)
-    m, fm, whole = _simpson(f, a, fa, b, fb)
 
     def rec(a, fa, b, fb, m, fm, whole, tol, depth):
         lm, flm, left = _simpson(f, a, fa, m, fm)
@@ -40,7 +39,13 @@ def adaptive_simpson(f, a, b, abs_tol=1e-10, max_depth=50):
         rv, re = rec(m, fm, b, fb, rm, frm, right, tol / 2.0, depth + 1)
         return lv + rv, le + re
 
-    return rec(a, fa, b, fb, m, fm, whole, abs_tol, 0)
+    try:
+        fa, fb = f(a), f(b)
+        m, fm, whole = _simpson(f, a, fa, b, fb)
+        return rec(a, fa, b, fb, m, fm, whole, abs_tol, 0)
+    except (OverflowError, ZeroDivisionError) as e:
+        raise NotComputableError(
+            f"quadrature integrand failed on [{a}, {b}]: {e}") from e
 
 
 def bracket_upward(g, start, step=0.5, max_span=400.0):

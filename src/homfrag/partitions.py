@@ -18,7 +18,6 @@ import heapq
 import math
 from bisect import bisect_right
 from collections import namedtuple
-from itertools import accumulate
 
 import numpy as np
 
@@ -266,36 +265,14 @@ def tagged_xi(path, t):
     return -math.log(path.tagged_block_size(t) / path.n)
 
 
-class SubordinatorPath:
-    """Jump times and sizes of one tagged-piece log-mass path."""
-
-    __slots__ = ("jump_times", "jump_sizes", "t_end", "_cum")
-
-    def __init__(self, jump_times, jump_sizes, t_end):
-        self.jump_times = list(jump_times)
-        self.jump_sizes = list(jump_sizes)
-        self.t_end = t_end
-        self._cum = list(accumulate(self.jump_sizes))
-
-    def value(self, t):
-        """Path value: sum of jumps up to and including time t."""
-        if t > self.t_end:
-            raise ValueError(f"path simulated only to {self.t_end}, asked at {t}")
-        i = bisect_right(self.jump_times, t)
-        return 0.0 if i == 0 else self._cum[i - 1]
-
-
 def simulate_subordinator(model, t_end, seed):
-    """Exact tagged-piece path: jumps -log(size-biased piece) at rate nu's total.
+    """Exact tagged-piece path: the untilted event log of the same seed.
 
-    The jumps are read off the untilted event log of the same seed: one
-    stream drives the whole path (waiting time, split draw, size-biased
-    pick, repeated).
+    Its value(t) sums the jumps -log(size-biased piece) up to t.  One stream
+    drives the whole path (waiting time, split draw, size-biased pick,
+    repeated).
     """
-    log = simulate_event_log(model, t_end, seed)
-    sizes = [-math.log(part.masses[j])
-             for part, j in zip(log.partitions, log.picks)]
-    return SubordinatorPath(log.times, sizes, t_end)
+    return simulate_event_log(model, t_end, seed)
 
 
 def subordinator_values(model, t_end, seed, n_replicas):

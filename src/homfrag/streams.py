@@ -138,7 +138,7 @@ class Stream:
 
     def exponential(self, rate):
         """Exponential waiting time with the given rate."""
-        if rate <= 0.0:
+        if not rate > 0.0:  # NaN included
             raise ValueError(f"exponential rate must be positive, got {rate}")
         return -math.log1p(-self.uniform()) / rate
 

@@ -239,9 +239,9 @@ def test_criterion_08_thinning(ub, ub_eval, dyadic, dyadic_eval,
         ts = Stream(derive_key(seed + 1, 0))
         tilted_sizes = []
         for _ in range(5000):
-            draw = sample_tilted_split(model, 1.0, ts, ev)
-            j = spine_child_select(draw.partition, 1.0, ts)
-            tilted_sizes.append(-math.log(draw.partition.masses[j]))
+            part, _ = sample_tilted_split(model, 1.0, ts, ev)
+            j = spine_child_select(part, 1.0, ts)
+            tilted_sizes.append(-math.log(part.masses[j]))
         ks_p = stats.ks_2samp(np.array(kept_sizes),
                               np.array(tilted_sizes)).pvalue
         ok = ok and rate_ok and ks_p > 0.01

@@ -1,8 +1,11 @@
 """End-to-end checks of the command-line interface."""
 
+from contextlib import redirect_stderr, redirect_stdout
+import io
 import json
 import math
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from homfrag.cli import main
@@ -259,8 +262,19 @@ def test_spine_header(capsys, ub_model_file):
     header, columns, rows = parse_csv(out)
     assert header["tilted_rate"] == pytest.approx(2.0 / 3.0, abs=1e-12)
     assert header["weight_mean"] == 1.0  # exact for p >= 0
+    assert header["weight_ess"] == 40.0  # every weight is 1
     assert header["shed_fragments_mean"] >= 0.0
     assert columns == ["replica", "jump_time", "jump_size", "spine_log_mass"]
+
+
+def test_spine_weight_ess_collapses_near_p_lower(capsys, ub_model_file):
+    # at p = -1.9 (p_lower = -2) a few paths carry most of the weight
+    code, out, _ = run_cli(capsys, [
+        "--seed", "19", "--model", ub_model_file, "--replicas", "200",
+        "spine", "--p", "-1.9", "--t-end", "1.0"])
+    assert code == 0
+    header, _, _ = parse_csv(out)
+    assert 1.0 <= header["weight_ess"] < 20.0
 
 
 def test_spine_population_needs_eps(capsys, ub_model_file):
@@ -415,6 +429,22 @@ def test_ldp_ratio_with_an_always_empty_window_exits_2(capsys,
     assert "NotComputableError" in err and "Traceback" not in err
 
 
+def test_ldp_ratio_with_an_empty_window_before_the_slope_exits_2(
+        capsys, tmp_path):
+    # at t = 0.25 no replica has a fragment in the window; the last two
+    # times have some, so the slope exists but that row's ratio would be NaN
+    model = tmp_path / "tb.json"
+    model.write_text(json.dumps({"kind": "atomic", "atoms": [
+        [[0.5, 0.3, 0.2], 1.0], [[0.6, 0.4], 2.0]]}))
+    code, out, err = run_cli(capsys, [
+        "--seed", "0", "--model", str(model), "--replicas", "3", "ldp",
+        "--estimator", "ratio", "--p", "0", "--alpha", "-1", "--beta", "0.5",
+        "--t-grid", "1,1.25,0.25", "--eps-freeze", "0.0625"])
+    assert code == 2
+    assert out == ""
+    assert "no U/V ratio at t = [0.25]" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("args", [
     ["martingale", "--kind", "additive", "--p", "0.5", "--t-grid", "1",
      "--eps-freeze", "1e-3"],
@@ -486,6 +516,44 @@ def _subordinator_config(tmp_path, ub, seed):
                                "model": model_to_json(ub),
                                "params": {"t_end": 1.0}}))
     return str(cfg)
+
+
+@pytest.mark.parametrize("args, problem", [
+    (["spine", "--p", "nan", "--t-end", "1"], "p must be a finite number"),
+    (["martingale", "--kind", "additive", "--p", "nan", "--t-grid", "1",
+      "--eps-freeze", "1e-3"], "p must be a finite number"),
+    (["martingale", "--kind", "truncated", "--a", "nan", "--t-grid", "1",
+      "--eps-freeze", "1e-3"], "a must be a finite number"),
+    (["martingale", "--kind", "truncated", "--a", "inf", "--t-grid", "1",
+      "--eps-freeze", "1e-3"], "a must be a finite number"),
+    (["thin", "--p", "nan", "--input", "events.jsonl"],
+     "p must be a finite number"),
+    (["ldp", "--p", "0.5", "--alpha", "nan", "--beta", "0.2", "--t-grid", "1",
+      "--eps-freeze", "1e-3"], "alpha must be a finite number"),
+    (["ldp", "--p", "0.5", "--alpha", "-0.2", "--beta", "inf", "--t-grid",
+      "1", "--eps-freeze", "1e-3"], "beta must be a finite number"),
+    (["phi", "--q-min", "nan", "--q-max", "1"],
+     "q_min must be a finite number"),
+    (["phi", "--q-min", "0", "--q-max", "inf"],
+     "q_max must be a finite number"),
+    (["ldp", "--p", "0.5", "--alpha", "-0.2", "--beta", "0.2", "--t-grid",
+      "1,2", "--eps-freeze", "1e-3", "--estimator", "ratio", "--n-boot", "-5"],
+     "n_boot must be >= 1"),
+    (["simulate", "--t-end", "1", "--eps-freeze", "1e-3", "--max-fragments",
+      "0"], "max_fragments must be >= 1"),
+    (["martingale", "--kind", "derivative", "--t-grid", "1", "--eps-freeze",
+      "nan"], "eps_freeze must be in (0, 1)"),
+    (["spine", "--p", "0.5", "--t-end", "1", "--with-population",
+      "--eps-freeze", "2"], "eps_freeze must be in (0, 1)"),
+    (["martingale", "--kind", "derivative", "--t-grid=", "--eps-freeze",
+      "1e-3"], "t_grid needs one or more times"),
+])
+def test_out_of_range_params_exit_2(capsys, ub_model_file, args, problem):
+    code, out, err = run_cli(capsys, [
+        "--seed", "3", "--model", ub_model_file, "--replicas", "2"] + args)
+    assert code == 2
+    assert out == ""
+    assert problem in err and "Traceback" not in err
 
 
 def test_partition_takes_an_infinite_horizon(capsys, ub_model_file):
@@ -618,6 +686,10 @@ def test_subcommand_output_is_well_formed(capsys, ub_model_file, tmp_path,
      "masses must be a non-empty list"),
     ({"replica": 0, "t": 0.5, "masses": [0.6, 0.4], "pick": 2},
      "pick must index masses"),
+    ({"replica": 0, "t": float("nan"), "masses": [0.6, 0.4], "pick": 0},
+     "t must be a finite number"),
+    ({"replica": 0, "t": "0.5", "masses": [0.6, 0.4], "pick": 0},
+     "t must be a finite number"),
 ])
 def test_thin_rejects_malformed_event_records(capsys, ub_model_file, tmp_path,
                                               record, problem):
@@ -674,3 +746,130 @@ def test_memoised_phi_leaves_martingale_bytes_unchanged(capsys, tmp_path,
     quadratures.clear()
     assert outputs() == memoised
     assert memoised_calls < len(quadratures)
+
+
+# --- every subcommand under generated flags ----------------------------------
+
+_FUZZ_MODELS = {
+    "ub": {"kind": "uniform_binary"},
+    "tb": {"kind": "atomic",
+           "atoms": [[[0.5, 0.3, 0.2], 1.0], [[0.6, 0.4], 2.0]]},
+}
+# flags whose value must be a finite number
+_FINITE_FLAGS = ("--p", "--a", "--alpha", "--beta", "--q-min", "--q-max")
+
+
+def _rarely(usual, odd):
+    """usual nine times in ten, odd otherwise."""
+    # not on 0 or 9: the generator leans toward the ends of a range
+    return st.integers(0, 9).flatmap(lambda k: odd if k == 5 else usual)
+
+
+def _number(lo, hi):
+    """A float flag value in [lo, hi], now and then a non-finite one."""
+    return _rarely(st.floats(lo, hi).map(repr),
+                   st.sampled_from(["nan", "inf", "-inf"]))
+
+
+_TIME = _rarely(st.floats(0.0, 2.0).map(repr),
+                st.sampled_from(["-0.5", "nan", "inf", "-inf"]))
+_EPS = _rarely(st.floats(1e-3, 0.5).map(repr),
+               st.sampled_from(["nan", "inf", "0", "-1", "1", "2"]))
+_GRID = _rarely(st.lists(st.floats(0.0, 2.0).map(repr), min_size=1,
+                         max_size=3),
+                st.lists(_number(-1.0, 2.0), max_size=3)).map(",".join)
+_BUDGET = _rarely(st.integers(1, 3000), st.integers(-1, 0)).map(str)
+_SWITCH = st.none()
+# per subcommand: (flags always given, flags given or not)
+_FUZZ_FLAGS = {
+    "phi": ({"--q-min": _number(-3, 0.5), "--q-max": _number(0.6, 3)},
+            {"--points": _rarely(st.integers(2, 6),
+                                 st.integers(-1, 1)).map(str),
+             "--mode": st.sampled_from(["auto", "closed_form", "quadrature",
+                                        "monte_carlo"])}),
+    "simulate": ({"--t-end": _TIME, "--eps-freeze": _EPS},
+                 {"--snapshots": _GRID, "--max-fragments": _BUDGET}),
+    "partition": ({"--n": st.integers(-1, 30).map(str),
+                   "--t-end": _TIME}, {}),
+    "subordinator": ({"--t-end": _TIME},
+                     {"--event-log": _SWITCH}),
+    "martingale": ({"--kind": st.sampled_from(["additive", "derivative",
+                                               "truncated"]),
+                    "--t-grid": _GRID, "--eps-freeze": _EPS},
+                   {"--p": _number(-3, 3), "--a": _number(-1, 3),
+                    "--max-fragments": _BUDGET}),
+    "spine": ({"--p": _number(-3, 3), "--t-end": _TIME},
+              {"--eps-freeze": _EPS, "--with-population": _SWITCH}),
+    "thin": ({"--p": _number(-1, 3),
+              "--input": st.sampled_from(["events.jsonl", "missing.jsonl"])},
+             {}),
+    "ldp": ({"--p": _number(-3, 3), "--alpha": _number(-1, -0.05),
+             "--beta": _number(0.05, 1), "--t-grid": _GRID,
+             "--eps-freeze": _EPS},
+            {"--estimator": st.sampled_from(["presence", "ratio"]),
+             "--n-boot": _rarely(st.integers(1, 20),
+                                 st.integers(-5, 0)).map(str),
+             "--max-fragments": _BUDGET}),
+}
+
+
+def _must_reject(replicas, flags):
+    """True when a flag value is one that validation must turn away."""
+    def bad(flag, ok):
+        return flag in flags and not ok(float(flags[flag]))
+    return (replicas < 1
+            or any(bad(f, math.isfinite) for f in _FINITE_FLAGS)
+            or bad("--eps-freeze", lambda v: 0.0 < v < 1.0)
+            or bad("--n-boot", lambda v: v >= 1)
+            or bad("--max-fragments", lambda v: v >= 1))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """Model files and an event log for thin, shared by every example."""
+    d = tmp_path_factory.mktemp("fuzz")
+    for name, obj in _FUZZ_MODELS.items():
+        (d / f"{name}.json").write_text(json.dumps(obj))
+    with redirect_stdout(io.StringIO()):
+        assert main(["--seed", "8", "--model", str(d / "ub.json"),
+                     "--replicas", "3", "--out", str(d / "events.jsonl"),
+                     "subordinator", "--t-end", "2", "--event-log"]) == 0
+    return d
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(command=st.sampled_from(sorted(_FUZZ_FLAGS)), data=st.data(),
+       model=st.sampled_from(sorted(_FUZZ_MODELS)),
+       seed=st.integers(0, 2**64 - 1),
+       replicas=_rarely(st.integers(1, 4), st.integers(-1, 0)),
+       threads=st.sampled_from([1, 2]))
+def test_every_subcommand_ends_cleanly(fuzz_dir, command, data, model, seed,
+                                       replicas, threads):
+    """A documented exit code, no traceback, finite CSV, strict JSON."""
+    required, optional = _FUZZ_FLAGS[command]
+    flags = data.draw(st.fixed_dictionaries(required, optional=optional))
+    argv = ["--seed", str(seed), "--model", str(fuzz_dir / f"{model}.json"),
+            "--replicas", str(replicas), "--threads", str(threads), command]
+    for flag, value in flags.items():
+        if flag == "--input":
+            value = str(fuzz_dir / value)
+        argv.append(flag if value is None else f"{flag}={value}")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2, 3, 4), (argv, err)
+    assert "Traceback" not in err
+    if _must_reject(replicas, flags):
+        assert code == 2, (argv, err)
+    if code != 0:
+        return
+    lines = out[:-1].split("\n")
+    if lines[0].startswith("# "):
+        _strict_json(lines[0][2:])
+        for line in lines[2:]:
+            for cell in line.split(","):
+                assert math.isfinite(float(cell)), (argv, line)
+    else:
+        for line in lines:
+            _strict_json(line)

@@ -27,7 +27,6 @@ from homfrag.measures import (
     model_to_json,
     sample_size_biased,
     sample_size_biased_batch,
-    sample_split,
     truncate_family,
     validate,
 )
@@ -224,11 +223,9 @@ def test_power_tail_gamma_one_log_rate():
 # --- split draws and size-biased picks --------------------------------------
 
 
-def test_sample_split_weight_one(ub):
+def test_sample_conservative(ub):
     s = Stream(40)
-    draw = sample_split(ub, s)
-    assert draw.weight == 1.0
-    assert draw.partition.conservative
+    assert ub.sample(s).conservative
 
 
 def test_size_biased_dyadic_always_half(dyadic):

@@ -12,6 +12,7 @@ from homfrag.measures import AtomicModel, MassPartition
 from homfrag.partitions import simulate_subordinator
 from homfrag.streams import Stream, derive_key
 from homfrag.tilting import (
+    TaggedLine,
     esscher_exponent,
     sample_tilted_split,
     simulate_event_log,
@@ -35,8 +36,8 @@ def test_tilted_split_rate(ub, ub_eval):
 def test_tilted_split_nonnegative_index(ub, ub_eval):
     s = Stream(61)
     draws = [sample_tilted_split(ub, 1.0, s, ub_eval) for _ in range(20_000)]
-    assert all(d.weight == 1.0 for d in draws)
-    tops = np.array([d.partition[0] for d in draws])
+    assert all(w == 1.0 for _, w in draws)
+    tops = np.array([part[0] for part, _ in draws])
     se = tops.std(ddof=1) / math.sqrt(len(tops))
     # tilting by u^2 + (1-u)^2 puts the larger-piece mean at 25/32
     assert abs(tops.mean() - 25.0 / 32.0) < 4 * se
@@ -45,7 +46,7 @@ def test_tilted_split_nonnegative_index(ub, ub_eval):
 def test_tilted_split_negative_index_weights(ub, ub_eval):
     s = Stream(62)
     draws = [sample_tilted_split(ub, -0.5, s, ub_eval) for _ in range(20_000)]
-    w = np.array([d.weight for d in draws])
+    w = np.array([w for _, w in draws])
     assert (w > 0).all()
     se = w.std(ddof=1) / math.sqrt(len(w))
     assert abs(w.mean() - 1.0) < 4 * se
@@ -102,6 +103,7 @@ def test_spine_at_zero_tilt_matches_subordinator(ub, ub_eval):
 def test_spine_log_mass_steps(ub):
     run = simulate_spine(ub, 0.5, 2.0, 11)
     assert run.spine_log_mass(0.0) == 0.0
+    assert math.copysign(1.0, run.spine_log_mass(0.0)) == 1.0  # not -0.0
     vals = [run.spine_log_mass(t) for t in np.linspace(0.0, 2.0, 21)]
     assert all(b <= a for a, b in zip(vals, vals[1:]))
     assert run.spine_log_mass(2.0) == pytest.approx(-sum(run.jump_sizes))
@@ -126,9 +128,10 @@ def test_spine_population_requires_eps(ub):
 
 def test_event_log_structure(ub):
     log = simulate_event_log(ub, 2.0, 71)
-    assert len(log) == len(log.times) == len(log.partitions) == len(log.picks)
-    assert all(0.0 < t <= 2.0 for t in log.times)
-    assert all(t1 < t2 for t1, t2 in zip(log.times, log.times[1:]))
+    assert (len(log) == len(log.jump_times) == len(log.partitions)
+            == len(log.picks))
+    assert all(0.0 < t <= 2.0 for t in log.jump_times)
+    assert all(t1 < t2 for t1, t2 in zip(log.jump_times, log.jump_times[1:]))
     for part, j in zip(log.partitions, log.picks):
         assert 0 <= j < len(part)
     assert log.kept is None
@@ -140,6 +143,15 @@ def test_thinning_direction(ub):
     log = simulate_event_log(ub, 1.0, 72)
     with pytest.raises(ThinningDirectionError):
         thin_fiber(log, -0.5, Stream(1))
+
+
+def test_thinning_refuses_a_tilted_line(ub):
+    run = simulate_spine(ub, 0.5, 1.0, 72)
+    with pytest.raises(ThinningDirectionError):
+        thin_fiber(run, 1.0, Stream(1))
+    thinned = thin_fiber(simulate_event_log(ub, 1.0, 72), 0.5, Stream(1))
+    with pytest.raises(ThinningDirectionError):
+        thin_fiber(thinned, 0.5, Stream(2))
 
 
 def test_thinning_keep_fraction(ub):
@@ -160,7 +172,7 @@ def test_thinning_deterministic_and_preserving(ub):
     a = thin_fiber(log, 1.0, Stream(5))
     b = thin_fiber(log, 1.0, Stream(5))
     assert a.kept == b.kept
-    assert a.times == log.times
+    assert a.jump_times == log.jump_times
     assert a.picks == log.picks
     assert len(a.kept_events()) == sum(a.kept)
 
@@ -172,21 +184,26 @@ def test_subordinator_event_log_and_spine_share_one_walk():
     seed = 4242
     sub = simulate_subordinator(model, 3.0, seed)
     log = simulate_event_log(model, 3.0, seed)
+    thinned = thin_fiber(log, 1.0, Stream(1))
     assert len(log) > 0
-    assert sub.jump_times == log.times
+    assert (sub.picks, sub.partitions) == (log.picks, log.partitions)
+    assert (thinned.picks, thinned.partitions) == (log.picks, log.partitions)
+    assert sub.jump_times == log.jump_times
     assert sub.jump_sizes == [
         -math.log(part.masses[j]) for part, j in zip(log.partitions, log.picks)]
 
     run = simulate_spine(model, 0.5, 3.0, seed, PhiEvaluator(model))
     assert len(run.jump_times) > 0
+    assert all(type(r) is TaggedLine for r in (sub, log, thinned, run))
     spine_key = derive_key(seed, 0)
     masses = model.atoms[0][0].masses
     seen = set()
-    for t, lm, key in run.unmarked_roots:
+    roots, _ = run.shed()
+    for t, lm, key in roots:
         k = run.jump_times.index(t)
         piece = math.exp(lm + sum(run.jump_sizes[:k]))
         i = min(range(len(masses)), key=lambda r: abs(masses[r] - piece))
         assert piece == pytest.approx(masses[i], rel=1e-12)
         assert key == derive_key(derive_key(spine_key, k), i)
         seen.add((k, i))
-    assert len(seen) == len(run.unmarked_roots) == 2 * len(run.jump_times)
+    assert len(seen) == len(roots) == 2 * len(run.jump_times)
