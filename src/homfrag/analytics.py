@@ -36,10 +36,18 @@ class PhiEvaluator:
 
     mode:
       "auto"         closed form when the model has one, else quadrature
-      "closed_form"  closed form only (error when unavailable)
-      "quadrature"   adaptive Simpson on the family density (abs tol 1e-10)
-      "monte_carlo"  sample average over a cached set of splits; stochastic
-                     but deterministic given mc_seed, with reported stderr
+      "closed_form"  closed form of phi and its derivatives only (error when
+                     unavailable)
+      "quadrature"   adaptive Gauss-Kronrod on the family density (abs tol
+                     quad_tol), phi, phi' and phi'' on one mesh
+      "monte_carlo"  sample average over a cached set of mc_samples splits;
+                     stochastic but deterministic given mc_seed, with
+                     reported stderr
+
+    phi(q) and phi_derivs(q) read one memo entry per q, (phi, phi', phi'',
+    error), filled in one pass by whichever is asked first, so no value
+    depends on the order of the calls.  A value that overflows, divides by
+    zero or is not finite raises NotComputableError.
     """
 
     def __init__(self, model, mode="auto", mc_samples=20000, mc_seed=2024,
@@ -51,123 +59,87 @@ class PhiEvaluator:
         self.quad_tol = quad_tol
         self._p_bar = None
         self.p_bar_residual = None
-        self._phi_memo = {}
-        self._derivs_memo = {}
+        self._memo = {}
         if mode == "monte_carlo":
-            stream = Stream(derive_key(mc_seed, 0))
-            vals = []
-            owner = []
-            for i in range(mc_samples):
-                for m in model.sample_masses(stream):
-                    vals.append(m)
-                    owner.append(i)
-            self._mc_vals = np.array(vals)
-            self._mc_logs = np.log(self._mc_vals)
-            self._mc_owner = np.array(owner)
+            vals, owner = _sample_splits(
+                model, Stream(derive_key(mc_seed, 0)), mc_samples)
+            self._mc_vals = vals
+            # -log m and -log(m)^2: the factors of m^(q+1) in phi' and phi''
+            logs = np.log(vals)
+            self._mc_dlogs = (-logs, -(logs ** 2))
+            self._mc_owner = owner
             self._mc_n = mc_samples
 
     # --- phi and derivatives ------------------------------------------------
 
-    def _check_q(self, q):
-        if q <= self.model.p_lower:
-            raise BelowPLowerError(
-                f"phi({q}) undefined: q must exceed p_lower = {self.model.p_lower}"
-            )
-
     def phi(self, q):
-        """phi(q), computed once per q (estimators ask for the same q per
-        snapshot; in quadrature mode each evaluation is a full quadrature)."""
-        try:
-            return self._phi_memo[q]
-        except KeyError:
-            val = self._phi_memo[q] = self._phi(q)
-            return val
+        """phi(q)."""
+        return self._values(q)[0]
 
-    def _phi(self, q):
-        self._check_q(q)
+    def phi_derivs(self, q):
+        """(phi'(q), phi''(q), absolute error estimate)."""
+        return PhiDerivatives(*self._values(q)[1:])
+
+    def _values(self, q):
+        """(phi, phi', phi'', error) at q, computed once per q (estimators ask
+        for the same q per snapshot, and p_bar for both at every step)."""
+        val = self._memo.get(q)
+        if val is None:
+            if q <= self.model.p_lower:
+                raise BelowPLowerError(f"phi({q}) undefined: q must exceed "
+                                       f"p_lower = {self.model.p_lower}")
+            try:
+                with np.errstate(all="ignore"):
+                    val = self._compute(q)
+            except (OverflowError, ZeroDivisionError) as e:
+                raise NotComputableError(f"phi at q = {q} overflows: {e}") from e
+            if not all(map(math.isfinite, val[:3])):
+                raise NotComputableError(f"phi at q = {q} is not finite: {val}")
+            self._memo[q] = val
+        return val
+
+    def _compute(self, q):
         mode = self.mode
+        model = self.model
         if mode in ("auto", "closed_form"):
-            val = self.model.phi_closed(q)
-            if val is not None:
-                return val
+            phi, d = model.phi_closed(q), model.phi_derivs_closed(q)
+            if phi is not None and d is not None:
+                return phi, d[0], d[1], 0.0
             if mode == "closed_form":
                 raise NotComputableError(
-                    f"{self.model.kind} model has no closed-form phi"
+                    f"{model.kind} model has no closed-form phi and phi'"
                 )
         if mode in ("auto", "quadrature"):
-            out = self.model.phi_quadrature(q, abs_tol=self.quad_tol)
-            if out is not None:
-                return out[0]
-            raise NotComputableError(
-                f"{self.model.kind} model supports neither closed-form nor "
-                "quadrature phi; use monte_carlo mode"
-            )
-        return self._phi_mc(q)
+            out = model.phi_quadrature(q, abs_tol=self.quad_tol)
+            if out is None:
+                raise NotComputableError(
+                    f"{model.kind} model supports neither closed-form nor "
+                    "quadrature phi; use monte_carlo mode"
+                )
+            (phi, d1, d2), err = out
+            return phi, d1, d2, err
+        # monte carlo: one power per sampled mass, differentiated under the
+        # sample average
+        w = self._mc_vals ** (q + 1.0)
+        per, d1_per, d2_per = map(self._mc_sums, (w, w * self._mc_dlogs[0],
+                                                  w * self._mc_dlogs[1]))
+        rate = model.total_rate
+        return (rate * (1.0 - per.mean()), rate * d1_per.mean(),
+                rate * d2_per.mean(),
+                max(self._mc_stderr(d1_per), self._mc_stderr(d2_per)))
+
+    def _mc_sums(self, x):
+        """Per-split sums of x, which has one entry per sampled mass."""
+        return np.bincount(self._mc_owner, weights=x, minlength=self._mc_n)
+
+    def _mc_stderr(self, per):
+        return self.model.total_rate * per.std(ddof=1) / math.sqrt(self._mc_n)
 
     def phi_stderr(self, q):
         """Standard error of phi(q) (zero for deterministic modes)."""
         if self.mode != "monte_carlo":
             return 0.0
-        per = self._mc_power_sums(q)
-        return self.model.total_rate * per.std(ddof=1) / math.sqrt(self._mc_n)
-
-    def _mc_power_sums(self, q):
-        w = self._mc_vals ** (q + 1.0)
-        return np.bincount(self._mc_owner, weights=w, minlength=self._mc_n)
-
-    def _phi_mc(self, q):
-        per = self._mc_power_sums(q)
-        return self.model.total_rate * (1.0 - per.mean())
-
-    def phi_derivs(self, q):
-        """(phi'(q), phi''(q), absolute error estimate), once per q."""
-        try:
-            return self._derivs_memo[q]
-        except KeyError:
-            val = self._derivs_memo[q] = self._phi_derivs(q)
-            return val
-
-    def _phi_derivs(self, q):
-        self._check_q(q)
-        mode = self.mode
-        if mode in ("auto", "closed_form"):
-            out = self.model.phi_derivs_closed(q)
-            if out is not None:
-                return PhiDerivatives(out[0], out[1], 0.0)
-            if mode == "closed_form":
-                return self._derivs_fd(q)
-        if mode in ("auto", "quadrature"):
-            out = self.model.phi_derivs_quadrature(q, abs_tol=self.quad_tol)
-            if out is not None:
-                (d1, d2), err = out
-                return PhiDerivatives(d1, d2, err)
-            return self._derivs_fd(q)
-        # monte carlo: differentiate under the sample average (log factors)
-        w = self._mc_vals ** (q + 1.0)
-        d1_per = np.bincount(self._mc_owner, weights=-w * self._mc_logs,
-                             minlength=self._mc_n)
-        d2_per = np.bincount(self._mc_owner, weights=-w * self._mc_logs ** 2,
-                             minlength=self._mc_n)
-        rate = self.model.total_rate
-        d1 = rate * d1_per.mean()
-        d2 = rate * d2_per.mean()
-        err = rate * max(d1_per.std(ddof=1), d2_per.std(ddof=1)) / math.sqrt(self._mc_n)
-        return PhiDerivatives(d1, d2, err)
-
-    def _derivs_fd(self, q):
-        """Central differences with step-halving error estimate."""
-        h = 1e-4 * max(1.0, abs(q))
-        lo_gap = q - self.model.p_lower
-        if math.isfinite(lo_gap):
-            h = min(h, 0.25 * lo_gap)
-        f = self.phi
-        d1a = (f(q + h) - f(q - h)) / (2.0 * h)
-        d2a = (f(q + h) - 2.0 * f(q) + f(q - h)) / h ** 2
-        g = h / 2.0
-        d1b = (f(q + g) - f(q - g)) / (2.0 * g)
-        d2b = (f(q + g) - 2.0 * f(q) + f(q - g)) / g ** 2
-        err = max(abs(d1a - d1b), abs(d2a - d2b))
-        return PhiDerivatives(d1b, d2b, err)
+        return self._mc_stderr(self._mc_sums(self._mc_vals ** (q + 1.0)))
 
     # --- thresholds -----------------------------------------------------------
 
@@ -214,11 +186,9 @@ class PhiEvaluator:
         if self.mode != "monte_carlo":
             return 0.0
         w = self._mc_vals ** (q + 1.0)
-        p_per = np.bincount(self._mc_owner, weights=w, minlength=self._mc_n)
-        l_per = np.bincount(self._mc_owner, weights=-w * self._mc_logs,
-                            minlength=self._mc_n)
-        g_per = (1.0 - p_per) - (q + 1.0) * l_per
-        return self.model.total_rate * g_per.std(ddof=1) / math.sqrt(self._mc_n)
+        g_per = ((1.0 - self._mc_sums(w))
+                 - (q + 1.0) * self._mc_sums(w * self._mc_dlogs[0]))
+        return self._mc_stderr(g_per)
 
     # --- derived predictions ---------------------------------------------------
 
@@ -273,8 +243,9 @@ def detect_geometric(model, r_max=64, tol=1e-9):
         masses = [m for part, _ in model.atoms for m in part.masses]
         evidence = "exact"
     else:
-        stream = Stream(derive_key(_PROBE_KEY, 0))
-        masses = [m for _ in range(1000) for m in model.sample_masses(stream)]
+        masses, _ = _sample_splits(model, Stream(derive_key(_PROBE_KEY, 0)),
+                                   1000)
+        masses = masses.tolist()
         evidence = "sampled"
     for r in range(2, r_max + 1):
         log_r = math.log(r)
@@ -288,3 +259,42 @@ def detect_geometric(model, r_max=64, tol=1e-9):
         if ok:
             return GeometricDetection(r, evidence)
     return GeometricDetection(None, evidence)
+
+
+class _OneStream:
+    """One Stream behind a batched split sampler: lane i takes split i's draw.
+
+    uniform gives the next len(idx) draws and uniform_open the next len(idx)
+    nonzero ones: the scalar rule of a sampler that draws one uniform per
+    split, as every built-in model does.  A second draw would interleave the
+    splits, so it raises.
+    """
+
+    def __init__(self, stream):
+        self.stream = stream
+
+    def uniform(self, idx):
+        stream, self.stream = self.stream, None
+        if stream is None:
+            raise NotImplementedError("a split sampler drew twice per split")
+        return stream.uniforms(len(idx))
+
+    def uniform_open(self, idx):
+        stream = self.stream
+        u = self.uniform(idx)
+        u = u[u != 0.0]
+        while len(u) < len(idx):
+            more = stream.uniforms(len(idx) - len(u))
+            u = np.concatenate((u, more[more != 0.0]))
+        return u
+
+
+def _sample_splits(model, stream, n):
+    """n splits drawn from one stream, as n calls of model.sample_masses.
+
+    Returns every piece in draw order, and the index of the split it came
+    from as a contiguous array (np.bincount is slower on strided ones).
+    """
+    masses = model.sample_masses_batch(_OneStream(stream), np.arange(n))
+    keep = masses != 0.0  # the zero padding of the ranked rows
+    return masses[keep], np.repeat(np.arange(n), keep.sum(axis=1))

@@ -52,8 +52,6 @@ from .tilting import (
 
 SCHEMA = "homfrag/1"
 
-_COMMANDS = ("phi", "simulate", "partition", "subordinator", "martingale",
-             "spine", "thin", "ldp")
 _CONFIG_KEYS = {"command", "model", "seed", "replicas", "threads", "out",
                 "strict", "params"}
 # a NaN or infinite value here would reach the arithmetic (a NaN tilt makes
@@ -77,9 +75,74 @@ class RunConfig:
 
 
 def _float_list(text):
-    if isinstance(text, (list, tuple)):
-        return [float(v) for v in text]
     return [float(v) for v in str(text).split(",") if v.strip()]
+
+
+# Every subcommand's help line and params.  A param's type is float, int,
+# list (a comma-separated flag, a JSON list in a config file), bool (a
+# switch), str, or a tuple of choices; flags and config-file params are
+# checked against the same entry.
+_COMMAND_PARAMS = {
+    "phi": ("moment function on a grid", {
+        "q_min": float, "q_max": float, "points": int,
+        "mode": ("auto", "closed_form", "quadrature", "monte_carlo")}),
+    "simulate": ("ranked population snapshots", {
+        "t_end": float, "eps_freeze": float, "snapshots": list,
+        "max_fragments": int}),
+    "partition": ("nested partition path on n points", {
+        "n": int, "t_end": float}),
+    "subordinator": ("tagged-piece log-mass path", {
+        "t_end": float, "event_log": bool}),
+    "martingale": ("Monte Carlo means of martingales", {
+        "kind": ("additive", "derivative", "truncated"), "p": float,
+        "a": float, "t_grid": list, "eps_freeze": float,
+        "max_fragments": int}),
+    "spine": ("tilted spine trajectories", {
+        "p": float, "t_end": float, "eps_freeze": float,
+        "with_population": bool}),
+    "thin": ("thin an event-log stream by (picked mass)^p", {
+        "p": float, "input": str}),
+    "ldp": ("window-count estimates in the LDP regime", {
+        "p": float, "alpha": float, "beta": float, "t_grid": list,
+        "eps_freeze": float, "estimator": ("presence", "ratio"),
+        "n_boot": int, "max_fragments": int}),
+}
+_COMMANDS = tuple(_COMMAND_PARAMS)
+_FLAG_HELP = {
+    "event_log": "emit the full event stream (JSONL) instead of jumps",
+    "input": "event-log JSONL file (subordinator --event-log)",
+}
+_FLAG_TYPES = {float: float, int: int, list: _float_list, str: str}
+
+
+def _is_number(v):
+    return type(v) in (int, float)
+
+
+# what a config-file value of each type must be, and the test for it
+_TYPE_CHECKS = {
+    float: ("a number", _is_number),
+    int: ("an integer", lambda v: type(v) is int),
+    list: ("a list of numbers",
+           lambda v: type(v) is list and all(map(_is_number, v))),
+    bool: ("true or false", lambda v: type(v) is bool),
+    str: ("a string", lambda v: type(v) is str),
+}
+
+
+def _type_problems(types, params):
+    """The params whose value does not have its flag's type."""
+    problems = []
+    for name, v in params.items():
+        kind = types.get(name)
+        if isinstance(kind, tuple):
+            want, ok = f"one of {list(kind)}", type(v) is str and v in kind
+        elif kind is not None:
+            want, check = _TYPE_CHECKS[kind]
+            ok = check(v)
+        if kind is not None and not ok:
+            problems.append(f"{name} must be {want}, got {v!r}")
+    return problems
 
 
 def _build_parser():
@@ -96,56 +159,16 @@ def _build_parser():
     parser.add_argument("--strict", action="store_true",
                         help="exit 4 when a regime warning fires")
     sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("phi", help="moment function on a grid")
-    p.add_argument("--q-min", type=float)
-    p.add_argument("--q-max", type=float)
-    p.add_argument("--points", type=int)
-    p.add_argument("--mode", choices=["auto", "closed_form", "quadrature",
-                                      "monte_carlo"])
-
-    p = sub.add_parser("simulate", help="ranked population snapshots")
-    p.add_argument("--t-end", type=float)
-    p.add_argument("--eps-freeze", type=float)
-    p.add_argument("--snapshots", type=_float_list)
-    p.add_argument("--max-fragments", type=int)
-
-    p = sub.add_parser("partition", help="nested partition path on n points")
-    p.add_argument("--n", type=int)
-    p.add_argument("--t-end", type=float)
-
-    p = sub.add_parser("subordinator", help="tagged-piece log-mass path")
-    p.add_argument("--t-end", type=float)
-    p.add_argument("--event-log", action="store_true",
-                   help="emit the full event stream (JSONL) instead of jumps")
-
-    p = sub.add_parser("martingale", help="Monte Carlo means of martingales")
-    p.add_argument("--kind", choices=["additive", "derivative", "truncated"])
-    p.add_argument("--p", type=float)
-    p.add_argument("--a", type=float)
-    p.add_argument("--t-grid", type=_float_list)
-    p.add_argument("--eps-freeze", type=float)
-    p.add_argument("--max-fragments", type=int)
-
-    p = sub.add_parser("spine", help="tilted spine trajectories")
-    p.add_argument("--p", type=float)
-    p.add_argument("--t-end", type=float)
-    p.add_argument("--eps-freeze", type=float)
-    p.add_argument("--with-population", action="store_true")
-
-    p = sub.add_parser("thin", help="thin an event-log stream by (picked mass)^p")
-    p.add_argument("--p", type=float)
-    p.add_argument("--input", help="event-log JSONL file (subordinator --event-log)")
-
-    p = sub.add_parser("ldp", help="window-count estimates in the LDP regime")
-    p.add_argument("--p", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--t-grid", type=_float_list)
-    p.add_argument("--eps-freeze", type=float)
-    p.add_argument("--estimator", choices=["presence", "ratio"])
-    p.add_argument("--n-boot", type=int)
-    p.add_argument("--max-fragments", type=int)
+    for command, (text, params) in _COMMAND_PARAMS.items():
+        p = sub.add_parser(command, help=text)
+        for name, kind in params.items():
+            flag, doc = "--" + name.replace("_", "-"), _FLAG_HELP.get(name)
+            if kind is bool:
+                p.add_argument(flag, action="store_true", help=doc)
+            elif isinstance(kind, tuple):
+                p.add_argument(flag, choices=list(kind), help=doc)
+            else:
+                p.add_argument(flag, type=_FLAG_TYPES[kind], help=doc)
     return parser
 
 
@@ -186,13 +209,17 @@ def parse_config(argv):
         problems.append(f"seed must be in [0, 2**64), got {seed}")
 
     replicas = ns.replicas if ns.replicas is not None else file_cfg.get("replicas", 1)
-    if not isinstance(replicas, int) or replicas < 1:
+    if type(replicas) is not int or replicas < 1:
         problems.append(f"replicas must be a positive integer, got {replicas!r}")
     threads = ns.threads if ns.threads is not None else file_cfg.get("threads", 1)
-    if not isinstance(threads, int) or threads < 1:
+    if type(threads) is not int or threads < 1:
         problems.append(f"threads must be a positive integer, got {threads!r}")
     out = ns.out if ns.out is not None else file_cfg.get("out")
-    strict = ns.strict or bool(file_cfg.get("strict", False))
+    if out is not None and type(out) is not str:
+        problems.append(f"out must be a path string, got {out!r}")
+    strict = ns.strict or file_cfg.get("strict", False)
+    if type(strict) is not bool:
+        problems.append(f"strict must be true or false, got {strict!r}")
 
     model = None
     model_obj = file_cfg.get("model")
@@ -212,15 +239,21 @@ def parse_config(argv):
         except FragmentationError as e:
             problems.append(f"invalid model: {e}")
 
-    params = dict(file_cfg.get("params", {}))
-    if command in _COMMANDS and command is not None:
-        flag_params = {k: v for k, v in vars(ns).items()
-                       if k not in {"config", "model", "seed", "replicas",
-                                    "threads", "out", "strict", "command"}}
-        for k, v in flag_params.items():
+    params = file_cfg.get("params", {})
+    if type(params) is not dict:
+        problems.append(f"config params must be a JSON object, got {params!r}")
+        params = {}
+    params = dict(params)
+    if command in _COMMANDS:
+        types = _COMMAND_PARAMS[command][1]
+        type_problems = _type_problems(types, params)
+        for k in types:
+            v = getattr(ns, k, None)
             if v is not None and v is not False:
                 params[k] = v
-        problems.extend(_validate_params(command, params, model))
+        # the value checks below assume the declared types
+        problems.extend(type_problems
+                        or _validate_params(command, params, model))
 
     if problems:
         raise ConfigError(problems)
@@ -283,6 +316,10 @@ def _validate_params(command, params, model):
         if (params.get("q_min") is not None and params.get("q_max") is not None
                 and params["q_min"] >= params["q_max"]):
             problems.append("q_min must be smaller than q_max")
+        if not problems and not all(map(math.isfinite, _phi_grid(params))):
+            problems.append(f"the grid of {params['points']} points from "
+                            f"q_min to q_max overflows: [{qmin}, "
+                            f"{params['q_max']}]")
     elif command == "simulate":
         _require(params, ["t_end", "eps_freeze"], problems, command)
         if params.get("t_end") is not None:
@@ -378,13 +415,17 @@ def render(cfg, header_extra, fmt, columns, rows):
 # --- command implementations -------------------------------------------------
 
 
+def _phi_grid(pr):
+    n = pr["points"]
+    return [pr["q_min"] + i * (pr["q_max"] - pr["q_min"]) / (n - 1)
+            for i in range(n)]
+
+
 def _cmd_phi(cfg):
     pr = cfg.params
     ev = PhiEvaluator(cfg.model, mode=pr["mode"], mc_seed=cfg.seed)
-    qs = [pr["q_min"] + i * (pr["q_max"] - pr["q_min"]) / (pr["points"] - 1)
-          for i in range(pr["points"])]
     rows = []
-    for q in qs:
+    for q in _phi_grid(pr):
         d = ev.phi_derivs(q)
         rows.append((q, ev.phi(q), d.first, d.second))
     geo = detect_geometric(cfg.model)
@@ -705,7 +746,9 @@ def main(argv=None):
             for problem in e.problems:
                 print(f"  - {problem}", file=sys.stderr)
             return 2
-        except FragmentationError as e:
+        except (FragmentationError, OverflowError, ZeroDivisionError) as e:
+            # an overflow means the requested estimate is not computable,
+            # for example the window asymptote at p near p_lower
             print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
             return 2
 

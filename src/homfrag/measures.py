@@ -27,24 +27,22 @@ from .errors import (
     TrivialSplitError,
     UnknownFamilyError,
 )
-from .numerics import adaptive_simpson
+from .numerics import gauss_kronrod
 from .streams import lanewise
 
 
-def _folded_symmetric(f, m):
-    """Integrand on [0, 1] with the same integral as a symmetric f on (0, 1).
+def _binary_terms(u, q):
+    """Integrands of phi, phi' and phi'' at q for the splits (1 - u, u).
 
-    Folds a u <-> 1-u symmetric integrand onto the left half and substitutes
-    u = s^m / 2; a large enough integer m turns an integrable endpoint
-    singularity of f into a removable zero of the transformed integrand.
+    One row per quantity, one column per entry of the array u:
+    1 - a^(q+1) - b^(q+1), -sum a^(q+1) log a and -sum a^(q+1) log(a)^2
+    over the two pieces.
     """
-
-    def g(s):
-        if s == 0.0:
-            return 0.0
-        return m * s ** (m - 1.0) * f(0.5 * s ** m)
-
-    return g
+    v = 1.0 - u
+    pu, pv = u ** (q + 1.0), v ** (q + 1.0)
+    lu, lv = np.log(u), np.log(v)
+    return np.stack((1.0 - pu - pv, -(pu * lu + pv * lv),
+                     -(pu * lu * lu + pv * lv * lv)))
 
 SUM_TOL = 1e-12
 CONSERVATIVE_TOL = 1e-9
@@ -166,9 +164,7 @@ class DislocationModel:
         return None
 
     def phi_quadrature(self, q, abs_tol=1e-10):
-        return None
-
-    def phi_derivs_quadrature(self, q, abs_tol=1e-10):
+        """([phi(q), phi'(q), phi''(q)], error) by quadrature on one mesh."""
         return None
 
     def to_json(self):
@@ -296,39 +292,19 @@ class UniformBinaryModel(DislocationModel):
 
     def phi_quadrature(self, q, abs_tol=1e-10):
         e = self.epsilon
-        f = lambda u: 1.0 - u ** (q + 1.0) - (1.0 - u) ** (q + 1.0)
         if e > 0.0:
-            return adaptive_simpson(f, e, 1.0 - e, abs_tol=abs_tol)
-        if q >= 0.0:
-            return adaptive_simpson(f, 0.0, 1.0, abs_tol=abs_tol)
-        # u^(q+1) is singular (or has an unbounded derivative) at the
-        # endpoints; flatten before integrating
-        m = math.ceil(2.0 / (q + 2.0))
-        return adaptive_simpson(_folded_symmetric(f, m), 0.0, 1.0,
-                                abs_tol=abs_tol)
-
-    def phi_derivs_quadrature(self, q, abs_tol=1e-10):
-        e = self.epsilon
-
-        def f1(u):
-            return -(u ** (q + 1.0) * math.log(u)
-                     + (1.0 - u) ** (q + 1.0) * math.log(1.0 - u))
-
-        def f2(u):
-            return -(u ** (q + 1.0) * math.log(u) ** 2
-                     + (1.0 - u) ** (q + 1.0) * math.log(1.0 - u) ** 2)
-
-        if e > 0.0:
-            d1, e1 = adaptive_simpson(f1, e, 1.0 - e, abs_tol=abs_tol)
-            d2, e2 = adaptive_simpson(f2, e, 1.0 - e, abs_tol=abs_tol)
-            return (d1, d2), max(e1, e2)
-        # log factors blow up at the endpoints for every q; flatten first
+            return gauss_kronrod(lambda u: _binary_terms(u, q), e, 1.0 - e,
+                                 abs_tol=abs_tol)
+        # u^(q+1) and the log factors are singular, or have an unbounded
+        # derivative, at both endpoints: fold the symmetric integrand onto
+        # [0, 1/2] and substitute u = s^m / 2, which for m(q+2) >= 2 turns
+        # the singularity into a removable zero
         m = max(2, math.ceil(2.0 / (q + 2.0)))
-        d1, e1 = adaptive_simpson(_folded_symmetric(f1, m), 0.0, 1.0,
-                                  abs_tol=abs_tol)
-        d2, e2 = adaptive_simpson(_folded_symmetric(f2, m), 0.0, 1.0,
-                                  abs_tol=abs_tol)
-        return (d1, d2), max(e1, e2)
+
+        def folded(s):
+            return m * s ** (m - 1.0) * _binary_terms(0.5 * s ** m, q)
+
+        return gauss_kronrod(folded, 0.0, 1.0, abs_tol=abs_tol)
 
     def to_json(self):
         out = {"kind": "uniform_binary"}
@@ -386,27 +362,11 @@ class PowerTailBinaryModel(DislocationModel):
         v = np.where(v > 0.5, 0.5, v)
         return np.column_stack((1.0 - v, v))
 
-    def _density(self, v):
-        return self.c * v ** (-self.gamma)
-
     def phi_quadrature(self, q, abs_tol=1e-10):
-        def f(v):
-            return (1.0 - (1.0 - v) ** (q + 1.0) - v ** (q + 1.0)) * self._density(v)
+        def terms(v):  # v is the small piece, with density c v^-gamma
+            return _binary_terms(v, q) * (self.c * v ** -self.gamma)
 
-        return adaptive_simpson(f, self.epsilon, 0.5, abs_tol=abs_tol)
-
-    def phi_derivs_quadrature(self, q, abs_tol=1e-10):
-        def f1(v):
-            return -((1.0 - v) ** (q + 1.0) * math.log(1.0 - v)
-                     + v ** (q + 1.0) * math.log(v)) * self._density(v)
-
-        def f2(v):
-            return -((1.0 - v) ** (q + 1.0) * math.log(1.0 - v) ** 2
-                     + v ** (q + 1.0) * math.log(v) ** 2) * self._density(v)
-
-        d1, e1 = adaptive_simpson(f1, self.epsilon, 0.5, abs_tol=abs_tol)
-        d2, e2 = adaptive_simpson(f2, self.epsilon, 0.5, abs_tol=abs_tol)
-        return (d1, d2), max(e1, e2)
+        return gauss_kronrod(terms, self.epsilon, 0.5, abs_tol=abs_tol)
 
     def to_json(self):
         return {

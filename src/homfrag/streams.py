@@ -114,19 +114,19 @@ class Stream:
         """Key for the index-th child of this stream's owner."""
         return derive_key(self.key, index)
 
-    def next_u64(self):
-        self.state = (self.state + GOLDEN_GAMMA) & MASK64
-        return mix64(self.state)
-
     def uniform(self):
         """Uniform float in [0, 1)."""
-        return (self.next_u64() >> 11) * _INV_2_53
+        # one SplitMix64 step with mix64 inlined: the scalar walks' hot draw
+        z = self.state = (self.state + GOLDEN_GAMMA) & MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        return ((z ^ (z >> 31)) >> 11) * _INV_2_53
 
     def uniform_open(self):
         """Uniform float in (0, 1): rejects the single value 0."""
-        u = (self.next_u64() >> 11) * _INV_2_53
+        u = self.uniform()
         while u == 0.0:
-            u = (self.next_u64() >> 11) * _INV_2_53
+            u = self.uniform()
         return u
 
     def uniforms(self, n):

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from homfrag import PhiEvaluator, PowerTailBinaryModel, UniformBinaryModel
-from homfrag.analytics import detect_geometric
+from homfrag.analytics import _sample_splits, detect_geometric
 from homfrag.errors import BelowPLowerError, BracketNotFoundError, NotComputableError
 from homfrag.measures import AtomicModel
+from homfrag.streams import Stream, derive_key
+from test_partitions import _draw, _key_whose_draw_is_zero
 
 
 # --- phi dispatch ------------------------------------------------------------
@@ -67,6 +69,136 @@ def test_power_tail_derivs_match_finite_differences(ptail):
         fd2 = (ev.phi(q + h) - 2 * ev.phi(q) + ev.phi(q - h)) / h**2
         assert d.first == pytest.approx(fd1, abs=1e-6)
         assert d.second == pytest.approx(fd2, abs=1e-3)
+
+
+# --- one pass per q ------------------------------------------------------------
+
+_SAMPLE_MODELS = {
+    "uniform": UniformBinaryModel(),
+    "uniform_eps": UniformBinaryModel(epsilon=0.1),
+    "ptail_gamma1": PowerTailBinaryModel(epsilon=0.05, c=2.0, gamma=1.0),
+    "ptail_gamma15": PowerTailBinaryModel(epsilon=0.01),
+    "dyadic": AtomicModel([([0.5, 0.5], 1.0)]),
+    "ternary_binary": AtomicModel([([0.5, 0.3, 0.2], 1.0), ([0.6, 0.4], 2.0)]),
+}
+
+
+def _scalar_sample(model, stream, n):
+    """The Monte Carlo sample as one sample_masses call per split: the
+    oracle for the batched draw."""
+    vals, owner = [], []
+    for i in range(n):
+        for m in model.sample_masses(stream):
+            vals.append(m)
+            owner.append(i)
+    return np.array(vals), np.array(owner)
+
+
+@pytest.mark.parametrize("name", sorted(_SAMPLE_MODELS))
+def test_monte_carlo_sample_equals_the_scalar_loop(name):
+    model = _SAMPLE_MODELS[name]
+    for seed in (0, 5, 2024, 2**64 - 1):
+        vals, owner = _sample_splits(model, Stream(derive_key(seed, 0)), 700)
+        want_vals, want_owner = _scalar_sample(
+            model, Stream(derive_key(seed, 0)), 700)
+        assert vals.tobytes() == want_vals.tobytes()
+        assert owner.tobytes() == want_owner.tobytes()
+        assert owner.flags.c_contiguous
+    ev = PhiEvaluator(model, mode="monte_carlo", mc_samples=700, mc_seed=5)
+    assert ev._mc_vals.tobytes() == _scalar_sample(
+        model, Stream(derive_key(5, 0)), 700)[0].tobytes()
+
+
+def test_monte_carlo_sample_skips_a_zero_draw_as_the_scalar_loop_does(ub):
+    key = _key_whose_draw_is_zero(3)
+    assert _draw(key, 3) == 0.0
+    vals, owner = _sample_splits(ub, Stream(key), 5)
+    want_vals, want_owner = _scalar_sample(ub, Stream(key), 5)
+    assert vals.tobytes() == want_vals.tobytes()
+    assert owner.tobytes() == want_owner.tobytes()
+
+
+def test_monte_carlo_sample_refuses_a_second_draw(ub):
+    class TwoDraws(UniformBinaryModel):
+        def sample_masses_batch(self, streams, idx):
+            streams.uniform(idx)
+            return super().sample_masses_batch(streams, idx)
+
+    with pytest.raises(NotImplementedError):
+        _sample_splits(TwoDraws(), Stream(1), 4)
+
+
+@pytest.mark.parametrize("mode", ["auto", "closed_form", "quadrature",
+                                  "monte_carlo"])
+def test_phi_and_derivs_do_not_depend_on_call_order(mode):
+    model = UniformBinaryModel(epsilon=0.05)
+    first, second = (PhiEvaluator(model, mode=mode, mc_samples=2000)
+                     for _ in range(2))
+    for q in (-1.5, 0.0, 0.7, 2.0):
+        phi = repr(first.phi(q))
+        derivs = repr(first.phi_derivs(q))
+        assert repr(second.phi_derivs(q)) == derivs
+        assert repr(second.phi(q)) == phi
+
+
+# phi, phi' and phi'' in quadrature mode from the adaptive Simpson rule this
+# kernel replaced, to every printed digit
+_SIMPSON_VALUES = {
+    "ptail": {
+        -0.9: (-12.340387286750712, 40.49832019807314, -137.4347775289857),
+        -0.5: (-3.2697373878349643, 11.573213272383857, -32.72419106338245),
+        0.0: (4.893849038291737e-16, 3.5697723744137617, -6.620206517202577),
+        0.5: (1.2380176161184224, 1.766829234416015, -1.8022661685215755),
+        1.4: (2.395129967543194, 0.9985274507817856, -0.3886781195784729),
+        3.0: (3.6789598295091563, 0.6722099790730969, -0.11433633062801186),
+    },
+    "uniform": {
+        -1.9: (-19.000000000002146, 199.99999999999966, -3999.999999999989),
+        -1.5: (-3.0000000000003473, 8.0, -32.0),
+        -0.5: (-0.33333333333331905, 0.8888888888888935, -1.185185185185194),
+        0.5: (0.19999999999992318, 0.32000000000004325, -0.2560000000000327),
+        1.0: (0.3333333333333333, 0.22222222222206764, -0.14814814814812882),
+        3.0: (0.6, 0.07999999999985251, -0.03200000000848447),
+    },
+    "uniform_eps": {
+        -1.9: (-4.174987080024575, 7.365680391483563, -14.34104293465039),
+        -1.5: (-2.1042905469236763, 3.5290947680899354, -6.09967862054047),
+        -0.5: (-0.3196868304924445, 0.8317932045652517, -0.9785231921971176),
+        0.5: (0.19672866190025284, 0.3160648458768208, -0.2506898826598428),
+        1.0: (0.32849999999999996, 0.21956874782757646, -0.14713513448509857),
+        3.0: (0.59048775, 0.07777798490093435, -0.03192439985175362),
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SIMPSON_VALUES))
+def test_quadrature_matches_the_simpson_values(name):
+    model = {"ptail": PowerTailBinaryModel(epsilon=0.01),
+             "uniform": UniformBinaryModel(),
+             "uniform_eps": UniformBinaryModel(epsilon=0.05)}[name]
+    ev = PhiEvaluator(model, mode="quadrature")
+    for q, want in _SIMPSON_VALUES[name].items():
+        d = ev.phi_derivs(q)
+        assert [ev.phi(q), d.first, d.second] == pytest.approx(want, abs=1e-9)
+        assert d.abs_error < 1e-9
+
+
+def test_power_tail_quadrature_p_bar_matches_simpson(ptail):
+    ev = PhiEvaluator(ptail, mode="quadrature")
+    assert ev.p_bar() == pytest.approx(1.401432937476784, abs=1e-9)
+    assert abs(ev.p_bar_residual) <= 1e-10
+
+
+def test_overflow_in_a_model_hook_is_not_computable(ub_eval, dyadic_eval):
+    with pytest.raises(NotComputableError, match="overflows"):
+        ub_eval.phi_derivs(1e300)  # (q + 2)^2 overflows a float
+    with pytest.raises(NotComputableError, match="overflows"):
+        dyadic_eval.phi(-1e300)  # 0.5^(q + 1)
+    mc = PhiEvaluator(AtomicModel([([0.5, 0.5], 1.0)]), mode="monte_carlo",
+                      mc_samples=10)
+    with np.errstate(all="raise"):  # no RuntimeWarning escapes
+        with pytest.raises(NotComputableError, match="not finite"):
+            mc.phi(-1e300)
 
 
 # --- critical indices ----------------------------------------------------------

@@ -8,6 +8,7 @@ import math
 from hypothesis import given, settings, strategies as st
 import pytest
 
+from homfrag import cli as cli_module
 from homfrag.cli import main
 from homfrag.measures import model_to_json
 from homfrag.partitions import simulate_partition
@@ -741,8 +742,8 @@ def test_memoised_phi_leaves_martingale_bytes_unchanged(capsys, tmp_path,
 
     memoised = outputs()
     memoised_calls = len(quadratures)
-    monkeypatch.setattr(PhiEvaluator, "phi", PhiEvaluator._phi)
-    monkeypatch.setattr(PhiEvaluator, "phi_derivs", PhiEvaluator._phi_derivs)
+    monkeypatch.setattr(PhiEvaluator, "_values",
+                        lambda self, q: self._compute(q))
     quadratures.clear()
     assert outputs() == memoised
     assert memoised_calls < len(quadratures)
@@ -771,6 +772,11 @@ def _number(lo, hi):
                    st.sampled_from(["nan", "inf", "-inf"]))
 
 
+def _wide(number):
+    """number, now and then replaced by a finite value of any magnitude."""
+    return _rarely(number, st.floats(-1e308, 1e308).map(repr))
+
+
 _TIME = _rarely(st.floats(0.0, 2.0).map(repr),
                 st.sampled_from(["-0.5", "nan", "inf", "-inf"]))
 _EPS = _rarely(st.floats(1e-3, 0.5).map(repr),
@@ -782,7 +788,8 @@ _BUDGET = _rarely(st.integers(1, 3000), st.integers(-1, 0)).map(str)
 _SWITCH = st.none()
 # per subcommand: (flags always given, flags given or not)
 _FUZZ_FLAGS = {
-    "phi": ({"--q-min": _number(-3, 0.5), "--q-max": _number(0.6, 3)},
+    "phi": ({"--q-min": _wide(_number(-3, 0.5)),
+             "--q-max": _wide(_number(0.6, 3))},
             {"--points": _rarely(st.integers(2, 6),
                                  st.integers(-1, 1)).map(str),
              "--mode": st.sampled_from(["auto", "closed_form", "quadrature",
@@ -873,3 +880,73 @@ def test_every_subcommand_ends_cleanly(fuzz_dir, command, data, model, seed,
     else:
         for line in lines:
             _strict_json(line)
+
+
+# wrong types for a number: a string, a boolean, a list and null
+_BAD_TYPES = ("1", True, [1.0], None)
+_BAD_LIST_TYPES = ("0.5,1", True, ["1"], None)
+
+
+@pytest.mark.parametrize("command,name,kind", [
+    (command, name, kind)
+    for command, (_, params) in sorted(cli_module._COMMAND_PARAMS.items())
+    for name, kind in params.items() if kind in (float, int, list)])
+def test_config_params_of_the_wrong_type_exit_2(capsys, tmp_path, ub,
+                                                command, name, kind):
+    for bad in _BAD_LIST_TYPES if kind is list else _BAD_TYPES:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"command": command, "seed": 1,
+                                   "model": model_to_json(ub),
+                                   "params": {name: bad}}))
+        code, out, err = run_cli(capsys, ["--config", str(cfg)])
+        assert code == 2, (name, bad, err)
+        assert out == ""
+        assert f"{name} must be" in err, (name, bad, err)
+        assert "Traceback" not in err
+
+
+def test_config_switches_choices_and_run_fields_are_type_checked(
+        capsys, tmp_path, ub):
+    for extra, params, problem in (
+            ({}, {"t_end": 1.0, "event_log": "yes"}, "event_log must be"),
+            ({}, {"q_min": 0.0, "q_max": 1.0, "mode": 3}, "mode must be"),
+            ({"replicas": True}, {"t_end": 1.0}, "replicas must be"),
+            ({"strict": "no"}, {"t_end": 1.0}, "strict must be"),
+            ({"out": 5}, {"t_end": 1.0}, "out must be"),
+            ({}, [1.0], "params must be a JSON object")):
+        command = "phi" if "q_min" in params else "subordinator"
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(dict({"command": command, "seed": 1,
+                                        "model": model_to_json(ub),
+                                        "params": params}, **extra)))
+        code, out, err = run_cli(capsys, ["--config", str(cfg)])
+        assert code == 2, (extra, params, err)
+        assert problem in err and "Traceback" not in err
+
+
+def test_overflowing_window_asymptote_exits_2(capsys, ub_model_file):
+    # at p = -1.99 the Gaussian-regime scale exp(t (...)) overflows a float
+    code, out, err = run_cli(capsys, [
+        "--seed", "1", "--model", ub_model_file, "--replicas", "2",
+        "ldp", "--p=-1.99", "--alpha=-0.2", "--beta", "0.2",
+        "--t-grid", "1,2", "--eps-freeze", "0.01"])
+    assert code == 2
+    assert out == "" and "OverflowError" in err
+    assert "Traceback" not in err
+
+
+def test_huge_q_exits_2(capsys, tmp_path, ub_model_file):
+    code, out, err = run_cli(capsys, [
+        "--seed", "1", "--model", ub_model_file,
+        "phi", "--q-min", "0", "--q-max", "1e300"])
+    assert code == 2
+    assert out == "" and "NotComputableError" in err
+    assert "Traceback" not in err
+    dyadic = tmp_path / "dyadic.json"
+    dyadic.write_text(json.dumps({"kind": "atomic", "atoms": [[[0.5, 0.5], 1.0]]}))
+    for q_min, q_max in (("-1e308", "1e308"), ("1e10", "1.7e308")):
+        code, out, err = run_cli(capsys, [
+            "--seed", "1", "--model", str(dyadic),
+            "phi", f"--q-min={q_min}", f"--q-max={q_max}", "--points", "6"])
+        assert code == 2
+        assert "q_max overflows" in err

@@ -2,36 +2,69 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from homfrag.errors import BracketNotFoundError
-from homfrag.numerics import adaptive_simpson, bisect_root, bracket_upward
+from homfrag.errors import BracketNotFoundError, NotComputableError
+from homfrag.numerics import bisect_root, bracket_upward, gauss_kronrod
 
 
-def test_simpson_exponential():
-    val, err = adaptive_simpson(math.exp, 0.0, 1.0)
+def _scalar(f):
+    """A one-component integrand for gauss_kronrod."""
+    return lambda x: f(x)[None]
+
+
+def test_gauss_kronrod_exponential():
+    (val,), err = gauss_kronrod(_scalar(np.exp), 0.0, 1.0)
     assert abs(val - (math.e - 1.0)) < 1e-11
     assert err >= 0.0
 
 
-def test_simpson_runge_like():
-    val, _ = adaptive_simpson(lambda x: 1.0 / (1.0 + x * x), 0.0, 1.0)
+def test_gauss_kronrod_runge_like():
+    (val,), _ = gauss_kronrod(_scalar(lambda x: 1.0 / (1.0 + x * x)), 0.0, 1.0)
     assert abs(val - math.pi / 4.0) < 1e-11
 
 
-def test_simpson_handles_sharp_peak():
+def test_gauss_kronrod_handles_sharp_peak():
     # narrow Gaussian bump; split at the peak so the refinement sees it
     # (a bump far narrower than the initial panels is invisible otherwise)
-    f = lambda x: math.exp(-((x - 0.37) ** 2) / 2e-4)
-    left, _ = adaptive_simpson(f, 0.0, 0.37, abs_tol=1e-13)
-    right, _ = adaptive_simpson(f, 0.37, 1.0, abs_tol=1e-13)
+    f = _scalar(lambda x: np.exp(-((x - 0.37) ** 2) / 2e-4))
+    (left,), _ = gauss_kronrod(f, 0.0, 0.37, abs_tol=1e-13)
+    (right,), _ = gauss_kronrod(f, 0.37, 1.0, abs_tol=1e-13)
     exact = math.sqrt(2e-4 * math.pi)  # both tails negligible
     assert abs(left + right - exact) < 1e-9
 
 
-def test_simpson_degenerate_interval():
-    val, err = adaptive_simpson(math.sin, 2.0, 2.0)
+def test_gauss_kronrod_degenerate_interval():
+    (val,), err = gauss_kronrod(_scalar(np.sin), 2.0, 2.0)
     assert val == 0.0
+
+
+def test_gauss_kronrod_components_share_one_mesh():
+    calls = []
+
+    def f(x):
+        calls.append(len(x))
+        return np.stack((np.ones_like(x), x, x * x))
+
+    vals, err = gauss_kronrod(f, 0.0, 2.0)
+    assert vals == pytest.approx([2.0, 2.0, 8.0 / 3.0], abs=1e-13)
+    assert err <= 1e-10
+    assert len(calls) == 1  # polynomials of degree < 23: K15 is exact at once
+
+
+def test_gauss_kronrod_refuses_a_non_finite_integrand():
+    with np.errstate(all="raise"):  # no RuntimeWarning may escape either
+        with pytest.raises(NotComputableError, match="not finite"):
+            gauss_kronrod(_scalar(lambda x: np.log(x - 0.5)), 0.0, 1.0)
+
+
+def test_gauss_kronrod_gives_up_on_an_unreachable_tolerance():
+    # |x - 1/3|^-0.9 is integrable, but the error bound stays far above
+    # 1e-14 near the singularity: the refinement is cut off
+    f = _scalar(lambda x: np.abs(x - 1.0 / 3.0) ** -0.9)
+    with pytest.raises(NotComputableError, match="did not converge"):
+        gauss_kronrod(f, 0.0, 1.0, abs_tol=1e-14)
 
 
 def test_bracket_and_bisect_find_sqrt2():
