@@ -19,6 +19,7 @@ import json
 import math
 import sys
 import warnings
+from types import SimpleNamespace
 
 from .analytics import PhiEvaluator, detect_geometric
 from .errors import (
@@ -51,326 +52,6 @@ from .tilting import (
 )
 
 SCHEMA = "homfrag/1"
-
-_CONFIG_KEYS = {"command", "model", "seed", "replicas", "threads", "out",
-                "strict", "params"}
-# a NaN or infinite value here would reach the arithmetic (a NaN tilt makes
-# the spine's waits NaN, and its walk never ends)
-_FINITE_PARAMS = ("p", "a", "alpha", "beta", "q_min", "q_max")
-
-
-class RunConfig:
-    """Fully merged and validated description of one CLI run."""
-
-    def __init__(self, command, model, seed, replicas, threads, out, strict,
-                 params):
-        self.command = command
-        self.model = model
-        self.seed = seed
-        self.replicas = replicas
-        self.threads = threads
-        self.out = out
-        self.strict = strict
-        self.params = params
-
-
-def _float_list(text):
-    return [float(v) for v in str(text).split(",") if v.strip()]
-
-
-# Every subcommand's help line and params.  A param's type is float, int,
-# list (a comma-separated flag, a JSON list in a config file), bool (a
-# switch), str, or a tuple of choices; flags and config-file params are
-# checked against the same entry.
-_COMMAND_PARAMS = {
-    "phi": ("moment function on a grid", {
-        "q_min": float, "q_max": float, "points": int,
-        "mode": ("auto", "closed_form", "quadrature", "monte_carlo")}),
-    "simulate": ("ranked population snapshots", {
-        "t_end": float, "eps_freeze": float, "snapshots": list,
-        "max_fragments": int}),
-    "partition": ("nested partition path on n points", {
-        "n": int, "t_end": float}),
-    "subordinator": ("tagged-piece log-mass path", {
-        "t_end": float, "event_log": bool}),
-    "martingale": ("Monte Carlo means of martingales", {
-        "kind": ("additive", "derivative", "truncated"), "p": float,
-        "a": float, "t_grid": list, "eps_freeze": float,
-        "max_fragments": int}),
-    "spine": ("tilted spine trajectories", {
-        "p": float, "t_end": float, "eps_freeze": float,
-        "with_population": bool}),
-    "thin": ("thin an event-log stream by (picked mass)^p", {
-        "p": float, "input": str}),
-    "ldp": ("window-count estimates in the LDP regime", {
-        "p": float, "alpha": float, "beta": float, "t_grid": list,
-        "eps_freeze": float, "estimator": ("presence", "ratio"),
-        "n_boot": int, "max_fragments": int}),
-}
-_COMMANDS = tuple(_COMMAND_PARAMS)
-_FLAG_HELP = {
-    "event_log": "emit the full event stream (JSONL) instead of jumps",
-    "input": "event-log JSONL file (subordinator --event-log)",
-}
-_FLAG_TYPES = {float: float, int: int, list: _float_list, str: str}
-
-
-def _is_number(v):
-    return type(v) in (int, float)
-
-
-# what a config-file value of each type must be, and the test for it
-_TYPE_CHECKS = {
-    float: ("a number", _is_number),
-    int: ("an integer", lambda v: type(v) is int),
-    list: ("a list of numbers",
-           lambda v: type(v) is list and all(map(_is_number, v))),
-    bool: ("true or false", lambda v: type(v) is bool),
-    str: ("a string", lambda v: type(v) is str),
-}
-
-
-def _type_problems(types, params):
-    """The params whose value does not have its flag's type."""
-    problems = []
-    for name, v in params.items():
-        kind = types.get(name)
-        if isinstance(kind, tuple):
-            want, ok = f"one of {list(kind)}", type(v) is str and v in kind
-        elif kind is not None:
-            want, check = _TYPE_CHECKS[kind]
-            ok = check(v)
-        if kind is not None and not ok:
-            problems.append(f"{name} must be {want}, got {v!r}")
-    return problems
-
-
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="homfrag",
-        description="Simulation and verification of homogeneous fragmentations",
-    )
-    parser.add_argument("--config", help="JSON run configuration file")
-    parser.add_argument("--model", help="JSON model file")
-    parser.add_argument("--seed", type=int, help="master seed (required)")
-    parser.add_argument("--replicas", type=int, help="number of replicas")
-    parser.add_argument("--threads", type=int, help="worker threads")
-    parser.add_argument("--out", help="output path (default: stdout)")
-    parser.add_argument("--strict", action="store_true",
-                        help="exit 4 when a regime warning fires")
-    sub = parser.add_subparsers(dest="command")
-    for command, (text, params) in _COMMAND_PARAMS.items():
-        p = sub.add_parser(command, help=text)
-        for name, kind in params.items():
-            flag, doc = "--" + name.replace("_", "-"), _FLAG_HELP.get(name)
-            if kind is bool:
-                p.add_argument(flag, action="store_true", help=doc)
-            elif isinstance(kind, tuple):
-                p.add_argument(flag, choices=list(kind), help=doc)
-            else:
-                p.add_argument(flag, type=_FLAG_TYPES[kind], help=doc)
-    return parser
-
-
-def parse_config(argv):
-    """Merge flags over the config file and validate; collects all problems."""
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
-    problems = []
-    file_cfg = {}
-    if ns.config:
-        try:
-            with open(ns.config) as fh:
-                file_cfg = json.load(fh)
-            if not isinstance(file_cfg, dict):
-                problems.append("config file must hold a JSON object")
-                file_cfg = {}
-        except OSError as e:
-            problems.append(f"cannot read config file: {e}")
-        except json.JSONDecodeError as e:
-            problems.append(f"config file is not valid JSON: {e}")
-        for key in sorted(set(file_cfg) - _CONFIG_KEYS):
-            problems.append(f"unknown config field {key!r}")
-
-    command = ns.command or file_cfg.get("command")
-    if command is None:
-        problems.append(f"no command given; choose one of {', '.join(_COMMANDS)}")
-    elif command not in _COMMANDS:
-        problems.append(f"unknown command {command!r}")
-
-    seed = ns.seed if ns.seed is not None else file_cfg.get("seed")
-    if seed is None:
-        problems.append("seed is required (--seed or config 'seed'); "
-                        "runs are never seeded from the clock")
-    elif not isinstance(seed, int) or isinstance(seed, bool):
-        problems.append(f"seed must be an integer, got {seed!r}")
-    elif not 0 <= seed <= MASK64:
-        # streams use the seed's low 64 bits, so a wider seed would alias one
-        problems.append(f"seed must be in [0, 2**64), got {seed}")
-
-    replicas = ns.replicas if ns.replicas is not None else file_cfg.get("replicas", 1)
-    if type(replicas) is not int or replicas < 1:
-        problems.append(f"replicas must be a positive integer, got {replicas!r}")
-    threads = ns.threads if ns.threads is not None else file_cfg.get("threads", 1)
-    if type(threads) is not int or threads < 1:
-        problems.append(f"threads must be a positive integer, got {threads!r}")
-    out = ns.out if ns.out is not None else file_cfg.get("out")
-    if out is not None and type(out) is not str:
-        problems.append(f"out must be a path string, got {out!r}")
-    strict = ns.strict or file_cfg.get("strict", False)
-    if type(strict) is not bool:
-        problems.append(f"strict must be true or false, got {strict!r}")
-
-    model = None
-    model_obj = file_cfg.get("model")
-    if ns.model:
-        try:
-            with open(ns.model) as fh:
-                model_obj = json.load(fh)
-        except OSError as e:
-            problems.append(f"cannot read model file: {e}")
-        except json.JSONDecodeError as e:
-            problems.append(f"model file is not valid JSON: {e}")
-    if model_obj is None:
-        problems.append("model is required (--model file or config 'model')")
-    else:
-        try:
-            model = model_from_json(model_obj)
-        except FragmentationError as e:
-            problems.append(f"invalid model: {e}")
-
-    params = file_cfg.get("params", {})
-    if type(params) is not dict:
-        problems.append(f"config params must be a JSON object, got {params!r}")
-        params = {}
-    params = dict(params)
-    if command in _COMMANDS:
-        types = _COMMAND_PARAMS[command][1]
-        type_problems = _type_problems(types, params)
-        for k in types:
-            v = getattr(ns, k, None)
-            if v is not None and v is not False:
-                params[k] = v
-        # the value checks below assume the declared types
-        problems.extend(type_problems
-                        or _validate_params(command, params, model))
-
-    if problems:
-        raise ConfigError(problems)
-    return RunConfig(command, model, seed, replicas, threads, out, strict, params)
-
-
-def _require(params, names, problems, command):
-    for name in names:
-        if params.get(name) is None:
-            problems.append(f"{command} requires --{name.replace('_', '-')}")
-
-
-def _check_times(command, params, problems):
-    """Finite times >= 0, snapshots in [0, t_end] (NaN fails every check).
-
-    Only partition takes t_end = inf (shatter fully, a finite walk on n
-    points); elsewhere an infinite horizon never ends.
-    """
-    t_end = params.get("t_end")
-    if t_end is not None and not (
-            0.0 <= t_end < math.inf or (command == "partition" and t_end >= 0.0)):
-        problems.append(f"t_end must be finite and >= 0, got {t_end}")
-    grid = params.get("t_grid")
-    if grid == []:
-        problems.append("t_grid needs one or more times")
-    if any(not 0.0 <= t < math.inf for t in grid or []):
-        problems.append(f"t_grid times must be finite and >= 0, got {grid}")
-    snaps = params.get("snapshots")
-    if (snaps is not None and t_end is not None and t_end >= 0.0
-            and any(not 0.0 <= s <= t_end for s in snaps)):
-        problems.append(f"snapshots must lie in [0, t_end = {t_end}], "
-                        f"got {snaps}")
-
-
-def _validate_params(command, params, model):
-    problems = []
-    _check_times(command, params, problems)
-    for name in _FINITE_PARAMS:
-        v = params.get(name)
-        if v is not None and not (type(v) in (int, float)
-                                  and math.isfinite(v)):
-            problems.append(f"{name} must be a finite number, got {v!r}")
-    eps = params.get("eps_freeze")
-    if eps is not None and not 0.0 < eps < 1.0:
-        problems.append(f"eps_freeze must be in (0, 1), got {eps}")
-    for name in ("max_fragments", "n_boot"):
-        if params.get(name) is not None and params[name] < 1:
-            problems.append(f"{name} must be >= 1, got {params[name]}")
-    if command == "phi":
-        _require(params, ["q_min", "q_max"], problems, command)
-        params.setdefault("points", 50)
-        params.setdefault("mode", "auto")
-        if params.get("points") is not None and params["points"] < 2:
-            problems.append("phi needs at least 2 grid points")
-        qmin = params.get("q_min")
-        if (qmin is not None and model is not None and qmin <= model.p_lower):
-            problems.append(
-                f"q_min {qmin} must exceed p_lower = {model.p_lower}"
-            )
-        if (params.get("q_min") is not None and params.get("q_max") is not None
-                and params["q_min"] >= params["q_max"]):
-            problems.append("q_min must be smaller than q_max")
-        if not problems and not all(map(math.isfinite, _phi_grid(params))):
-            problems.append(f"the grid of {params['points']} points from "
-                            f"q_min to q_max overflows: [{qmin}, "
-                            f"{params['q_max']}]")
-    elif command == "simulate":
-        _require(params, ["t_end", "eps_freeze"], problems, command)
-        if params.get("t_end") is not None:
-            params.setdefault("snapshots", [params["t_end"]])
-        params.setdefault("max_fragments", DEFAULT_MAX_FRAGMENTS)
-    elif command == "partition":
-        _require(params, ["n", "t_end"], problems, command)
-        if params.get("n") is not None and params["n"] < 1:
-            problems.append(f"n must be >= 1, got {params['n']}")
-    elif command == "subordinator":
-        _require(params, ["t_end"], problems, command)
-        params.setdefault("event_log", False)
-    elif command == "martingale":
-        _require(params, ["kind", "t_grid", "eps_freeze"], problems, command)
-        kind = params.get("kind")
-        if kind == "additive" and params.get("p") is None:
-            problems.append("additive martingale requires --p")
-        if kind == "truncated":
-            a = params.get("a")
-            if a is None:
-                problems.append("truncated martingale requires --a")
-            elif a <= 0:
-                problems.append(f"barrier level a must be positive, got {a}")
-        params.setdefault("max_fragments", DEFAULT_MAX_FRAGMENTS)
-    elif command == "spine":
-        _require(params, ["p", "t_end"], problems, command)
-        params.setdefault("with_population", False)
-        if params["with_population"] and params.get("eps_freeze") is None:
-            problems.append("spine --with-population requires --eps-freeze")
-    elif command == "thin":
-        _require(params, ["p", "input"], problems, command)
-        if params.get("p") is not None and params["p"] < 0:
-            problems.append("thin requires p >= 0 (p < 0 is the inverse direction)")
-    elif command == "ldp":
-        _require(params, ["p", "alpha", "beta", "t_grid", "eps_freeze"],
-                 problems, command)
-        params.setdefault("estimator", "presence")
-        params.setdefault("n_boot", 500)
-        params.setdefault("max_fragments", DEFAULT_MAX_FRAGMENTS)
-        a, b = params.get("alpha"), params.get("beta")
-        if a is not None and b is not None and a >= b:
-            problems.append(f"need alpha < beta, got [{a}, {b}]")
-        grid = params.get("t_grid")
-        if 0.0 in (grid or []):
-            problems.append("ldp needs t_grid times > 0 (windows at t = 0 "
-                            "hold no asymptotics)")
-        if (params["estimator"] == "ratio" and grid is not None
-                and len(set(grid)) < 2):
-            problems.append("ldp --estimator ratio needs two or more distinct "
-                            "--t-grid times")
-    return problems
 
 
 # --- output rendering -------------------------------------------------------
@@ -476,24 +157,22 @@ def _cmd_partition(cfg):
 
 def _cmd_subordinator(cfg):
     pr = cfg.params
-    if pr["event_log"]:
-        rows = []
-        for i in range(cfg.replicas):
-            log = simulate_event_log(cfg.model, pr["t_end"],
-                                     replica_key(cfg.seed, i))
+    rows = []
+    for i in range(cfg.replicas):
+        key = replica_key(cfg.seed, i)
+        if pr["event_log"]:
+            log = simulate_event_log(cfg.model, pr["t_end"], key)
             for t, part, j in zip(log.jump_times, log.partitions, log.picks):
                 rows.append({"replica": i, "t": t,
                              "masses": list(part.masses), "pick": j})
-        header = {"t_end": pr["t_end"], "rate": cfg.model.total_rate,
-                  "stream": "event_log"}
-        return header, "jsonl", None, rows
-    rows = []
-    for i in range(cfg.replicas):
-        path = simulate_subordinator(cfg.model, pr["t_end"],
-                                     replica_key(cfg.seed, i))
-        for t, s in zip(path.jump_times, path.jump_sizes):
-            rows.append((i, float(t), float(s)))
+        else:
+            path = simulate_subordinator(cfg.model, pr["t_end"], key)
+            for t, s in zip(path.jump_times, path.jump_sizes):
+                rows.append((i, float(t), float(s)))
     header = {"t_end": pr["t_end"], "rate": cfg.model.total_rate}
+    if pr["event_log"]:
+        header["stream"] = "event_log"
+        return header, "jsonl", None, rows
     return header, "csv", ("replica", "jump_time", "jump_size"), rows
 
 
@@ -707,50 +386,310 @@ def _cmd_ldp(cfg):
     return header, "csv", cols, rows
 
 
-_RUNNERS = {
-    "phi": _cmd_phi,
-    "simulate": _cmd_simulate,
-    "partition": _cmd_partition,
-    "subordinator": _cmd_subordinator,
-    "martingale": _cmd_martingale,
-    "spine": _cmd_spine,
-    "thin": _cmd_thin,
-    "ldp": _cmd_ldp,
+# --- params and parsing -----------------------------------------------------
+
+
+def _float_list(v):
+    """A comma-separated flag, or a config-file list, as a list of floats."""
+    if type(v) is str:
+        v = [t for t in v.split(",") if t.strip()]
+    return [float(t) for t in v]
+
+
+# A param's kind: what a config-file value must be, the test of one, and its
+# flag's argparse keywords, whose type also converts a config-file value
+# ("t_end": 2 gives 2.0, as --t-end 2 does).
+FLOAT = ("a number", lambda v: type(v) in (int, float), {"type": float})
+INT = ("an integer", lambda v: type(v) is int, {"type": int})
+COUNT = ("a positive integer", lambda v: type(v) is int, {"type": int})
+TIMES = ("a list of numbers",
+         lambda v: type(v) is list and all(type(t) in (int, float) for t in v),
+         {"type": _float_list})
+SWITCH = ("true or false", lambda v: type(v) is bool, {"action": "store_true"})
+TEXT = ("a string", lambda v: type(v) is str, {})
+# "out": null in a config file means stdout, as no "out" does
+PATH = ("a path string", lambda v: v is None or type(v) is str, {})
+
+
+def _choice(*names):
+    return (f"one of {list(names)}", lambda v: type(v) is str and v in names,
+            {"choices": list(names)})
+
+
+class Required(str):
+    """The default of a param that must be given: the problem if it is not."""
+
+
+REQUIRED = Required("{command} requires --{flag}")
+
+
+class Param:
+    """A CLI param: its kind, default (a Required if it must be given) and
+    domain, whose (test, problem) pairs format each failed test's problem."""
+
+    def __init__(self, kind, default=None, *domain, help=None):
+        self.want, self.ok, self.flag = kind
+        self.default, self.domain, self.help = default, domain, help
+
+
+# NaN fails every number test below; a NaN or infinite number would reach the
+# arithmetic (a NaN tilt makes the spine's waits NaN, and its walk never ends)
+_FINITE = (math.isfinite, "{name} must be a finite number, got {v!r}")
+_AT_LEAST_1 = (lambda n: n >= 1, "{name} must be >= 1, got {v}")
+_POSITIVE = (lambda n: n >= 1, "{name} must be a positive integer, got {v!r}")
+_TIME_MESSAGE = "{name} must be finite and >= 0, got {v}"
+_NONEMPTY = (bool, "{name} needs one or more times")
+_EACH_TIME = (lambda ts: all(0.0 <= t < math.inf for t in ts),
+              "{name} times must be finite and >= 0, got {v}")
+_EPS = (lambda e: 0.0 < e < 1.0, "{name} must be in (0, 1), got {v}")
+
+_P = Param(FLOAT, REQUIRED, _FINITE)
+_T_END = Param(FLOAT, REQUIRED, (lambda t: 0.0 <= t < math.inf, _TIME_MESSAGE))
+_EPS_FREEZE = Param(FLOAT, REQUIRED, _EPS)
+_BUDGET = Param(INT, DEFAULT_MAX_FRAGMENTS, _AT_LEAST_1)
+
+# the fields of a run: flags before the subcommand, or top-level config keys
+_RUN_FIELDS = {
+    "seed": Param(
+        INT, Required("seed is required (--seed or config 'seed'); runs are "
+                      "never seeded from the clock"),
+        # streams use the seed's low 64 bits, so a wider seed would alias one
+        (lambda s: 0 <= s <= MASK64, "{name} must be in [0, 2**64), got {v}"),
+        help="master seed (required)"),
+    "replicas": Param(COUNT, 1, _POSITIVE, help="number of replicas"),
+    "threads": Param(COUNT, 1, _POSITIVE, help="worker threads"),
+    "out": Param(PATH, help="output path (default: stdout)"),
+    "strict": Param(SWITCH, False, help="exit 4 when a regime warning fires"),
 }
+
+# every subcommand's runner, help line and params (in the order of its --help)
+_COMMAND_PARAMS = {
+    "phi": (_cmd_phi, "moment function on a grid", {
+        "q_min": _P, "q_max": _P,
+        "points": Param(INT, 50, (lambda n: n >= 2,
+                                  "phi needs at least 2 grid points")),
+        "mode": Param(_choice("auto", "closed_form", "quadrature",
+                              "monte_carlo"), "auto")}),
+    "simulate": (_cmd_simulate, "ranked population snapshots", {
+        "t_end": _T_END, "eps_freeze": _EPS_FREEZE,
+        "snapshots": Param(TIMES, None, _NONEMPTY), "max_fragments": _BUDGET}),
+    "partition": (_cmd_partition, "nested partition path on n points", {
+        "n": Param(INT, REQUIRED, _AT_LEAST_1),
+        # t_end = inf shatters the n points fully, still a finite walk
+        "t_end": Param(FLOAT, REQUIRED, (lambda t: t >= 0.0, _TIME_MESSAGE))}),
+    "subordinator": (_cmd_subordinator, "tagged-piece log-mass path", {
+        "t_end": _T_END,
+        "event_log": Param(SWITCH, False, help="emit the full event stream "
+                           "(JSONL) instead of jumps")}),
+    "martingale": (_cmd_martingale, "Monte Carlo means of martingales", {
+        "kind": Param(_choice("additive", "derivative", "truncated"), REQUIRED),
+        "p": Param(FLOAT, None, _FINITE), "a": Param(FLOAT, None, _FINITE),
+        "t_grid": Param(TIMES, REQUIRED, _NONEMPTY, _EACH_TIME),
+        "eps_freeze": _EPS_FREEZE, "max_fragments": _BUDGET}),
+    "spine": (_cmd_spine, "tilted spine trajectories", {
+        "p": _P, "t_end": _T_END, "eps_freeze": Param(FLOAT, None, _EPS),
+        "with_population": Param(SWITCH, False)}),
+    "thin": (_cmd_thin, "thin an event-log stream by (picked mass)^p", {
+        "p": Param(FLOAT, REQUIRED, _FINITE, (lambda p: not p < 0, "thin "
+                   "requires p >= 0 (p < 0 is the inverse direction)")),
+        "input": Param(TEXT, REQUIRED,
+                       help="event-log JSONL file (subordinator --event-log)")}),
+    "ldp": (_cmd_ldp, "window-count estimates in the LDP regime", {
+        "p": _P, "alpha": _P, "beta": _P,
+        "t_grid": Param(TIMES, REQUIRED, _NONEMPTY, _EACH_TIME, (
+            lambda ts: 0.0 not in ts, "ldp needs t_grid times > 0 "
+            "(windows at t = 0 hold no asymptotics)")),
+        "eps_freeze": _EPS_FREEZE,
+        "estimator": Param(_choice("presence", "ratio"), "presence"),
+        "n_boot": Param(INT, 500, _AT_LEAST_1), "max_fragments": _BUDGET}),
+}
+_COMMANDS = tuple(_COMMAND_PARAMS)
+
+
+def _build_parser():
+    # a flag that is not given leaves no attribute in the namespace
+    parser = argparse.ArgumentParser(
+        prog="homfrag",
+        description="Simulation and verification of homogeneous fragmentations",
+        argument_default=argparse.SUPPRESS,
+    )
+    parser.add_argument("--config", help="JSON run configuration file")
+    parser.add_argument("--model", help="JSON model file")
+    sub = parser.add_subparsers(dest="command")
+    tables = [(parser, _RUN_FIELDS)] + [
+        (sub.add_parser(command, help=text,
+                        argument_default=argparse.SUPPRESS), table)
+        for command, (_, text, table) in _COMMAND_PARAMS.items()]
+    for flags, table in tables:
+        for name, param in table.items():
+            flags.add_argument("--" + name.replace("_", "-"), help=param.help,
+                               **param.flag)
+    return parser
+
+
+def _check(table, from_file, flags, command):
+    """Values of every param in table, flags over config-file values, and the
+    problems with them; no values if a given name is unknown or a type wrong
+    (the domains assume the types)."""
+    given = dict(from_file, **{k: flags[k] for k in table if k in flags})
+    problems = []
+    for name, v in given.items():
+        param = table.get(name)
+        if param is None:
+            problems.append(f"unknown param {name!r} for {command}")
+        elif not param.ok(v):
+            problems.append(f"{name} must be {param.want}, got {v!r}")
+    if problems:
+        return None, problems
+    values = {}
+    for name, param in table.items():
+        if name in given:
+            v = param.flag.get("type", lambda v: v)(given[name])
+            problems.extend(problem.format(name=name, v=v)
+                            for ok, problem in param.domain if not ok(v))
+        elif isinstance(param.default, Required):
+            v = None
+            problems.append(param.default.format(
+                command=command, flag=name.replace("_", "-")))
+        else:
+            v = param.default
+        values[name] = v
+    return values, problems
+
+
+def _load_json(path, what, problems, default):
+    """The JSON value in a file, or default with the problem added."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as e:
+        problems.append(f"cannot read {what} file: {e}")
+    except json.JSONDecodeError as e:
+        problems.append(f"{what} file is not valid JSON: {e}")
+    return default
+
+
+def parse_config(argv):
+    """The run that flags over a config file give, as a namespace of command,
+    model, params and run fields; a ConfigError lists every problem found."""
+    flags = vars(_build_parser().parse_args(argv))
+    problems = []
+    file_cfg = {}
+    if flags.get("config"):
+        file_cfg = _load_json(flags["config"], "config", problems, {})
+        if not isinstance(file_cfg, dict):
+            problems.append("config file must hold a JSON object")
+            file_cfg = {}
+        for key in sorted(set(file_cfg) - {"command", "model", "params"}
+                          - set(_RUN_FIELDS)):
+            problems.append(f"unknown config field {key!r}")
+
+    command = flags.get("command") or file_cfg.get("command")
+    if command is None:
+        problems.append(f"no command given; choose one of {', '.join(_COMMANDS)}")
+    elif command not in _COMMANDS:
+        problems.append(f"unknown command {command!r}")
+
+    run, found = _check(_RUN_FIELDS, {k: v for k, v in file_cfg.items()
+                                      if k in _RUN_FIELDS}, flags, command)
+    problems.extend(found)
+
+    model = None
+    model_obj = file_cfg.get("model")
+    if flags.get("model"):
+        model_obj = _load_json(flags["model"], "model", problems, model_obj)
+    if model_obj is None:
+        problems.append("model is required (--model file or config 'model')")
+    else:
+        try:
+            model = model_from_json(model_obj)
+        except FragmentationError as e:
+            problems.append(f"invalid model: {e}")
+
+    params = file_cfg.get("params", {})
+    if type(params) is not dict:
+        problems.append(f"config params must be a JSON object, got {params!r}")
+        params = {}
+    if command in _COMMANDS:
+        params, found = _check(_COMMAND_PARAMS[command][2], params, flags,
+                               command)
+        if params is not None:
+            found += _validate_params(command, params, model, found)
+        problems.extend(found)
+
+    if problems:
+        raise ConfigError(problems)
+    return SimpleNamespace(command=command, model=model, params=params, **run)
+
+
+def _validate_params(command, pr, model, found):
+    """Problems with the rules that tie params to each other or the model;
+    pr holds None for a param without a value, found the single params'."""
+    problems = []
+    if command == "phi":
+        qmin, qmax = pr["q_min"], pr["q_max"]
+        if qmin is not None and model is not None and qmin <= model.p_lower:
+            problems.append(
+                f"q_min {qmin} must exceed p_lower = {model.p_lower}")
+        if qmin is not None and qmax is not None and qmin >= qmax:
+            problems.append("q_min must be smaller than q_max")
+        if not (found or problems or all(map(math.isfinite, _phi_grid(pr)))):
+            problems.append(f"the grid of {pr['points']} points from "
+                            f"q_min to q_max overflows: [{qmin}, {qmax}]")
+    elif command == "simulate":
+        t_end, snaps = pr["t_end"], pr["snapshots"]
+        if (snaps is not None and t_end is not None and t_end >= 0.0
+                and any(not 0.0 <= s <= t_end for s in snaps)):
+            problems.append(f"snapshots must lie in [0, t_end = {t_end}], "
+                            f"got {snaps}")
+        if snaps is None:
+            pr["snapshots"] = [t_end]
+    elif command == "martingale":
+        if pr["kind"] == "additive" and pr["p"] is None:
+            problems.append("additive martingale requires --p")
+        if pr["kind"] == "truncated" and pr["a"] is None:
+            problems.append("truncated martingale requires --a")
+        elif pr["kind"] == "truncated" and pr["a"] <= 0:
+            problems.append(f"barrier level a must be positive, got {pr['a']}")
+    elif command == "spine":
+        if pr["with_population"] and pr["eps_freeze"] is None:
+            problems.append("spine --with-population requires --eps-freeze")
+    elif command == "ldp":
+        a, b = pr["alpha"], pr["beta"]
+        if a is not None and b is not None and a >= b:
+            problems.append(f"need alpha < beta, got [{a}, {b}]")
+        if (pr["estimator"] == "ratio" and pr["t_grid"] is not None
+                and len(set(pr["t_grid"])) < 2):
+            problems.append("ldp --estimator ratio needs two or more distinct "
+                            "--t-grid times")
+    return problems
 
 
 def run(cfg):
     """Execute a validated config; returns the full output text."""
-    header, fmt, columns, rows = _RUNNERS[cfg.command](cfg)
+    header, fmt, columns, rows = _COMMAND_PARAMS[cfg.command][0](cfg)
     return render(cfg, header, fmt, columns, rows)
 
 
 def main(argv=None):
     try:
         cfg = parse_config(argv)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            text = run(cfg)
+    except BudgetExceededError as e:
+        print(f"budget exceeded: {e}", file=sys.stderr)
+        return 3
     except ConfigError as e:
         print("configuration errors:", file=sys.stderr)
         for problem in e.problems:
             print(f"  - {problem}", file=sys.stderr)
         return 2
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            text = run(cfg)
-        except BudgetExceededError as e:
-            print(f"budget exceeded: {e}", file=sys.stderr)
-            return 3
-        except ConfigError as e:
-            print("configuration errors:", file=sys.stderr)
-            for problem in e.problems:
-                print(f"  - {problem}", file=sys.stderr)
-            return 2
-        except (FragmentationError, OverflowError, ZeroDivisionError) as e:
-            # an overflow means the requested estimate is not computable,
-            # for example the window asymptote at p near p_lower
-            print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-            return 2
+    except (FragmentationError, OverflowError, ZeroDivisionError) as e:
+        # an overflow means the requested estimate is not computable,
+        # for example the window asymptote at p near p_lower
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 2
 
     if cfg.out:
         with open(cfg.out, "w", newline="") as fh:

@@ -39,9 +39,15 @@ def _binary_terms(u, q):
     over the two pieces.
     """
     v = 1.0 - u
-    pu, pv = u ** (q + 1.0), v ** (q + 1.0)
-    lu, lv = np.log(u), np.log(v)
-    return np.stack((1.0 - pu - pv, -(pu * lu + pv * lv),
+    return _split_terms(1.0, u ** (q + 1.0), np.log(u), v ** (q + 1.0),
+                        np.log(v))
+
+
+def _split_terms(w, pu, lu, pv, lv):
+    """Rows w - pu - pv, -(pu lu + pv lv) and -(pu lu^2 + pv lv^2): the
+    integrands of _binary_terms, weighted by w, from the weighted powers pu,
+    pv of the two pieces and their logs lu, lv."""
+    return np.stack((w - pu - pv, -(pu * lu + pv * lv),
                      -(pu * lu * lu + pv * lv * lv)))
 
 SUM_TOL = 1e-12
@@ -298,11 +304,20 @@ class UniformBinaryModel(DislocationModel):
         # u^(q+1) and the log factors are singular, or have an unbounded
         # derivative, at both endpoints: fold the symmetric integrand onto
         # [0, 1/2] and substitute u = s^m / 2, which for m(q+2) >= 2 turns
-        # the singularity into a removable zero
+        # the singularity into a removable zero.  The fold and the Jacobian
+        # weigh the integrand by m s^(m-1); the u piece's weighted power
+        # u^(q+1) m s^(m-1) = m 2^-(q+1) s^(m(q+2)-1) and its log
+        # m log s - log 2 are computed from s, since at large m s^m
+        # underflows and u^(q+1) overflows before the weight cancels them.
         m = max(2, math.ceil(2.0 / (q + 2.0)))
+        c = m * 2.0 ** -(q + 1.0)
 
         def folded(s):
-            return m * s ** (m - 1.0) * _binary_terms(0.5 * s ** m, q)
+            w = m * s ** (m - 1.0)
+            v = 1.0 - 0.5 * s ** m
+            return _split_terms(w, c * s ** (m * (q + 2.0) - 1.0),
+                                m * np.log(s) - math.log(2.0),
+                                w * v ** (q + 1.0), np.log(v))
 
         return gauss_kronrod(folded, 0.0, 1.0, abs_tol=abs_tol)
 

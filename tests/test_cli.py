@@ -4,6 +4,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import io
 import json
 import math
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 import pytest
@@ -67,6 +68,24 @@ def test_unknown_config_field(capsys, tmp_path, ub):
     code, _, err = run_cli(capsys, ["--config", str(cfg)])
     assert code == 2
     assert "unknown config field 'typo_field'" in err
+
+
+@pytest.mark.parametrize("command, params, unknown", [
+    ("simulate", {"t_end": 1.0, "eps_freeze": 0.01, "max_fragment": 5},
+     "max_fragment"),
+    # a param of another subcommand
+    ("martingale", {"kind": "derivative", "t_grid": [1.0],
+                    "eps_freeze": 0.01, "n_boot": 5}, "n_boot"),
+])
+def test_unknown_config_params_exit_2(capsys, tmp_path, ub, command, params,
+                                      unknown):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"command": command, "seed": 1, "replicas": 2,
+                               "model": model_to_json(ub), "params": params}))
+    code, out, err = run_cli(capsys, ["--config", str(cfg)])
+    assert code == 2
+    assert out == ""
+    assert f"unknown param {unknown!r} for {command}" in err
 
 
 def test_invalid_model_file(capsys, tmp_path):
@@ -548,6 +567,10 @@ def _subordinator_config(tmp_path, ub, seed):
       "--eps-freeze", "2"], "eps_freeze must be in (0, 1)"),
     (["martingale", "--kind", "derivative", "--t-grid=", "--eps-freeze",
       "1e-3"], "t_grid needs one or more times"),
+    (["simulate", "--t-end", "1", "--eps-freeze", "1e-3", "--snapshots="],
+     "snapshots needs one or more times"),
+    (["ldp", "--p", "0.5", "--alpha", "-0.2", "--beta", "0.2", "--t-grid",
+      "0,1", "--eps-freeze", "1e-3"], "ldp needs t_grid times > 0"),
 ])
 def test_out_of_range_params_exit_2(capsys, ub_model_file, args, problem):
     code, out, err = run_cli(capsys, [
@@ -637,10 +660,8 @@ SUBCOMMAND_RUNS = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(SUBCOMMAND_RUNS))
-def test_subcommand_output_is_well_formed(capsys, ub_model_file, tmp_path,
-                                          command):
-    """Exit 0, no traceback, strict JSON, and CSV cells that parse as floats."""
+def _subcommand_run(capsys, ub_model_file, tmp_path, command):
+    """SUBCOMMAND_RUNS[command], with an event log to read for thin."""
     args = SUBCOMMAND_RUNS[command]
     if command == "thin":
         events = tmp_path / "events.jsonl"
@@ -650,6 +671,14 @@ def test_subcommand_output_is_well_formed(capsys, ub_model_file, tmp_path,
             "--event-log"])
         assert code == 0
         args = args + ["--input", str(events)]
+    return args
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_RUNS))
+def test_subcommand_output_is_well_formed(capsys, ub_model_file, tmp_path,
+                                          command):
+    """Exit 0, no traceback, strict JSON, and CSV cells that parse as floats."""
+    args = _subcommand_run(capsys, ub_model_file, tmp_path, command)
     code, out, err = run_cli(capsys, [
         "--seed", "30", "--model", ub_model_file, "--replicas", "4"] + args)
     assert code == 0
@@ -670,6 +699,36 @@ def test_subcommand_output_is_well_formed(capsys, ub_model_file, tmp_path,
         assert len(lines) > 1
         for line in lines[1:]:
             _strict_json(line)
+
+
+def _json_value(text):
+    try:
+        return json.loads(text)
+    except ValueError:
+        return text
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_RUNS))
+def test_flags_and_config_file_give_the_same_bytes(capsys, ub, ub_model_file,
+                                                   tmp_path, command):
+    """A run given as flags and as a config file goes through one path."""
+    args = _subcommand_run(capsys, ub_model_file, tmp_path, command)
+    code, by_flags, _ = run_cli(capsys, [
+        "--seed", "30", "--model", ub_model_file, "--replicas", "4"] + args)
+    assert code == 0
+    # numbers as JSON writes them: "--t-end 2" becomes the integer 2
+    params = {}
+    for flag, text in zip(args[1::2], args[2::2]):
+        name = flag[2:].replace("-", "_")
+        want = cli_module._COMMAND_PARAMS[command][2][name].want
+        params[name] = ([_json_value(t) for t in text.split(",")]
+                        if want == cli_module.TIMES[0] else _json_value(text))
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"command": command, "seed": 30, "replicas": 4,
+                               "model": model_to_json(ub), "params": params}))
+    code, by_config, _ = run_cli(capsys, ["--config", str(cfg)])
+    assert code == 0
+    assert by_config == by_flags
 
 
 @pytest.mark.parametrize("record, problem", [
@@ -887,13 +946,24 @@ _BAD_TYPES = ("1", True, [1.0], None)
 _BAD_LIST_TYPES = ("0.5,1", True, ["1"], None)
 
 
-@pytest.mark.parametrize("command,name,kind", [
-    (command, name, kind)
-    for command, (_, params) in sorted(cli_module._COMMAND_PARAMS.items())
-    for name, kind in params.items() if kind in (float, int, list)])
+# every (command, param) whose value is a number or a list of numbers
+_NUMERIC_KINDS = ((cli_module.FLOAT, "float"), (cli_module.INT, "int"),
+                  (cli_module.TIMES, "list"))
+_NUMERIC_PARAMS = [
+    (command, name, kind_name)
+    for command, (_, _, params) in sorted(cli_module._COMMAND_PARAMS.items())
+    for name, param in params.items()
+    for kind, kind_name in _NUMERIC_KINDS if param.want == kind[0]]
+
+
+def test_every_numeric_param_is_checked_for_wrong_types():
+    assert len(_NUMERIC_PARAMS) == 26
+
+
+@pytest.mark.parametrize("command,name,kind", _NUMERIC_PARAMS)
 def test_config_params_of_the_wrong_type_exit_2(capsys, tmp_path, ub,
                                                 command, name, kind):
-    for bad in _BAD_LIST_TYPES if kind is list else _BAD_TYPES:
+    for bad in _BAD_LIST_TYPES if kind == "list" else _BAD_TYPES:
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"command": command, "seed": 1,
                                    "model": model_to_json(ub),
@@ -903,6 +973,37 @@ def test_config_params_of_the_wrong_type_exit_2(capsys, tmp_path, ub,
         assert out == ""
         assert f"{name} must be" in err, (name, bad, err)
         assert "Traceback" not in err
+
+
+def _readme_param_defaults():
+    """(subcommand, flag) -> default cell of the README's parameter table."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    rows = {}
+    for line in readme.read_text().splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) == 5 and cells[1].startswith("`--"):
+            rows[cells[0].strip("`"), cells[1].strip("`")] = cells[4]
+    return rows
+
+
+def test_readme_parameter_table_matches_the_code():
+    tables = [("(global)", cli_module._RUN_FIELDS)] + [
+        (command, params)
+        for command, (_, _, params) in cli_module._COMMAND_PARAMS.items()]
+    expected = {}
+    for command, params in tables:
+        for name, param in params.items():
+            default = param.default
+            if isinstance(default, cli_module.Required):
+                default = "required"
+            elif default is False:
+                default = "off"
+            expected[command, "--" + name.replace("_", "-")] = default
+    rows = _readme_param_defaults()
+    assert rows.keys() == expected.keys()
+    for key, default in expected.items():
+        if default is not None:   # described in words in the README
+            assert rows[key] == str(default), key
 
 
 def test_config_switches_choices_and_run_fields_are_type_checked(
