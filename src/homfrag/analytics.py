@@ -12,6 +12,7 @@ the critical index p_bar solving phi(q) = (q+1) phi'(q).
 """
 
 import math
+import threading
 from collections import namedtuple
 
 import numpy as np
@@ -61,14 +62,8 @@ class PhiEvaluator:
         self.p_bar_residual = None
         self._memo = {}
         if mode == "monte_carlo":
-            vals, owner = _sample_splits(
-                model, Stream(derive_key(mc_seed, 0)), mc_samples)
-            self._mc_vals = vals
-            # -log m and -log(m)^2: the factors of m^(q+1) in phi' and phi''
-            logs = np.log(vals)
-            self._mc_dlogs = (-logs, -(logs ** 2))
-            self._mc_owner = owner
-            self._mc_n = mc_samples
+            self._mc = _SplitSums(_sample_splits(
+                model, Stream(derive_key(mc_seed, 0)), mc_samples))
 
     # --- phi and derivatives ------------------------------------------------
 
@@ -78,11 +73,17 @@ class PhiEvaluator:
 
     def phi_derivs(self, q):
         """(phi'(q), phi''(q), absolute error estimate)."""
-        return PhiDerivatives(*self._values(q)[1:])
+        return PhiDerivatives(*self._values(q, True)[1:])
 
-    def _values(self, q):
+    def _values(self, q, error=False):
         """(phi, phi', phi'', error) at q, computed once per q (estimators ask
-        for the same q per snapshot, and p_bar for both at every step)."""
+        for the same q per snapshot, and callers read phi and phi_derivs at
+        the same q).
+
+        A Monte Carlo entry's error, the larger standard error of phi' and
+        phi'', is filled in only when asked for (error); until then it is
+        None.
+        """
         val = self._memo.get(q)
         if val is None:
             if q <= self.model.p_lower:
@@ -94,9 +95,21 @@ class PhiEvaluator:
             except (OverflowError, ZeroDivisionError) as e:
                 raise NotComputableError(f"phi at q = {q} overflows: {e}") from e
             if not all(map(math.isfinite, val[:3])):
-                raise NotComputableError(f"phi at q = {q} is not finite: {val}")
+                raise NotComputableError(f"phi at q = {q} is not finite: "
+                                         f"{self._with_error(q, val)}")
             self._memo[q] = val
+        if error and val[3] is None:
+            val = self._memo[q] = self._with_error(q, val)
         return val
+
+    def _with_error(self, q, val):
+        """The memo entry val at q with its error filled in."""
+        if val[3] is not None:
+            return val
+        with np.errstate(all="ignore"):
+            err = self._mc.read(q, lambda per, d1, d2: max(
+                self._mc_stderr(d1), self._mc_stderr(d2)))
+        return val[:3] + (err,)
 
     def _compute(self, q):
         mode = self.mode
@@ -118,28 +131,20 @@ class PhiEvaluator:
                 )
             (phi, d1, d2), err = out
             return phi, d1, d2, err
-        # monte carlo: one power per sampled mass, differentiated under the
-        # sample average
-        w = self._mc_vals ** (q + 1.0)
-        per, d1_per, d2_per = map(self._mc_sums, (w, w * self._mc_dlogs[0],
-                                                  w * self._mc_dlogs[1]))
+        # monte carlo: sample averages of the per-split sums, differentiated
+        # under the average
+        per, d1, d2 = self._mc.read(q, lambda *sums: [s.mean() for s in sums])
         rate = model.total_rate
-        return (rate * (1.0 - per.mean()), rate * d1_per.mean(),
-                rate * d2_per.mean(),
-                max(self._mc_stderr(d1_per), self._mc_stderr(d2_per)))
-
-    def _mc_sums(self, x):
-        """Per-split sums of x, which has one entry per sampled mass."""
-        return np.bincount(self._mc_owner, weights=x, minlength=self._mc_n)
+        return rate * (1.0 - per), rate * d1, rate * d2, None
 
     def _mc_stderr(self, per):
-        return self.model.total_rate * per.std(ddof=1) / math.sqrt(self._mc_n)
+        return self.model.total_rate * per.std(ddof=1) / math.sqrt(self._mc.n)
 
     def phi_stderr(self, q):
         """Standard error of phi(q) (zero for deterministic modes)."""
         if self.mode != "monte_carlo":
             return 0.0
-        return self._mc_stderr(self._mc_sums(self._mc_vals ** (q + 1.0)))
+        return self._mc.read(q, lambda per, d1, d2: self._mc_stderr(per))
 
     # --- thresholds -----------------------------------------------------------
 
@@ -149,8 +154,8 @@ class PhiEvaluator:
         return self.model.p_lower
 
     def _g(self, q):
-        d = self.phi_derivs(q)
-        return self.phi(q) - (q + 1.0) * d.first
+        phi, d1 = self._values(q)[:2]
+        return phi - (q + 1.0) * d1
 
     def p_bar(self, residual_tol=1e-10):
         """Critical index: unique root of phi(q) = (q+1) phi'(q) above p_lower.
@@ -185,10 +190,8 @@ class PhiEvaluator:
     def _g_stderr(self, q):
         if self.mode != "monte_carlo":
             return 0.0
-        w = self._mc_vals ** (q + 1.0)
-        g_per = ((1.0 - self._mc_sums(w))
-                 - (q + 1.0) * self._mc_sums(w * self._mc_dlogs[0]))
-        return self._mc_stderr(g_per)
+        return self._mc.read(q, lambda per, d1, d2: self._mc_stderr(
+            (1.0 - per) - (q + 1.0) * d1))
 
     # --- derived predictions ---------------------------------------------------
 
@@ -243,9 +246,9 @@ def detect_geometric(model, r_max=64, tol=1e-9):
         masses = [m for part, _ in model.atoms for m in part.masses]
         evidence = "exact"
     else:
-        masses, _ = _sample_splits(model, Stream(derive_key(_PROBE_KEY, 0)),
-                                   1000)
-        masses = masses.tolist()
+        masses = _sample_splits(model, Stream(derive_key(_PROBE_KEY, 0)),
+                                1000)
+        masses = masses[masses != 0.0].tolist()
         evidence = "sampled"
     for r in range(2, r_max + 1):
         log_r = math.log(r)
@@ -292,9 +295,63 @@ class _OneStream:
 def _sample_splits(model, stream, n):
     """n splits drawn from one stream, as n calls of model.sample_masses.
 
-    Returns every piece in draw order, and the index of the split it came
-    from as a contiguous array (np.bincount is slower on strided ones).
+    Returns them as model.sample_masses_batch does: one row per split, its
+    pieces in draw order and then zero padding.
     """
-    masses = model.sample_masses_batch(_OneStream(stream), np.arange(n))
-    keep = masses != 0.0  # the zero padding of the ranked rows
-    return masses[keep], np.repeat(np.arange(n), keep.sum(axis=1))
+    return model.sample_masses_batch(_OneStream(stream), np.arange(n))
+
+
+class _SplitSums:
+    """The Monte Carlo sample of a PhiEvaluator, and its per-split sums.
+
+    The n sampled splits are held with one row per piece: the masses m (a
+    piece that a split of a ragged atomic model lacks is 1, with weight 0)
+    and log m.  read(q, fn) applies fn to the sums, over the pieces of each
+    split, of m^(q+1), -m^(q+1) log m and -m^(q+1) log(m)^2.  Each sum
+    starts from zero and takes its pieces' terms in draw order, the order
+    of np.bincount over the flat sample, so it has the same bits as that
+    sum (x - y is x + (-y) in floating point).  The sums are built block by
+    block in buffers reused from q to q, under a lock, since one evaluator
+    may be read from several threads.
+    """
+
+    _BLOCK = 6144  # pieces per block: 48 KiB per buffer
+
+    def __init__(self, masses):
+        self.n, k = masses.shape
+        present = masses.T != 0.0
+        self.masses = masses = np.where(present, masses.T, 1.0)
+        logs = np.log(masses)
+        self.ragged = ~present.all(axis=1)
+        self.weights = weights = present[self.ragged].astype(float)
+        self.sums = np.empty((3, self.n))
+        step = max(1, self._BLOCK // k)
+        buf = np.empty((3, k, step))
+        self._blocks = [
+            (masses[:, lo:lo + step], logs[:, lo:lo + step],
+             weights[:, lo:lo + step] if weights.size else None,
+             self.sums[:, lo:lo + step], buf[:, :, :min(step, self.n - lo)])
+            for lo in range(0, self.n, step)]
+        self._q = None
+        self._lock = threading.Lock()
+
+    def read(self, q, fn):
+        with self._lock:
+            if self._q != q:
+                self._q = None  # until the sums are whole again
+                self._fill(q + 1.0)
+                self._q = q
+            return fn(*self.sums)
+
+    def _fill(self, r):
+        for masses, logs, weights, sums, buf in self._blocks:
+            w, t1, t2 = buf
+            np.power(masses, r, out=w)
+            if weights is not None:
+                w[self.ragged] *= weights
+            np.multiply(w, logs, out=t1)
+            np.multiply(logs, logs, out=t2)
+            t2 *= w
+            np.add.reduce(w, axis=0, initial=0.0, out=sums[0])
+            # t1 and t2 hold the phi' and phi'' terms negated
+            np.subtract.reduce(buf[1:], axis=1, initial=0.0, out=sums[1:])

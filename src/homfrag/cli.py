@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 configuration error, 3 fragment budget exceeded,
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -506,6 +507,7 @@ _COMMAND_PARAMS = {
 _COMMANDS = tuple(_COMMAND_PARAMS)
 
 
+@functools.cache
 def _build_parser():
     # a flag that is not given leaves no attribute in the namespace
     parser = argparse.ArgumentParser(
@@ -530,7 +532,7 @@ def _build_parser():
 def _check(table, from_file, flags, command):
     """Values of every param in table, flags over config-file values, and the
     problems with them; no values if a given name is unknown or a type wrong
-    (the domains assume the types)."""
+    (the domains assume the types), though missing values are still listed."""
     given = dict(from_file, **{k: flags[k] for k in table if k in flags})
     problems = []
     for name, v in given.items():
@@ -539,22 +541,22 @@ def _check(table, from_file, flags, command):
             problems.append(f"unknown param {name!r} for {command}")
         elif not param.ok(v):
             problems.append(f"{name} must be {param.want}, got {v!r}")
-    if problems:
-        return None, problems
+    typed = not problems
     values = {}
     for name, param in table.items():
         if name in given:
-            v = param.flag.get("type", lambda v: v)(given[name])
-            problems.extend(problem.format(name=name, v=v)
-                            for ok, problem in param.domain if not ok(v))
+            if typed:
+                v = param.flag.get("type", lambda v: v)(given[name])
+                problems.extend(problem.format(name=name, v=v)
+                                for ok, problem in param.domain if not ok(v))
+                values[name] = v
         elif isinstance(param.default, Required):
-            v = None
+            values[name] = None
             problems.append(param.default.format(
                 command=command, flag=name.replace("_", "-")))
         else:
-            v = param.default
-        values[name] = v
-    return values, problems
+            values[name] = param.default
+    return (values if typed else None), problems
 
 
 def _load_json(path, what, problems, default):

@@ -14,6 +14,7 @@ either in closed form, or through a density for quadrature, or not at all
 (the analytics layer then falls back to Monte Carlo).
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -28,7 +29,12 @@ from .errors import (
     UnknownFamilyError,
 )
 from .numerics import gauss_kronrod
-from .streams import lanewise
+
+
+def _pow_lanes(x, y, n):
+    """The n values pow(x_i, y_i), one libm call each, for iterables x and y
+    of floats (the ** of Python floats); map makes no Python frame per call."""
+    return np.fromiter(map(pow, x, y), float, n)
 
 
 def _binary_terms(u, q):
@@ -373,7 +379,17 @@ class PowerTailBinaryModel(DislocationModel):
         return (1.0 - v, v)
 
     def sample_masses_batch(self, streams, idx):
-        v = lanewise(self._inverse_cdf, streams.uniform(idx))  # libm pow
+        # _inverse_cdf on every lane: its libm pow mapped from C, its other
+        # steps correctly rounded in numpy as in Python
+        u = streams.uniform(idx)
+        e, g = self.epsilon, self.gamma
+        if g == 1.0:
+            v = e * _pow_lanes(itertools.repeat(0.5 / e), u.tolist(), len(u))
+        else:
+            a = e ** (1.0 - g)
+            b = 2.0 ** (g - 1.0)
+            v = _pow_lanes((a - u * (a - b)).tolist(),
+                           itertools.repeat(1.0 / (1.0 - g)), len(u))
         v = np.where(v > 0.5, 0.5, v)
         return np.column_stack((1.0 - v, v))
 

@@ -1,6 +1,8 @@
 """Moment function evaluation, critical indices, window-count predictions."""
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -94,25 +96,32 @@ def _scalar_sample(model, stream, n):
     return np.array(vals), np.array(owner)
 
 
+def _flat(masses):
+    """A split matrix as every piece in draw order and its split's index."""
+    return masses[masses != 0.0], np.nonzero(masses)[0]
+
+
 @pytest.mark.parametrize("name", sorted(_SAMPLE_MODELS))
 def test_monte_carlo_sample_equals_the_scalar_loop(name):
     model = _SAMPLE_MODELS[name]
     for seed in (0, 5, 2024, 2**64 - 1):
-        vals, owner = _sample_splits(model, Stream(derive_key(seed, 0)), 700)
+        vals, owner = _flat(_sample_splits(
+            model, Stream(derive_key(seed, 0)), 700))
         want_vals, want_owner = _scalar_sample(
             model, Stream(derive_key(seed, 0)), 700)
         assert vals.tobytes() == want_vals.tobytes()
         assert owner.tobytes() == want_owner.tobytes()
-        assert owner.flags.c_contiguous
     ev = PhiEvaluator(model, mode="monte_carlo", mc_samples=700, mc_seed=5)
-    assert ev._mc_vals.tobytes() == _scalar_sample(
+    held = ev._mc.masses.T.copy()
+    held[:, ev._mc.ragged] *= ev._mc.weights.T  # a missing piece weighs 0
+    assert _flat(held)[0].tobytes() == _scalar_sample(
         model, Stream(derive_key(5, 0)), 700)[0].tobytes()
 
 
 def test_monte_carlo_sample_skips_a_zero_draw_as_the_scalar_loop_does(ub):
     key = _key_whose_draw_is_zero(3)
     assert _draw(key, 3) == 0.0
-    vals, owner = _sample_splits(ub, Stream(key), 5)
+    vals, owner = _flat(_sample_splits(ub, Stream(key), 5))
     want_vals, want_owner = _scalar_sample(ub, Stream(key), 5)
     assert vals.tobytes() == want_vals.tobytes()
     assert owner.tobytes() == want_owner.tobytes()
@@ -126,6 +135,116 @@ def test_monte_carlo_sample_refuses_a_second_draw(ub):
 
     with pytest.raises(NotImplementedError):
         _sample_splits(TwoDraws(), Stream(1), 4)
+
+
+class _BincountEvaluator(PhiEvaluator):
+    """The Monte Carlo formula the split-matrix sums replaced, as the oracle:
+    the scalar loop's flat sample, one np.bincount per per-split sum, and
+    every standard error computed with its q."""
+
+    def __init__(self, model, mc_samples, mc_seed):
+        super().__init__(model)
+        self.mode = "monte_carlo"
+        vals, self._owner = _scalar_sample(
+            model, Stream(derive_key(mc_seed, 0)), mc_samples)
+        self._vals = vals
+        logs = np.log(vals)
+        self._dlogs = (-logs, -(logs ** 2))
+        self._n = mc_samples
+
+    def _sums(self, x):
+        return np.bincount(self._owner, weights=x, minlength=self._n)
+
+    def _stderr(self, per):
+        return self.model.total_rate * per.std(ddof=1) / math.sqrt(self._n)
+
+    def _compute(self, q):
+        w = self._vals ** (q + 1.0)
+        per, d1, d2 = map(self._sums, (w, w * self._dlogs[0],
+                                       w * self._dlogs[1]))
+        rate = self.model.total_rate
+        return (rate * (1.0 - per.mean()), rate * d1.mean(), rate * d2.mean(),
+                max(self._stderr(d1), self._stderr(d2)))
+
+    def phi_stderr(self, q):
+        return self._stderr(self._sums(self._vals ** (q + 1.0)))
+
+    def _g_stderr(self, q):
+        w = self._vals ** (q + 1.0)
+        return self._stderr((1.0 - self._sums(w))
+                            - (q + 1.0) * self._sums(w * self._dlogs[0]))
+
+
+def _outputs(ev, qs, p_bar_first):
+    """repr of phi_derivs, phi and phi_stderr at every q, then of p_bar and
+    its residual (computed before the rest when p_bar_first); an error in
+    place of a value that raises."""
+    def read(f, *args):
+        try:
+            return repr(f(*args))
+        except (BracketNotFoundError, NotComputableError) as e:
+            return repr(e)
+
+    if p_bar_first:
+        read(ev.p_bar)
+    return ([read(f, q) for q in qs
+             for f in (ev.phi_derivs, ev.phi, ev.phi_stderr)]
+            + [read(ev.p_bar), repr(ev.p_bar_residual)])
+
+
+_ORACLE_QS = (-1.5, -1.0, -0.5, 0.0, 0.7, 2.0, 3.0)
+
+
+@pytest.mark.parametrize("name", sorted(_SAMPLE_MODELS))
+def test_monte_carlo_equals_the_bincount_formula_bit_for_bit(name):
+    model = _SAMPLE_MODELS[name]
+    # 7000 splits: several blocks of the split-matrix sums, the last one short
+    for seed in (0, 5, 2**64 - 1):
+        oracle = _BincountEvaluator(model, 7000, seed)
+        want = _outputs(oracle, _ORACLE_QS, p_bar_first=False)
+        for p_bar_first in (False, True):
+            ev = PhiEvaluator(model, mode="monte_carlo", mc_samples=7000,
+                              mc_seed=seed)
+            assert _outputs(ev, _ORACLE_QS, p_bar_first) == want, (
+                seed, p_bar_first)
+
+
+def test_p_bar_probes_get_their_error_when_read():
+    model = _SAMPLE_MODELS["ptail_gamma15"]
+    ev = PhiEvaluator(model, mode="monte_carlo", mc_samples=5000, mc_seed=11)
+    ev.p_bar()
+    probed = [q for q, val in ev._memo.items() if val[3] is None]
+    assert len(probed) > 20  # the bisection steps left their errors out
+    fresh = PhiEvaluator(model, mode="monte_carlo", mc_samples=5000,
+                         mc_seed=11)
+    for q in probed[::-3]:
+        assert repr(ev.phi_derivs(q)) == repr(fresh.phi_derivs(q))
+        assert repr(ev.phi(q)) == repr(fresh.phi(q))
+        assert ev._memo[q][3] is not None
+
+
+def test_monte_carlo_reads_from_two_threads_equal_serial_reads():
+    model = _SAMPLE_MODELS["ternary_binary"]
+    qs = [-1.5, -0.5, 0.0, 0.3, 0.7, 1.1, 2.0, 3.0]
+
+    def reads(ev, order):
+        return {q: (repr(ev.phi_derivs(q)), repr(ev.phi(q)),
+                    repr(ev.phi_stderr(q))) for q in order}
+
+    serial = reads(PhiEvaluator(model, mode="monte_carlo", mc_samples=9000,
+                                mc_seed=4), qs)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            ev = PhiEvaluator(model, mode="monte_carlo", mc_samples=9000,
+                              mc_seed=4)
+            with ThreadPoolExecutor(2) as pool:
+                both = list(pool.map(lambda order: reads(ev, order),
+                                     (qs, qs[::-1]), timeout=60))
+            assert both == [serial, serial]
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("mode", ["auto", "closed_form", "quadrature",

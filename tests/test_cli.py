@@ -802,7 +802,7 @@ def test_memoised_phi_leaves_martingale_bytes_unchanged(capsys, tmp_path,
     memoised = outputs()
     memoised_calls = len(quadratures)
     monkeypatch.setattr(PhiEvaluator, "_values",
-                        lambda self, q: self._compute(q))
+                        lambda self, q, error=False: self._compute(q))
     quadratures.clear()
     assert outputs() == memoised
     assert memoised_calls < len(quadratures)
@@ -1023,6 +1023,31 @@ def test_config_switches_choices_and_run_fields_are_type_checked(
         code, out, err = run_cli(capsys, ["--config", str(cfg)])
         assert code == 2, (extra, params, err)
         assert problem in err and "Traceback" not in err
+
+
+def test_a_wrong_type_does_not_hide_missing_values(capsys, tmp_path, ub):
+    for extra, params, wrong, missing in (
+            ({"replicas": "2"}, {"t_end": 1.0},
+             "replicas must be a positive integer, got '2'",
+             "seed is required"),
+            ({"seed": 1}, {"t_end": "1"}, "t_end must be a number, got '1'",
+             None),
+            ({"seed": 1, "command": "phi"}, {"q_min": "0"},
+             "q_min must be a number, got '0'", "phi requires --q-max")):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(dict({"command": "subordinator",
+                                        "model": model_to_json(ub),
+                                        "params": params}, **extra)))
+        code, out, err = run_cli(capsys, ["--config", str(cfg)])
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert f"  - {wrong}" in lines
+        assert len(lines) == (2 if missing is None else 3)
+        assert missing is None or lines[2].startswith(f"  - {missing}")
+
+
+def test_the_parser_is_built_once():
+    assert cli_module._build_parser() is cli_module._build_parser()
 
 
 def test_overflowing_window_asymptote_exits_2(capsys, ub_model_file):
