@@ -43,7 +43,8 @@ class PhiEvaluator:
       "closed_form"  closed form of phi and its derivatives only (error when
                      unavailable)
       "quadrature"   adaptive Gauss-Kronrod on the family density (abs tol
-                     quad_tol), phi, phi' and phi'' on one mesh
+                     quad_tol, or relative numerics.REL_TOL where that is
+                     larger), phi, phi' and phi'' on one mesh
       "monte_carlo"  sample average over a cached set of mc_samples splits;
                      stochastic but deterministic given mc_seed, with
                      reported stderr
@@ -163,10 +164,11 @@ class PhiEvaluator:
     def _g_slope(self, q):
         """g(q), g'(q) = -(q+1) phi''(q), and a bound on how far the computed
         g(q) may stray from the exact one, which is nondecreasing above -1
-        (phi is concave): rounding, plus for an integrated entry its error,
-        at least quad_tol, times the weights of phi and phi' in g (a Monte
-        Carlo entry's error is a standard error: the sample's g is exactly
-        nondecreasing)."""
+        (phi is concave): rounding, plus for an integrated entry the error
+        bound gauss_kronrod reported (above quad_tol where its relative term
+        accepted panels), at least quad_tol, times the weights of phi and
+        phi' in g (a Monte Carlo entry's error is a standard error: the
+        sample's g is exactly nondecreasing)."""
         phi, d1, d2, err = self._values(q)
         q1 = q + 1.0
         slack = _G_ROUNDING * (abs(self.model.total_rate) + abs(phi)

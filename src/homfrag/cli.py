@@ -144,12 +144,13 @@ def _cmd_simulate(cfg):
 
 def _cmd_partition(cfg):
     pr = cfg.params
+    ev = PhiEvaluator(cfg.model)
     rows = []
     boundaries = []
     for i in range(cfg.replicas):
         boundaries.append(len(rows))
         path = simulate_partition(cfg.model, pr["n"], pr["t_end"],
-                                  replica_key(cfg.seed, i))
+                                  replica_key(cfg.seed, i), ev)
         for t, labels in path.refinements():
             rows.append({"t": t,
                          "block_of": PartitionOfN(labels).assignment.tolist()})
@@ -224,6 +225,7 @@ def _cmd_spine(cfg):
     rows = []
     weights = []
     n_shed = []
+    populations = []
     for i in range(cfg.replicas):
         run = simulate_spine(cfg.model, pr["p"], pr["t_end"],
                              replica_key(cfg.seed, i), ev,
@@ -231,6 +233,9 @@ def _cmd_spine(cfg):
                              eps_freeze=pr.get("eps_freeze"))
         weights.append(run.weight)
         n_shed.append(sum(len(part) for part in run.partitions) - len(run))
+        if run.population is not None:
+            pop = run.population
+            populations.append((pop.n_live, pop.frozen_mass, pop.event_count))
         lm = 0.0
         for t, s in zip(run.jump_times, run.jump_sizes):
             lm -= s
@@ -242,6 +247,12 @@ def _cmd_spine(cfg):
               # effective sample size of the importance weights
               "weight_ess": sum(weights) ** 2 / w_sq if w_sq > 0.0 else None,
               "shed_fragments_mean": sum(n_shed) / len(n_shed)}
+    if populations:
+        live, frozen, events = zip(*populations)
+        header.update({"eps_freeze": pr["eps_freeze"],
+                       "population_live_mean": sum(live) / len(live),
+                       "population_frozen_mass_mean": sum(frozen) / len(frozen),
+                       "population_events_mean": sum(events) / len(events)})
     return header, "csv", ("replica", "jump_time", "jump_size",
                            "spine_log_mass"), rows
 

@@ -16,6 +16,7 @@ either in closed form, or through a density for quadrature, or not at all
 
 import itertools
 import math
+import sys
 
 import numpy as np
 
@@ -72,8 +73,8 @@ class MassPartition:
         total = 0.0
         prev = float("inf")
         for m in masses:
-            if m <= 0.0:
-                raise NonPositiveEntryError(f"non-positive mass {m}")
+            if not m > 0.0:  # NaN included
+                raise NonPositiveEntryError(f"mass {m} is not positive")
             if m > prev:
                 raise NonPositiveEntryError(
                     f"masses not ranked: {m} follows {prev} (use validate to sort)"
@@ -194,8 +195,8 @@ class AtomicModel(DislocationModel):
         if not atoms:
             raise InvalidModelError("atomic model needs at least one atom")
         for part, w in atoms:
-            if w <= 0.0:
-                raise InvalidModelError(f"atom weight {w} must be positive")
+            if not 0.0 < w < math.inf:
+                raise InvalidModelError(f"atom weight {w} must be positive and finite")
             if part.is_trivial:
                 raise TrivialSplitError("atomic model contains the trivial split")
         self.atoms = atoms
@@ -352,8 +353,8 @@ class PowerTailBinaryModel(DislocationModel):
             )
         if not 1.0 <= gamma < 2.0:
             raise InvalidModelError(f"gamma must be in [1, 2), got {gamma}")
-        if c <= 0.0:
-            raise InvalidModelError(f"c must be positive, got {c}")
+        if not 0.0 < c < math.inf:
+            raise InvalidModelError(f"c must be positive and finite, got {c}")
         self.epsilon = float(epsilon)
         self.c = float(c)
         self.gamma = float(gamma)
@@ -492,7 +493,9 @@ def truncate_family(name, params=None, epsilon=0.0):
 
 
 def model_from_json(obj):
-    """Parse a model description dict; rejects unknown kinds and fields."""
+    """Parse a model description dict; rejects unknown kinds and fields, and
+    any number that is not a finite JSON number (an int or a float, not a
+    bool or a string)."""
     if not isinstance(obj, dict):
         raise InvalidModelError(f"model must be an object, got {type(obj).__name__}")
     kind = obj.get("kind")
@@ -503,34 +506,50 @@ def model_from_json(obj):
             raise InvalidModelError("atomic model needs a non-empty 'atoms' list")
         parsed = []
         for entry in atoms:
-            try:
-                masses, weight = entry
-            except (TypeError, ValueError):
+            if (not isinstance(entry, list) or len(entry) != 2
+                    or not isinstance(entry[0], list)):
                 raise InvalidModelError(f"atom entry {entry!r} is not [masses, weight]")
-            parsed.append((validate(masses), float(weight)))
+            masses, weight = entry
+            parsed.append((validate([_number(m, "atom mass") for m in masses]),
+                           _number(weight, "atom weight")))
         model = AtomicModel(parsed)
     elif kind == "uniform_binary":
         _check_fields(obj, {"kind", "epsilon", "total_rate"})
-        model = UniformBinaryModel(epsilon=float(obj.get("epsilon", 0.0)))
+        model = UniformBinaryModel(epsilon=_number(obj.get("epsilon", 0.0), "epsilon"))
     elif kind == "truncated":
         _check_fields(obj, {"kind", "family", "params", "epsilon", "total_rate"})
         if "family" not in obj:
             raise InvalidModelError("truncated model needs a 'family' field")
         if "epsilon" not in obj:
             raise InvalidModelError("truncated model needs an 'epsilon' field")
-        model = truncate_family(obj["family"], obj.get("params", {}),
-                                float(obj["epsilon"]))
+        family, params = obj["family"], obj.get("params", {})
+        if not isinstance(family, str):
+            raise InvalidModelError(f"family must be a string, got {family!r}")
+        if not isinstance(params, dict):
+            raise InvalidModelError(f"params must be an object, got {params!r}")
+        model = truncate_family(
+            family, {k: _number(v, f"param {k!r}") for k, v in params.items()},
+            _number(obj["epsilon"], "epsilon"))
     else:
         raise UnknownFamilyError(
             f"unknown model kind {kind!r}; known kinds: atomic, uniform_binary, truncated"
         )
     declared = obj.get("total_rate")
-    if declared is not None and not math.isclose(declared, model.total_rate,
-                                                 rel_tol=1e-9, abs_tol=1e-12):
+    if declared is not None and not math.isclose(
+            _number(declared, "total_rate"), model.total_rate,
+            rel_tol=1e-9, abs_tol=1e-12):
         raise InvalidModelError(
             f"declared total_rate {declared} != computed {model.total_rate}"
         )
     return model
+
+
+def _number(v, name):
+    """v as a float if it is a finite number, else InvalidModelError."""
+    # bool is a subclass of int; a huge int fails the bound, as NaN does
+    if type(v) not in (int, float) or not abs(v) <= sys.float_info.max:
+        raise InvalidModelError(f"{name} must be a finite number, got {v!r}")
+    return float(v)
 
 
 def _check_fields(obj, allowed):

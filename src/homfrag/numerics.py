@@ -29,6 +29,11 @@ _G7[1::2] = _WG + [0.4179591836734694] + _WG[::-1]
 _SPLIT = 8
 _CUTS = np.arange(_SPLIT) / _SPLIT
 _MAX_PANELS = 1024  # per level; the models' phi integrands open a few dozen
+# relative tolerance, pre-registered: it loosens abs_tol only for a component
+# whose integral exceeds abs_tol * 2^40 (about 110 at abs_tol = 1e-10), where
+# abs_tol would ask for more digits than a double holds (QUADPACK's QAG test
+# is max(epsabs, epsrel * |result|) the same way)
+REL_TOL = 2.0 ** -40
 
 
 def gauss_kronrod(f, a, b, abs_tol=1e-10, max_depth=50):
@@ -37,14 +42,19 @@ def gauss_kronrod(f, a, b, abs_tol=1e-10, max_depth=50):
     f maps a 1-D array of nodes to an array of shape (k, nodes): k integrands
     on one mesh, all open panels of a level in one call.  Level 0 cuts [a, b]
     into _SPLIT panels.  A panel is accepted when each component has
-    |K15 - G7| <= abs_tol * width / (b - a), else it is cut into _SPLIT
-    panels for the next level.  Returns (values, error): k exactly rounded
-    sums over the accepted panels, and the largest component's sum of
-    |K15 - G7|.  Raises NotComputableError when f is not finite at a node,
-    after max_depth levels, or when a level would exceed _MAX_PANELS panels.
+    |K15 - G7| <= max(abs_tol, REL_TOL * |I|) * width / (b - a), where I is
+    the component's integral as the previous level left it (0 at level 0),
+    else it is cut into _SPLIT panels for the next level.  Returns (values,
+    error): k exactly rounded sums over the accepted panels, and the largest
+    component's sum of |K15 - G7|, the bound actually met.  Raises
+    NotComputableError when f is not finite at a node, after max_depth
+    levels, or when a level would exceed _MAX_PANELS panels.
     """
     lo, width = np.array([float(a)]), np.array([float(b) - float(a)])
     scale = abs_tol / (b - a) if b != a else 0.0
+    rel_scale = REL_TOL / (b - a) if b != a else 0.0
+    # each component's integral over the accepted panels, and over all panels
+    accepted = running = 0.0
     sums, errs = [], []
     for depth in range(max_depth + 1):
         lo = (lo[:, None] + width[:, None] * _CUTS).ravel()
@@ -59,13 +69,16 @@ def gauss_kronrod(f, a, b, abs_tol=1e-10, max_depth=50):
         vals = vals.reshape(len(vals), len(lo), len(_NODES))
         k15 = half * (vals * _K15).sum(axis=-1)
         diff = np.abs(k15 - half * (vals * _G7).sum(axis=-1))
+        tol = np.maximum(scale, rel_scale * np.abs(running))
         # a panel at floating-point resolution cannot be refined further
-        done = ((diff <= scale * width).all(axis=0)
+        done = ((diff <= np.multiply.outer(tol, width)).all(axis=0)
                 | (width <= 1e-14 * (np.abs(lo) + np.abs(lo + width))))
         sums.append(k15[:, done])
         errs.append(diff[:, done])
         if done.all():
             break
+        running = accepted + k15.sum(axis=1)
+        accepted = accepted + sums[-1].sum(axis=1)
         lo, width = lo[~done], width[~done]
         if depth == max_depth or _SPLIT * len(lo) > _MAX_PANELS:
             raise NotComputableError(

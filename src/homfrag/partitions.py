@@ -14,13 +14,14 @@ normalized size estimates the tagged-piece subordinator, which
 at a time, and `subordinator_values` for many replicas at once.
 """
 
-import heapq
 import math
 from bisect import bisect_right
 from collections import namedtuple
+from operator import attrgetter
 
 import numpy as np
 
+from .analytics import PhiEvaluator
 from .errors import NotComputableError
 from .measures import MassPartition, sample_size_biased_batch
 from .streams import (
@@ -35,6 +36,8 @@ from .tilting import simulate_event_log
 
 # lanes walked together by subordinator_values: bounds its memory, not a knob
 _CHUNK_LANES = 1 << 16
+# paintbox draws at one ring before the path is declared not computable
+_MAX_REJECTIONS = 1_000_000
 
 PartitionEvent = namedtuple("PartitionEvent", ["time", "elements", "sub_assignment"])
 
@@ -204,70 +207,55 @@ class NestedPartitionPath:
         return self.n if i == 0 else self.tagged_trace[i - 1][1]
 
 
-def simulate_partition(model, n, t_end, seed, evaluator=None,
-                       max_rejections=1_000_000):
+def simulate_partition(model, n, t_end, seed, evaluator=None):
     """Simulate the nested partition path up to t_end (math.inf = shatter fully).
 
     Each block owns a stream keyed by its genealogical path; its first draw
     is the holding time, subsequent draws feed the rejection loop (split
-    draw + paintbox) at the ring.
+    draw + paintbox) at the ring.  Blocks refine independently of each
+    other, so the walk visits them depth first off a stack, reads each
+    stream once, and sorts the events by ring time at the end (stably: a
+    tie keeps the walk's order, a block's event before its children's).
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if evaluator is None:
-        from .analytics import PhiEvaluator
         evaluator = PhiEvaluator(model)
     rates = {}
-
-    def rate_for(b):
-        if b not in rates:
-            r = split_rate(evaluator, b)
-            if r <= 0.0:
-                raise NotComputableError(f"split rate phi({b - 1}) = {r} is not positive")
-            rates[b] = r
-        return rates[b]
-
     events = []
-    tagged_trace = []
     stream = Stream(0)
-    heap = []
-    uid = 0
-    root_key = derive_key(seed, 0)
+    stack = []  # (time the block was born, its key, its points)
     if n >= 2:
-        stream.reset(root_key)
-        heapq.heappush(heap, (stream.exponential(rate_for(n)), uid, root_key,
-                              np.arange(n, dtype=np.int64)))
-        uid += 1
-
-    while heap:
-        ring, _, key, elements = heapq.heappop(heap)
-        if ring > t_end:
-            break
+        stack.append((0.0, derive_key(seed, 0), np.arange(n, dtype=np.int64)))
+    while stack:
+        born, key, elements = stack.pop()
         b = len(elements)
+        if b not in rates:
+            rates[b] = split_rate(evaluator, b)
+            if rates[b] <= 0.0:
+                raise NotComputableError(
+                    f"split rate phi({b - 1}) = {rates[b]} is not positive")
         stream.reset(key)
-        stream.exponential(rate_for(b))  # replay the holding-time draw
-        for attempt in range(max_rejections):
-            masses = model.sample_masses(stream)
-            labels = _paintbox_labels(masses, b, stream)
+        ring = born + stream.exponential(rates[b])
+        if ring > t_end:
+            continue
+        for _ in range(_MAX_REJECTIONS):
+            labels = _paintbox_labels(model.sample_masses(stream), b, stream)
             if (labels != labels[0]).any():  # not trivial
                 break
         else:
             raise NotComputableError(
-                f"paintbox rejection did not terminate after {max_rejections} tries"
+                f"paintbox rejection did not terminate after {_MAX_REJECTIONS} tries"
             )
         sub = PartitionOfN(labels)
         events.append(PartitionEvent(ring, elements, sub.assignment))
-        if elements[0] == 0:
-            tagged_trace.append((ring, int(np.count_nonzero(sub.assignment == 0))))
         for label, block in enumerate(sub.blocks()):
-            child = elements[block]
-            if len(child) >= 2:
-                child_key = derive_key(key, label)
-                stream.reset(child_key)
-                wait = stream.exponential(rate_for(len(child)))
-                heapq.heappush(heap, (ring + wait, uid, child_key, child))
-                uid += 1
+            if len(block) >= 2:
+                stack.append((ring, derive_key(key, label), elements[block]))
 
+    events.sort(key=attrgetter("time"))
+    tagged_trace = [(ev.time, int(np.count_nonzero(ev.sub_assignment == 0)))
+                    for ev in events if ev.elements[0] == 0]
     return NestedPartitionPath(n, t_end, events, tagged_trace, seed)
 
 

@@ -22,6 +22,7 @@ from operator import add
 
 import numpy as np
 
+from .analytics import PhiEvaluator
 from .errors import (
     BelowPLowerError,
     NotComputableError,
@@ -30,6 +31,9 @@ from .errors import (
 from .measures import sample_size_biased
 from .ranked import DEFAULT_MAX_FRAGMENTS, PopulationSnapshot, simulate_lanes
 from .streams import Stream, derive_key
+
+# tilted split draws before a p >= 0 draw is declared not computable
+_MAX_REJECTIONS = 1_000_000
 
 
 def esscher_exponent(evaluator, p, q):
@@ -45,8 +49,7 @@ def tilted_split_rate(model, evaluator, p):
     return rate
 
 
-def sample_tilted_split(model, p, stream, evaluator=None,
-                        max_rejections=1_000_000):
+def sample_tilted_split(model, p, stream, evaluator=None):
     """One draw whose law is the split measure reweighted by sum_i s_i^(p+1).
 
     Returns (partition, importance weight).  For p >= 0 the reweighting is
@@ -57,15 +60,14 @@ def sample_tilted_split(model, p, stream, evaluator=None,
     if p <= model.p_lower:
         raise BelowPLowerError(f"tilting needs p > p_lower = {model.p_lower}")
     if p >= 0.0:
-        for _ in range(max_rejections):
+        for _ in range(_MAX_REJECTIONS):
             part = model.sample(stream)
             if stream.uniform() < part.power_sum(p + 1.0):
                 return part, 1.0
         raise NotComputableError(
-            f"tilted rejection did not accept after {max_rejections} tries"
+            f"tilted rejection did not accept after {_MAX_REJECTIONS} tries"
         )
     if evaluator is None:
-        from .analytics import PhiEvaluator
         evaluator = PhiEvaluator(model)
     norm = tilted_split_rate(model, evaluator, p) / model.total_rate
     part = model.sample(stream)
@@ -185,7 +187,6 @@ def simulate_spine(model, p, t_end, seed, evaluator=None, *,
     as the record's population snapshot.
     """
     if evaluator is None:
-        from .analytics import PhiEvaluator
         evaluator = PhiEvaluator(model)
     if with_population and eps_freeze is None:
         raise ValueError("with_population requires eps_freeze")

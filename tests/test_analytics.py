@@ -13,6 +13,7 @@ from homfrag import analytics
 from homfrag.analytics import _sample_splits, detect_geometric
 from homfrag.errors import BelowPLowerError, BracketNotFoundError, NotComputableError
 from homfrag.measures import AtomicModel
+from homfrag.numerics import bracket_upward
 from homfrag.streams import Stream, derive_key
 from test_partitions import _draw, _key_whose_draw_is_zero
 
@@ -319,6 +320,48 @@ def test_quadrature_matches_the_simpson_values(name):
         d = ev.phi_derivs(q)
         assert [ev.phi(q), d.first, d.second] == pytest.approx(want, abs=1e-9)
         assert d.abs_error < 1e-9
+
+
+@pytest.mark.parametrize("epsilon", [0.01, 0.05])
+def test_power_tail_quadrature_converges_where_phi_is_steep(epsilon):
+    """q in [-4, -1.5]: phi'' reaches -1e7, and an absolute 1e-10 on it asks
+    for more digits than a double holds; the relative term accepts those
+    panels."""
+    model = PowerTailBinaryModel(epsilon=epsilon)
+    quad = PhiEvaluator(model, mode="quadrature")
+    finer = PhiEvaluator(model, mode="quadrature", quad_tol=1e-10 / 16)
+    mc = PhiEvaluator(model, mode="monte_carlo", mc_samples=200_000, mc_seed=3)
+    for q in np.linspace(-4.0, -1.5, 51):
+        phi, d = quad.phi(q), quad.phi_derivs(q)
+        assert abs(phi - mc.phi(q)) <= 4.0 * mc.phi_stderr(q), q
+        bound = d.abs_error + finer.phi_derivs(q).abs_error
+        assert abs(phi - finer.phi(q)) <= bound, q
+        assert abs(d.first - finer.phi_derivs(q).first) <= bound, q
+        # the bound met: at most the largest component's target
+        assert d.abs_error <= max(1e-10, 1e-12 * abs(d.second)), q
+
+
+def test_uniform_quadrature_converges_next_to_p_lower(ub):
+    quad = PhiEvaluator(ub, mode="quadrature")
+    for q in (-1.999, -1.99, -1.98, -1.974, -1.95):
+        d = quad.phi_derivs(q)
+        got = (quad.phi(q), d.first, d.second)
+        want = (ub.phi_closed(q), *ub.phi_derivs_closed(q))
+        assert got == pytest.approx(want, rel=1e-13), q
+
+
+def test_quadrature_p_bar_of_a_steep_power_tail():
+    """c = 1e4 scales phi by 1e4, so the bracket's phi'' needs the relative
+    term; p_bar does not depend on c, and the certified bisection still
+    equals the blind one bit for bit."""
+    model = PowerTailBinaryModel(epsilon=0.01, c=1e4)
+    ev = PhiEvaluator(model, mode="quadrature")
+    assert ev.p_bar() == pytest.approx(1.401432937476784, abs=1e-9)
+    assert abs(ev.p_bar_residual) <= 1e-10
+    blind = PhiEvaluator(model, mode="quadrature")
+    lo, hi = bracket_upward(blind._g, 0.0, step=0.5)
+    assert (ev.p_bar(), ev.p_bar_residual) == blind_bisect_root(
+        blind._g, lo, hi, 1e-10)
 
 
 def test_power_tail_quadrature_p_bar_matches_simpson(ptail):

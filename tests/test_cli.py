@@ -16,6 +16,7 @@ from homfrag.cli import main
 from homfrag.measures import model_to_json
 from homfrag.partitions import simulate_partition
 from homfrag.streams import replica_key
+from homfrag.tilting import simulate_spine
 
 
 @pytest.fixture()
@@ -97,6 +98,37 @@ def test_invalid_model_file(capsys, tmp_path):
                                     "phi", "--q-min", "0", "--q-max", "1"])
     assert code == 2
     assert "invalid model" in err
+
+
+_PT_MODEL = {"kind": "truncated", "family": "power_tail_binary",
+             "epsilon": 0.05}
+# model files that exited 1 with a traceback, or wrote NaN into the header
+# (c = NaN), or were read with a string or a boolean as a number
+MALFORMED_MODEL_FILES = [
+    {"kind": "uniform_binary", "epsilon": "x"},
+    dict(_PT_MODEL, params={"c": "x"}),
+    {"kind": "atomic", "atoms": [[[0.5, 0.5], "w"]]},
+    {"kind": "atomic", "atoms": [[0.5, 1.0]]},
+    {"kind": "uniform_binary", "total_rate": "x"},
+    dict(_PT_MODEL, params={"c": math.nan}),
+    {"kind": "atomic", "atoms": [[[0.5, 0.5], math.nan]]},
+    {"kind": "atomic", "atoms": [[[0.5, 0.5], math.inf]]},
+    {"kind": "atomic", "atoms": [[[0.5, math.nan], 1.0]]},
+    {"kind": "uniform_binary", "epsilon": "0.01"},
+    {"kind": "uniform_binary", "epsilon": True},
+    {"kind": "uniform_binary", "epsilon": False},
+]
+
+
+@pytest.mark.parametrize("obj", MALFORMED_MODEL_FILES, ids=repr)
+def test_malformed_model_files_exit_2(capsys, tmp_path, obj):
+    bad = tmp_path / "m.json"
+    bad.write_text(json.dumps(obj))  # NaN and Infinity as JSON5 literals
+    code, out, err = run_cli(capsys, [
+        "--model", str(bad), "--seed", "1",
+        "simulate", "--t-end", "1", "--eps-freeze", "0.01"])
+    assert code == 2 and out == ""
+    assert "invalid model" in err and "Traceback" not in err
 
 
 def test_phi_grid_csv(capsys, ub_model_file):
@@ -350,6 +382,31 @@ def test_spine_weight_ess_collapses_near_p_lower(capsys, ub_model_file):
     assert code == 0
     header, _, _ = parse_csv(out)
     assert 1.0 <= header["weight_ess"] < 20.0
+
+
+def test_spine_population_means_in_the_header(capsys, ub, ub_model_file):
+    argv = ["--seed", "7", "--model", ub_model_file, "--replicas", "20",
+            "spine", "--p", "0.5", "--t-end", "4", "--eps-freeze", "0.01"]
+    code, plain, _ = run_cli(capsys, argv)
+    assert code == 0
+    code, out, _ = run_cli(capsys, argv + ["--with-population"])
+    assert code == 0
+    header, columns, rows = parse_csv(out)
+    pops = [simulate_spine(ub, 0.5, 4.0, replica_key(7, i),
+                           with_population=True, eps_freeze=0.01).population
+            for i in range(20)]
+    assert header["eps_freeze"] == 0.01
+    assert header["population_live_mean"] == sum(p.n_live for p in pops) / 20
+    assert header["population_frozen_mass_mean"] == (
+        sum(p.frozen_mass for p in pops) / 20)
+    assert header["population_events_mean"] == (
+        sum(p.event_count for p in pops) / 20)
+    assert header["population_live_mean"] > 1.0
+    assert header["population_frozen_mass_mean"] > 0.0
+    # the rows are the spine's, with or without its population
+    assert out.split("\n")[1:] == plain.split("\n")[1:]
+    plain_header, _, _ = parse_csv(plain)
+    assert not {k for k in plain_header if k.startswith("population")}
 
 
 def test_spine_population_needs_eps(capsys, ub_model_file):
@@ -870,6 +927,9 @@ _FUZZ_MODELS = {
     "tb": {"kind": "atomic",
            "atoms": [[[0.5, 0.3, 0.2], 1.0], [[0.6, 0.4], 2.0]]},
 }
+# malformed model files, drawn now and then: each run must exit 2
+_BAD_FUZZ_MODELS = {f"bad{i}": obj
+                    for i, obj in enumerate(MALFORMED_MODEL_FILES)}
 # flags whose value must be a finite number
 _FINITE_FLAGS = ("--p", "--a", "--alpha", "--beta", "--q-min", "--q-max")
 
@@ -949,7 +1009,7 @@ def _must_reject(replicas, flags):
 def fuzz_dir(tmp_path_factory):
     """Model files and an event log for thin, shared by every example."""
     d = tmp_path_factory.mktemp("fuzz")
-    for name, obj in _FUZZ_MODELS.items():
+    for name, obj in {**_FUZZ_MODELS, **_BAD_FUZZ_MODELS}.items():
         (d / f"{name}.json").write_text(json.dumps(obj))
     with redirect_stdout(io.StringIO()):
         assert main(["--seed", "8", "--model", str(d / "ub.json"),
@@ -960,7 +1020,8 @@ def fuzz_dir(tmp_path_factory):
 
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(command=st.sampled_from(sorted(_FUZZ_FLAGS)), data=st.data(),
-       model=st.sampled_from(sorted(_FUZZ_MODELS)),
+       model=_rarely(st.sampled_from(sorted(_FUZZ_MODELS)),
+                     st.sampled_from(sorted(_BAD_FUZZ_MODELS))),
        seed=st.integers(0, 2**64 - 1),
        replicas=_rarely(st.integers(1, 4), st.integers(-1, 0)),
        threads=st.sampled_from([1, 2]))
@@ -981,7 +1042,7 @@ def test_every_subcommand_ends_cleanly(fuzz_dir, command, data, model, seed,
     out, err = out.getvalue(), err.getvalue()
     assert code in (0, 2, 3, 4), (argv, err)
     assert "Traceback" not in err
-    if _must_reject(replicas, flags):
+    if _must_reject(replicas, flags) or model in _BAD_FUZZ_MODELS:
         assert code == 2, (argv, err)
     if code != 0:
         return

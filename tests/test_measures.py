@@ -57,6 +57,12 @@ def test_partition_rejects_nonpositive_and_excess():
         MassPartition([0.8, 0.3])
     with pytest.raises(TrivialSplitError):
         MassPartition([])
+    with pytest.raises(NonPositiveEntryError):
+        MassPartition([0.5, math.nan])
+    with pytest.raises(NonPositiveEntryError):
+        validate([math.nan, 0.5])
+    with pytest.raises(SumExceedsOneError):
+        MassPartition([math.inf])
 
 
 def test_validate_sorts_and_strips_zeros():
@@ -124,6 +130,9 @@ def test_atomic_rejects_bad_atoms():
         AtomicModel([([0.5, 0.5], -1.0)])
     with pytest.raises(TrivialSplitError):
         AtomicModel([([1.0], 1.0)])
+    for w in (math.nan, math.inf, 0.0):
+        with pytest.raises(InvalidModelError):
+            AtomicModel([([0.5, 0.5], w)])
 
 
 # --- UniformBinaryModel -----------------------------------------------------
@@ -169,6 +178,8 @@ def test_uniform_binary_epsilon_range():
         UniformBinaryModel(epsilon=0.5)
     with pytest.raises(InvalidModelError):
         UniformBinaryModel(epsilon=-0.01)
+    with pytest.raises(InvalidModelError):
+        UniformBinaryModel(epsilon=math.nan)
 
 
 # --- PowerTailBinaryModel ---------------------------------------------------
@@ -179,6 +190,16 @@ def test_power_tail_needs_truncation():
         PowerTailBinaryModel(epsilon=0.0)
     with pytest.raises(ModelNotFiniteError):
         PowerTailBinaryModel(epsilon=0.6)
+    with pytest.raises(ModelNotFiniteError):
+        PowerTailBinaryModel(epsilon=math.nan)
+
+
+def test_power_tail_rejects_a_non_finite_or_non_positive_c():
+    for c in (math.nan, math.inf, -math.inf, 0.0, -1.0):
+        with pytest.raises(InvalidModelError):
+            PowerTailBinaryModel(epsilon=0.01, c=c)
+    with pytest.raises(InvalidModelError):
+        PowerTailBinaryModel(epsilon=0.01, gamma=math.nan)
 
 
 def test_power_tail_rate_closed_form():
@@ -329,6 +350,52 @@ def test_json_rejects_unknown_kind_and_fields():
         model_from_json({"kind": "atomic", "atoms": []})
     with pytest.raises(InvalidModelError):
         model_from_json("not a dict")
+
+
+_PT = {"kind": "truncated", "family": "power_tail_binary", "epsilon": 0.05}
+# model objects whose numbers are not finite JSON numbers, or whose fields
+# have the wrong type: each must raise InvalidModelError, nothing else
+MALFORMED_MODELS = [
+    {"kind": "uniform_binary", "epsilon": "x"},
+    {"kind": "uniform_binary", "epsilon": "0.01"},
+    {"kind": "uniform_binary", "epsilon": True},
+    {"kind": "uniform_binary", "epsilon": False},  # would read as 0.0
+    {"kind": "uniform_binary", "epsilon": math.nan},
+    {"kind": "uniform_binary", "epsilon": 10**400},
+    {"kind": "uniform_binary", "total_rate": "x"},
+    {"kind": "uniform_binary", "total_rate": math.nan},
+    dict(_PT, params={"c": "x"}),
+    dict(_PT, params={"c": math.nan}),
+    dict(_PT, params={"c": math.inf}),
+    dict(_PT, params={"gamma": None}),
+    dict(_PT, params=[1.0]),
+    dict(_PT, epsilon=[0.05]),
+    dict(_PT, family=["power_tail_binary"]),
+    {"kind": "atomic", "atoms": [[[0.5, 0.5], "w"]]},
+    {"kind": "atomic", "atoms": [[[0.5, 0.5], math.nan]]},
+    {"kind": "atomic", "atoms": [[[0.5, 0.5], math.inf]]},
+    {"kind": "atomic", "atoms": [[[0.5, 0.5], True]]},  # would read as 1.0
+    {"kind": "atomic", "atoms": [[[True], 1.0]]},
+    {"kind": "atomic", "atoms": [[[0.5, math.nan], 1.0]]},
+    {"kind": "atomic", "atoms": [[[0.5, "0.5"], 1.0]]},
+    {"kind": "atomic", "atoms": [[0.5, 1.0]]},
+    {"kind": "atomic", "atoms": [[[0.5, 0.5], 1.0, 2.0]]},
+    {"kind": "atomic", "atoms": [{"masses": [0.5, 0.5], "weight": 1.0}]},
+]
+
+
+@pytest.mark.parametrize("obj", MALFORMED_MODELS, ids=repr)
+def test_json_rejects_malformed_numbers_and_fields(obj):
+    with pytest.raises(InvalidModelError):
+        model_from_json(obj)
+
+
+def test_json_takes_int_numbers_as_floats():
+    model = model_from_json({"kind": "atomic", "atoms": [[[0.5, 0.5], 2]],
+                             "total_rate": 2})
+    assert model_to_json(model) == {"kind": "atomic",
+                                    "atoms": [[[0.5, 0.5], 2.0]]}
+    assert model_from_json({"kind": "uniform_binary", "epsilon": 0}).epsilon == 0.0
 
 
 def test_json_total_rate_cross_check():

@@ -8,7 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from heap_oracle import simulate_partition_heap
+
 from homfrag import partitions
+from homfrag.analytics import PhiEvaluator
 from homfrag.errors import DustNotSupportedError
 from homfrag.measures import AtomicModel, PowerTailBinaryModel, UniformBinaryModel
 from homfrag.partitions import (
@@ -153,6 +156,33 @@ def test_partition_paths_equal_the_sort_based_oracle(name, monkeypatch):
             (repr(e.time), e.elements.tobytes(), e.sub_assignment.tobytes())
             for e in want.events]
         assert got.tagged_trace == want.tagged_trace
+
+
+def _path_bits(path):
+    return ([(repr(e.time), e.elements.tobytes(), e.sub_assignment.tobytes())
+             for e in path.events], path.tagged_trace)
+
+
+@pytest.mark.parametrize("name", sorted(PATH_MODELS))
+def test_depth_first_paths_equal_the_heap_walk_bit_for_bit(name):
+    model = PATH_MODELS[name]
+    ev = PhiEvaluator(model)
+    refined = 0
+    for seed in [*range(40), 2**64 - 1]:
+        for n, t_end in ((60, 4.0), (200, 2.0), (30, math.inf)):
+            got = simulate_partition(model, n, t_end, seed, ev)
+            want = simulate_partition_heap(model, n, t_end, seed, ev)
+            assert _path_bits(got) == _path_bits(want), (seed, n, t_end)
+            refined += len(got.events) > 1
+    assert refined > 100  # the paths branch, so the visiting orders differ
+
+
+def test_depth_first_path_handles_one_point_and_no_time(ub):
+    assert simulate_partition(ub, 1, math.inf, 3).events == []
+    for seed in range(20):
+        path = simulate_partition(ub, 5, 0.0, seed)
+        assert path.events == [] and path.tagged_trace == []
+        assert path.partition_at(0.0) == PartitionOfN.single_block(5)
 
 
 # --- paintbox -----------------------------------------------------------------
