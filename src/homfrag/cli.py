@@ -403,11 +403,20 @@ def _cmd_ldp(cfg):
 # --- params and parsing -----------------------------------------------------
 
 
+def _float(v):
+    """float(v), with an int beyond the float range read as an infinity of
+    its sign, as measures._number reads it: the domains then reject it as
+    not finite, as they do --p 1e999."""
+    if type(v) is int and not abs(v) <= sys.float_info.max:
+        return math.inf if v > 0 else -math.inf
+    return float(v)
+
+
 def _float_list(v):
     """A comma-separated flag, or a config-file list, as a list of floats."""
     if type(v) is str:
         v = [t for t in v.split(",") if t.strip()]
-    return [float(t) for t in v]
+    return [_float(t) for t in v]
 
 
 # A param's kind: what a config-file value must be, the test of one, and its
@@ -559,7 +568,10 @@ def _check(table, from_file, flags, command):
     for name, param in table.items():
         if name in given:
             if typed:
-                v = param.flag.get("type", lambda v: v)(given[name])
+                convert = param.flag.get("type", lambda v: v)
+                # a float flag keeps argparse's type float, whose name its
+                # messages show; a config value may be an int too big for it
+                v = (_float if convert is float else convert)(given[name])
                 problems.extend(problem.format(name=name, v=v)
                                 for ok, problem in param.domain if not ok(v))
                 values[name] = v

@@ -14,8 +14,10 @@ either in closed form, or through a density for quadrature, or not at all
 (the analytics layer then falls back to Monte Carlo).
 """
 
+from functools import reduce
 import itertools
 import math
+from operator import add
 import sys
 
 import numpy as np
@@ -64,7 +66,7 @@ CONSERVATIVE_TOL = 1e-9
 class MassPartition:
     """A ranked sequence of positive masses with total at most one."""
 
-    __slots__ = ("masses", "_total")
+    __slots__ = ("masses",)
 
     def __init__(self, masses):
         masses = tuple(map(float, masses))
@@ -84,16 +86,16 @@ class MassPartition:
         if total > 1.0 + SUM_TOL:
             raise SumExceedsOneError(f"masses sum to {total} > 1")
         self.masses = masses
-        self._total = total
 
     @property
     def total(self):
-        return self._total
+        # summed in order, as __init__ checks it (0.0 + m1 is m1)
+        return reduce(add, self.masses)
 
     @property
     def conservative(self):
         """True when the split preserves mass (no dust)."""
-        return abs(self._total - 1.0) <= CONSERVATIVE_TOL
+        return abs(self.total - 1.0) <= CONSERVATIVE_TOL
 
     @property
     def is_trivial(self):
@@ -166,7 +168,11 @@ class DislocationModel:
         raise NotImplementedError
 
     def sample(self, stream):
-        return MassPartition(self.sample_masses(stream))
+        """One split as a MassPartition: sample_masses' ranked tuple, which
+        is valid by construction, so __init__'s checks are skipped."""
+        part = object.__new__(MassPartition)
+        part.masses = self.sample_masses(stream)
+        return part
 
     # --- analytics hooks; return None when the capability is absent ---
 
@@ -409,22 +415,42 @@ class PowerTailBinaryModel(DislocationModel):
         }
 
 
+def size_biased_draw(model):
+    """draw(stream) -> (split, index, 1.0): a split of model, then one of its
+    pieces picked with probability equal to its mass.
+
+    The draw is exact, so its importance weight is 1.0; that is the form
+    tilting.walk_tagged_line takes.  Needs a conservative model (with dust
+    the pick probabilities would not sum to one): otherwise every draw
+    raises.  The check runs here, once per draw function, not per draw.
+    """
+    if not model.conservative:
+        def draw(stream):
+            raise DustNotSupportedError(
+                "size-biased pick needs a conservative model")
+        return draw
+    sample = model.sample
+
+    def draw(stream):
+        part = sample(stream)
+        u = stream.uniform()
+        acc = 0.0
+        for j, m in enumerate(part.masses):
+            acc += m
+            if u < acc:
+                return part, j, 1.0
+        return part, j, 1.0  # round-off left u >= the total: the last piece
+    return draw
+
+
 def sample_size_biased(model, stream):
     """Draw a split and pick one piece with probability equal to its mass.
 
     Returns (mass, index, partition).  Needs a conservative model: with dust
     the pick probabilities would not sum to one.
     """
-    if not model.conservative:
-        raise DustNotSupportedError("size-biased pick needs a conservative model")
-    part = model.sample(stream)
-    u = stream.uniform()
-    acc = 0.0
-    for j, m in enumerate(part.masses):
-        acc += m
-        if u < acc:
-            return m, j, part
-    return part.masses[-1], len(part.masses) - 1, part
+    part, j, _ = size_biased_draw(model)(stream)
+    return part.masses[j], j, part
 
 
 def sample_size_biased_batch(model, streams, idx):

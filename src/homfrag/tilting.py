@@ -28,7 +28,7 @@ from .errors import (
     NotComputableError,
     ThinningDirectionError,
 )
-from .measures import sample_size_biased
+from .measures import size_biased_draw
 from .ranked import DEFAULT_MAX_FRAGMENTS, PopulationSnapshot, simulate_lanes
 from .streams import Stream, derive_key
 
@@ -49,6 +49,51 @@ def tilted_split_rate(model, evaluator, p):
     return rate
 
 
+def _tilted_draw(model, p, evaluator, pick):
+    """draw(stream) -> (split, pick(stream, cum), importance weight): one
+    draw of the split measure reweighted by sum_i s_i^(p+1), where cum holds
+    the running sums of s_i^(p+1) over the split's pieces.
+
+    The p_lower check and, for p < 0, the normaliser hold for every draw of
+    a path, so they run here, once.
+    """
+    if p <= model.p_lower:
+        raise BelowPLowerError(f"tilting needs p > p_lower = {model.p_lower}")
+    sample = model.sample
+    q = p + 1.0
+    if p >= 0.0:
+        def draw(stream):
+            for _ in range(_MAX_REJECTIONS):
+                part = sample(stream)
+                cum = _running_powers(part.masses, q)
+                if stream.uniform() < cum[-1]:
+                    return part, pick(stream, cum), 1.0
+            raise NotComputableError(
+                f"tilted rejection did not accept after {_MAX_REJECTIONS} tries"
+            )
+        return draw
+    if evaluator is None:
+        evaluator = PhiEvaluator(model)
+    norm = tilted_split_rate(model, evaluator, p) / model.total_rate
+
+    def draw(stream):
+        part = sample(stream)
+        cum = _running_powers(part.masses, q)
+        return part, pick(stream, cum), cum[-1] / norm
+    return draw
+
+
+def _running_powers(masses, q):
+    """Running sums of s_i^q over the pieces: their last entry is the tilt's
+    sum_i s_i^q, and they are the spine pick's weights."""
+    cum = []
+    acc = 0.0
+    for m in masses:
+        acc += m ** q
+        cum.append(acc)
+    return cum
+
+
 def sample_tilted_split(model, p, stream, evaluator=None):
     """One draw whose law is the split measure reweighted by sum_i s_i^(p+1).
 
@@ -57,31 +102,17 @@ def sample_tilted_split(model, p, stream, evaluator=None):
     exceeds one, so the draw comes with an importance weight of mean one
     instead; pass a PhiEvaluator to avoid rebuilding one per call.
     """
-    if p <= model.p_lower:
-        raise BelowPLowerError(f"tilting needs p > p_lower = {model.p_lower}")
-    if p >= 0.0:
-        for _ in range(_MAX_REJECTIONS):
-            part = model.sample(stream)
-            if stream.uniform() < part.power_sum(p + 1.0):
-                return part, 1.0
-        raise NotComputableError(
-            f"tilted rejection did not accept after {_MAX_REJECTIONS} tries"
-        )
-    if evaluator is None:
-        evaluator = PhiEvaluator(model)
-    norm = tilted_split_rate(model, evaluator, p) / model.total_rate
-    part = model.sample(stream)
-    return part, part.power_sum(p + 1.0) / norm
+    part, _, weight = _tilted_draw(model, p, evaluator, _no_pick)(stream)
+    return part, weight
+
+
+def _no_pick(stream, cum):
+    return None
 
 
 def spine_child_select(partition, p, stream):
     """Index of the spine's child: j with probability s_j^(p+1) (normalized)."""
-    cum = []
-    acc = 0.0
-    for m in partition.masses:
-        acc += m ** (p + 1.0)
-        cum.append(acc)
-    return stream.pick(cum)
+    return stream.pick(_running_powers(partition.masses, p + 1.0))
 
 
 @dataclass(slots=True, eq=False)
@@ -117,16 +148,19 @@ class TaggedLine:
 
     def value(self, t):
         """Subordinator value: the sum of the jumps up to and including t."""
-        if t > self.t_end:
-            raise ValueError(f"path simulated only to {self.t_end}, asked at {t}")
-        i = bisect_right(self.jump_times, t)
+        i = self._jumps_to(t)
         # summed from the first jump, not from 0.0 (0.0 + -0.0 is 0.0)
         return reduce(add, self.jump_sizes[:i]) if i else 0.0
 
     def spine_log_mass(self, t):
         """Log mass of the followed piece at time t: minus the jumps so far."""
-        i = bisect_right(self.jump_times, t)
-        return -sum(self.jump_sizes[:i])
+        return -sum(self.jump_sizes[:self._jumps_to(t)])
+
+    def _jumps_to(self, t):
+        """How many jumps fall up to and including t, for t <= t_end."""
+        if t > self.t_end:
+            raise ValueError(f"path simulated only to {self.t_end}, asked at {t}")
+        return bisect_right(self.jump_times, t)
 
     def shed(self):
         """(roots of the pieces the line shed, its log mass at t_end).
@@ -191,12 +225,8 @@ def simulate_spine(model, p, t_end, seed, evaluator=None, *,
     if with_population and eps_freeze is None:
         raise ValueError("with_population requires eps_freeze")
     rate = tilted_split_rate(model, evaluator, p)
-
-    def draw(stream):
-        part, w = sample_tilted_split(model, p, stream, evaluator)
-        return part, spine_child_select(part, p, stream), w
-
-    line = walk_tagged_line(rate, t_end, seed, draw, p)
+    line = walk_tagged_line(rate, t_end, seed,
+                            _tilted_draw(model, p, evaluator, Stream.pick), p)
     if with_population:
         roots, lm = line.shed()
         logs = [lm]
@@ -224,12 +254,8 @@ def simulate_spine(model, p, t_end, seed, evaluator=None, *,
 
 def simulate_event_log(model, t_end, seed):
     """Untilted tagged-fragment event stream: rate nu_total, size-biased picks."""
-
-    def draw(stream):
-        _, j, part = sample_size_biased(model, stream)
-        return part, j, 1.0
-
-    return walk_tagged_line(model.total_rate, t_end, seed, draw)
+    return walk_tagged_line(model.total_rate, t_end, seed,
+                            size_biased_draw(model))
 
 
 def thin_fiber(line, p, stream):

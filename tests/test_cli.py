@@ -882,6 +882,22 @@ def test_thin_rejects_malformed_event_records(capsys, ub_model_file, tmp_path,
     assert "Traceback" not in err
 
 
+def test_thin_rejects_unranked_masses(capsys, ub_model_file, tmp_path):
+    # thin's records come from outside: each split is checked again
+    log_path = tmp_path / "events.jsonl"
+    log_path.write_text(
+        json.dumps({"t_end": 1.0, "rate": 1.0, "stream": "event_log"}) + "\n"
+        + json.dumps({"replica": 0, "t": 0.5, "masses": [0.4, 0.6],
+                      "pick": 0}) + "\n")
+    code, out, err = run_cli(capsys, [
+        "--seed", "14", "--model", ub_model_file,
+        "thin", "--p", "1.0", "--input", str(log_path)])
+    assert code == 2
+    assert out == ""
+    assert "masses not ranked" in err
+    assert "Traceback" not in err
+
+
 def test_memoised_phi_leaves_martingale_bytes_unchanged(capsys, tmp_path,
                                                         monkeypatch):
     from homfrag.analytics import PhiEvaluator
@@ -1160,6 +1176,31 @@ def test_a_wrong_type_does_not_hide_missing_values(capsys, tmp_path, ub):
         assert f"  - {wrong}" in lines
         assert len(lines) == (2 if missing is None else 3)
         assert missing is None or lines[2].startswith(f"  - {missing}")
+
+
+@pytest.mark.parametrize("command, params, problems", [
+    ("spine", {"p": 10**400, "t_end": -1.0},
+     ["p must be a finite number, got inf",
+      "t_end must be finite and >= 0, got -1.0"]),
+    ("spine", {"p": 0.5, "t_end": 10**400, "eps_freeze": -(10**400)},
+     ["t_end must be finite and >= 0, got inf",
+      "eps_freeze must be in (0, 1), got -inf"]),
+    ("martingale", {"kind": "additive", "p": 0.5, "eps_freeze": 2.0,
+                    "t_grid": [1.0, 10**400]},
+     ["t_grid times must be finite and >= 0, got [1.0, inf]",
+      "eps_freeze must be in (0, 1), got 2.0"]),
+])
+def test_config_ints_beyond_the_float_range_are_not_finite(
+        capsys, tmp_path, ub, command, params, problems):
+    # json reads 10**400 as an int, which float() cannot convert
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"command": command, "seed": 1,
+                               "model": model_to_json(ub), "params": params}))
+    code, out, err = run_cli(capsys, ["--config", str(cfg)])
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert lines[0] == "configuration errors:"
+    assert sorted(lines[1:]) == sorted(f"  - {p}" for p in problems)
 
 
 def test_the_parser_is_built_once():

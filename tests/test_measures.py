@@ -294,6 +294,33 @@ class _FixedBatch:
         return np.array(next(self.rounds))
 
 
+_SAMPLER_MODELS = [
+    UniformBinaryModel(),
+    UniformBinaryModel(0.1),
+    PowerTailBinaryModel(0.01),
+    PowerTailBinaryModel(0.01, gamma=1.0),
+    AtomicModel([([0.5, 0.3, 0.2], 1.0), ([0.9, 0.1], 2.0)]),
+    AtomicModel([([0.5, 0.3], 1.0), ([0.6, 0.2, 0.1], 0.5)]),    # dust
+]
+
+
+@pytest.mark.parametrize("model", _SAMPLER_MODELS, ids=lambda m: repr(m.to_json()))
+def test_sampled_splits_are_valid_by_construction(model):
+    # sample() wraps sample_masses' tuple without checking it again: every
+    # split must be one MassPartition's checks accept, with equal fields
+    streams = [Stream(seed) for seed in range(400)]
+    # the first uniform at either end of [0, 1); the uniform model redraws 0
+    streams += [_FixedStream([u, 0.5]) for u in (0.0, 1.0 - 2.0 ** -53)]
+    for stream in streams:
+        part = model.sample(stream)
+        checked = MassPartition(part.masses)
+        assert type(part.masses) is tuple
+        assert all(type(m) is float for m in part.masses)
+        assert checked.masses == part.masses
+        assert repr(checked.total) == repr(part.total)
+        assert checked.conservative == part.conservative == model.conservative
+
+
 def test_size_biased_batch_pick_rule_matches_the_scalar_rule():
     # the masses sum to 1 - 5e-10 (conservative within tolerance): a draw
     # above that sum falls back to the last piece in both engines

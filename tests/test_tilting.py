@@ -1,14 +1,23 @@
 """Exponential tilting: reweighted splits, spine runs, thinning."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import walk_oracle
+
 from homfrag.analytics import PhiEvaluator
 from homfrag.errors import BelowPLowerError, ThinningDirectionError
-from homfrag.measures import AtomicModel, MassPartition
+from homfrag.measures import (
+    AtomicModel,
+    MassPartition,
+    PowerTailBinaryModel,
+    UniformBinaryModel,
+    sample_size_biased,
+)
 from homfrag.partitions import simulate_subordinator
 from homfrag.streams import Stream, derive_key
 from homfrag.tilting import (
@@ -109,6 +118,17 @@ def test_spine_log_mass_steps(ub):
     assert run.spine_log_mass(2.0) == pytest.approx(-sum(run.jump_sizes))
 
 
+def test_a_line_is_read_only_up_to_t_end(ub):
+    run = simulate_spine(ub, 0.5, 1.0, 3)
+    assert run.spine_log_mass(1.0) == -sum(run.jump_sizes)
+    assert run.value(1.0) == pytest.approx(sum(run.jump_sizes))
+    for read in (run.spine_log_mass, run.value):
+        with pytest.raises(ValueError, match="path simulated only to 1.0"):
+            read(5.0)
+        with pytest.raises(ValueError, match="path simulated only to 1.0"):
+            read(math.nextafter(1.0, 2.0))
+
+
 def test_spine_population_conserves_mass(ub):
     for seed in range(10):
         run = simulate_spine(ub, 1.0, 2.0, seed, with_population=True,
@@ -207,3 +227,78 @@ def test_subordinator_event_log_and_spine_share_one_walk():
         assert key == derive_key(derive_key(spine_key, k), i)
         seen.add((k, i))
     assert len(seen) == len(roots) == 2 * len(run.jump_times)
+
+
+def _fields(run):
+    """What a line holds, every float by repr, or what it raised."""
+    try:
+        line = run()
+    except Exception as e:
+        return type(e), str(e)
+    thinned = (thin_fiber(line, 1.0, Stream(derive_key(line.seed, 1)))
+               if line.p == 0.0 else line)
+    return (repr(line.jump_times), repr(line.weight),
+            [repr(part.masses) for part in line.partitions],
+            line.picks, repr(line.p), thinned.kept)
+
+
+_ORACLE_MODELS = {
+    "uniform": UniformBinaryModel(),
+    "uniform_eps0.1": UniformBinaryModel(0.1),
+    "power_tail_eps0.01": PowerTailBinaryModel(0.01),
+    "power_tail_eps0.05": PowerTailBinaryModel(0.05),
+    "dyadic": AtomicModel([([0.5, 0.5], 1.0)]),
+    "three_piece": AtomicModel([([0.5, 0.3, 0.2], 1.0),
+                                ([0.7, 0.2, 0.1], 0.5),
+                                ([0.9, 0.1], 2.0)]),
+}
+
+
+@pytest.mark.parametrize("name", list(_ORACLE_MODELS))
+def test_the_walk_equals_the_per_draw_oracle_bit_for_bit(name):
+    model = _ORACLE_MODELS[name]
+    ev = PhiEvaluator(model)
+    tilts = [1.0, 0.5, 0.0, -0.5] + ([-1.9, -2.0, -2.5] if name == "uniform"
+                                     else [])
+    for seed in list(range(100)) + [2**64 - 1]:
+        for t_end in (0.0, 1.0, 4.0):
+            for p in tilts:
+                assert _fields(lambda: simulate_spine(
+                    model, p, t_end, seed, ev)) == _fields(
+                    lambda: walk_oracle.simulate_spine(
+                        model, p, t_end, seed, ev)), (p, seed, t_end)
+            assert _fields(lambda: simulate_event_log(
+                model, t_end, seed)) == _fields(
+                lambda: walk_oracle.simulate_event_log(
+                    model, t_end, seed)), (seed, t_end)
+
+
+def _outcome(call):
+    try:
+        return repr(call())
+    except Exception as e:
+        return type(e), str(e)
+
+
+def test_the_walk_raises_as_the_oracle_does():
+    ub = _ORACLE_MODELS["uniform"]
+    dusty = AtomicModel([([0.5, 0.3], 1.0)])
+    new = SimpleNamespace(sample_tilted_split=sample_tilted_split,
+                          sample_size_biased=sample_size_biased,
+                          simulate_event_log=simulate_event_log,
+                          simulate_spine=simulate_spine)
+    cases = [
+        (lambda m: m.sample_tilted_split(ub, -2.0, Stream(1)), True),
+        (lambda m: m.sample_tilted_split(ub, -3.0, Stream(1)), True),
+        (lambda m: m.sample_tilted_split(ub, -0.5, Stream(1)), False),
+        (lambda m: m.sample_size_biased(dusty, Stream(1)), True),
+        (lambda m: m.simulate_event_log(dusty, 4.0, 5), True),
+        # no event before t_end: no draw, so nothing to refuse
+        (lambda m: m.simulate_event_log(dusty, 0.0, 5), False),
+        (lambda m: m.simulate_spine(ub, -2.0, 4.0, 5), True),
+        (lambda m: m.simulate_spine(ub, -2.0, 0.0, 5), True),
+    ]
+    for case, raises in cases:
+        got = _outcome(lambda: case(new))
+        assert got == _outcome(lambda: case(walk_oracle))
+        assert isinstance(got, tuple) == raises, got
