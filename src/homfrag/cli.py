@@ -240,18 +240,25 @@ def _cmd_spine(cfg):
         for t, s in zip(run.jump_times, run.jump_sizes):
             lm -= s
             rows.append((i, t, s, lm))
-    w_sq = sum(w * w for w in weights)
+
+    def total(floats):
+        # left to right from 0, as sum adds floats up to Python 3.11 (3.12
+        # compensates): the header's bits do not depend on the version
+        return functools.reduce(float.__add__, floats, 0.0)
+
+    w_sum = total(weights)
+    w_sq = total(w * w for w in weights)
     header = {"p": pr["p"], "t_end": pr["t_end"],
               "tilted_rate": tilted_split_rate(cfg.model, ev, pr["p"]),
-              "weight_mean": sum(weights) / len(weights),
+              "weight_mean": w_sum / len(weights),
               # effective sample size of the importance weights
-              "weight_ess": sum(weights) ** 2 / w_sq if w_sq > 0.0 else None,
+              "weight_ess": w_sum ** 2 / w_sq if w_sq > 0.0 else None,
               "shed_fragments_mean": sum(n_shed) / len(n_shed)}
     if populations:
         live, frozen, events = zip(*populations)
         header.update({"eps_freeze": pr["eps_freeze"],
                        "population_live_mean": sum(live) / len(live),
-                       "population_frozen_mass_mean": sum(frozen) / len(frozen),
+                       "population_frozen_mass_mean": total(frozen) / len(frozen),
                        "population_events_mean": sum(events) / len(events)})
     return header, "csv", ("replica", "jump_time", "jump_size",
                            "spine_log_mass"), rows

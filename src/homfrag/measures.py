@@ -103,8 +103,9 @@ class MassPartition:
         return len(self.masses) == 1 and self.masses[0] >= 1.0 - SUM_TOL
 
     def power_sum(self, theta):
-        """sum_i s_i^theta"""
-        return sum(m ** theta for m in self.masses)
+        """sum_i s_i^theta, left to right from int 0, as sum adds floats up
+        to Python 3.11 (3.12 compensates, which can change the last bit)"""
+        return reduce(add, (m ** theta for m in self.masses), 0)
 
     def __len__(self):
         return len(self.masses)
@@ -206,7 +207,7 @@ class AtomicModel(DislocationModel):
             if part.is_trivial:
                 raise TrivialSplitError("atomic model contains the trivial split")
         self.atoms = atoms
-        self.total_rate = sum(w for _, w in atoms)
+        self.total_rate = reduce(add, (w for _, w in atoms), 0)  # as power_sum
         self.conservative = all(p.conservative for p, _ in atoms)
         self._cum = []
         acc = 0.0
@@ -380,9 +381,9 @@ class PowerTailBinaryModel(DislocationModel):
         return (a - u * (a - b)) ** (1.0 / (1.0 - g))
 
     def sample_masses(self, stream):
-        v = self._inverse_cdf(stream.uniform())
-        if v > 0.5:
-            v = 0.5  # guard against round-off just past the endpoint
+        # clamped to the support [epsilon, 1/2]: round-off can step just past
+        # either end (at epsilon = 0.05, _inverse_cdf(0.0) is one ulp below)
+        v = min(max(self._inverse_cdf(stream.uniform()), self.epsilon), 0.5)
         return (1.0 - v, v)
 
     def sample_masses_batch(self, streams, idx):
@@ -397,7 +398,7 @@ class PowerTailBinaryModel(DislocationModel):
             b = 2.0 ** (g - 1.0)
             v = _pow_lanes((a - u * (a - b)).tolist(),
                            itertools.repeat(1.0 / (1.0 - g)), len(u))
-        v = np.where(v > 0.5, 0.5, v)
+        v = np.minimum(np.maximum(v, e), 0.5)  # sample_masses' clamp
         return np.column_stack((1.0 - v, v))
 
     def phi_quadrature(self, q, abs_tol=1e-10):

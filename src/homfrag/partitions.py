@@ -34,8 +34,9 @@ from .streams import (
 )
 from .tilting import simulate_event_log
 
-# lanes walked together by subordinator_values: bounds its memory, not a knob
-_CHUNK_LANES = 1 << 16
+# events (lanes x block width) read at once by subordinator_values: bounds
+# its memory, not a knob
+_CHUNK_CELLS = 1 << 20
 # paintbox draws at one ring before the path is declared not computable
 _MAX_REJECTIONS = 1_000_000
 
@@ -285,33 +286,106 @@ def subordinator_values(model, t_end, seed, n_replicas):
     """xi(t_end) of replicas 0, ..., n_replicas - 1 of the tagged subordinator.
 
     Entry i equals simulate_subordinator(model, t_end,
-    replica_key(seed, i)).value(t_end) bit for bit.  All live lanes advance
-    one event per generation on their own streams, with the scalar walk's
-    draws and arithmetic: waits -log1p(-u) / rate, the size-biased pick of
-    the split, jumps -log(picked mass) summed in event order.  Lanes are
-    independent and walked in fixed-size chunks, so memory stays bounded and
-    no entry depends on the chunk size or on n_replicas.
+    replica_key(seed, i)).value(t_end) bit for bit.  Each lane's whole path
+    is read off its counter-based stream in one pass: event e spends draws
+    3e+1, 3e+2 and 3e+3 (wait, split, size-biased pick), with the scalar
+    walk's arithmetic (see _block_values).  A lane the pass cannot certify
+    is walked by simulate_subordinator itself.  Lanes are independent and
+    walked in chunks of at most _CHUNK_CELLS cells (lanes times the block's
+    events), so memory stays bounded and no entry depends on the chunk size
+    or on n_replicas.
     """
+    if not 0.0 <= t_end < math.inf:
+        raise ValueError(f"t_end must be finite and >= 0, got {t_end}")
     rate = model.total_rate
-    keys = derive_keys(replica_keys(seed, n_replicas), 0)
+    mean = rate * t_end
+    # a Poisson(mean) path outgrows this block with probability below 1e-9,
+    # unless the cap applies (mean above about 10^6)
+    width = int(min(mean + 6.0 * math.sqrt(mean) + 9.0, _CHUNK_CELLS))
+    lanes = _CHUNK_CELLS // width
+    keys = replica_keys(seed, n_replicas)
     out = np.empty(n_replicas)
-    for start in range(0, n_replicas, _CHUNK_LANES):
-        streams = StreamBatch(keys[start:start + _CHUNK_LANES])
-        live = np.arange(len(streams.state))     # lanes still walking
-        t = np.zeros(len(live))
-        xi = np.zeros(len(live))
-        first = True    # live lanes move in step: all have as many jumps
-        while True:
-            t += -lanewise(math.log1p, -streams.uniform(live)) / rate
-            ended = t > t_end
-            out[start + live[ended]] = xi[ended]
-            live, t, xi = live[~ended], t[~ended], xi[~ended]
-            if not live.size:
-                break
-            picked, _, _ = sample_size_biased_batch(model, streams, live)
-            jump = -lanewise(math.log, picked)
-            # the scalar running sum starts at the first jump, not at 0.0 +
-            # jump (which would turn a -0.0 jump into 0.0)
-            xi = jump if first else xi + jump
-            first = False
+    for start in range(0, n_replicas, lanes):
+        chunk = keys[start:start + lanes]
+        out[start:start + len(chunk)] = _block_values(model, rate, t_end,
+                                                      chunk, width)
     return out
+
+
+def _block_values(model, rate, t_end, keys, width):
+    """subordinator_values of the replicas keyed keys, each path read off a
+    block of `width` events.
+
+    numpy's log1p of every wait in the block only estimates each lane's
+    event count E.  The waits of the first E + 1 events then go through
+    libm, as Stream.exponential does, and a sequential cumsum gives the
+    scalar walk's jump times, which must show t_E <= t_end < t_{E+1}
+    exactly.  The jumps -log(picked mass), by libm, are summed the same way
+    from the first one.  The estimate never reaches the output: a lane whose
+    check fails, whose path outgrows the block, or whose split draw was 0.0
+    (uniform_open would draw again, shifting the lane's later draws) is
+    walked by simulate_subordinator.
+    """
+    streams = StreamBatch(derive_keys(keys, 0))
+    lanes = np.arange(len(keys))
+    # one row per event, one column per lane: cumsum down a column adds
+    # that lane's terms in event order
+    u = streams.uniform_at(lanes, 3 * np.arange(width)[:, None] + 1)
+    n_events = _estimate_events(u, rate, t_end)
+    steps = np.arange(min(int(n_events.max()) + 1, width))[:, None]
+    first = steps <= n_events
+    wait = np.zeros(first.shape)
+    wait[first] = -lanewise(math.log1p, -u[:len(steps)][first]) / rate
+    t = np.cumsum(wait, axis=0)
+    ok = ((n_events < width)
+          & (t[np.minimum(n_events, len(steps) - 1), lanes] > t_end)
+          & ((n_events == 0) | (t[n_events - 1, lanes] <= t_end)))
+    events = (steps < n_events) & ok
+    e, lane = np.nonzero(events)
+    out = np.zeros(len(keys))
+    if lane.size:
+        # the splits' draws at 3e + 2, the picks' at 3e + 3
+        drawn = _Drawn(*streams.uniform_at(lane, 3 * e + [[2], [3]]))
+        picked = sample_size_biased_batch(model, drawn, lane)[0]
+        if drawn.draws:
+            raise NotImplementedError("a split sampler drew no uniform")
+        ok[lane[drawn.redrawn]] = False
+        jumps = np.zeros(events.shape)
+        jumps[events] = -lanewise(math.log, picked)
+        done = np.flatnonzero(ok & (n_events > 0))
+        out[done] = np.cumsum(jumps, axis=0)[n_events[done] - 1, done]
+    for i in np.flatnonzero(~ok):
+        out[i] = simulate_subordinator(model, t_end, int(keys[i])).value(t_end)
+    return out
+
+
+def _estimate_events(u, rate, t_end):
+    """Events by t_end of each lane, from its block of wait draws u and
+    numpy's log1p, which can differ from libm's in the last bit."""
+    t = np.cumsum(-np.log1p(-u) / rate, axis=0)
+    return np.count_nonzero(t <= t_end, axis=0)
+
+
+class _Drawn:
+    """Pre-drawn uniforms behind the StreamBatch interface that
+    sample_size_biased_batch reads: the split sampler's draw, then the
+    pick's, one per lane each, as every built-in model draws them.
+
+    uniform_open marks the lanes that drew 0.0 in `redrawn` (a stream would
+    draw again there) and hands them 0.5 instead, so that the pick stays
+    defined.
+    """
+
+    def __init__(self, split, pick):
+        self.draws = [pick, split]
+        self.redrawn = np.zeros(len(split), dtype=bool)
+
+    def uniform(self, idx):
+        if not self.draws:
+            raise NotImplementedError("a split sampler drew twice per split")
+        return self.draws.pop()
+
+    def uniform_open(self, idx):
+        u = self.uniform(idx)
+        self.redrawn = u == 0.0
+        return np.where(self.redrawn, 0.5, u)

@@ -178,6 +178,16 @@ class StreamBatch:
         self.state[idx] = z
         return _unit_floats(z)  # mixes z in place; the stored state is a copy
 
+    def uniform_at(self, idx, k):
+        """Draw k (1-based, counted from now) of each lane in idx; no lane
+        advances.
+
+        SplitMix64 is counter-based: draw k of a stream in state s is the
+        uniform of mix64(s + k*gamma).  idx and k broadcast together.
+        """
+        z = self.state[idx] + np.asarray(k, dtype=np.uint64) * _U64_GAMMA
+        return _unit_floats(z)
+
     def uniform_open(self, idx):
         """One uniform in (0, 1) per lane in idx; only lanes that drew 0 redraw."""
         u = self.uniform(idx)

@@ -154,7 +154,8 @@ class TaggedLine:
 
     def spine_log_mass(self, t):
         """Log mass of the followed piece at time t: minus the jumps so far."""
-        return -sum(self.jump_sizes[:self._jumps_to(t)])
+        # summed left to right from int 0, as sum does up to Python 3.11
+        return -reduce(add, self.jump_sizes[:self._jumps_to(t)], 0)
 
     def _jumps_to(self, t):
         """How many jumps fall up to and including t, for t <= t_end."""
@@ -194,6 +195,8 @@ def walk_tagged_line(rate, t_end, seed, draw, p=0.0):
     draw(stream) gives each event's (split, index of the followed piece,
     importance weight); p labels the law the draws follow.
     """
+    if not 0.0 <= t_end < math.inf:  # NaN included: t > nan never ends a walk
+        raise ValueError(f"t_end must be finite and >= 0, got {t_end}")
     stream = Stream(derive_key(seed, 0))
     exponential = stream.exponential
     t = 0.0

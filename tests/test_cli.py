@@ -1,9 +1,11 @@
 """End-to-end checks of the command-line interface."""
 
 from contextlib import redirect_stderr, redirect_stdout
+from functools import reduce
 import io
 import json
 import math
+from operator import add
 import os
 import stat
 from pathlib import Path
@@ -398,7 +400,7 @@ def test_spine_population_means_in_the_header(capsys, ub, ub_model_file):
     assert header["eps_freeze"] == 0.01
     assert header["population_live_mean"] == sum(p.n_live for p in pops) / 20
     assert header["population_frozen_mass_mean"] == (
-        sum(p.frozen_mass for p in pops) / 20)
+        reduce(add, (p.frozen_mass for p in pops)) / 20)
     assert header["population_events_mean"] == (
         sum(p.event_count for p in pops) / 20)
     assert header["population_live_mean"] > 1.0

@@ -56,6 +56,13 @@ def test_manyto1_needs_two_replicas(ub, ub_eval):
             estimate_V_manyto1(ub, ub_eval, 0.5, 2.0, -0.2, 0.2, n, 1)
 
 
+def test_manyto1_needs_a_finite_horizon(ub, ub_eval):
+    # the tagged line's walk used never to end at t = inf or NaN
+    for t in (math.inf, math.nan, -1.0):
+        with pytest.raises(ValueError, match="t_end must be finite and >= 0"):
+            estimate_V_manyto1(ub, ub_eval, 0.5, t, -0.2, 0.2, 10, 1)
+
+
 def test_direct_matches_compound_poisson_value(ub, ub_eval):
     est = presence_summary(ub, ub_eval, 0.5, 2.0, -0.2, 0.2, 1e-8, 4000, 401)
     mean, se = est.v_mean, est.v_stderr

@@ -232,6 +232,38 @@ def test_power_tail_quadrature_oracles(ptail):
         assert err < 1e-7
 
 
+class _Fixed:
+    """A stream, or a StreamBatch, whose every uniform is u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def uniform(self, idx=None):
+        return self.u if idx is None else np.full(len(idx), self.u)
+
+
+@pytest.mark.parametrize("epsilon, gamma", [(0.05, 1.5), (0.3, 1.2),
+                                            (0.01, 1.0), (0.02, 1.9)])
+@pytest.mark.parametrize("u", [0.0, 1.0 - 2.0 ** -53])
+def test_power_tail_pieces_stay_in_the_support(epsilon, gamma, u):
+    # _inverse_cdf(0) is one ulp below epsilon at (0.05, 1.5) and (0.3, 1.2);
+    # _inverse_cdf(1 - 2^-53) passes 1/2 at (0.3, 1.2)
+    m = PowerTailBinaryModel(epsilon=epsilon, gamma=gamma)
+    masses = m.sample_masses(_Fixed(u))
+    assert epsilon <= masses[1] <= 0.5 <= masses[0] <= 1.0 - epsilon
+    assert masses[1] == min(max(m._inverse_cdf(u), epsilon), 0.5)
+    rows = m.sample_masses_batch(_Fixed(u), np.arange(3))
+    assert [tuple(r) for r in rows] == [masses] * 3
+
+
+def test_float_sums_are_left_to_right():
+    # 0.1 ten times: 0.9999999999999999 left to right, 1.0 compensated (the
+    # built-in sum from Python 3.12)
+    assert MassPartition([0.1] * 10).power_sum(1.0) == 0.9999999999999999
+    atoms = [([0.5, 0.5], 0.1)] * 10
+    assert AtomicModel(atoms).total_rate == 0.9999999999999999
+
+
 def test_power_tail_gamma_one_log_rate():
     m = PowerTailBinaryModel(epsilon=0.1, c=2.0, gamma=1.0)
     assert m.total_rate == pytest.approx(2.0 * math.log(5.0), rel=1e-12)

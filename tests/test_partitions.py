@@ -25,10 +25,12 @@ from homfrag.partitions import (
     tagged_xi,
 )
 from homfrag.streams import (
+    _KEY_SALT,
     GOLDEN_GAMMA,
     MASK64,
     Stream,
     StreamBatch,
+    derive_keys,
     replica_key,
     replica_keys,
 )
@@ -359,24 +361,111 @@ def test_subordinator_values_equal_the_per_path_walk_bit_for_bit(name, seed, n, 
                      per_path_values(model, t, seed, n))
 
 
+def _chunk_sizes(monkeypatch):
+    """The lane counts of subordinator_values' chunks, recorded as it walks
+    them (the list is filled in place)."""
+    sizes = []
+    walk = partitions._block_values
+
+    def spy(model, rate, t_end, keys, width):
+        sizes.append(len(keys))
+        return walk(model, rate, t_end, keys, width)
+    monkeypatch.setattr(partitions, "_block_values", spy)
+    return sizes
+
+
+def _fallbacks(monkeypatch):
+    """The replica keys that subordinator_values hands to the per-path walk."""
+    keys = []
+    walk = partitions.simulate_subordinator
+
+    def spy(model, t_end, seed):
+        keys.append(seed)
+        return walk(model, t_end, seed)
+    monkeypatch.setattr(partitions, "simulate_subordinator", spy)
+    return keys
+
+
 def test_subordinator_values_do_not_depend_on_batch_size_or_chunks(ub, monkeypatch):
     full = subordinator_values(ub, 2.0, 31, 40)
     for k in (1, 7, 39):
         assert same_bits(subordinator_values(ub, 2.0, 31, k), full[:k])
+    sizes = _chunk_sizes(monkeypatch)
+    # a block holds 19 events at t = 2: chunks of 1, 3 and 16 lanes
     for lanes in (1, 3, 16):
-        monkeypatch.setattr(partitions, "_CHUNK_LANES", lanes)
+        monkeypatch.setattr(partitions, "_CHUNK_CELLS", 19 * lanes)
+        sizes.clear()
         assert same_bits(subordinator_values(ub, 2.0, 31, 40), full)
+        assert max(sizes) == lanes and sum(sizes) == 40
 
 
-def test_subordinator_values_across_a_chunk_boundary(ub):
-    # a call of more than one chunk at a short horizon (few events per lane)
-    c = partitions._CHUNK_LANES
+def test_subordinator_values_across_a_chunk_boundary(ub, monkeypatch):
+    # a call of more than one chunk at a short horizon (few events per
+    # lane): a block holds 11 events at t = 0.2, so chunks of c lanes
+    c = 1000
+    monkeypatch.setattr(partitions, "_CHUNK_CELLS", 11 * c)
+    sizes = _chunk_sizes(monkeypatch)
     vals = subordinator_values(ub, 0.2, 32, c + 5)
+    assert sizes == [c, 5]
     assert same_bits(vals[:9], subordinator_values(ub, 0.2, 32, 9))
     around = np.array([simulate_subordinator(ub, 0.2, replica_key(32, i)).value(0.2)
                        for i in range(c - 4, c + 5)])
     assert same_bits(vals[c - 4:], around)
     assert (vals > 0).any()
+
+
+def test_paths_longer_than_one_block_are_walked_per_path(ub, monkeypatch):
+    t = 3000.0  # rate * t = 3000 events per lane
+    expected = per_path_values(ub, t, 5, 3)
+    walked = _fallbacks(monkeypatch)
+    assert same_bits(subordinator_values(ub, t, 5, 3), expected)
+    assert walked == []  # the default block holds every path
+    monkeypatch.setattr(partitions, "_CHUNK_CELLS", 1000)
+    assert same_bits(subordinator_values(ub, t, 5, 3), expected)
+    assert walked == [replica_key(5, i) for i in range(3)]
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_an_estimate_off_by_one_never_reaches_the_output(ub, monkeypatch, shift):
+    estimate = partitions._estimate_events
+
+    def off(u, rate, t_end):
+        return np.clip(estimate(u, rate, t_end) + shift, 0, len(u))
+    monkeypatch.setattr(partitions, "_estimate_events", off)
+    walked = _fallbacks(monkeypatch)
+    for t in (0.3, 4.0):
+        assert same_bits(subordinator_values(ub, t, 8, 30), per_path_values(ub, t, 8, 30))
+    # every lane but those whose count -1 clips back to 0 is walked per path
+    assert len(walked) > 30
+
+
+def test_a_horizon_between_the_numpy_and_libm_jump_times(ub, monkeypatch):
+    # t_end at a jump time that numpy's log1p puts on the other side of it:
+    # the estimate is off by one there, and the lane is walked per path
+    for seed in range(100):
+        key = replica_key(seed, 0)
+        libm = simulate_subordinator(ub, 20.0, key).jump_times
+        u = StreamBatch(derive_keys(np.array([key], dtype=np.uint64), 0)).uniform_at(
+            0, 3 * np.arange(len(libm)) + 1)
+        approx = np.cumsum(-np.log1p(-u) / ub.total_rate)
+        differ = np.flatnonzero(approx != libm)
+        if differ.size:
+            break
+    k = differ[0]
+    walked = _fallbacks(monkeypatch)
+    t = min(libm[k], approx[k])
+    assert same_bits(subordinator_values(ub, t, seed, 3), per_path_values(ub, t, seed, 3))
+    assert walked == [key]
+
+
+def test_jumps_of_minus_zero_sum_to_minus_zero():
+    # a piece of mass 1.0 next to one of 1e-13 is picked almost surely, and
+    # its jump -log(1.0) is -0.0: the sum starts at the first jump, as
+    # TaggedLine.value's does, not at 0.0
+    model = AtomicModel([([1.0, 1e-13], 1.0)])
+    vals = subordinator_values(model, 3.0, 9, 20)
+    assert same_bits(vals, per_path_values(model, 3.0, 9, 20))
+    assert np.signbit(vals).any()
 
 
 def _unxorshift(y, shift):
@@ -430,6 +519,52 @@ def test_uniform_open_redraws_only_the_lanes_that_drew_zero(ub):
         rows = ub.sample_masses_batch(batch, idx)
         assert [tuple(r) for r in rows] == [ub.sample_masses(s) for s in scalar]
     assert batch.uniform(idx).tolist() == [s.uniform() for s in scalar]
+
+
+def _seed_whose_line_draw_is_zero(k):
+    """A master seed whose replica 0 walks a tagged line with draw k exactly
+    0.0: replica_key(seed, 0) and the line's key are both derive_key(., 0)."""
+    key = _key_whose_draw_is_zero(k)
+    for _ in range(2):  # invert derive_key(key, 0) = mix64((key ^ salt) + gamma)
+        key = ((_mix64_inverse(key) - GOLDEN_GAMMA) & MASK64) ^ _KEY_SALT
+    return key
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_MODELS))
+@pytest.mark.parametrize("event", [0, 3])
+def test_a_split_draw_of_zero_is_walked_per_path(name, event, monkeypatch):
+    # event e draws its split at 3e + 2; only uniform_open redraws a zero,
+    # which shifts the lane's later draws
+    model = BATCH_MODELS[name]
+    seed = _seed_whose_line_draw_is_zero(3 * event + 2)
+    path = simulate_subordinator(model, 50.0, replica_key(seed, 0))
+    assert len(path) > event
+    walked = _fallbacks(monkeypatch)
+    assert same_bits(subordinator_values(model, 50.0, seed, 4),
+                     per_path_values(model, 50.0, seed, 4))
+    redraws = isinstance(model, UniformBinaryModel)
+    assert walked == [replica_key(seed, 0)] * redraws
+
+
+@pytest.mark.parametrize("t", [0.0, 1.0])
+def test_a_wait_draw_of_zero_is_an_event_at_time_zero(ub, t, monkeypatch):
+    seed = _seed_whose_line_draw_is_zero(1)
+    walked = _fallbacks(monkeypatch)
+    vals = subordinator_values(ub, t, seed, 4)
+    assert same_bits(vals, per_path_values(ub, t, seed, 4))
+    assert walked == []
+    assert simulate_subordinator(ub, t, replica_key(seed, 0)).jump_times[0] == 0.0
+    assert vals[0] > 0.0  # the jump at time 0 counts, even at t = 0
+
+
+def test_a_split_sampler_must_draw_once_per_split(ub):
+    class TwoDraws(UniformBinaryModel):
+        def sample_masses_batch(self, streams, idx):
+            streams.uniform(idx)
+            return super().sample_masses_batch(streams, idx)
+
+    with pytest.raises(NotImplementedError, match="drew twice"):
+        subordinator_values(TwoDraws(), 4.0, 1, 10)
 
 
 def test_subordinator_values_reject_dust():

@@ -143,3 +143,20 @@ def test_stream_batch_lanes_are_scalar_streams():
         assert u.tolist() == [scalar[i].uniform() for i in idx]
         u = batch.uniform_open(np.array(idx))
         assert u.tolist() == [scalar[i].uniform_open() for i in idx]
+
+
+def test_stream_batch_draws_at_offsets_without_advancing():
+    keys = replica_keys(19, 4)
+    batch = StreamBatch(keys)
+    batch.uniform(np.array([1, 3]))  # offsets count from each lane's state
+    scalar = [Stream(int(k)) for k in keys]
+    for i in (1, 3):
+        scalar[i].uniform()
+    draws = [[s.uniform() for _ in range(7)] for s in scalar]
+    lanes = np.arange(4)
+    k = np.arange(1, 8)[:, None]
+    assert batch.uniform_at(lanes, k).tolist() == [list(r) for r in zip(*draws)]
+    assert batch.uniform_at(np.array([2, 0]), np.array([5, 1])).tolist() == [
+        draws[2][4], draws[0][0]]
+    # no lane advanced: the next draw is still draw 1
+    assert batch.uniform(lanes).tolist() == [d[0] for d in draws]

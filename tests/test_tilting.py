@@ -1,6 +1,8 @@
 """Exponential tilting: reweighted splits, spine runs, thinning."""
 
 import math
+from functools import reduce
+from operator import add
 from types import SimpleNamespace
 
 import numpy as np
@@ -118,9 +120,20 @@ def test_spine_log_mass_steps(ub):
     assert run.spine_log_mass(2.0) == pytest.approx(-sum(run.jump_sizes))
 
 
+@pytest.mark.parametrize("t_end", [math.inf, math.nan, -1.0])
+def test_a_tagged_line_needs_a_finite_horizon(ub, ub_eval, t_end):
+    # t > nan never ends a walk, and t > inf ends it only past every event
+    walks = [lambda: simulate_event_log(ub, t_end, 1),
+             lambda: simulate_subordinator(ub, t_end, 1),
+             lambda: simulate_spine(ub, 0.5, t_end, 1, ub_eval)]
+    for walk in walks:
+        with pytest.raises(ValueError, match="t_end must be finite and >= 0"):
+            walk()
+
+
 def test_a_line_is_read_only_up_to_t_end(ub):
     run = simulate_spine(ub, 0.5, 1.0, 3)
-    assert run.spine_log_mass(1.0) == -sum(run.jump_sizes)
+    assert run.spine_log_mass(1.0) == -reduce(add, run.jump_sizes)
     assert run.value(1.0) == pytest.approx(sum(run.jump_sizes))
     for read in (run.spine_log_mass, run.value):
         with pytest.raises(ValueError, match="path simulated only to 1.0"):
