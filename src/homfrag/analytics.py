@@ -296,41 +296,18 @@ def detect_geometric(model, r_max=64, tol=1e-9):
     return GeometricDetection(None, evidence)
 
 
-class _OneStream:
-    """One Stream behind a batched split sampler: lane i takes split i's draw.
-
-    uniform gives the next len(idx) draws and uniform_open the next len(idx)
-    nonzero ones: the scalar rule of a sampler that draws one uniform per
-    split, as every built-in model does.  A second draw would interleave the
-    splits, so it raises.
-    """
-
-    def __init__(self, stream):
-        self.stream = stream
-
-    def uniform(self, idx):
-        stream, self.stream = self.stream, None
-        if stream is None:
-            raise NotImplementedError("a split sampler drew twice per split")
-        return stream.uniforms(len(idx))
-
-    def uniform_open(self, idx):
-        stream = self.stream
-        u = self.uniform(idx)
-        u = u[u != 0.0]
-        while len(u) < len(idx):
-            more = stream.uniforms(len(idx) - len(u))
-            u = np.concatenate((u, more[more != 0.0]))
-        return u
-
-
 def _sample_splits(model, stream, n):
-    """n splits drawn from one stream, as n calls of model.sample_masses.
-
-    Returns them as model.sample_masses_batch does: one row per split, its
-    pieces in draw order and then zero padding.
-    """
-    return model.sample_masses_batch(_OneStream(stream), np.arange(n))
+    """n splits drawn from one stream, as n calls of model.sample_masses:
+    the stream's next n uniforms (its next n nonzero ones for an open_draw
+    model) mapped by model.splits, one row per split, its pieces in draw
+    order and then zero padding."""
+    u = stream.uniforms(n)
+    if model.open_draw:
+        u = u[u != 0.0]
+        while len(u) < n:
+            more = stream.uniforms(n - len(u))
+            u = np.concatenate((u, more[more != 0.0]))
+    return model.splits(u)
 
 
 class _SplitSums:

@@ -268,8 +268,15 @@ _EVENT_FIELDS = ("replica", "t", "masses", "pick")
 _EVENT_FIELD_SET = frozenset(_EVENT_FIELDS)
 
 
-def _event_record_problems(n, rec):
-    """Why event-log record n (1-based, after the header) cannot be thinned.
+def _finite_number(v):
+    """True for a JSON number (an int or a float, not a bool) whose float is
+    finite."""
+    return type(v) in (int, float) and math.isfinite(_float(v))
+
+
+def _event_record_problems(n, rec, t_end):
+    """Why event-log record n (1-based, after the header) cannot be thinned
+    on a log that runs to t_end (None when the header's is unusable).
 
     Records come from json.loads, so numbers are exactly int or float and
     type() tells them from booleans.
@@ -285,9 +292,12 @@ def _event_record_problems(n, rec):
     if type(replica) is not int:
         problems.append(f"event-log record {n}: replica must be an integer, "
                         f"got {replica!r}")
-    if type(t) not in (int, float) or not math.isfinite(t):
+    if not _finite_number(t):
         problems.append(f"event-log record {n}: t must be a finite number, "
                         f"got {t!r}")
+    elif t_end is not None and not 0 <= t <= t_end:
+        problems.append(f"event-log record {n}: t must lie in "
+                        f"[0, t_end = {t_end!r}], got {t!r}")
     if (type(masses) is not list or not masses
             or not all(type(m) is float or type(m) is int for m in masses)):
         problems.append(f"event-log record {n}: masses must be a non-empty "
@@ -316,8 +326,14 @@ def _cmd_thin(cfg):
     if not isinstance(in_header, dict) or in_header.get("stream") != "event_log":
         raise ConfigError(["thin input must be a subordinator --event-log stream"])
     t_end = in_header.get("t_end")
-    problems = [problem for n, rec in enumerate(records, 1)
-                for problem in _event_record_problems(n, rec)]
+    problems = []
+    if not (_finite_number(t_end) and t_end >= 0):
+        problems.append("event-log header: t_end must be a finite number "
+                        f">= 0, got {t_end!r}" if "t_end" in in_header
+                        else "event-log header lacks t_end")
+        t_end = None
+    problems += [problem for n, rec in enumerate(records, 1)
+                 for problem in _event_record_problems(n, rec, t_end)]
     if problems:
         raise ConfigError(problems)
 

@@ -2,7 +2,8 @@
 
 A dislocation model is a finite measure on ranked mass sequences
 (s1 >= s2 >= ... > 0, sum <= 1); simulation draws splits at the model's
-total rate and each fragment of mass m is replaced by (m*s1, m*s2, ...).
+total rate, each one uniform mapped by the model's split, and each fragment
+of mass m is replaced by (m*s1, m*s2, ...).
 Infinite families enter only through truncation: `truncate_family` keeps
 the sub-measure of splits with 1 - s1 > epsilon, which has finite rate.
 
@@ -14,6 +15,7 @@ either in closed form, or through a density for quadrature, or not at all
 (the analytics layer then falls back to Monte Carlo).
 """
 
+from bisect import bisect_right
 from functools import reduce
 import itertools
 import math
@@ -149,30 +151,50 @@ def validate(raw, allow_trivial=False):
 
 
 class DislocationModel:
-    """Base class: finite total rate + exact sampler + analytic hooks."""
+    """Base class: finite total rate, a split map, analytic hooks.
+
+    A model splits by one uniform pushed through its map: split(u) is the
+    ranked tuple of floats for a uniform u, and splits(u) the zero-padded
+    matrix whose row r equals split(u[r]), bit for bit.  A model whose map
+    gives no valid split at u = 0 sets open_draw, and its uniforms are drawn
+    in (0, 1) instead of [0, 1).  Only this class draws them.
+    """
 
     kind = "abstract"
     total_rate = None
     conservative = None
     p_lower = -math.inf
+    open_draw = False
+
+    def split(self, u):
+        """The split of uniform u as a ranked tuple of floats."""
+        raise NotImplementedError
+
+    def splits(self, u):
+        """split of every entry of the float array u, as a zero-padded
+        matrix with one row per entry."""
+        raise NotImplementedError
 
     def sample_masses(self, stream):
         """Draw one split as a ranked tuple of floats (hot path)."""
-        raise NotImplementedError
+        return self.split(stream.uniform_open() if self.open_draw
+                          else stream.uniform())
 
     def sample_masses_batch(self, streams, idx):
-        """One split per lane of a StreamBatch, as a zero-padded matrix.
-
-        Row r equals sample_masses on the scalar stream of lane idx[r], bit
-        for bit, and advances that lane by the same draws.
-        """
-        raise NotImplementedError
+        """One split per lane idx[r] of a StreamBatch, as splits' matrix:
+        row r equals sample_masses on that lane's scalar stream, bit for bit,
+        and advances it by the same draw."""
+        return self.splits(streams.uniform_open(idx) if self.open_draw
+                           else streams.uniform(idx))
 
     def sample(self, stream):
-        """One split as a MassPartition: sample_masses' ranked tuple, which
-        is valid by construction, so __init__'s checks are skipped."""
+        """One split as a MassPartition: split's ranked tuple, which is
+        valid by construction, so __init__'s checks are skipped.  The draw
+        is sample_masses' inlined, since the tagged-line walks call this
+        once per event."""
         part = object.__new__(MassPartition)
-        part.masses = self.sample_masses(stream)
+        part.masses = self.split(stream.uniform_open() if self.open_draw
+                                 else stream.uniform())
         return part
 
     # --- analytics hooks; return None when the capability is absent ---
@@ -220,16 +242,14 @@ class AtomicModel(DislocationModel):
                                  for p, _ in atoms])
         self.p_lower = -math.inf  # finite sums of positive powers always converge
 
-    def sample_masses(self, stream):
-        return self.atoms[stream.pick(self._cum)][0].masses
+    def split(self, u):
+        # Stream.pick: the atom at bisect_right of u * total in the running
+        # weights
+        j = bisect_right(self._cum, u * self._cum[-1])
+        return self.atoms[min(j, len(self._cum) - 1)][0].masses
 
-    def sample(self, stream):
-        return self.atoms[stream.pick(self._cum)][0]
-
-    def sample_masses_batch(self, streams, idx):
-        # Stream.pick: bisect_right of u * total in the running weights
-        u = streams.uniform(idx) * self._cum[-1]
-        j = np.searchsorted(self._cum_array, u, side="right")
+    def splits(self, u):
+        j = np.searchsorted(self._cum_array, u * self._cum[-1], side="right")
         return self._padded[np.minimum(j, len(self._cum) - 1)]
 
     def phi_closed(self, q):
@@ -264,6 +284,8 @@ class UniformBinaryModel(DislocationModel):
     """
 
     kind = "uniform_binary"
+    # at epsilon = 0, u = 0 splits off a piece of mass 0
+    open_draw = True
 
     def __init__(self, epsilon=0.0):
         if not 0.0 <= epsilon < 0.5:
@@ -273,14 +295,14 @@ class UniformBinaryModel(DislocationModel):
         self.conservative = True
         self.p_lower = -2.0 if self.epsilon == 0.0 else -math.inf
 
-    def sample_masses(self, stream):
-        u = self.epsilon + self.total_rate * stream.uniform_open()
+    def split(self, u):
+        u = self.epsilon + self.total_rate * u
         if u < 0.5:
             return (1.0 - u, u)
         return (u, 1.0 - u)
 
-    def sample_masses_batch(self, streams, idx):
-        u = self.epsilon + self.total_rate * streams.uniform_open(idx)
+    def splits(self, u):
+        u = self.epsilon + self.total_rate * u
         v = 1.0 - u
         # (1 - u, u) if u < 0.5 else (u, 1 - u): the larger piece first
         return np.column_stack((np.maximum(u, v), np.minimum(u, v)))
@@ -380,16 +402,15 @@ class PowerTailBinaryModel(DislocationModel):
         b = 2.0 ** (g - 1.0)
         return (a - u * (a - b)) ** (1.0 / (1.0 - g))
 
-    def sample_masses(self, stream):
+    def split(self, u):
         # clamped to the support [epsilon, 1/2]: round-off can step just past
         # either end (at epsilon = 0.05, _inverse_cdf(0.0) is one ulp below)
-        v = min(max(self._inverse_cdf(stream.uniform()), self.epsilon), 0.5)
+        v = min(max(self._inverse_cdf(u), self.epsilon), 0.5)
         return (1.0 - v, v)
 
-    def sample_masses_batch(self, streams, idx):
-        # _inverse_cdf on every lane: its libm pow mapped from C, its other
+    def splits(self, u):
+        # _inverse_cdf on every entry: its libm pow mapped from C, its other
         # steps correctly rounded in numpy as in Python
-        u = streams.uniform(idx)
         e, g = self.epsilon, self.gamma
         if g == 1.0:
             v = e * _pow_lanes(itertools.repeat(0.5 / e), u.tolist(), len(u))
@@ -398,7 +419,7 @@ class PowerTailBinaryModel(DislocationModel):
             b = 2.0 ** (g - 1.0)
             v = _pow_lanes((a - u * (a - b)).tolist(),
                            itertools.repeat(1.0 / (1.0 - g)), len(u))
-        v = np.minimum(np.maximum(v, e), 0.5)  # sample_masses' clamp
+        v = np.minimum(np.maximum(v, e), 0.5)  # split's clamp
         return np.column_stack((1.0 - v, v))
 
     def phi_quadrature(self, q, abs_tol=1e-10):
@@ -454,22 +475,22 @@ def sample_size_biased(model, stream):
     return part.masses[j], j, part
 
 
-def sample_size_biased_batch(model, streams, idx):
-    """sample_size_biased on every lane of a StreamBatch, bit for bit.
+def sample_size_biased_batch(model, split_u, pick_u):
+    """sample_size_biased for each pair of uniforms (split_u[r], pick_u[r]):
+    the split their first uniform maps to, and the pick their second makes.
 
     Returns (picked masses, their indices, the zero-padded split matrix).
     """
     if not model.conservative:
         raise DustNotSupportedError("size-biased pick needs a conservative model")
-    masses = model.sample_masses_batch(streams, idx)
-    u = streams.uniform(idx)
+    masses = model.splits(split_u)
     # the scalar rule picks the first j with u < acc after acc += m_j; acc
     # never decreases, so that j is the number of steps with u >= acc
-    acc = np.zeros(len(u))
-    pick = np.zeros(len(u), dtype=np.intp)
+    acc = np.zeros(len(pick_u))
+    pick = np.zeros(len(pick_u), dtype=np.intp)
     for column in masses.T:
         acc += column
-        pick += u >= acc
+        pick += pick_u >= acc
     # padding adds nothing, so a pick past the end means no acc exceeded u:
     # the scalar rule then falls back to the last real piece
     over = np.flatnonzero(pick == masses.shape[1])

@@ -11,7 +11,9 @@ paintbox draw conditioned on being non-trivial (plain rejection).
 The block containing point 0 plays a special role: minus the log of its
 normalized size estimates the tagged-piece subordinator, which
 `simulate_subordinator` also samples exactly by size-biased picks, one path
-at a time, and `subordinator_values` for many replicas at once.
+at a time, and `subordinator_values` for many replicas at once: it reads
+each replica's uniforms off its counter-based stream and maps the split
+draws through the model's `splits`, so no model code draws there.
 """
 
 import math
@@ -287,10 +289,11 @@ def subordinator_values(model, t_end, seed, n_replicas):
 
     Entry i equals simulate_subordinator(model, t_end,
     replica_key(seed, i)).value(t_end) bit for bit.  Each lane's whole path
-    is read off its counter-based stream in one pass: event e spends draws
-    3e+1, 3e+2 and 3e+3 (wait, split, size-biased pick), with the scalar
-    walk's arithmetic (see _block_values).  A lane the pass cannot certify
-    is walked by simulate_subordinator itself.  Lanes are independent and
+    is read off its counter-based stream in one pass: a model splits by one
+    uniform, so event e spends draws 3e+1, 3e+2 and 3e+3 (wait, split,
+    size-biased pick), with the scalar walk's arithmetic (see
+    _block_values).  A lane the pass cannot certify is walked by
+    simulate_subordinator itself.  Lanes are independent and
     walked in chunks of at most _CHUNK_CELLS cells (lanes times the block's
     events), so memory stays bounded and no entry depends on the chunk size
     or on n_replicas.
@@ -321,10 +324,11 @@ def _block_values(model, rate, t_end, keys, width):
     libm, as Stream.exponential does, and a sequential cumsum gives the
     scalar walk's jump times, which must show t_E <= t_end < t_{E+1}
     exactly.  The jumps -log(picked mass), by libm, are summed the same way
-    from the first one.  The estimate never reaches the output: a lane whose
-    check fails, whose path outgrows the block, or whose split draw was 0.0
-    (uniform_open would draw again, shifting the lane's later draws) is
-    walked by simulate_subordinator.
+    from the first one.  The splits' and picks' draws go straight to
+    sample_size_biased_batch.  The estimate never reaches the output: a
+    lane whose check fails, whose path outgrows the block, or whose split
+    draw was 0.0 on an open_draw model (its stream would draw again,
+    shifting the lane's later draws) is walked by simulate_subordinator.
     """
     streams = StreamBatch(derive_keys(keys, 0))
     lanes = np.arange(len(keys))
@@ -345,11 +349,12 @@ def _block_values(model, rate, t_end, keys, width):
     out = np.zeros(len(keys))
     if lane.size:
         # the splits' draws at 3e + 2, the picks' at 3e + 3
-        drawn = _Drawn(*streams.uniform_at(lane, 3 * e + [[2], [3]]))
-        picked = sample_size_biased_batch(model, drawn, lane)[0]
-        if drawn.draws:
-            raise NotImplementedError("a split sampler drew no uniform")
-        ok[lane[drawn.redrawn]] = False
+        split_u, pick_u = streams.uniform_at(lane, 3 * e + [[2], [3]])
+        if model.open_draw:  # a stream would draw a zero split draw again
+            redrawn = split_u == 0.0
+            ok[lane[redrawn]] = False
+            split_u[redrawn] = 0.5  # a valid draw; the lane is walked anyway
+        picked = sample_size_biased_batch(model, split_u, pick_u)[0]
         jumps = np.zeros(events.shape)
         jumps[events] = -lanewise(math.log, picked)
         done = np.flatnonzero(ok & (n_events > 0))
@@ -364,28 +369,3 @@ def _estimate_events(u, rate, t_end):
     numpy's log1p, which can differ from libm's in the last bit."""
     t = np.cumsum(-np.log1p(-u) / rate, axis=0)
     return np.count_nonzero(t <= t_end, axis=0)
-
-
-class _Drawn:
-    """Pre-drawn uniforms behind the StreamBatch interface that
-    sample_size_biased_batch reads: the split sampler's draw, then the
-    pick's, one per lane each, as every built-in model draws them.
-
-    uniform_open marks the lanes that drew 0.0 in `redrawn` (a stream would
-    draw again there) and hands them 0.5 instead, so that the pick stays
-    defined.
-    """
-
-    def __init__(self, split, pick):
-        self.draws = [pick, split]
-        self.redrawn = np.zeros(len(split), dtype=bool)
-
-    def uniform(self, idx):
-        if not self.draws:
-            raise NotImplementedError("a split sampler drew twice per split")
-        return self.draws.pop()
-
-    def uniform_open(self, idx):
-        u = self.uniform(idx)
-        self.redrawn = u == 0.0
-        return np.where(self.redrawn, 0.5, u)

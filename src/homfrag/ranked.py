@@ -89,25 +89,21 @@ class PopulationSnapshot:
 
 
 def simulate(model, t_end, snapshot_times, eps_freeze, seed, *,
-             barrier_slope=None, max_fragments=DEFAULT_MAX_FRAGMENTS,
-             initial_log_mass=0.0, start_time=0.0, root_key=None):
+             barrier_slope=None, max_fragments=DEFAULT_MAX_FRAGMENTS):
     """Run one population from a single fragment; returns snapshots in time order.
 
-    eps_freeze is mandatory: without it a conservative model with a long
-    horizon would create unboundedly many fragments.  If the run would
-    create more than max_fragments fragments, BudgetExceededError is raised
-    rather than silently truncating.
-
-    root_key overrides the seed-derived stream key of the root fragment;
-    it exists so a caller embedding sub-populations (the spine) can hand
-    each shed fragment its own genealogical key.
+    The root fragment of mass 1 is born at time 0 and keyed derive_key(seed,
+    0): this is the one-lane call of simulate_lanes, which also takes a
+    root's key, log mass and start time (the spine's shed fragments are
+    such roots).  eps_freeze is mandatory: without it a conservative model
+    with a long horizon would create unboundedly many fragments.  If the run
+    would create more than max_fragments fragments, BudgetExceededError is
+    raised rather than silently truncating.
     """
-    if root_key is None:
-        root_key = derive_key(seed, 0)
     return simulate_lanes(
-        model, t_end, snapshot_times, eps_freeze, [seed], [root_key],
-        initial_log_mass=initial_log_mass, start_time=start_time,
-        barrier_slope=barrier_slope, max_fragments=max_fragments)[0]
+        model, t_end, snapshot_times, eps_freeze, [seed],
+        [derive_key(seed, 0)], barrier_slope=barrier_slope,
+        max_fragments=max_fragments)[0]
 
 
 def simulate_replicas(model, t_end, snapshot_times, eps_freeze, seed,
@@ -131,8 +127,9 @@ def simulate_lanes(model, t_end, snapshot_times, eps_freeze, seeds, root_keys,
     Lane i grows from one fragment keyed root_keys[i], of log mass
     initial_log_mass[i], born at start_time[i] (a scalar applies to every
     lane); seeds[i] only labels its snapshots.  Entry i of the result is
-    reduce(snapshots of lane i), or the snapshot list itself, equal to what
-    simulate(..., seeds[i], root_key=root_keys[i], ...) returns.
+    reduce(snapshots of lane i), or the snapshot list itself; with
+    root_keys[i] = derive_key(seeds[i], 0), log mass 0 and start time 0 it
+    is what simulate(..., seeds[i], ...) returns.
 
     Lanes grow in chunks of _CHUNK_LANES, on up to `threads` threads.  A
     chunk whose fragments outgrow _CHUNK_FRAGMENTS is regrown one lane at a

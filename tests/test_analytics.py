@@ -130,16 +130,6 @@ def test_monte_carlo_sample_skips_a_zero_draw_as_the_scalar_loop_does(ub):
     assert owner.tobytes() == want_owner.tobytes()
 
 
-def test_monte_carlo_sample_refuses_a_second_draw(ub):
-    class TwoDraws(UniformBinaryModel):
-        def sample_masses_batch(self, streams, idx):
-            streams.uniform(idx)
-            return super().sample_masses_batch(streams, idx)
-
-    with pytest.raises(NotImplementedError):
-        _sample_splits(TwoDraws(), Stream(1), 4)
-
-
 class _BincountEvaluator(PhiEvaluator):
     """The Monte Carlo formula the split-matrix sums replaced, as the oracle:
     the scalar loop's flat sample, one np.bincount per per-split sum, and

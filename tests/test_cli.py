@@ -884,6 +884,55 @@ def test_thin_rejects_malformed_event_records(capsys, ub_model_file, tmp_path,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("t_end, record_t, problems", [
+    ("NaN", 0.5, ["t_end must be a finite number >= 0, got nan"]),
+    ('"1.0"', 0.5, ["t_end must be a finite number >= 0, got '1.0'"]),
+    ("-1.0", 0.5, ["t_end must be a finite number >= 0, got -1.0"]),
+    ("1" + "0" * 400, 0.5, ["t_end must be a finite number >= 0"]),
+    ("true", 0.5, ["t_end must be a finite number >= 0, got True"]),
+    (None, 0.5, ["event-log header lacks t_end"]),
+    ("1.0", 1.5, ["record 1: t must lie in [0, t_end = 1.0], got 1.5"]),
+    ("1.0", -0.5, ["record 1: t must lie in [0, t_end = 1.0], got -0.5"]),
+    ("1", 1.5, ["record 1: t must lie in [0, t_end = 1], got 1.5"]),
+    # a header problem and a record problem are reported together
+    ("NaN", "1" + "0" * 400, ["t_end must be a finite number >= 0, got nan",
+                              "record 1: t must be a finite number"]),
+])
+def test_thin_checks_the_header_t_end_and_the_record_times(
+        capsys, ub_model_file, tmp_path, t_end, record_t, problems):
+    header = '{"rate": 1.0, "stream": "event_log"'
+    if t_end is not None:
+        header += f', "t_end": {t_end}'
+    log_path = tmp_path / "events.jsonl"
+    log_path.write_text(
+        header + "}\n" + '{"replica": 0, "t": ' + str(record_t)
+        + ', "masses": [0.6, 0.4], "pick": 0}\n')
+    code, out, err = run_cli(capsys, [
+        "--seed", "14", "--model", ub_model_file,
+        "thin", "--p", "1.0", "--input", str(log_path)])
+    assert code == 2
+    assert out == ""
+    assert "configuration errors" in err
+    assert all(problem in err for problem in problems)
+    assert "Traceback" not in err
+
+
+def test_thin_keeps_records_at_both_ends_of_the_horizon(capsys, ub_model_file,
+                                                        tmp_path):
+    log_path = tmp_path / "events.jsonl"
+    log_path.write_text(
+        json.dumps({"t_end": 1.0, "rate": 1.0, "stream": "event_log"}) + "\n"
+        + "".join(json.dumps({"replica": 0, "t": t, "masses": [0.6, 0.4],
+                              "pick": 0}) + "\n" for t in (0.0, 1.0)))
+    code, out, _ = run_cli(capsys, [
+        "--seed", "14", "--model", ub_model_file,
+        "thin", "--p", "1.0", "--input", str(log_path)])
+    assert code == 0
+    header, rows = parse_jsonl(out)
+    assert header["t_end"] == 1.0
+    assert [row["t"] for row in rows] == [0.0, 1.0]
+
+
 def test_thin_rejects_unranked_masses(capsys, ub_model_file, tmp_path):
     # thin's records come from outside: each split is checked again
     log_path = tmp_path / "events.jsonl"

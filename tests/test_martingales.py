@@ -17,7 +17,7 @@ from homfrag.martingales import (
     truncated_estimator,
     truncated_ma,
 )
-from homfrag.ranked import simulate
+from homfrag.ranked import simulate, simulate_lanes
 from homfrag.streams import replica_key
 
 
@@ -62,8 +62,10 @@ def test_derivative_matches_direct_formula(ub, ub_eval):
 
 
 def test_derivative_mean_close_to_zero(ub, ub_eval):
-    vals = [derivative(_snap(ub, 0, t=1.0, root_key=replica_key(200, i)), ub_eval)
-            for i in range(4000)]
+    snaps = simulate_lanes(ub, 1.0, [1.0], 1e-8, [0] * 4000,
+                           [replica_key(200, i) for i in range(4000)],
+                           reduce=lambda lane_snaps: lane_snaps[0])
+    vals = [derivative(snap, ub_eval) for snap in snaps]
     v = np.asarray(vals)
     se = v.std(ddof=1) / math.sqrt(len(v))
     assert abs(v.mean()) <= 4 * se

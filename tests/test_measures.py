@@ -232,16 +232,6 @@ def test_power_tail_quadrature_oracles(ptail):
         assert err < 1e-7
 
 
-class _Fixed:
-    """A stream, or a StreamBatch, whose every uniform is u."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def uniform(self, idx=None):
-        return self.u if idx is None else np.full(len(idx), self.u)
-
-
 @pytest.mark.parametrize("epsilon, gamma", [(0.05, 1.5), (0.3, 1.2),
                                             (0.01, 1.0), (0.02, 1.9)])
 @pytest.mark.parametrize("u", [0.0, 1.0 - 2.0 ** -53])
@@ -249,10 +239,10 @@ def test_power_tail_pieces_stay_in_the_support(epsilon, gamma, u):
     # _inverse_cdf(0) is one ulp below epsilon at (0.05, 1.5) and (0.3, 1.2);
     # _inverse_cdf(1 - 2^-53) passes 1/2 at (0.3, 1.2)
     m = PowerTailBinaryModel(epsilon=epsilon, gamma=gamma)
-    masses = m.sample_masses(_Fixed(u))
+    masses = m.split(u)
     assert epsilon <= masses[1] <= 0.5 <= masses[0] <= 1.0 - epsilon
     assert masses[1] == min(max(m._inverse_cdf(u), epsilon), 0.5)
-    rows = m.sample_masses_batch(_Fixed(u), np.arange(3))
+    rows = m.splits(np.full(3, u))
     assert [tuple(r) for r in rows] == [masses] * 3
 
 
@@ -302,7 +292,7 @@ def test_size_biased_rejects_dust():
     with pytest.raises(DustNotSupportedError):
         sample_size_biased(dusty, Stream(1))
     with pytest.raises(DustNotSupportedError):
-        sample_size_biased_batch(dusty, None, np.arange(3))
+        sample_size_biased_batch(dusty, np.zeros(3), np.zeros(3))
 
 
 class _FixedStream(Stream):
@@ -314,16 +304,6 @@ class _FixedStream(Stream):
 
     def uniform(self):
         return next(self.values)
-
-
-class _FixedBatch:
-    """A StreamBatch stand-in whose per-lane uniforms are given, call by call."""
-
-    def __init__(self, rounds):
-        self.rounds = iter(rounds)
-
-    def uniform(self, idx):
-        return np.array(next(self.rounds))
 
 
 _SAMPLER_MODELS = [
@@ -338,19 +318,19 @@ _SAMPLER_MODELS = [
 
 @pytest.mark.parametrize("model", _SAMPLER_MODELS, ids=lambda m: repr(m.to_json()))
 def test_sampled_splits_are_valid_by_construction(model):
-    # sample() wraps sample_masses' tuple without checking it again: every
-    # split must be one MassPartition's checks accept, with equal fields
-    streams = [Stream(seed) for seed in range(400)]
-    # the first uniform at either end of [0, 1); the uniform model redraws 0
-    streams += [_FixedStream([u, 0.5]) for u in (0.0, 1.0 - 2.0 ** -53)]
-    for stream in streams:
-        part = model.sample(stream)
-        checked = MassPartition(part.masses)
-        assert type(part.masses) is tuple
-        assert all(type(m) is float for m in part.masses)
-        assert checked.masses == part.masses
-        assert repr(checked.total) == repr(part.total)
-        assert checked.conservative == part.conservative == model.conservative
+    # sample() wraps split's tuple without checking it again: every split,
+    # drawn or at either end of the uniforms the model draws ([0, 1), or
+    # (0, 1) for an open draw), must be one MassPartition's checks accept
+    drawn = [model.sample(Stream(seed)) for seed in range(400)]
+    edges = (2.0 ** -53 if model.open_draw else 0.0, 1.0 - 2.0 ** -53)
+    for masses in [part.masses for part in drawn] + [model.split(u)
+                                                      for u in edges]:
+        checked = MassPartition(masses)
+        assert type(masses) is tuple
+        assert all(type(m) is float for m in masses)
+        assert checked.masses == masses
+        assert checked.conservative == model.conservative
+    assert all(type(part) is MassPartition for part in drawn)
 
 
 def test_size_biased_batch_pick_rule_matches_the_scalar_rule():
@@ -360,7 +340,7 @@ def test_size_biased_batch_pick_rule_matches_the_scalar_rule():
     atoms = [0.1, 0.1, 0.1, 0.1, 0.7, 0.7]
     picks = [0.0, 0.5, 0.8, 0.9999999999, 0.6, 0.59]
     mass, pick, masses = sample_size_biased_batch(
-        model, _FixedBatch([atoms, picks]), np.arange(len(atoms)))
+        model, np.array(atoms), np.array(picks))
     assert pick.tolist() == [0, 1, 2, 2, 1, 0]
     for r, (a, u) in enumerate(zip(atoms, picks)):
         m, j, part = sample_size_biased(model, _FixedStream([a, u]))

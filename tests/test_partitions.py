@@ -12,8 +12,13 @@ from heap_oracle import simulate_partition_heap
 
 from homfrag import partitions
 from homfrag.analytics import PhiEvaluator
-from homfrag.errors import DustNotSupportedError
-from homfrag.measures import AtomicModel, PowerTailBinaryModel, UniformBinaryModel
+from homfrag.errors import DustNotSupportedError, NonPositiveEntryError
+from homfrag.measures import (
+    AtomicModel,
+    MassPartition,
+    PowerTailBinaryModel,
+    UniformBinaryModel,
+)
 from homfrag.partitions import (
     PartitionOfN,
     block_frequency_estimates,
@@ -557,16 +562,6 @@ def test_a_wait_draw_of_zero_is_an_event_at_time_zero(ub, t, monkeypatch):
     assert vals[0] > 0.0  # the jump at time 0 counts, even at t = 0
 
 
-def test_a_split_sampler_must_draw_once_per_split(ub):
-    class TwoDraws(UniformBinaryModel):
-        def sample_masses_batch(self, streams, idx):
-            streams.uniform(idx)
-            return super().sample_masses_batch(streams, idx)
-
-    with pytest.raises(NotImplementedError, match="drew twice"):
-        subordinator_values(TwoDraws(), 4.0, 1, 10)
-
-
 def test_subordinator_values_reject_dust():
     dusty = AtomicModel([([0.5, 0.3], 1.0)])
     with pytest.raises(DustNotSupportedError):
@@ -587,3 +582,45 @@ def test_sample_masses_batch_rows_equal_sample_masses(name):
             masses = tuple(model.sample_masses(scalar[i]))
             assert tuple(row[:len(masses)]) == masses
             assert not row[len(masses):].any()
+
+
+# the ends of [0, 1), the largest float below 1/2, and 1/2
+_EDGE_UNIFORMS = [0.0, 2.0 ** -53, 0.5 - 2.0 ** -54, 0.5, 1.0 - 2.0 ** -53]
+
+
+def _uniforms():
+    """The edge uniforms, then 1,000 seeded draws."""
+    drawn = StreamBatch(replica_keys(11, 1000)).uniform(np.arange(1000))
+    return np.concatenate((_EDGE_UNIFORMS, drawn))
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_MODELS))
+def test_split_equals_each_row_of_splits_bit_for_bit(name):
+    model = BATCH_MODELS[name]
+    u = _uniforms()
+    for row, x in zip(model.splits(u), u.tolist()):
+        masses = model.split(x)
+        assert type(masses) is tuple
+        assert all(type(m) is float for m in masses)
+        assert row[:len(masses)].tobytes() == np.array(masses).tobytes()
+        assert not row[len(masses):].any()
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_MODELS))
+def test_every_uniform_a_model_draws_gives_a_valid_split(name):
+    model = BATCH_MODELS[name]
+    u = _uniforms()
+    if model.open_draw:
+        u = u[u != 0.0]  # drawn in (0, 1): a zero is drawn again
+    for x in u.tolist():
+        part = MassPartition(model.split(x))
+        assert part.conservative == model.conservative
+        assert not part.is_trivial
+
+
+def test_only_the_uniform_model_draws_open_since_zero_splits_off_nothing():
+    assert UniformBinaryModel().split(0.0) == (1.0, 0.0)
+    with pytest.raises(NonPositiveEntryError):
+        MassPartition(UniformBinaryModel().split(0.0))
+    assert [name for name, model in sorted(BATCH_MODELS.items())
+            if model.open_draw] == ["uniform", "uniform_eps0.1"]

@@ -30,7 +30,8 @@ def test_argument_validation(ub):
     with pytest.raises(ValueError):
         simulate(ub, 1.0, [2.0], 1e-6, 1)
     with pytest.raises(ValueError):
-        simulate(ub, 1.0, [1.0], 1e-6, 1, start_time=2.0)
+        simulate_lanes(ub, 1.0, [1.0], 1e-6, [1], [derive_key(1, 0)],
+                       start_time=2.0)
 
 
 def test_no_snapshots_returns_empty(ub):
@@ -70,7 +71,8 @@ def test_determinism_and_root_key_override(ub):
     for x, y in zip(a, b):
         assert np.array_equal(x.log_masses, y.log_masses)
         assert x.frozen_mass == y.frozen_mass
-    c = simulate(ub, 2.0, [1.0, 2.0], 1e-6, 999, root_key=derive_key(42, 0))
+    c = simulate_lanes(ub, 2.0, [1.0, 2.0], 1e-6, [999],
+                       [derive_key(42, 0)])[0]
     for x, y in zip(a, c):
         assert np.array_equal(x.log_masses, y.log_masses)
 
@@ -110,7 +112,8 @@ def test_barrier_statistics_alignment(ub, ub_eval):
 
 
 def test_root_frozen_at_birth(ub):
-    snaps = simulate(ub, 1.0, [0.5, 1.0], 0.9, 3, initial_log_mass=math.log(0.5))
+    snaps = simulate_lanes(ub, 1.0, [0.5, 1.0], 0.9, [3], [derive_key(3, 0)],
+                           initial_log_mass=math.log(0.5))[0]
     for s in snaps:
         assert s.n_live == 0
         assert s.frozen_mass == pytest.approx(0.5)
@@ -119,9 +122,11 @@ def test_root_frozen_at_birth(ub):
 
 
 def test_shifted_subpopulation_matches_base_run(ub):
-    base = simulate(ub, 1.0, [1.0], 1e-6, 21, root_key=derive_key(21, 5))[0]
-    shifted = simulate(ub, 1.4, [1.4], 1e-6, 21, root_key=derive_key(21, 5),
-                       initial_log_mass=math.log(0.5), start_time=0.4)[0]
+    key = [derive_key(21, 5)]
+    base = simulate_lanes(ub, 1.0, [1.0], 1e-6, [21], key)[0][0]
+    shifted = simulate_lanes(ub, 1.4, [1.4], 1e-6, [21], key,
+                             initial_log_mass=math.log(0.5),
+                             start_time=0.4)[0][0]
     assert shifted.n_live == base.n_live
     assert np.allclose(np.sort(shifted.log_masses),
                        np.sort(base.log_masses + math.log(0.5)), atol=1e-12)
