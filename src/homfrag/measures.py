@@ -15,7 +15,6 @@ either in closed form, or through a density for quadrature, or not at all
 (the analytics layer then falls back to Monte Carlo).
 """
 
-from bisect import bisect_right
 from functools import reduce
 import itertools
 import math
@@ -34,6 +33,7 @@ from .errors import (
     UnknownFamilyError,
 )
 from .numerics import gauss_kronrod
+from .streams import pick_index
 
 
 def _pow_lanes(x, y, n):
@@ -155,9 +155,9 @@ class DislocationModel:
 
     A model splits by one uniform pushed through its map: split(u) is the
     ranked tuple of floats for a uniform u, and splits(u) the zero-padded
-    matrix whose row r equals split(u[r]), bit for bit.  A model whose map
-    gives no valid split at u = 0 sets open_draw, and its uniforms are drawn
-    in (0, 1) instead of [0, 1).  Only this class draws them.
+    matrix whose row r equals split(u[r]), bit for bit.  open_draw has the
+    uniforms drawn in (0, 1) instead of [0, 1); a model whose map gives no
+    valid split at u = 0 sets it.  Only this class draws them.
     """
 
     kind = "abstract"
@@ -243,10 +243,7 @@ class AtomicModel(DislocationModel):
         self.p_lower = -math.inf  # finite sums of positive powers always converge
 
     def split(self, u):
-        # Stream.pick: the atom at bisect_right of u * total in the running
-        # weights
-        j = bisect_right(self._cum, u * self._cum[-1])
-        return self.atoms[min(j, len(self._cum) - 1)][0].masses
+        return self.atoms[pick_index(self._cum, u)][0].masses
 
     def splits(self, u):
         j = np.searchsorted(self._cum_array, u * self._cum[-1], side="right")
@@ -284,7 +281,8 @@ class UniformBinaryModel(DislocationModel):
     """
 
     kind = "uniform_binary"
-    # at epsilon = 0, u = 0 splits off a piece of mass 0
+    # at epsilon = 0, u = 0 splits off a piece of mass 0; set at every
+    # epsilon, so that the draws keep their bits
     open_draw = True
 
     def __init__(self, epsilon=0.0):

@@ -144,9 +144,14 @@ class Stream:
 
     def pick(self, cumweights):
         """Index drawn proportionally to weights, given their running sums."""
-        u = self.uniform() * cumweights[-1]
-        j = bisect_right(cumweights, u)
-        return min(j, len(cumweights) - 1)
+        return pick_index(cumweights, self.uniform())
+
+
+def pick_index(cumweights, u):
+    """Index of uniform u among weights given by their running sums: the
+    first running sum above u * total, and the last index if none is."""
+    j = bisect_right(cumweights, u * cumweights[-1])
+    return min(j, len(cumweights) - 1)
 
 
 def lanewise(fn, x):

@@ -15,6 +15,7 @@ from homfrag.streams import (
     derive_key,
     derive_keys,
     mix64,
+    pick_index,
     replica_key,
     replica_keys,
 )
@@ -122,6 +123,17 @@ def test_pick_respects_cumulative_weights():
 def test_pick_singleton():
     s = Stream(1)
     assert all(s.pick([1.0]) == 0 for _ in range(100))
+
+
+def test_pick_index_ties_and_clamp():
+    # a running sum equal to u * total is passed over; u = 1 falls back to
+    # the last index instead of running off the end
+    cum = [0.5, 1.5, 2.0]
+    assert [pick_index(cum, u) for u in (0.0, 0.25, 0.75, 0.99, 1.0)] == [
+        0, 1, 2, 2, 2]
+    s, t = Stream(5), Stream(5)
+    assert [s.pick(cum) for _ in range(50)] == [
+        pick_index(cum, t.uniform()) for _ in range(50)]
 
 
 @given(st.integers(min_value=-2**70, max_value=2**70), st.integers(min_value=0, max_value=3))
