@@ -26,6 +26,8 @@ import threading
 import warnings
 from types import SimpleNamespace
 
+import numpy as np
+
 from .analytics import PhiEvaluator, detect_geometric
 from .errors import (
     BracketNotFoundError,
@@ -43,12 +45,18 @@ from .martingales import (
     truncated_estimator,
 )
 from .measures import model_from_json, model_to_json
-from .partitions import PartitionOfN, simulate_partition, simulate_subordinator
-# simulate stays a name of this module for callers that wrap its library calls
+# simulate, simulate_subordinator and simulate_event_log stay names of this
+# module for callers that wrap its library calls
+from .partitions import (  # noqa: F401
+    PartitionOfN,
+    read_tagged_lines,
+    simulate_partition,
+    simulate_subordinator,
+)
 from .ranked import DEFAULT_MAX_FRAGMENTS, simulate, simulate_replicas  # noqa: F401
 from .measures import MassPartition
 from .streams import MASK64, Stream, derive_key, replica_key
-from .tilting import (
+from .tilting import (  # noqa: F401
     TaggedLine,
     simulate_event_log,
     simulate_spine,
@@ -82,18 +90,22 @@ _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
                           default=_json_safe).encode
 
 
-def render(cfg, header_extra, fmt, columns, rows):
+def _csv_lines(rows):
+    return [",".join(map(_cell, row)) for row in rows]
+
+
+def render(cfg, header_extra, fmt, columns, lines):
+    """The output text: the header, then the rows, each already encoded as
+    one line (CSV cells by _cell, a JSONL row as _dumps encodes it)."""
     header = {"schema": SCHEMA, "command": cfg.command, "seed": cfg.seed,
               "replicas": cfg.replicas, "model": model_to_json(cfg.model)}
     header.update(header_extra)
     header = {k: _json_safe(v) for k, v in header.items()}
     if fmt == "csv":
-        lines = ["# " + _dumps(header), ",".join(columns)]
-        lines.extend(",".join(map(_cell, row)) for row in rows)
+        head = ["# " + _dumps(header), ",".join(columns)]
     else:
-        lines = [_dumps(header)]
-        lines.extend(map(_dumps, rows))
-    return "\n".join(lines) + "\n"
+        head = [_dumps(header)]
+    return "\n".join(head + lines) + "\n"
 
 
 # --- command implementations -------------------------------------------------
@@ -121,16 +133,16 @@ def _cmd_phi(cfg):
     except BracketNotFoundError as e:
         header["p_bar"] = None
         header["p_bar_error"] = str(e)
-    return header, "csv", ("q", "phi", "dphi", "d2phi"), rows
+    return header, "csv", ("q", "phi", "dphi", "d2phi"), _csv_lines(rows)
 
 
 def _cmd_simulate(cfg):
     pr = cfg.params
 
     def lines(snaps):
-        return [{"t": s.time, "log_masses": s.log_masses.tolist(),
-                 "frozen_mass": s.frozen_mass, "epsilon": s.eps_freeze,
-                 "seed": s.seed} for s in snaps]
+        return [_dumps({"t": s.time, "log_masses": s.log_masses.tolist(),
+                        "frozen_mass": s.frozen_mass, "epsilon": s.eps_freeze,
+                        "seed": s.seed}) for s in snaps]
 
     rows = [r for lane in simulate_replicas(
                 cfg.model, pr["t_end"], pr["snapshots"], pr["eps_freeze"],
@@ -145,6 +157,8 @@ def _cmd_simulate(cfg):
 def _cmd_partition(cfg):
     pr = cfg.params
     ev = PhiEvaluator(cfg.model)
+    # the JSON text of every block label: a canonical label is below n
+    label_text = list(map(str, range(pr["n"])))
     rows = []
     boundaries = []
     for i in range(cfg.replicas):
@@ -152,8 +166,11 @@ def _cmd_partition(cfg):
         path = simulate_partition(cfg.model, pr["n"], pr["t_end"],
                                   replica_key(cfg.seed, i), ev)
         for t, labels in path.refinements():
-            rows.append({"t": t,
-                         "block_of": PartitionOfN(labels).assignment.tolist()})
+            block_of = ",".join(map(label_text.__getitem__,
+                                    PartitionOfN(labels).assignment.tolist()))
+            # _dumps({"block_of": ..., "t": t}), keys in sorted order; t may
+            # be a numpy float, whose repr is not json's
+            rows.append(f'{{"block_of":[{block_of}],"t":{float(t)!r}}}')
     header = {"n": pr["n"], "t_end": pr["t_end"],
               "replica_row_start": boundaries}
     return header, "jsonl", None, rows
@@ -162,22 +179,41 @@ def _cmd_partition(cfg):
 def _cmd_subordinator(cfg):
     pr = cfg.params
     rows = []
-    for i in range(cfg.replicas):
-        key = replica_key(cfg.seed, i)
-        if pr["event_log"]:
-            log = simulate_event_log(cfg.model, pr["t_end"], key)
-            for t, part, j in zip(log.jump_times, log.partitions, log.picks):
-                rows.append({"replica": i, "t": t,
-                             "masses": list(part.masses), "pick": j})
-        else:
-            path = simulate_subordinator(cfg.model, pr["t_end"], key)
-            for t, s in zip(path.jump_times, path.jump_sizes):
-                rows.append((i, float(t), float(s)))
+    first = 0  # the replica of the record's lane 0
+    for rec in read_tagged_lines(cfg.model, pr["t_end"], cfg.seed,
+                                 cfg.replicas):
+        rows += _subordinator_rows(rec, first, pr["event_log"])
+        first += len(rec.keys)
     header = {"t_end": pr["t_end"], "rate": cfg.model.total_rate}
     if pr["event_log"]:
         header["stream"] = "event_log"
         return header, "jsonl", None, rows
     return header, "csv", ("replica", "jump_time", "jump_size"), rows
+
+
+def _subordinator_rows(rec, first, event_log):
+    """The rows of a TaggedLines record whose lane 0 is replica `first`,
+    replica by replica, each line's events in order.
+
+    An event-log row is _dumps({"masses": ..., "pick": j, "replica": i,
+    "t": t}), a CSV row i,t,s with s the jump -log(picked mass), written
+    from the record's columns: json writes a finite float by repr, and a
+    split's pieces are its masses before the zero padding.
+    """
+    lane = np.nonzero(rec.events)[1]
+    order = np.argsort(lane, kind="stable")
+    replicas = (lane[order] + first).tolist()
+    times = rec.times[rec.events][order].tolist()
+    if not event_log:
+        sizes = rec.jump_sizes()[order].tolist()
+        return [f"{i},{t!r},{s!r}" for i, t, s in zip(replicas, times, sizes)]
+    masses = rec.masses[order]
+    pieces = np.count_nonzero(masses, axis=1).tolist()
+    masses = [",".join(map(repr, row[:n]))
+              for row, n in zip(masses.tolist(), pieces)]
+    return [f'{{"masses":[{m}],"pick":{j},"replica":{i},"t":{t!r}}}'
+            for m, j, i, t in zip(masses, rec.picks[order].tolist(),
+                                  replicas, times)]
 
 
 def _require_two_replicas(cfg):
@@ -216,7 +252,8 @@ def _cmd_martingale(cfg):
         header["p_bar"] = ev.p_bar()
     if kind == "truncated":
         header["a"] = pr["a"]
-    return header, "csv", ("t", "mean", "stderr", "frozen_mass_mean"), rows
+    return header, "csv", ("t", "mean", "stderr", "frozen_mass_mean"), \
+        _csv_lines(rows)
 
 
 def _cmd_spine(cfg):
@@ -261,7 +298,7 @@ def _cmd_spine(cfg):
                        "population_frozen_mass_mean": total(frozen) / len(frozen),
                        "population_events_mean": sum(events) / len(events)})
     return header, "csv", ("replica", "jump_time", "jump_size",
-                           "spine_log_mass"), rows
+                           "spine_log_mass"), _csv_lines(rows)
 
 
 _EVENT_FIELDS = ("replica", "t", "masses", "pick")
@@ -360,7 +397,7 @@ def _cmd_thin(cfg):
             out = dict(rec)
             out["kept"] = bool(kept)
             kept_total += bool(kept)
-            rows.append(out)
+            rows.append(_dumps(out))
     rate = cfg.model.total_rate
     header = {"p": p, "t_end": t_end, "stream": "event_log_thinned",
               "expected_kept_fraction": (rate - ev.phi(p)) / rate,
@@ -405,7 +442,7 @@ def _cmd_ldp(cfg):
                                                        pr["beta"])
         cols = ("t", "x", "v_mean", "v_stderr", "v_predicted", "v_scaled",
                 "u_mean", "u_stderr")
-        return header, "csv", cols, rows
+        return header, "csv", cols, _csv_lines(rows)
     trace = ratio_trace(cfg.model, ev, pr["p"], pr["t_grid"], pr["alpha"],
                         pr["beta"], pr["eps_freeze"], cfg.replicas, cfg.seed,
                         n_boot=pr["n_boot"], threads=cfg.threads,
@@ -417,10 +454,9 @@ def _cmd_ldp(cfg):
             f"no U/V ratio at t = {empty}: the window stayed empty in every "
             "replica")
     header.update({"slope": slope, "slope_lo": lo, "slope_hi": hi})
-    rows = [tuple(p) for p in trace.points]
     cols = ("t", "u", "u_stderr", "v", "v_stderr", "ratio", "ratio_lo",
             "ratio_hi")
-    return header, "csv", cols, rows
+    return header, "csv", cols, _csv_lines(trace.points)
 
 
 # --- params and parsing -----------------------------------------------------
@@ -717,8 +753,8 @@ def _validate_params(command, pr, model, found):
 
 def run(cfg):
     """Execute a validated config; returns the full output text."""
-    header, fmt, columns, rows = _COMMAND_PARAMS[cfg.command][0](cfg)
-    return render(cfg, header, fmt, columns, rows)
+    header, fmt, columns, lines = _COMMAND_PARAMS[cfg.command][0](cfg)
+    return render(cfg, header, fmt, columns, lines)
 
 
 def _write_out(path, text):

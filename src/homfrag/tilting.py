@@ -25,6 +25,7 @@ import numpy as np
 from .analytics import PhiEvaluator
 from .errors import (
     BelowPLowerError,
+    BudgetExceededError,
     NotComputableError,
     ThinningDirectionError,
 )
@@ -189,14 +190,29 @@ class TaggedLine:
                 if k]
 
 
+def check_horizon(rate, t_end):
+    """Refuse a horizon that no walk of a line at `rate` ends by.
+
+    t_end must be finite and >= 0 (t > nan never ends a walk), and the
+    expected event count rate * t_end must not exceed DEFAULT_MAX_FRAGMENTS
+    (a huge finite horizon would walk until memory runs out).
+    """
+    if not 0.0 <= t_end < math.inf:
+        raise ValueError(f"t_end must be finite and >= 0, got {t_end}")
+    if rate * t_end > DEFAULT_MAX_FRAGMENTS:
+        raise BudgetExceededError(
+            f"a line at rate {rate!r} expects {rate * t_end:.6g} events by "
+            f"t_end = {t_end!r}, above the budget of {DEFAULT_MAX_FRAGMENTS}")
+
+
 def walk_tagged_line(rate, t_end, seed, draw, p=0.0):
     """One line of descent to t_end: events at `rate` on the line's stream.
 
     draw(stream) gives each event's (split, index of the followed piece,
-    importance weight); p labels the law the draws follow.
+    importance weight); p labels the law the draws follow.  check_horizon
+    refuses t_end first.
     """
-    if not 0.0 <= t_end < math.inf:  # NaN included: t > nan never ends a walk
-        raise ValueError(f"t_end must be finite and >= 0, got {t_end}")
+    check_horizon(rate, t_end)
     stream = Stream(derive_key(seed, 0))
     exponential = stream.exponential
     t = 0.0

@@ -15,10 +15,15 @@ import pytest
 
 from homfrag import cli as cli_module
 from homfrag.cli import main
-from homfrag.measures import model_to_json
-from homfrag.partitions import simulate_partition
-from homfrag.streams import replica_key
-from homfrag.tilting import simulate_spine
+from homfrag.measures import (
+    AtomicModel,
+    PowerTailBinaryModel,
+    UniformBinaryModel,
+    model_to_json,
+)
+from homfrag.partitions import PartitionOfN, simulate_partition
+from homfrag.streams import Stream, derive_key, replica_key
+from homfrag.tilting import simulate_event_log, simulate_spine
 
 
 @pytest.fixture()
@@ -275,6 +280,98 @@ def test_subordinator_csv(capsys, ub_model_file):
         assert 0 <= rep < 4 and 0.0 < jt <= 2.0 and js > 0.0
 
 
+SUBORDINATOR_MODELS = {
+    "uniform": UniformBinaryModel(),
+    "uniform_eps0.1": UniformBinaryModel(epsilon=0.1),
+    "power_tail_gamma1": PowerTailBinaryModel(epsilon=0.02, gamma=1.0),
+    "power_tail_gamma1.5": PowerTailBinaryModel(epsilon=0.02, gamma=1.5),
+    "dyadic": AtomicModel([([0.5, 0.5], 1.0)]),
+    "ternary_binary": AtomicModel([([0.5, 0.3, 0.2], 1.0), ([0.6, 0.4], 2.0)]),
+}
+
+
+def _subordinator_oracle(model, seed, replicas, t_end, event_log):
+    """subordinator's stdout from one simulate_event_log walk per replica,
+    its JSON encoded by json.dumps."""
+    def dumps(obj):
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+    header = {"schema": "homfrag/1", "command": "subordinator", "seed": seed,
+              "replicas": replicas, "model": model_to_json(model),
+              "t_end": t_end, "rate": model.total_rate}
+    if event_log:
+        header["stream"] = "event_log"
+        lines = [dumps(header)]
+    else:
+        lines = ["# " + dumps(header), "replica,jump_time,jump_size"]
+    for i in range(replicas):
+        log = simulate_event_log(model, t_end, replica_key(seed, i))
+        if event_log:
+            lines += [dumps({"replica": i, "t": t, "masses": list(part.masses),
+                             "pick": j})
+                      for t, part, j in zip(log.jump_times, log.partitions,
+                                            log.picks)]
+        else:
+            lines += [f"{i},{t!r},{s!r}"
+                      for t, s in zip(log.jump_times, log.jump_sizes)]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("event_log", [False, True])
+@pytest.mark.parametrize("name", sorted(SUBORDINATOR_MODELS))
+def test_subordinator_bytes_equal_the_per_replica_walks(capsys, tmp_path, name,
+                                                        event_log):
+    model = SUBORDINATOR_MODELS[name]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model_to_json(model)))
+    for seed in (5, 2**64 - 1):
+        for t_end in (0.0, 1.0, 4.0):
+            for replicas in (1, 3, 200):
+                code, out, err = run_cli(capsys, [
+                    "--seed", str(seed), "--model", str(path),
+                    "--replicas", str(replicas), "subordinator",
+                    "--t-end", repr(t_end)] + ["--event-log"] * event_log)
+                assert (code, err) == (0, "")
+                assert out == _subordinator_oracle(model, seed, replicas,
+                                                   t_end, event_log)
+
+
+def test_subordinator_on_a_dust_model_exits_2_exactly_when_a_line_has_an_event(
+        capsys, tmp_path):
+    dust = AtomicModel([([0.5, 0.3], 1.0)])
+    path = tmp_path / "dust.json"
+    path.write_text(json.dumps(model_to_json(dust)))
+    codes = set()
+    for seed in range(10):
+        for t_end in (0.0, 0.2, 1.0):
+            for replicas in (1, 3):
+                # a line's first wait is its stream's first draw
+                event = any(
+                    Stream(derive_key(replica_key(seed, i), 0)).exponential(
+                        dust.total_rate) <= t_end for i in range(replicas))
+                for event_log in ([], ["--event-log"]):
+                    code, out, err = run_cli(capsys, [
+                        "--seed", str(seed), "--model", str(path),
+                        "--replicas", str(replicas), "subordinator",
+                        "--t-end", repr(t_end)] + event_log)
+                    assert code == (2 if event else 0)
+                    assert ("conservative model" in err) == event
+                    codes.add(code)
+    assert codes == {0, 2}
+
+
+@pytest.mark.parametrize("argv", [
+    ["subordinator", "--t-end", "1e300"],
+    ["subordinator", "--t-end", "1e300", "--event-log"],
+    ["spine", "--p", "0.5", "--t-end", "1e300"],
+])
+def test_a_horizon_past_the_event_budget_exits_3(capsys, ub_model_file, argv):
+    code, out, err = run_cli(capsys, ["--seed", "3", "--model", ub_model_file]
+                             + argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("budget exceeded:")
+
+
 def test_subordinator_event_log_and_thin(capsys, ub_model_file, tmp_path):
     log_path = tmp_path / "events.jsonl"
     code, _, _ = run_cli(capsys, [
@@ -300,6 +397,28 @@ def test_subordinator_event_log_and_thin(capsys, ub_model_file, tmp_path):
     assert all(isinstance(r["kept"], bool) for r in t_rows)
     kept_frac = sum(r["kept"] for r in t_rows) / len(t_rows)
     assert t_header["observed_kept_fraction"] == pytest.approx(kept_frac)
+
+
+@pytest.mark.parametrize("name", ["uniform", "ternary_binary"])
+def test_partition_rows_are_the_dumps_of_their_dicts(capsys, tmp_path, name):
+    model = SUBORDINATOR_MODELS[name]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model_to_json(model)))
+    for seed in (1, 2**64 - 1):
+        for n, t_end, replicas in ((1, "1", 2), (6, "2", 3), (40, "inf", 1),
+                                   (500, "8", 1)):
+            code, out, _ = run_cli(capsys, [
+                "--seed", str(seed), "--model", str(path),
+                "--replicas", str(replicas),
+                "partition", "--n", str(n), "--t-end", t_end])
+            assert code == 0
+            expected = [
+                cli_module._dumps({"t": t, "block_of":
+                                   PartitionOfN(labels).assignment.tolist()})
+                for i in range(replicas)
+                for t, labels in simulate_partition(
+                    model, n, float(t_end), replica_key(seed, i)).refinements()]
+            assert out.split("\n")[1:-1] == expected
 
 
 def test_thin_rejects_non_event_log_input(capsys, ub_model_file, tmp_path):

@@ -23,12 +23,14 @@ from homfrag.partitions import (
     PartitionOfN,
     block_frequency_estimates,
     paintbox,
+    read_tagged_lines,
     simulate_partition,
     simulate_subordinator,
     split_rate,
     subordinator_values,
     tagged_xi,
 )
+from homfrag.tilting import simulate_event_log
 from homfrag.streams import (
     _KEY_SALT,
     GOLDEN_GAMMA,
@@ -353,6 +355,34 @@ def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+def lines_equal_walks(model, t, seed, n):
+    """Every lane of read_tagged_lines equals simulate_event_log of its
+    replica field for field: repr of the times, the masses and the picks."""
+    i = 0
+    for rec in read_tagged_lines(model, t, seed, n):
+        assert len(rec.masses) == len(rec.picks) == len(rec.picked) \
+            == np.count_nonzero(rec.events)
+        lanes = np.nonzero(rec.events)[1]
+        for lane, key in enumerate(rec.keys.tolist()):
+            log = simulate_event_log(model, t, replica_key(seed, i))
+            assert key == replica_key(seed, i)
+            mine = lanes == lane
+            assert rec.counts[lane] == len(log)
+            assert np.flatnonzero(rec.events[:, lane]).tolist() == list(
+                range(len(log)))
+            times = rec.times[:, lane][rec.events[:, lane]]
+            assert list(map(repr, times.tolist())) == list(
+                map(repr, log.jump_times))
+            assert [repr(tuple(row[row != 0.0].tolist()))
+                    for row in rec.masses[mine]] == [
+                        repr(part.masses) for part in log.partitions]
+            assert rec.picks[mine].tolist() == log.picks
+            assert list(map(repr, rec.picked[mine].tolist())) == [
+                repr(part.masses[j]) for part, j in zip(log.partitions, log.picks)]
+            i += 1
+    return i == n
+
+
 @pytest.mark.parametrize("name", sorted(BATCH_MODELS))
 @given(seed=st.integers(min_value=0, max_value=MASK64),
        n=st.integers(min_value=0, max_value=24),
@@ -364,18 +394,19 @@ def test_subordinator_values_equal_the_per_path_walk_bit_for_bit(name, seed, n, 
     model = BATCH_MODELS[name]
     assert same_bits(subordinator_values(model, t, seed, n),
                      per_path_values(model, t, seed, n))
+    assert lines_equal_walks(model, t, seed, n)
 
 
 def _chunk_sizes(monkeypatch):
-    """The lane counts of subordinator_values' chunks, recorded as it walks
+    """The lane counts of read_tagged_lines' chunks, recorded as it reads
     them (the list is filled in place)."""
     sizes = []
-    walk = partitions._block_values
+    read = partitions._read_block
 
     def spy(model, rate, t_end, keys, width):
         sizes.append(len(keys))
-        return walk(model, rate, t_end, keys, width)
-    monkeypatch.setattr(partitions, "_block_values", spy)
+        return read(model, rate, t_end, keys, width)
+    monkeypatch.setattr(partitions, "_read_block", spy)
     return sizes
 
 
@@ -402,6 +433,7 @@ def test_subordinator_values_do_not_depend_on_batch_size_or_chunks(ub, monkeypat
         sizes.clear()
         assert same_bits(subordinator_values(ub, 2.0, 31, 40), full)
         assert max(sizes) == lanes and sum(sizes) == 40
+        assert lines_equal_walks(ub, 2.0, 31, 40)
 
 
 def test_subordinator_values_across_a_chunk_boundary(ub, monkeypatch):
@@ -428,6 +460,7 @@ def test_paths_longer_than_one_block_are_walked_per_path(ub, monkeypatch):
     monkeypatch.setattr(partitions, "_CHUNK_CELLS", 1000)
     assert same_bits(subordinator_values(ub, t, 5, 3), expected)
     assert walked == [replica_key(5, i) for i in range(3)]
+    assert lines_equal_walks(ub, t, 5, 3)
 
 
 @pytest.mark.parametrize("shift", [-1, 1])
@@ -440,6 +473,7 @@ def test_an_estimate_off_by_one_never_reaches_the_output(ub, monkeypatch, shift)
     walked = _fallbacks(monkeypatch)
     for t in (0.3, 4.0):
         assert same_bits(subordinator_values(ub, t, 8, 30), per_path_values(ub, t, 8, 30))
+        assert lines_equal_walks(ub, t, 8, 30)
     # every lane but those whose count -1 clips back to 0 is walked per path
     assert len(walked) > 30
 
@@ -549,6 +583,8 @@ def test_a_split_draw_of_zero_is_walked_per_path(name, event, monkeypatch):
                      per_path_values(model, 50.0, seed, 4))
     redraws = isinstance(model, UniformBinaryModel)
     assert walked == [replica_key(seed, 0)] * redraws
+    # the events the pass read for the lane are dropped from its record
+    assert lines_equal_walks(model, 50.0, seed, 4)
 
 
 @pytest.mark.parametrize("t", [0.0, 1.0])

@@ -12,7 +12,11 @@ from scipy import stats
 import walk_oracle
 
 from homfrag.analytics import PhiEvaluator
-from homfrag.errors import BelowPLowerError, ThinningDirectionError
+from homfrag.errors import (
+    BelowPLowerError,
+    BudgetExceededError,
+    ThinningDirectionError,
+)
 from homfrag.measures import (
     AtomicModel,
     MassPartition,
@@ -20,10 +24,16 @@ from homfrag.measures import (
     UniformBinaryModel,
     sample_size_biased,
 )
-from homfrag.partitions import simulate_subordinator
+from homfrag.partitions import (
+    read_tagged_lines,
+    simulate_subordinator,
+    subordinator_values,
+)
+from homfrag.ranked import DEFAULT_MAX_FRAGMENTS
 from homfrag.streams import Stream, derive_key
 from homfrag.tilting import (
     TaggedLine,
+    check_horizon,
     esscher_exponent,
     sample_tilted_split,
     simulate_event_log,
@@ -129,6 +139,22 @@ def test_a_tagged_line_needs_a_finite_horizon(ub, ub_eval, t_end):
     for walk in walks:
         with pytest.raises(ValueError, match="t_end must be finite and >= 0"):
             walk()
+
+
+def test_a_horizon_past_the_event_budget_raises_up_front(ub, ub_eval):
+    # rate * t_end expected events: a finite horizon that large would walk
+    # until memory runs out
+    walks = [lambda: simulate_event_log(ub, 1e300, 1),
+             lambda: simulate_subordinator(ub, 1e300, 1),
+             lambda: simulate_spine(ub, 0.5, 1e300, 1, ub_eval),
+             lambda: subordinator_values(ub, 1e300, 1, 3),
+             lambda: read_tagged_lines(ub, 1e300, 1, 3)]
+    for walk in walks:
+        with pytest.raises(BudgetExceededError, match="above the budget"):
+            walk()
+    check_horizon(2.0, DEFAULT_MAX_FRAGMENTS / 2.0)  # at the budget: walked
+    with pytest.raises(BudgetExceededError):
+        check_horizon(2.0, math.nextafter(DEFAULT_MAX_FRAGMENTS / 2.0, math.inf))
 
 
 def test_a_line_is_read_only_up_to_t_end(ub):
