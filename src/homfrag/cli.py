@@ -17,8 +17,10 @@ written), 3 fragment budget exceeded, 4 regime warning under --strict.
 import argparse
 import errno
 import functools
+from itertools import chain, groupby
 import json
 import math
+from operator import itemgetter, lt
 import os
 import stat
 import sys
@@ -44,9 +46,9 @@ from .martingales import (
     mc_mean,
     truncated_estimator,
 )
-from .measures import model_from_json, model_to_json
-# simulate, simulate_subordinator and simulate_event_log stay names of this
-# module for callers that wrap its library calls
+from .measures import SUM_TOL, MassPartition, model_from_json, model_to_json
+# simulate, simulate_subordinator, simulate_event_log and thin_fiber stay
+# names of this module for callers that wrap its library calls
 from .partitions import (  # noqa: F401
     PartitionOfN,
     read_tagged_lines,
@@ -54,13 +56,12 @@ from .partitions import (  # noqa: F401
     simulate_subordinator,
 )
 from .ranked import DEFAULT_MAX_FRAGMENTS, simulate, simulate_replicas  # noqa: F401
-from .measures import MassPartition
-from .streams import MASK64, Stream, derive_key, replica_key
+from .streams import MASK64, derive_key, replica_key
 from .tilting import (  # noqa: F401
-    TaggedLine,
     simulate_event_log,
     simulate_spine,
     thin_fiber,
+    thin_lanes,
     tilted_split_rate,
 )
 
@@ -276,7 +277,8 @@ def _cmd_spine(cfg):
         lm = 0.0
         for t, s in zip(run.jump_times, run.jump_sizes):
             lm -= s
-            rows.append((i, t, s, lm))
+            # the line's times and sizes are floats: _cell writes them by repr
+            rows.append(f"{i},{t!r},{s!r},{lm!r}")
 
     def total(floats):
         # left to right from 0, as sum adds floats up to Python 3.11 (3.12
@@ -298,7 +300,7 @@ def _cmd_spine(cfg):
                        "population_frozen_mass_mean": total(frozen) / len(frozen),
                        "population_events_mean": sum(events) / len(events)})
     return header, "csv", ("replica", "jump_time", "jump_size",
-                           "spine_log_mass"), _csv_lines(rows)
+                           "spine_log_mass"), rows
 
 
 _EVENT_FIELDS = ("replica", "t", "masses", "pick")
@@ -345,19 +347,64 @@ def _event_record_problems(n, rec, t_end):
     return problems
 
 
+def _json_lines(lines):
+    """json.loads of each line; by its scanner if that reads every line whole."""
+    scan = json.JSONDecoder().scan_once
+    try:
+        values, ends = zip(*[scan(line, 0) for line in lines])
+    except (StopIteration, ValueError):
+        ends = None
+    if ends != tuple(map(len, lines)):
+        return [json.loads(line) for line in lines]
+    return list(values)
+
+
+def _event_columns(records, t_end):
+    """The records' columns, or None if one fails a test of
+    _event_record_problems: the same tests, on whole columns."""
+    try:  # a record that is not a dict, or lacks a field, raises
+        columns = [list(map(itemgetter(k), records)) for k in _EVENT_FIELDS]
+        replicas, ts, masses, picks = columns
+        ok = (t_end is not None and set(map(type, replicas + picks)) <= {int}
+              and set(map(type, ts)) <= {int, float}
+              and set(map(type, masses)) <= {list}
+              and set(map(type, chain.from_iterable(masses))) <= {int, float}
+              and all(map(math.isfinite, ts))  # an int past floats raises
+              # exact int-float comparisons; with no NaN, min and max bound t
+              and 0 <= min(ts, default=0) and max(ts, default=0) <= t_end
+              and 0 <= min(picks, default=0)
+              and all(map(lt, picks, map(len, masses))))
+    except (KeyError, TypeError, OverflowError):
+        return None
+    return columns if ok else None
+
+
+def _split_grid(masses):
+    """The masses as floats, a zero-padded row per split, if every split passes
+    MassPartition's checks (summed left to right, as cumsum adds); else None."""
+    # an int past the float range reads as inf (_float), which fails
+    flat = np.fromiter(map(_float, chain.from_iterable(masses)), float)
+    pieces = np.fromiter(map(len, masses), np.intp, len(masses))
+    row = np.repeat(np.arange(len(masses)), pieces)
+    grid = np.zeros((len(masses), pieces.max(initial=0)))
+    grid[row, np.arange(flat.size) - np.searchsorted(row, row)] = flat
+    ok = ((flat > 0.0).all() and (grid[:, 1:] <= grid[:, :-1]).all()
+          and (grid.cumsum(axis=1)[:, -1:] <= 1.0 + SUM_TOL).all())
+    return grid if ok else None
+
+
 def _cmd_thin(cfg):
     pr = cfg.params
     ev = PhiEvaluator(cfg.model)
     try:
         with open(pr["input"]) as fh:
-            lines = [line.strip() for line in fh if line.strip()]
+            lines = [line for line in map(str.strip, fh) if line]
     except OSError as e:
         raise ConfigError([f"cannot read thin input: {e}"])
     if not lines:
         raise ConfigError(["thin input is empty"])
     try:
-        in_header = json.loads(lines[0])
-        records = [json.loads(line) for line in lines[1:]]
+        in_header, *records = _json_lines(lines)
     except json.JSONDecodeError as e:
         raise ConfigError([f"thin input is not valid JSONL: {e}"])
     if not isinstance(in_header, dict) or in_header.get("stream") != "event_log":
@@ -369,40 +416,39 @@ def _cmd_thin(cfg):
                         f">= 0, got {t_end!r}" if "t_end" in in_header
                         else "event-log header lacks t_end")
         t_end = None
-    problems += [problem for n, rec in enumerate(records, 1)
-                 for problem in _event_record_problems(n, rec, t_end)]
+    columns = _event_columns(records, t_end)
+    if columns is None:
+        problems += [problem for n, rec in enumerate(records, 1)
+                     for problem in _event_record_problems(n, rec, t_end)]
     if problems:
         raise ConfigError(problems)
 
-    by_replica = {}
-    for rec in records:
-        by_replica.setdefault(rec["replica"], []).append(rec)
-
+    # a lane per replica, in order; rows by lane, each lane's in file order
     p = pr["p"]
-    rows = []
-    kept_total = 0
-    for rep in sorted(by_replica):
-        recs = by_replica[rep]
-        key = replica_key(cfg.seed, rep)
-        log = TaggedLine(
-            t_end,
-            [r["t"] for r in recs],
-            [MassPartition(r["masses"]) for r in recs],
-            [r["pick"] for r in recs],
-            key,
-        )
-        stream = Stream(derive_key(key, 1))
-        thinned = thin_fiber(log, p, stream)
-        for rec, kept in zip(recs, thinned.kept):
-            out = dict(rec)
-            out["kept"] = bool(kept)
-            kept_total += bool(kept)
-            rows.append(_dumps(out))
+    replicas, ts, masses, picks = columns
+    lanes = sorted(set(replicas))
+    lane = np.fromiter(map(dict(zip(lanes, range(len(lanes)))).__getitem__,
+                           replicas), np.intp, len(replicas))
+    order = np.argsort(lane, kind="stable").tolist()
+    grid = _split_grid(masses)
+    if grid is None:  # build the splits as thin_fiber's walk did, to raise
+        for _, run in groupby(order, lane.__getitem__):  # its first error
+            for part, j in [(MassPartition(masses[i]), picks[i]) for i in run]:
+                pow(part.masses[j], p)
+    keys = [derive_key(replica_key(cfg.seed, r), 1) for r in lanes]
+    picked = grid[order, [picks[i] for i in order]]
+    kept = thin_lanes(keys, lane[order], picked, p).tolist()
+    # _dumps(dict(record, kept=k)): json writes an int or finite float by repr
+    rows = [f'{{"kept":{"true" if k else "false"},'
+            f'"masses":[{",".join(map(repr, masses[i]))}],"pick":{picks[i]},'
+            f'"replica":{replicas[i]},"t":{ts[i]!r}}}'
+            if len(records[i]) == len(_EVENT_FIELDS)
+            else _dumps(dict(records[i], kept=k)) for i, k in zip(order, kept)]
     rate = cfg.model.total_rate
     header = {"p": p, "t_end": t_end, "stream": "event_log_thinned",
               "expected_kept_fraction": (rate - ev.phi(p)) / rate,
               "observed_kept_fraction":
-                  kept_total / len(records) if records else None,
+                  sum(kept) / len(records) if records else None,
               "kept_rate": (rate - ev.phi(p))}
     return header, "jsonl", None, rows
 

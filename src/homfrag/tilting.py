@@ -31,7 +31,7 @@ from .errors import (
 )
 from .measures import size_biased_draw
 from .ranked import DEFAULT_MAX_FRAGMENTS, PopulationSnapshot, simulate_lanes
-from .streams import Stream, derive_key
+from .streams import Stream, StreamBatch, derive_key, lanewise
 
 # tilted split draws before a p >= 0 draw is declared not computable
 _MAX_REJECTIONS = 1_000_000
@@ -297,3 +297,17 @@ def thin_fiber(line, p, stream):
             for part, j in zip(line.partitions, line.picks)]
     return TaggedLine(line.t_end, line.jump_times, line.partitions, line.picks,
                       line.seed, kept=kept, p=p)
+
+
+def thin_lanes(keys, lane, picked, p):
+    """The flags thin_fiber gives lines l = 0, 1, ... thinned with
+    Stream(keys[l]), bit for bit.  Events come line by line (lane is
+    nondecreasing); event i, the k-th of line lane[i], is kept when draw k
+    of that stream falls below picked[i] ** p, powers taken in libm event by
+    event, so that the first to overflow raises OverflowError as there."""
+    if p < 0.0:
+        raise ThinningDirectionError(f"thinning needs p >= 0, got {p}")
+    lane = np.asarray(lane, dtype=np.intp)
+    k = np.arange(1, lane.size + 1) - np.searchsorted(lane, lane)
+    keep = lanewise(lambda m: m ** p, np.asarray(picked, dtype=float))
+    return StreamBatch(keys).uniform_at(lane, k) < keep

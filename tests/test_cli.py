@@ -964,7 +964,8 @@ def test_flags_and_config_file_give_the_same_bytes(capsys, ub, ub_model_file,
     assert by_config == by_flags
 
 
-@pytest.mark.parametrize("record, problem", [
+# one record appended to a valid event log, and a word of its problem
+MALFORMED_EVENT_RECORDS = [
     ([1, 0.5, [0.6, 0.4], 0], "is not a JSON object"),
     ("text", "is not a JSON object"),
     ({"t": 0.5, "masses": [0.6, 0.4], "pick": 0}, "lacks replica"),
@@ -983,7 +984,10 @@ def test_flags_and_config_file_give_the_same_bytes(capsys, ub, ub_model_file,
      "t must be a finite number"),
     ({"replica": 0, "t": "0.5", "masses": [0.6, 0.4], "pick": 0},
      "t must be a finite number"),
-])
+]
+
+
+@pytest.mark.parametrize("record, problem", MALFORMED_EVENT_RECORDS)
 def test_thin_rejects_malformed_event_records(capsys, ub_model_file, tmp_path,
                                               record, problem):
     log_path = tmp_path / "events.jsonl"
@@ -1003,7 +1007,8 @@ def test_thin_rejects_malformed_event_records(capsys, ub_model_file, tmp_path,
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("t_end, record_t, problems", [
+# the header's t_end (None: no t_end), the record's t, and the problems
+EVENT_LOG_TIMES = [
     ("NaN", 0.5, ["t_end must be a finite number >= 0, got nan"]),
     ('"1.0"', 0.5, ["t_end must be a finite number >= 0, got '1.0'"]),
     ("-1.0", 0.5, ["t_end must be a finite number >= 0, got -1.0"]),
@@ -1016,7 +1021,10 @@ def test_thin_rejects_malformed_event_records(capsys, ub_model_file, tmp_path,
     # a header problem and a record problem are reported together
     ("NaN", "1" + "0" * 400, ["t_end must be a finite number >= 0, got nan",
                               "record 1: t must be a finite number"]),
-])
+]
+
+
+@pytest.mark.parametrize("t_end, record_t, problems", EVENT_LOG_TIMES)
 def test_thin_checks_the_header_t_end_and_the_record_times(
         capsys, ub_model_file, tmp_path, t_end, record_t, problems):
     header = '{"rate": 1.0, "stream": "event_log"'

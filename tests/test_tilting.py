@@ -40,6 +40,7 @@ from homfrag.tilting import (
     simulate_spine,
     spine_child_select,
     thin_fiber,
+    thin_lanes,
     tilted_split_rate,
 )
 
@@ -224,6 +225,22 @@ def test_thinning_keep_fraction(ub):
         total += len(log)
     # keep probability is the picked mass; its mean is 2/3
     assert abs(kept / total - 2.0 / 3.0) < 0.03
+
+
+@pytest.mark.parametrize("p", [0.0, 0.5, 1.0, 2.5])
+def test_thin_lanes_gives_each_line_the_flags_of_thin_fiber(ptail, p):
+    lines = [simulate_event_log(ptail, 2.0, seed) for seed in range(12)]
+    keys = [derive_key(seed, 1) for seed in range(12)]
+    lane, picked = zip(*((lane, part.masses[j])
+                         for lane, line in enumerate(lines)
+                         for part, j in zip(line.partitions, line.picks)))
+    flags = thin_lanes(keys, lane, picked, p)
+    for i, line in enumerate(lines):
+        expected = thin_fiber(line, p, Stream(keys[i])).kept
+        assert flags[np.equal(lane, i)].tolist() == expected
+    assert thin_lanes(keys, [], [], p).tolist() == []
+    with pytest.raises(ThinningDirectionError):
+        thin_lanes(keys, lane, picked, -p - 0.5)
 
 
 def test_thinning_deterministic_and_preserving(ub):
