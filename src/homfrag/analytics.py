@@ -30,6 +30,8 @@ GeometricDetection = namedtuple("GeometricDetection", ["base", "evidence"])
 
 _MODES = ("auto", "closed_form", "quadrature", "monte_carlo")
 _PROBE_KEY = 0x47454F4D45545259  # fixed probe stream for sampled detection
+_GEOMETRIC_R_MAX = 64  # largest lattice base detect_geometric tries
+_GEOMETRIC_TOL = 1e-9  # how far from an integer a mass's exponent may be
 # rounding in a computed g(q), relative to the sizes of its terms: 4096 ulp,
 # far above the few dozen of numpy's pairwise sums over a sample
 _G_ROUNDING = 2.0 ** -40
@@ -119,9 +121,9 @@ class PhiEvaluator:
         mode = self.mode
         model = self.model
         if mode in ("auto", "closed_form"):
-            phi, d = model.phi_closed(q), model.phi_derivs_closed(q)
-            if phi is not None and d is not None:
-                return phi, d[0], d[1], 0.0
+            closed = model.phi_closed(q)
+            if closed is not None:
+                return (*closed, 0.0)
             if mode == "closed_form":
                 raise NotComputableError(
                     f"{model.kind} model has no closed-form phi and phi'"
@@ -266,13 +268,14 @@ class PhiEvaluator:
                 * self._window_factor(p, alpha, beta))
 
 
-def detect_geometric(model, r_max=64, tol=1e-9):
+def detect_geometric(model):
     """Look for an integer base r >= 2 with every mass of the form r^-n.
 
     Atomic models are checked exactly on their atom entries; other models
     are probed with 1000 sampled splits from a fixed stream (evidence
-    "sampled").  Returns GeometricDetection(base, evidence) with base None
-    when no base up to r_max fits.
+    "sampled").  A mass fits when -log(m) / log(r) is within _GEOMETRIC_TOL
+    of an integer n >= 1.  Returns GeometricDetection(base, evidence) with
+    base None when no base up to _GEOMETRIC_R_MAX fits.
     """
     if model.kind == "atomic":
         masses = [m for part, _ in model.atoms for m in part.masses]
@@ -282,13 +285,13 @@ def detect_geometric(model, r_max=64, tol=1e-9):
                                 1000)
         masses = masses[masses != 0.0].tolist()
         evidence = "sampled"
-    for r in range(2, r_max + 1):
+    for r in range(2, _GEOMETRIC_R_MAX + 1):
         log_r = math.log(r)
         ok = True
         for m in masses:
             x = -math.log(m) / log_r
             k = round(x)
-            if k < 1 or abs(x - k) > tol:
+            if k < 1 or abs(x - k) > _GEOMETRIC_TOL:
                 ok = False
                 break
         if ok:

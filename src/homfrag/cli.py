@@ -71,14 +71,6 @@ SCHEMA = "homfrag/1"
 # --- output rendering -------------------------------------------------------
 
 
-def _cell(v):
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(float(v))  # np.float64 is a float, but its repr is not
-    return str(v)
-
-
 def _json_safe(v):
     if isinstance(v, float) and math.isinf(v):
         return "-inf" if v < 0 else "inf"
@@ -87,17 +79,19 @@ def _json_safe(v):
 
 # one encoder for the header and every JSONL row (json.dumps would build one
 # per call)
-_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
-                          default=_json_safe).encode
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _csv_lines(rows):
-    return [",".join(map(_cell, row)) for row in rows]
+    # every cell is a float, written by repr (np.float64 is a float, but its
+    # repr is not)
+    return [",".join(map(repr, map(float, row))) for row in rows]
 
 
 def render(cfg, header_extra, fmt, columns, lines):
     """The output text: the header, then the rows, each already encoded as
-    one line (CSV cells by _cell, a JSONL row as _dumps encodes it)."""
+    one line (CSV cells by repr, a JSONL row as _dumps encodes it); the
+    header's infinities are written as the strings "inf" and "-inf"."""
     header = {"schema": SCHEMA, "command": cfg.command, "seed": cfg.seed,
               "replicas": cfg.replicas, "model": model_to_json(cfg.model)}
     header.update(header_extra)
@@ -277,7 +271,7 @@ def _cmd_spine(cfg):
         lm = 0.0
         for t, s in zip(run.jump_times, run.jump_sizes):
             lm -= s
-            # the line's times and sizes are floats: _cell writes them by repr
+            # the line's times and sizes are floats, written by repr
             rows.append(f"{i},{t!r},{s!r},{lm!r}")
 
     def total(floats):
@@ -352,7 +346,7 @@ def _json_lines(lines):
     scan = json.JSONDecoder().scan_once
     try:
         values, ends = zip(*[scan(line, 0) for line in lines])
-    except (StopIteration, ValueError):
+    except (StopIteration, ValueError, RecursionError):
         ends = None
     if ends != tuple(map(len, lines)):
         return [json.loads(line) for line in lines]
@@ -397,15 +391,16 @@ def _cmd_thin(cfg):
     pr = cfg.params
     ev = PhiEvaluator(cfg.model)
     try:
-        with open(pr["input"]) as fh:
+        with open(pr["input"], encoding="utf-8") as fh:
             lines = [line for line in map(str.strip, fh) if line]
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError([f"cannot read thin input: {e}"])
     if not lines:
         raise ConfigError(["thin input is empty"])
     try:
         in_header, *records = _json_lines(lines)
-    except json.JSONDecodeError as e:
+    # a JSONDecodeError, an int past the digit limit, or deep nesting
+    except (ValueError, RecursionError) as e:
         raise ConfigError([f"thin input is not valid JSONL: {e}"])
     if not isinstance(in_header, dict) or in_header.get("stream") != "event_log":
         raise ConfigError(["thin input must be a subordinator --event-log stream"])
@@ -692,11 +687,12 @@ def _check(table, from_file, flags, command):
 def _load_json(path, what, problems, default):
     """The JSON value in a file, or default with the problem added."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         problems.append(f"cannot read {what} file: {e}")
-    except json.JSONDecodeError as e:
+    # a JSONDecodeError, an int past the digit limit, or deep nesting
+    except (ValueError, RecursionError) as e:
         problems.append(f"{what} file is not valid JSON: {e}")
     return default
 

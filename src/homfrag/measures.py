@@ -15,8 +15,7 @@ either in closed form, or through a density for quadrature, or not at all
 (the analytics layer then falls back to Monte Carlo).
 """
 
-from functools import reduce
-import itertools
+from functools import partial, reduce
 import math
 from operator import add
 import sys
@@ -33,13 +32,7 @@ from .errors import (
     UnknownFamilyError,
 )
 from .numerics import gauss_kronrod
-from .streams import pick_index
-
-
-def _pow_lanes(x, y, n):
-    """The n values pow(x_i, y_i), one libm call each, for iterables x and y
-    of floats (the ** of Python floats); map makes no Python frame per call."""
-    return np.fromiter(map(pow, x, y), float, n)
+from .streams import lanewise, pick_index
 
 
 def _binary_terms(u, q):
@@ -128,12 +121,12 @@ class MassPartition:
         return f"MassPartition({list(self.masses)!r})"
 
 
-def validate(raw, allow_trivial=False):
+def validate(raw):
     """Build a MassPartition from raw floats: strip zero padding, rank, check.
 
-    Rejects the trivial split (single mass 1) unless allow_trivial is set;
-    the trivial outcome means "no fragmentation happened" and is excluded
-    from dislocation measures by definition.
+    Rejects the trivial split (single mass 1): the trivial outcome means "no
+    fragmentation happened" and is excluded from dislocation measures by
+    definition.
     """
     cleaned = []
     for m in raw:
@@ -145,7 +138,7 @@ def validate(raw, allow_trivial=False):
         cleaned.append(m)
     cleaned.sort(reverse=True)
     part = MassPartition(cleaned)
-    if part.is_trivial and not allow_trivial:
+    if part.is_trivial:
         raise TrivialSplitError("trivial split (single mass 1) is not a dislocation")
     return part
 
@@ -200,9 +193,7 @@ class DislocationModel:
     # --- analytics hooks; return None when the capability is absent ---
 
     def phi_closed(self, q):
-        return None
-
-    def phi_derivs_closed(self, q):
+        """(phi(q), phi'(q), phi''(q)) in closed form."""
         return None
 
     def phi_quadrature(self, q, abs_tol=1e-10):
@@ -250,21 +241,15 @@ class AtomicModel(DislocationModel):
         return self._padded[np.minimum(j, len(self._cum) - 1)]
 
     def phi_closed(self, q):
-        tot = 0.0
+        phi = d1 = d2 = 0.0
         for part, w in self.atoms:
-            tot += w * (1.0 - part.power_sum(q + 1.0))
-        return tot
-
-    def phi_derivs_closed(self, q):
-        d1 = 0.0
-        d2 = 0.0
-        for part, w in self.atoms:
+            phi += w * (1.0 - part.power_sum(q + 1.0))
             for m in part.masses:
                 lg = math.log(m)
                 pw = m ** (q + 1.0)
                 d1 -= w * pw * lg
                 d2 -= w * pw * lg * lg
-        return d1, d2
+        return phi, d1, d2
 
     def to_json(self):
         return {
@@ -307,28 +292,21 @@ class UniformBinaryModel(DislocationModel):
 
     def phi_closed(self, q):
         e = self.epsilon
-        if e == 0.0:
-            return 1.0 - 2.0 / (q + 2.0)
-        if q == -2.0:
-            return self.total_rate - 2.0 * math.log((1.0 - e) / e)
-        return self.total_rate - 2.0 * ((1.0 - e) ** (q + 2.0) - e ** (q + 2.0)) / (q + 2.0)
-
-    def phi_derivs_closed(self, q):
-        e = self.epsilon
-        if e == 0.0:
-            return 2.0 / (q + 2.0) ** 2, -4.0 / (q + 2.0) ** 3
-        la, lb = math.log(1.0 - e), math.log(e)
         r = q + 2.0
-        if r == 0.0:
+        if e == 0.0:
+            return 1.0 - 2.0 / r, 2.0 / r ** 2, -4.0 / r ** 3
+        la, lb = math.log(1.0 - e), math.log(e)
+        if r == 0.0:  # q = -2 exactly
             # r -> 0 limits of the cancelling expressions below
-            return lb * lb - la * la, -2.0 * (la ** 3 - lb ** 3) / 3.0
-        pa, pb = (1.0 - e) ** (q + 2.0), e ** (q + 2.0)
+            return (self.total_rate - 2.0 * math.log((1.0 - e) / e),
+                    lb * lb - la * la, -2.0 * (la ** 3 - lb ** 3) / 3.0)
+        pa, pb = (1.0 - e) ** r, e ** r
         a = pa - pb
         a1 = pa * la - pb * lb
         a2 = pa * la * la - pb * lb * lb
-        d1 = -2.0 * (a1 * r - a) / r ** 2
-        d2 = -2.0 * (a2 * r ** 2 - 2.0 * a1 * r + 2.0 * a) / r ** 3
-        return d1, d2
+        return (self.total_rate - 2.0 * a / r,
+                -2.0 * (a1 * r - a) / r ** 2,
+                -2.0 * (a2 * r ** 2 - 2.0 * a1 * r + 2.0 * a) / r ** 3)
 
     def phi_quadrature(self, q, abs_tol=1e-10):
         e = self.epsilon
@@ -411,12 +389,11 @@ class PowerTailBinaryModel(DislocationModel):
         # steps correctly rounded in numpy as in Python
         e, g = self.epsilon, self.gamma
         if g == 1.0:
-            v = e * _pow_lanes(itertools.repeat(0.5 / e), u.tolist(), len(u))
+            v = e * lanewise(partial(pow, 0.5 / e), u)
         else:
             a = e ** (1.0 - g)
             b = 2.0 ** (g - 1.0)
-            v = _pow_lanes((a - u * (a - b)).tolist(),
-                           itertools.repeat(1.0 / (1.0 - g)), len(u))
+            v = lanewise(pow, a - u * (a - b), 1.0 / (1.0 - g))
         v = np.minimum(np.maximum(v, e), 0.5)  # split's clamp
         return np.column_stack((1.0 - v, v))
 

@@ -29,6 +29,7 @@ _G7[1::2] = _WG + [0.4179591836734694] + _WG[::-1]
 _SPLIT = 8
 _CUTS = np.arange(_SPLIT) / _SPLIT
 _MAX_PANELS = 1024  # per level; the models' phi integrands open a few dozen
+_MAX_DEPTH = 50  # levels of cuts before the integral is refused
 # relative tolerance, pre-registered: it loosens abs_tol only for a component
 # whose integral exceeds abs_tol * 2^40 (about 110 at abs_tol = 1e-10), where
 # abs_tol would ask for more digits than a double holds (QUADPACK's QAG test
@@ -36,7 +37,7 @@ _MAX_PANELS = 1024  # per level; the models' phi integrands open a few dozen
 REL_TOL = 2.0 ** -40
 
 
-def gauss_kronrod(f, a, b, abs_tol=1e-10, max_depth=50):
+def gauss_kronrod(f, a, b, abs_tol=1e-10):
     """Integrate a vector-valued f on [a, b] with adaptive G7-K15.
 
     f maps a 1-D array of nodes to an array of shape (k, nodes): k integrands
@@ -47,7 +48,7 @@ def gauss_kronrod(f, a, b, abs_tol=1e-10, max_depth=50):
     else it is cut into _SPLIT panels for the next level.  Returns (values,
     error): k exactly rounded sums over the accepted panels, and the largest
     component's sum of |K15 - G7|, the bound actually met.  Raises
-    NotComputableError when f is not finite at a node, after max_depth
+    NotComputableError when f is not finite at a node, after _MAX_DEPTH
     levels, or when a level would exceed _MAX_PANELS panels.
     """
     lo, width = np.array([float(a)]), np.array([float(b) - float(a)])
@@ -56,7 +57,7 @@ def gauss_kronrod(f, a, b, abs_tol=1e-10, max_depth=50):
     # each component's integral over the accepted panels, and over all panels
     accepted = running = 0.0
     sums, errs = [], []
-    for depth in range(max_depth + 1):
+    for depth in range(_MAX_DEPTH + 1):
         lo = (lo[:, None] + width[:, None] * _CUTS).ravel()
         width = np.repeat(width / _SPLIT, _SPLIT)
         half = 0.5 * width
@@ -80,7 +81,7 @@ def gauss_kronrod(f, a, b, abs_tol=1e-10, max_depth=50):
         running = accepted + k15.sum(axis=1)
         accepted = accepted + sums[-1].sum(axis=1)
         lo, width = lo[~done], width[~done]
-        if depth == max_depth or _SPLIT * len(lo) > _MAX_PANELS:
+        if depth == _MAX_DEPTH or _SPLIT * len(lo) > _MAX_PANELS:
             raise NotComputableError(
                 f"quadrature did not converge on [{a}, {b}] at depth {depth} "
                 f"with {len(lo)} open panels")

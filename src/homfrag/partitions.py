@@ -28,7 +28,7 @@ import numpy as np
 
 from .analytics import PhiEvaluator
 from .errors import NotComputableError
-from .measures import MassPartition, sample_size_biased_batch
+from .measures import sample_size_biased_batch
 from .streams import (
     Stream,
     StreamBatch,
@@ -37,13 +37,11 @@ from .streams import (
     lanewise,
     replica_keys,
 )
-from .tilting import check_horizon, simulate_event_log
+from .tilting import _MAX_REJECTIONS, check_horizon, simulate_event_log
 
 # events (lanes x block width) read at once by read_tagged_lines: bounds
 # its memory, not a knob
 _CHUNK_CELLS = 1 << 20
-# paintbox draws at one ring before the path is declared not computable
-_MAX_REJECTIONS = 1_000_000
 
 PartitionEvent = namedtuple("PartitionEvent", ["time", "elements", "sub_assignment"])
 
@@ -84,26 +82,9 @@ class PartitionOfN:
             raise ValueError("assignment must be a non-empty 1-d array")
         self.assignment, self.num_blocks = _canonical_labels(assignment)
 
-    @classmethod
-    def single_block(cls, n):
-        return cls(np.zeros(n, dtype=np.int64))
-
-    @classmethod
-    def from_blocks(cls, blocks, n):
-        assignment = np.full(n, -1, dtype=np.int64)
-        for label, members in enumerate(blocks):
-            assignment[list(members)] = label
-        if (assignment < 0).any():
-            raise ValueError("blocks do not cover {0, ..., n-1}")
-        return cls(assignment)
-
     @property
     def n(self):
         return len(self.assignment)
-
-    @property
-    def is_trivial(self):
-        return self.num_blocks == 1
 
     def blocks(self):
         """Blocks as arrays of members, ordered by least element.
@@ -117,12 +98,6 @@ class PartitionOfN:
 
     def block_sizes(self):
         return np.bincount(self.assignment, minlength=self.num_blocks)
-
-    def restrict(self, m):
-        """Induced partition of {0, ..., m-1}."""
-        if not 1 <= m <= self.n:
-            raise ValueError(f"m must be in [1, {self.n}], got {m}")
-        return PartitionOfN(self.assignment[:m])
 
     def finer_than(self, other):
         """True when every block of self sits inside one block of other."""
@@ -157,8 +132,6 @@ def paintbox(masses, n, stream):
 def _paintbox_labels(masses, n, stream):
     """The box of each point in paintbox, dust points numbered after the
     boxes, before canonical relabelling."""
-    if isinstance(masses, MassPartition):
-        masses = masses.masses
     cum = np.cumsum(np.asarray(masses, dtype=float))
     labels = np.searchsorted(cum, stream.uniforms(n), side="right")
     k = len(cum)

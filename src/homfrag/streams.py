@@ -15,6 +15,7 @@ integer ops per draw) and batches cheaply through numpy for vector draws.
 
 from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
+from itertools import repeat
 import math
 
 import numpy as np
@@ -110,10 +111,6 @@ class Stream:
         self.key = key & MASK64
         self.state = mix64(self.key)
 
-    def spawn_key(self, index):
-        """Key for the index-th child of this stream's owner."""
-        return derive_key(self.key, index)
-
     def uniform(self):
         """Uniform float in [0, 1)."""
         # one SplitMix64 step with mix64 inlined: the scalar walks' hot draw
@@ -154,14 +151,21 @@ def pick_index(cumweights, u):
     return min(j, len(cumweights) - 1)
 
 
-def lanewise(fn, x):
-    """fn on every entry of a float array, one scalar call per entry.
+def lanewise(fn, x, y=None):
+    """fn(x[i]) on every entry of the float array x, or fn(x[i], y[i]) when
+    fn takes a further argument y: an array aligned with x, or a single
+    float passed to every call.  One scalar call per entry.
 
     Batched code maps the scalar code's transcendentals (math.log, log1p,
     exp, pow) this way: numpy's SIMD ufuncs can differ from libm in the last
-    bit, so a lane would no longer equal its scalar walk.
+    bit, so a lane would no longer equal its scalar walk.  (y is not *args,
+    since CPython does not specialise calls of a function with *args: that
+    would slow every one-argument call, the engines' hot case.)
     """
-    return np.fromiter(map(fn, x.tolist()), float, len(x))
+    if y is None:
+        return np.fromiter(map(fn, x.tolist()), float, len(x))
+    ys = y.tolist() if isinstance(y, np.ndarray) else repeat(y)
+    return np.fromiter(map(fn, x.tolist(), ys), float, len(x))
 
 
 class StreamBatch:

@@ -33,7 +33,8 @@ from .measures import size_biased_draw
 from .ranked import DEFAULT_MAX_FRAGMENTS, PopulationSnapshot, simulate_lanes
 from .streams import Stream, StreamBatch, derive_key, lanewise
 
-# tilted split draws before a p >= 0 draw is declared not computable
+# draws before a rejection loop is declared not computable: tilted splits
+# at one p >= 0 event, paintboxes at one partitions.simulate_partition ring
 _MAX_REJECTIONS = 1_000_000
 
 
@@ -182,13 +183,6 @@ class TaggedLine:
             lm += math.log(part.masses[j])
         return roots, lm
 
-    def kept_events(self):
-        if self.kept is None:
-            raise ThinningDirectionError("event log has not been thinned yet")
-        return [(t, part, j) for t, part, j, k in
-                zip(self.jump_times, self.partitions, self.picks, self.kept)
-                if k]
-
 
 def check_horizon(rate, t_end):
     """Refuse a horizon that no walk of a line at `rate` ends by.
@@ -309,5 +303,5 @@ def thin_lanes(keys, lane, picked, p):
         raise ThinningDirectionError(f"thinning needs p >= 0, got {p}")
     lane = np.asarray(lane, dtype=np.intp)
     k = np.arange(1, lane.size + 1) - np.searchsorted(lane, lane)
-    keep = lanewise(lambda m: m ** p, np.asarray(picked, dtype=float))
+    keep = lanewise(pow, np.asarray(picked, dtype=float), p)
     return StreamBatch(keys).uniform_at(lane, k) < keep

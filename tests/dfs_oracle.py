@@ -89,7 +89,7 @@ def simulate_dfs(model, t_end, snapshot_times, eps_freeze, seed, *,
             s = lm + death * slope
             if s > child_peak:
                 child_peak = s
-        spawn = stream.spawn_key
+        key = stream.key
         event_bucket[bisect_left(snaps, death)] += 1
         for j, frac in enumerate(masses):
             clm = lm + log(frac)
@@ -99,7 +99,7 @@ def simulate_dfs(model, t_end, snapshot_times, eps_freeze, seed, *,
                 frozen_mass_bucket[i] += math.exp(clm)
                 frozen_count_bucket[i] += 1
             else:
-                stack.append((spawn(j), clm, death, child_peak))
+                stack.append((derive_key(key, j), clm, death, child_peak))
 
     out = []
     frozen_mass = 0.0

@@ -107,6 +107,69 @@ def test_invalid_model_file(capsys, tmp_path):
     assert "invalid model" in err
 
 
+_PHI_ARGS = ["phi", "--q-min", "0", "--q-max", "1"]
+_DEEP = b"[" * 100_000 + b"]" * 100_000  # beyond any recursion limit
+_LDP_ARGS = ["--replicas", "2", "--model", "model.json", "ldp", "--p", "0.5",
+             "--t-grid", "1", "--eps-freeze", "0.01"]
+
+
+@pytest.mark.parametrize("files, argv, problem", [
+    ({}, ["--model", "absent.json"] + _PHI_ARGS,
+     "cannot read model file: [Errno 2] No such file or directory"),
+    ({}, ["--model", "."] + _PHI_ARGS,
+     "cannot read model file: [Errno 21] Is a directory"),
+    ({}, ["--config", "absent.json", "--model", "model.json"] + _PHI_ARGS,
+     "cannot read config file: [Errno 2] No such file or directory"),
+    ({"bad.json": b'{"kind": '}, ["--model", "bad.json"] + _PHI_ARGS,
+     "model file is not valid JSON: Expecting value"),
+    ({"run.json": b'{"command": "phi",'},
+     ["--config", "run.json", "--model", "model.json"] + _PHI_ARGS,
+     "config file is not valid JSON: Expecting property name"),
+    ({"run.json": b"[1, 2]"},
+     ["--config", "run.json", "--model", "model.json"] + _PHI_ARGS,
+     "config file must hold a JSON object"),
+    ({}, ["--model", "model.json"],
+     "no command given; choose one of phi, simulate, partition, "
+     "subordinator, martingale, spine, thin, ldp"),
+    ({"run.json": b'{"command": "frobnicate", "model": '
+                  b'{"kind": "uniform_binary"}}'}, ["--config", "run.json"],
+     "unknown command 'frobnicate'"),
+    ({}, _LDP_ARGS + ["--alpha", "0.5", "--beta", "0.5"],
+     "need alpha < beta, got [0.5, 0.5]"),
+    # files that ended in a traceback: not UTF-8, an int past Python's
+    # digit limit, nesting past the recursion limit
+    ({"bad.json": b'{"kind": "uniform_binary", "x": "\xff"}'},
+     ["--model", "bad.json"] + _PHI_ARGS,
+     "cannot read model file: 'utf-8' codec can't decode byte 0xff"),
+    ({"bad.json": b'{"kind": "uniform_binary", "epsilon": ' + b"1" * 5001
+      + b"}"}, ["--model", "bad.json"] + _PHI_ARGS,
+     "model file is not valid JSON: Exceeds the limit (4300 digits)"),
+    ({"bad.json": _DEEP}, ["--model", "bad.json"] + _PHI_ARGS,
+     "model file is not valid JSON: maximum recursion depth exceeded"),
+    ({"run.json": b'{"command": "phi", "x": "\xff"}'},
+     ["--config", "run.json", "--model", "model.json"] + _PHI_ARGS,
+     "cannot read config file: 'utf-8' codec can't decode byte 0xff"),
+    ({"run.json": b'{"params": ' + _DEEP + b"}"},
+     ["--config", "run.json", "--model", "model.json"] + _PHI_ARGS,
+     "config file is not valid JSON: maximum recursion depth exceeded"),
+], ids=["missing-model", "model-is-a-directory", "missing-config",
+        "model-not-json", "config-not-json", "config-holds-a-list",
+        "no-command", "unknown-command", "ldp-empty-window", "model-byte-0xff",
+        "model-5001-digits", "model-nested-deep", "config-byte-0xff",
+        "config-nested-deep"])
+def test_unreadable_files_and_bad_commands_exit_2(capsys, tmp_path,
+                                                  monkeypatch, files, argv,
+                                                  problem):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "model.json").write_text('{"kind": "uniform_binary"}')
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    code, out, err = run_cli(capsys, ["--seed", "1"] + argv)
+    assert code == 2 and out == ""
+    assert any(line.startswith(f"  - {problem}")
+               for line in err.splitlines()), err
+
+
 _PT_MODEL = {"kind": "truncated", "family": "power_tail_binary",
              "epsilon": 0.05}
 # model files that exited 1 with a traceback, or wrote NaN into the header

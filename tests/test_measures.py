@@ -74,8 +74,7 @@ def test_validate_sorts_and_strips_zeros():
 def test_validate_trivial_gate():
     with pytest.raises(TrivialSplitError):
         validate([1.0])
-    p = validate([1.0], allow_trivial=True)
-    assert p.is_trivial
+    assert MassPartition([1.0]).is_trivial
 
 
 def test_partition_equality_and_hash():
@@ -109,16 +108,16 @@ def test_atomic_rate_and_sampling_frequencies():
 
 def test_atomic_phi_closed_dyadic(dyadic):
     for q in np.linspace(-0.9, 5.0, 40):
-        assert dyadic.phi_closed(q) == pytest.approx(1.0 - 2.0 ** (-q), abs=1e-12)
+        assert dyadic.phi_closed(q)[0] == pytest.approx(1.0 - 2.0 ** (-q), abs=1e-12)
 
 
 def test_atomic_derivs_match_finite_differences(dyadic):
     h = 1e-6
     for q in (0.0, 1.0, 2.5):
-        d1, d2 = dyadic.phi_derivs_closed(q)
-        fd1 = (dyadic.phi_closed(q + h) - dyadic.phi_closed(q - h)) / (2 * h)
-        fd2 = (dyadic.phi_closed(q + h) - 2 * dyadic.phi_closed(q)
-               + dyadic.phi_closed(q - h)) / h**2
+        phi, d1, d2 = dyadic.phi_closed(q)
+        lo, hi = dyadic.phi_closed(q - h)[0], dyadic.phi_closed(q + h)[0]
+        fd1 = (hi - lo) / (2 * h)
+        fd2 = (hi - 2 * phi + lo) / h**2
         assert d1 == pytest.approx(fd1, abs=1e-7)
         assert d2 == pytest.approx(fd2, abs=1e-4)
 
@@ -142,8 +141,8 @@ def test_uniform_binary_closed_form(ub):
     assert ub.total_rate == 1.0
     assert ub.p_lower == -2.0
     for q in np.linspace(-1.9, 6.0, 50):
-        assert ub.phi_closed(q) == pytest.approx(1.0 - 2.0 / (q + 2.0), abs=1e-12)
-        d1, d2 = ub.phi_derivs_closed(q)
+        phi, d1, d2 = ub.phi_closed(q)
+        assert phi == pytest.approx(1.0 - 2.0 / (q + 2.0), abs=1e-12)
         assert d1 == pytest.approx(2.0 / (q + 2.0) ** 2, abs=1e-12)
         assert d2 == pytest.approx(-4.0 / (q + 2.0) ** 3, abs=1e-12)
 
@@ -167,8 +166,8 @@ def test_uniform_binary_truncated():
     # closed form against quadrature on a grid, including q = -2 exactly
     for q in (-3.0, -2.0, -1.5, 0.5, 2.0):
         (quad, d1, d2), err = m.phi_quadrature(q)
-        assert m.phi_closed(q) == pytest.approx(quad, abs=max(1e-9, 10 * err))
-        c1, c2 = m.phi_derivs_closed(q)
+        phi, c1, c2 = m.phi_closed(q)
+        assert phi == pytest.approx(quad, abs=max(1e-9, 10 * err))
         assert c1 == pytest.approx(d1, abs=max(1e-8, 10 * err))
         assert c2 == pytest.approx(d2, abs=max(1e-7, 10 * err))
 

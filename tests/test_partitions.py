@@ -52,26 +52,13 @@ def test_canonical_labels():
 
 
 def test_single_block_and_blocks_order():
-    p = PartitionOfN.single_block(4)
+    p = PartitionOfN([0] * 4)
     assert [b.tolist() for b in p.blocks()] == [[0, 1, 2, 3]]
     q = PartitionOfN([1, 0, 1, 2, 0])
     blocks = [b.tolist() for b in q.blocks()]
     assert blocks == [[0, 2], [1, 4], [3]]
     assert [min(b) for b in blocks] == sorted(min(b) for b in blocks)
     assert q.block_sizes().tolist() == [2, 2, 1]
-
-
-def test_from_blocks_round_trip():
-    blocks = [[0, 3], [1], [2, 4, 5]]
-    p = PartitionOfN.from_blocks(blocks, 6)
-    assert [b.tolist() for b in p.blocks()] == blocks
-
-
-def test_restrict_prefix():
-    p = PartitionOfN([0, 1, 0, 2, 1, 0])
-    r = p.restrict(4)
-    assert r.n == 4
-    assert [b.tolist() for b in r.blocks()] == [[0, 2], [1], [3]]
 
 
 def test_finer_than():
@@ -191,7 +178,7 @@ def test_depth_first_path_handles_one_point_and_no_time(ub):
     for seed in range(20):
         path = simulate_partition(ub, 5, 0.0, seed)
         assert path.events == [] and path.tagged_trace == []
-        assert path.partition_at(0.0) == PartitionOfN.single_block(5)
+        assert path.partition_at(0.0) == PartitionOfN([0] * 5)
 
 
 # --- paintbox -----------------------------------------------------------------
@@ -246,7 +233,7 @@ def test_partition_path_is_nested(ub):
             if prev is not None:
                 assert cur.finer_than(prev)
             prev = cur
-        assert path.partition_at(0.0) == PartitionOfN.single_block(30)
+        assert path.partition_at(0.0) == PartitionOfN([0] * 30)
 
 
 def test_partition_events_increasing_times(ub):

@@ -1,15 +1,19 @@
 """The README's code blocks run as written: the library quick start, the
-model example and every command-line example."""
+model example and every command-line example; and every name of the library
+it quotes exists."""
 
 from contextlib import redirect_stdout
+import importlib
 import io
 import json
 from pathlib import Path
+import pkgutil
 import re
 import shlex
 
 import numpy as np
 
+import homfrag
 from homfrag.cli import main
 from homfrag.measures import MassPartition
 from homfrag.streams import StreamBatch, replica_keys
@@ -65,3 +69,40 @@ def test_every_cli_example_exits_0(tmp_path, monkeypatch):
     for argv in examples:
         with redirect_stdout(io.StringIO()):
             assert main(argv[1:]) == 0, argv
+
+
+def _quoted_dotted_names():
+    """The dotted names that open the README's backticked spans, outside
+    its code blocks (`measures.validate(raw)` gives measures.validate)."""
+    prose = re.sub(r"```.*?```", "", README, flags=re.S)
+    for span in re.findall(r"`([^`]+)`", prose):
+        m = re.match(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+", span.strip())
+        if m:
+            yield m.group()
+
+
+def test_every_quoted_library_name_resolves():
+    """A name that starts with homfrag, one of its modules or a class
+    defined in them names something that exists, so a removed name cannot
+    stay in the docs."""
+    modules = {info.name: importlib.import_module(f"homfrag.{info.name}")
+               for info in pkgutil.iter_modules(homfrag.__path__)}
+    roots = {name: obj for module in modules.values()
+             for name, obj in vars(module).items()
+             if isinstance(obj, type) and obj.__module__.startswith("homfrag")}
+    roots.update(modules, homfrag=homfrag)
+    absent = object()
+    checked, missing = [], []
+    for name in _quoted_dotted_names():
+        head, *rest = name.split(".")
+        if head not in roots:
+            continue  # json.loads, ub.json, ...
+        obj = roots[head]
+        for part in rest:
+            obj = getattr(obj, part, absent)
+        checked.append(name)
+        if obj is absent:
+            missing.append(name)
+    assert {"homfrag.ranked.simulate_lanes", "tilting.thin_lanes",
+            "StreamBatch.uniform_at"} <= set(checked)
+    assert missing == []

@@ -14,11 +14,24 @@ from homfrag.streams import (
     StreamBatch,
     derive_key,
     derive_keys,
+    lanewise,
     mix64,
     pick_index,
     replica_key,
     replica_keys,
 )
+
+
+def test_lanewise_passes_a_further_argument_by_entry_or_to_every_call():
+    x = np.array([0.25, 0.5, 2.0, 1e-300])
+    y = np.array([3.0, -1.0, 0.5, 0.75])
+    xs, ys = x.tolist(), y.tolist()
+    assert lanewise(math.log, x).tolist() == [math.log(a) for a in xs]
+    assert lanewise(pow, x, y).tolist() == [a ** b for a, b in zip(xs, ys)]
+    assert lanewise(pow, x, 0.5).tolist() == [a ** 0.5 for a in xs]
+    assert lanewise(pow, x[:0], 0.5).size == 0
+    with pytest.raises(OverflowError):  # libm's error, as the scalar ** raises
+        lanewise(pow, np.array([0.5, 1e300]), 2.0)
 
 
 def test_mix64_deterministic_and_nontrivial():
@@ -92,15 +105,6 @@ def test_reset_restores_sequence():
     first = [s.uniform() for _ in range(4)]
     s.reset(11)
     assert [s.uniform() for _ in range(4)] == first
-
-
-def test_spawn_key_does_not_advance_state():
-    s = Stream(21)
-    before = s.state
-    k1 = s.spawn_key(0)
-    k2 = s.spawn_key(1)
-    assert s.state == before
-    assert k1 != k2
 
 
 def test_exponential_mean_and_positivity():

@@ -235,6 +235,24 @@ def test_thin_fails_as_the_oracle_on_each_malformed_file(both, tmp_path,
     assert new[0] == 2 and "Traceback" not in new[2]
 
 
+@pytest.mark.parametrize("record, problem", [
+    (b'{"replica": 0, "t": 0.5, "masses": [0.6, 0.4], "pick": 0, "x": "\xff"}',
+     "cannot read thin input: 'utf-8' codec can't decode byte 0xff"),
+    (b'{"replica": ' + b"7" * 5001 + b', "t": 0.5, "masses": [0.6, 0.4], '
+     b'"pick": 0}', "thin input is not valid JSONL: Exceeds the limit"),
+    (b"[" * 100_000 + b"]" * 100_000,
+     "thin input is not valid JSONL: maximum recursion depth exceeded"),
+], ids=["byte-0xff", "5001-digit-replica", "nested-100000-deep"])
+def test_thin_refuses_a_file_it_cannot_decode_as_the_oracle(both, tmp_path,
+                                                          record, problem):
+    log = tmp_path / "events.jsonl"
+    log.write_bytes(HEADER.encode() + b"\n" + record + b"\n")
+    new, old = both(_thin_argv(_model_file(tmp_path, MODELS["uniform"]), log))
+    assert new == old
+    assert new[0] == 2 and "Traceback" not in new[2]
+    assert f"  - {problem}" in new[2]
+
+
 def test_thin_raises_the_first_error_of_the_replica_by_replica_walk(
         both, tmp_path):
     # a picked mass just above 1 overflows at p = 1e300 when its replica is

@@ -6,7 +6,9 @@ cli._event_record_problems, and every replica, in replica order, becomes a
 TaggedLine of MassPartitions thinned by thin_fiber on the replica's own
 Stream, each row re-encoded by cli._dumps.  thin_command has the signature of
 a subcommand runner, so a test can put it in cli's command table and compare
-exit codes, stderr and output bytes with the columnar `thin`.
+exit codes, stderr and output bytes with the columnar `thin`.  It reads and
+parses the file as `thin` does, so a file that is not UTF-8 or not JSON
+fails alike.
 
 HAND_LOGS are event logs written by hand: interleaved and out-of-order
 replicas, negative and >= 2**64 replica indices, int times and masses, a
@@ -27,16 +29,16 @@ def thin_command(cfg):
     pr = cfg.params
     ev = PhiEvaluator(cfg.model)
     try:
-        with open(pr["input"]) as fh:
+        with open(pr["input"], encoding="utf-8") as fh:
             lines = [line.strip() for line in fh if line.strip()]
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError([f"cannot read thin input: {e}"])
     if not lines:
         raise ConfigError(["thin input is empty"])
     try:
         in_header = json.loads(lines[0])
         records = [json.loads(line) for line in lines[1:]]
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
         raise ConfigError([f"thin input is not valid JSONL: {e}"])
     if not isinstance(in_header, dict) or in_header.get("stream") != "event_log":
         raise ConfigError(["thin input must be a subordinator --event-log stream"])
