@@ -53,7 +53,6 @@ from .measures import (
     UniformBinaryModel,
     model_from_json,
     model_to_json,
-    sample_size_biased,
     truncate_family,
     validate,
 )
@@ -63,7 +62,6 @@ from .partitions import (
     block_frequency_estimates,
     paintbox,
     simulate_partition,
-    simulate_subordinator,
     split_rate,
     tagged_xi,
 )
@@ -77,9 +75,11 @@ from .streams import Stream, derive_key, mix64, replica_key
 from .tilting import (
     TaggedLine,
     esscher_exponent,
+    sample_size_biased,
     sample_tilted_split,
     simulate_event_log,
     simulate_spine,
+    simulate_subordinator,
     spine_child_select,
     thin_fiber,
     tilted_split_rate,

@@ -47,19 +47,16 @@ from .martingales import (
     truncated_estimator,
 )
 from .measures import SUM_TOL, MassPartition, model_from_json, model_to_json
+from .partitions import PartitionOfN, simulate_partition
 # simulate, simulate_subordinator, simulate_event_log and thin_fiber stay
 # names of this module for callers that wrap its library calls
-from .partitions import (  # noqa: F401
-    PartitionOfN,
-    read_tagged_lines,
-    simulate_partition,
-    simulate_subordinator,
-)
 from .ranked import DEFAULT_MAX_FRAGMENTS, simulate, simulate_replicas  # noqa: F401
 from .streams import MASK64, derive_key, replica_key
 from .tilting import (  # noqa: F401
+    read_tagged_lines,
     simulate_event_log,
     simulate_spine,
+    simulate_subordinator,
     thin_fiber,
     thin_lanes,
     tilted_split_rate,
@@ -651,10 +648,10 @@ def _build_parser():
     return parser
 
 
-def _check(table, from_file, flags, command):
+def _check(table, from_file, flags, command, complete):
     """Values of every param in table, flags over config-file values, and the
     problems with them; no values if a given name is unknown or a type wrong
-    (the domains assume the types), though missing values are still listed."""
+    (the domains assume the types).  Missing values are listed if complete."""
     given = dict(from_file, **{k: flags[k] for k in table if k in flags})
     problems = []
     for name, v in given.items():
@@ -677,15 +674,19 @@ def _check(table, from_file, flags, command):
                 values[name] = v
         elif isinstance(param.default, Required):
             values[name] = None
-            problems.append(param.default.format(
-                command=command, flag=name.replace("_", "-")))
+            if complete:
+                problems.append(param.default.format(
+                    command=command, flag=name.replace("_", "-")))
         else:
             values[name] = param.default
     return (values if typed else None), problems
 
 
-def _load_json(path, what, problems, default):
-    """The JSON value in a file, or default with the problem added."""
+_UNREAD = object()  # what _load_json gives for a file it cannot load
+
+
+def _load_json(path, what, problems):
+    """The JSON value in a file, or _UNREAD with the problem added."""
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
@@ -694,7 +695,7 @@ def _load_json(path, what, problems, default):
     # a JSONDecodeError, an int past the digit limit, or deep nesting
     except (ValueError, RecursionError) as e:
         problems.append(f"{what} file is not valid JSON: {e}")
-    return default
+    return _UNREAD
 
 
 def parse_config(argv):
@@ -704,31 +705,37 @@ def parse_config(argv):
     problems = []
     file_cfg = {}
     if flags.get("config"):
-        file_cfg = _load_json(flags["config"], "config", problems, {})
-        if not isinstance(file_cfg, dict):
-            problems.append("config file must hold a JSON object")
-            file_cfg = {}
-        for key in sorted(set(file_cfg) - {"command", "model", "params"}
-                          - set(_RUN_FIELDS)):
-            problems.append(f"unknown config field {key!r}")
+        file_cfg = _load_json(flags["config"], "config", problems)
+    # a config file that cannot be loaded may have held any field: none is
+    # then reported missing
+    complete = file_cfg is not _UNREAD
+    if complete and not isinstance(file_cfg, dict):
+        problems.append("config file must hold a JSON object")
+    file_cfg = file_cfg if isinstance(file_cfg, dict) else {}
+    for key in sorted(set(file_cfg) - {"command", "model", "params"}
+                      - set(_RUN_FIELDS)):
+        problems.append(f"unknown config field {key!r}")
 
     command = flags.get("command") or file_cfg.get("command")
     if command is None:
-        problems.append(f"no command given; choose one of {', '.join(_COMMANDS)}")
+        if complete:
+            problems.append(f"no command given; choose one of {', '.join(_COMMANDS)}")
     elif command not in _COMMANDS:
         problems.append(f"unknown command {command!r}")
 
     run, found = _check(_RUN_FIELDS, {k: v for k, v in file_cfg.items()
-                                      if k in _RUN_FIELDS}, flags, command)
+                                      if k in _RUN_FIELDS}, flags, command,
+                        complete)
     problems.extend(found)
 
     model = None
     model_obj = file_cfg.get("model")
     if flags.get("model"):
-        model_obj = _load_json(flags["model"], "model", problems, model_obj)
+        model_obj = _load_json(flags["model"], "model", problems)
     if model_obj is None:
-        problems.append("model is required (--model file or config 'model')")
-    else:
+        if complete:
+            problems.append("model is required (--model file or config 'model')")
+    elif model_obj is not _UNREAD:
         try:
             model = model_from_json(model_obj)
         except FragmentationError as e:
@@ -740,7 +747,7 @@ def parse_config(argv):
         params = {}
     if command in _COMMANDS:
         params, found = _check(_COMMAND_PARAMS[command][2], params, flags,
-                               command)
+                               command, complete)
         if params is not None:
             found += _validate_params(command, params, model, found)
         problems.extend(found)
@@ -761,7 +768,8 @@ def _validate_params(command, pr, model, found):
                 f"q_min {qmin} must exceed p_lower = {model.p_lower}")
         if qmin is not None and qmax is not None and qmin >= qmax:
             problems.append("q_min must be smaller than q_max")
-        if not (found or problems or all(map(math.isfinite, _phi_grid(pr)))):
+        if not (found or problems or None in (qmin, qmax)
+                or all(map(math.isfinite, _phi_grid(pr)))):
             problems.append(f"the grid of {pr['points']} points from "
                             f"q_min to q_max overflows: [{qmin}, {qmax}]")
     elif command == "simulate":

@@ -20,9 +20,9 @@ import numpy as np
 
 from .errors import NotComputableError, OutsideRegimeError, RegimeWarning
 from .martingales import check_replicas, replica_values
-from .partitions import subordinator_values
 from .ranked import DEFAULT_MAX_FRAGMENTS, empirical_interval_count
 from .streams import Stream, derive_key, lanewise
+from .tilting import subordinator_values
 
 PresenceEstimate = namedtuple(
     "PresenceEstimate",

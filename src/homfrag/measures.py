@@ -15,7 +15,7 @@ either in closed form, or through a density for quadrature, or not at all
 (the analytics layer then falls back to Monte Carlo).
 """
 
-from functools import partial, reduce
+from functools import reduce
 import math
 from operator import add
 import sys
@@ -23,7 +23,6 @@ import sys
 import numpy as np
 
 from .errors import (
-    DustNotSupportedError,
     InvalidModelError,
     ModelNotFiniteError,
     NonPositiveEntryError,
@@ -389,7 +388,7 @@ class PowerTailBinaryModel(DislocationModel):
         # steps correctly rounded in numpy as in Python
         e, g = self.epsilon, self.gamma
         if g == 1.0:
-            v = e * lanewise(partial(pow, 0.5 / e), u)
+            v = e * lanewise(pow, 0.5 / e, u)
         else:
             a = e ** (1.0 - g)
             b = 2.0 ** (g - 1.0)
@@ -410,67 +409,6 @@ class PowerTailBinaryModel(DislocationModel):
             "params": {"c": self.c, "gamma": self.gamma},
             "epsilon": self.epsilon,
         }
-
-
-def size_biased_draw(model):
-    """draw(stream) -> (split, index, 1.0): a split of model, then one of its
-    pieces picked with probability equal to its mass.
-
-    The draw is exact, so its importance weight is 1.0; that is the form
-    tilting.walk_tagged_line takes.  Needs a conservative model (with dust
-    the pick probabilities would not sum to one): otherwise every draw
-    raises.  The check runs here, once per draw function, not per draw.
-    """
-    if not model.conservative:
-        def draw(stream):
-            raise DustNotSupportedError(
-                "size-biased pick needs a conservative model")
-        return draw
-    sample = model.sample
-
-    def draw(stream):
-        part = sample(stream)
-        u = stream.uniform()
-        acc = 0.0
-        for j, m in enumerate(part.masses):
-            acc += m
-            if u < acc:
-                return part, j, 1.0
-        return part, j, 1.0  # round-off left u >= the total: the last piece
-    return draw
-
-
-def sample_size_biased(model, stream):
-    """Draw a split and pick one piece with probability equal to its mass.
-
-    Returns (mass, index, partition).  Needs a conservative model: with dust
-    the pick probabilities would not sum to one.
-    """
-    part, j, _ = size_biased_draw(model)(stream)
-    return part.masses[j], j, part
-
-
-def sample_size_biased_batch(model, split_u, pick_u):
-    """sample_size_biased for each pair of uniforms (split_u[r], pick_u[r]):
-    the split their first uniform maps to, and the pick their second makes.
-
-    Returns (picked masses, their indices, the zero-padded split matrix).
-    """
-    if not model.conservative:
-        raise DustNotSupportedError("size-biased pick needs a conservative model")
-    masses = model.splits(split_u)
-    # the scalar rule picks the first j with u < acc after acc += m_j; acc
-    # never decreases, so that j is the number of steps with u >= acc
-    acc = np.zeros(len(pick_u))
-    pick = np.zeros(len(pick_u), dtype=np.intp)
-    for column in masses.T:
-        acc += column
-        pick += pick_u >= acc
-    # padding adds nothing, so a pick past the end means no acc exceeded u:
-    # the scalar rule then falls back to the last real piece
-    over = np.flatnonzero(pick == masses.shape[1])
-    pick[over] = np.count_nonzero(masses[over], axis=1) - 1
-    return masses[np.arange(len(pick)), pick], pick, masses
 
 
 # --- families and truncation ---------------------------------------------

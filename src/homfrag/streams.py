@@ -30,6 +30,10 @@ _U64_MIX = (np.uint64(30), np.uint64(0xBF58476D1CE4E5B9),
 _U64_11 = np.uint64(11)
 _INV_2_53 = 2.0 ** -53
 
+# draws before a rejection loop is declared not computable: tilted splits
+# at one p >= 0 event, paintboxes at one partitions.simulate_partition ring
+_MAX_REJECTIONS = 1_000_000
+
 
 def mix64(z):
     """SplitMix64 finalizer: bijective avalanche mix of a 64-bit word."""
@@ -153,8 +157,9 @@ def pick_index(cumweights, u):
 
 def lanewise(fn, x, y=None):
     """fn(x[i]) on every entry of the float array x, or fn(x[i], y[i]) when
-    fn takes a further argument y: an array aligned with x, or a single
-    float passed to every call.  One scalar call per entry.
+    fn takes a further argument y; then either of x and y may be a single
+    float passed to every call instead of an array aligned with the other.
+    One scalar call per entry.
 
     Batched code maps the scalar code's transcendentals (math.log, log1p,
     exp, pow) this way: numpy's SIMD ufuncs can differ from libm in the last
@@ -164,6 +169,8 @@ def lanewise(fn, x, y=None):
     """
     if y is None:
         return np.fromiter(map(fn, x.tolist()), float, len(x))
+    if not isinstance(x, np.ndarray):  # a single x, an array y
+        return np.fromiter(map(fn, repeat(x), y.tolist()), float, len(y))
     ys = y.tolist() if isinstance(y, np.ndarray) else repeat(y)
     return np.fromiter(map(fn, x.tolist(), ys), float, len(x))
 

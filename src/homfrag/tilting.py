@@ -11,7 +11,9 @@ keeping an event of the untilted stream with probability (picked mass)^p
 (p > 0) turns it into the tilted stream.
 
 The untilted event log, the tilted spine and a thinned log are one record,
-TaggedLine: a line of descent walked by walk_tagged_line.
+TaggedLine: a line of descent walked by walk_tagged_line.  The untilted
+line is the tagged-piece subordinator (its jumps are -log of size-biased
+picks), and read_tagged_lines reads many of its replicas at once.
 """
 
 import math
@@ -19,6 +21,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,16 +29,24 @@ from .analytics import PhiEvaluator
 from .errors import (
     BelowPLowerError,
     BudgetExceededError,
+    DustNotSupportedError,
     NotComputableError,
     ThinningDirectionError,
 )
-from .measures import size_biased_draw
 from .ranked import DEFAULT_MAX_FRAGMENTS, PopulationSnapshot, simulate_lanes
-from .streams import Stream, StreamBatch, derive_key, lanewise
+from .streams import (
+    _MAX_REJECTIONS,
+    Stream,
+    StreamBatch,
+    derive_key,
+    derive_keys,
+    lanewise,
+    replica_keys,
+)
 
-# draws before a rejection loop is declared not computable: tilted splits
-# at one p >= 0 event, paintboxes at one partitions.simulate_partition ring
-_MAX_REJECTIONS = 1_000_000
+# events (lanes x block width) read at once by read_tagged_lines: bounds
+# its memory, not a knob
+_CHUNK_CELLS = 1 << 20
 
 
 def esscher_exponent(evaluator, p, q):
@@ -115,6 +126,43 @@ def _no_pick(stream, cum):
 def spine_child_select(partition, p, stream):
     """Index of the spine's child: j with probability s_j^(p+1) (normalized)."""
     return stream.pick(_running_powers(partition.masses, p + 1.0))
+
+
+def size_biased_draw(model):
+    """draw(stream) -> (split, index, 1.0): a split of model, then one of its
+    pieces picked with probability equal to its mass.
+
+    The draw is exact, so its importance weight is 1.0; that is the form
+    walk_tagged_line takes.  Needs a conservative model (with dust the pick
+    probabilities would not sum to one): otherwise every draw raises.  The
+    check runs here, once per draw function, not per draw.
+    """
+    if not model.conservative:
+        def draw(stream):
+            raise DustNotSupportedError(
+                "size-biased pick needs a conservative model")
+        return draw
+    sample = model.sample
+
+    def draw(stream):
+        part = sample(stream)
+        u = stream.uniform()
+        acc = 0.0
+        for j, m in enumerate(part.masses):
+            acc += m
+            if u < acc:
+                return part, j, 1.0
+        return part, j, 1.0  # round-off left u >= the total: the last piece
+    return draw
+
+
+def sample_size_biased(model, stream):
+    """Draw a split and pick one piece with probability equal to its mass.
+
+    Returns (mass, index, partition), as size_biased_draw picks them.
+    """
+    part, j, _ = size_biased_draw(model)(stream)
+    return part.masses[j], j, part
 
 
 @dataclass(slots=True, eq=False)
@@ -269,6 +317,195 @@ def simulate_event_log(model, t_end, seed):
     """Untilted tagged-fragment event stream: rate nu_total, size-biased picks."""
     return walk_tagged_line(model.total_rate, t_end, seed,
                             size_biased_draw(model))
+
+
+# the event log's value(t) is the tagged-piece subordinator
+simulate_subordinator = simulate_event_log
+
+
+class TaggedLines(NamedTuple):
+    """The untilted tagged lines of a chunk of lanes, as arrays.
+
+    Lane i is keyed keys[i] and has counts[i] events by t_end.  The 2-d
+    arrays have one row per event index and one column per lane:
+    events[e, i] marks event e of lane i and times[e, i] is its jump time
+    (entries not marked are filler).  Event k of np.nonzero(events), which
+    lists them by event index, then by lane, has the split masses[k] (a row
+    zero-padded to the widest split), the index picks[k] of the piece the
+    line follows and that piece's mass picked[k].  Every lane equals
+    simulate_event_log(model, t_end, keys[i]) bit for bit.
+    """
+
+    keys: np.ndarray
+    counts: np.ndarray
+    events: np.ndarray
+    times: np.ndarray
+    masses: np.ndarray
+    picks: np.ndarray
+    picked: np.ndarray
+
+    def jump_sizes(self):
+        """-log of each picked mass, by libm, as TaggedLine.jump_sizes."""
+        return -lanewise(math.log, self.picked)
+
+
+def read_tagged_lines(model, t_end, seed, n_replicas):
+    """The untilted tagged lines of replicas 0, ..., n_replicas - 1, as
+    TaggedLines records of consecutive chunks of lanes, made as they are
+    iterated.
+
+    Replica i is the line simulate_event_log(model, t_end,
+    replica_key(seed, i)).  Each lane's whole path is read off its
+    counter-based stream in one pass: a model splits by one uniform, so
+    event e spends draws 3e+1, 3e+2 and 3e+3 (wait, split, size-biased
+    pick), with the scalar walk's arithmetic (see _read_block).  A lane the
+    pass cannot certify is walked by simulate_event_log itself.  Chunks
+    hold at most _CHUNK_CELLS cells (lanes times the block's events), so
+    memory stays bounded and no lane depends on the chunk size or on
+    n_replicas.  check_horizon refuses t_end first.
+    """
+    rate = model.total_rate
+    check_horizon(rate, t_end)
+    mean = rate * t_end
+    # a Poisson(mean) path outgrows this block with probability below 1e-9,
+    # unless the cap applies (mean above about 10^6)
+    width = int(min(mean + 6.0 * math.sqrt(mean) + 9.0, _CHUNK_CELLS))
+    lanes = _CHUNK_CELLS // width
+    keys = replica_keys(seed, n_replicas)
+    return (_read_block(model, rate, t_end, keys[start:start + lanes], width)
+            for start in range(0, n_replicas, lanes))
+
+
+def subordinator_values(model, t_end, seed, n_replicas):
+    """xi(t_end) of replicas 0, ..., n_replicas - 1 of the tagged subordinator.
+
+    Entry i equals simulate_event_log(model, t_end,
+    replica_key(seed, i)).value(t_end) bit for bit: each lane's jumps
+    -log(picked mass), by libm, are summed in event order from the first
+    one, as TaggedLine.value sums them (read_tagged_lines reads the lines).
+    """
+    out = np.zeros(n_replicas)
+    start = 0
+    for rec in read_tagged_lines(model, t_end, seed, n_replicas):
+        jumps = np.zeros(rec.events.shape)
+        jumps[rec.events] = rec.jump_sizes()
+        done = np.flatnonzero(rec.counts)
+        out[start + done] = np.cumsum(jumps, axis=0)[rec.counts[done] - 1,
+                                                      done]
+        start += len(rec.keys)
+    return out
+
+
+def _read_block(model, rate, t_end, keys, width):
+    """The TaggedLines of the lanes keyed keys, each path read off a block
+    of `width` events.
+
+    numpy's log1p of every wait in the block only estimates each lane's
+    event count E.  The waits of the first E + 1 events then go through
+    libm, as Stream.exponential does, and a sequential cumsum gives the
+    scalar walk's jump times, which must show t_E <= t_end < t_{E+1}
+    exactly.  The splits' and picks' draws go straight to
+    sample_size_biased_batch.  The estimate never reaches the record: a
+    lane whose check fails, whose path outgrows the block, or whose split
+    draw was 0.0 on an open_draw model (its stream would draw again,
+    shifting the lane's later draws) is walked by simulate_event_log.
+    """
+    streams = StreamBatch(derive_keys(keys, 0))
+    lanes = np.arange(len(keys))
+    # one row per event, one column per lane: cumsum down a column adds
+    # that lane's terms in event order
+    u = streams.uniform_at(lanes, 3 * np.arange(width)[:, None] + 1)
+    n_events = _estimate_events(u, rate, t_end)
+    steps = np.arange(min(int(n_events.max()) + 1, width))[:, None]
+    first = steps <= n_events
+    wait = np.zeros(first.shape)
+    wait[first] = -lanewise(math.log1p, -u[:len(steps)][first]) / rate
+    t = np.cumsum(wait, axis=0)
+    ok = ((n_events < width)
+          & (t[np.minimum(n_events, len(steps) - 1), lanes] > t_end)
+          & ((n_events == 0) | (t[n_events - 1, lanes] <= t_end)))
+    events = (steps < n_events) & ok
+    e, lane = np.nonzero(events)
+    if lane.size:
+        # the splits' draws at 3e + 2, the picks' at 3e + 3
+        split_u, pick_u = streams.uniform_at(lane, 3 * e + [[2], [3]])
+        if model.open_draw:  # a stream would draw a zero split draw again
+            redrawn = split_u == 0.0
+            ok[lane[redrawn]] = False
+            split_u[redrawn] = 0.5  # a valid draw; the lane is walked anyway
+        picked, picks, masses = sample_size_biased_batch(model, split_u,
+                                                         pick_u)
+    else:  # no events: a dust model raises only on a line that has one
+        picked, picks = np.empty(0), np.empty(0, np.intp)
+        masses = np.empty((0, 0))
+    rec = TaggedLines(keys, n_events, events, t, masses, picks, picked)
+    walked = np.flatnonzero(~ok)
+    return _with_walked(rec, walked, model, t_end) if walked.size else rec
+
+
+def _with_walked(rec, walked, model, t_end):
+    """rec with the lanes walked taken from simulate_event_log: their
+    counts, and their events in place of any the pass read for them (a
+    redrawn split draw's lane)."""
+    lines = [simulate_event_log(model, t_end, int(rec.keys[i]))
+             for i in walked]
+    counts = rec.counts.copy()
+    counts[walked] = [len(line) for line in lines]
+    # the splits the pass read, then the walks', one zero-padded row each
+    splits = [part.masses for line in lines for part in line.partitions]
+    first, width = rec.masses.shape  # first: the row of the next walked split
+    rows = np.zeros((first + len(splits),
+                     max([width] + list(map(len, splits)))))
+    rows[:first, :width] = rec.masses
+    for row, split in zip(rows[first:], splits):
+        row[:len(split)] = split
+    # times, picks and split rows on a grid of event rows and lane columns,
+    # the events then read off it
+    shape = (max(len(rec.times), int(counts.max())), len(counts))
+    times, picks = np.zeros(shape), np.zeros(shape, dtype=np.intp)
+    row_of = np.zeros(shape, dtype=np.intp)
+    times[:len(rec.times)] = rec.times
+    picks[:len(rec.times)][rec.events] = rec.picks
+    row_of[:len(rec.times)][rec.events] = np.arange(first)
+    for i, line in zip(walked, lines):
+        times[:len(line), i] = line.jump_times
+        picks[:len(line), i] = line.picks
+        row_of[:len(line), i] = np.arange(first, first + len(line))
+        first += len(line)
+    events = np.arange(shape[0])[:, None] < counts
+    masses, picks = rows[row_of[events]], picks[events]
+    return TaggedLines(rec.keys, counts, events, times, masses, picks,
+                       masses[np.arange(len(picks)), picks])
+
+
+def _estimate_events(u, rate, t_end):
+    """Events by t_end of each lane, from its block of wait draws u and
+    numpy's log1p, which can differ from libm's in the last bit."""
+    t = np.cumsum(-np.log1p(-u) / rate, axis=0)
+    return np.count_nonzero(t <= t_end, axis=0)
+
+
+def sample_size_biased_batch(model, split_u, pick_u):
+    """sample_size_biased for each pair of uniforms (split_u[r], pick_u[r]):
+    the split their first uniform maps to, and the pick their second makes.
+
+    Returns (picked masses, their indices, the zero-padded split matrix).
+    """
+    if not model.conservative:
+        raise DustNotSupportedError("size-biased pick needs a conservative model")
+    masses = model.splits(split_u)
+    # the scalar rule picks the first j with u < acc after acc += m_j; acc
+    # never decreases, so that j is the number of steps with u >= acc
+    acc = np.zeros(len(pick_u))
+    pick = np.zeros(len(pick_u), dtype=np.intp)
+    for column in masses.T:
+        acc += column
+        pick += pick_u >= acc
+    # padding adds nothing, so a pick past the end means no acc exceeded u:
+    # the scalar rule then falls back to the last real piece
+    over = np.flatnonzero(pick == masses.shape[1])
+    pick[over] = np.count_nonzero(masses[over], axis=1) - 1
+    return masses[np.arange(len(pick)), pick], pick, masses
 
 
 def thin_fiber(line, p, stream):

@@ -13,14 +13,13 @@ import numpy as np
 from homfrag.analytics import PhiEvaluator
 from homfrag.errors import NotComputableError
 from homfrag.partitions import (
-    _MAX_REJECTIONS,
     NestedPartitionPath,
     PartitionEvent,
     PartitionOfN,
     _paintbox_labels,
     split_rate,
 )
-from homfrag.streams import Stream, derive_key
+from homfrag.streams import _MAX_REJECTIONS, Stream, derive_key
 
 
 def simulate_partition_heap(model, n, t_end, seed, evaluator=None):

@@ -33,10 +33,9 @@ from homfrag.martingales import (
     replica_values,
     truncated_estimator,
 )
-from homfrag.measures import model_to_json, sample_size_biased
+from homfrag.measures import model_to_json
 from homfrag.partitions import (
     simulate_partition,
-    simulate_subordinator,
     split_rate,
     tagged_xi,
 )
@@ -44,9 +43,11 @@ from homfrag.ranked import empirical_moment
 from homfrag.streams import Stream, derive_key, replica_key
 from homfrag.tilting import (
     esscher_exponent,
+    sample_size_biased,
     sample_tilted_split,
     simulate_event_log,
     simulate_spine,
+    simulate_subordinator,
     spine_child_select,
     thin_fiber,
 )

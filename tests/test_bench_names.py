@@ -2,8 +2,9 @@
 
 bench/ is read as text, not imported: its cli workload looks up each name
 of LIBRARY_CALLS on homfrag.cli (to wrap it in a trace span), and every
-workload reaches the library as H.<name> with H the homfrag package.  A
-name removed from the library fails here, not only in a benchmark run.
+workload reaches the library as H.<name>, or a dotted chain such as
+H.martingales.additive_estimator, with H the homfrag package.  A name
+removed or moved from the library fails here, not only in a benchmark run.
 """
 
 import ast
@@ -29,8 +30,21 @@ def test_every_library_call_the_cli_trace_wraps_is_a_name_of_cli():
     assert [n for n in names if not hasattr(homfrag.cli, n)] == []
 
 
+def _resolves(chain):
+    """True when every name of the dotted chain resolves from homfrag on."""
+    obj = homfrag
+    for name in chain.split("."):
+        if not hasattr(obj, name):
+            return False
+        obj = getattr(obj, name)
+    return True
+
+
 def test_every_name_the_benchmark_reads_off_the_package_exists():
-    names = {name for path in sorted(BENCH.glob("*.py"))
-             for name in re.findall(r"\bH\.(\w+)", path.read_text())}
-    assert {"cli", "simulate", "PhiEvaluator"} <= names
-    assert sorted(n for n in names if not hasattr(homfrag, n)) == []
+    # whole chains, H.martingales.additive_estimator as well as H.simulate
+    chains = {chain for path in sorted(BENCH.glob("*.py"))
+              for chain in re.findall(r"\bH\.(\w+(?:\.\w+)*)",
+                                      path.read_text())}
+    assert {"cli.main", "simulate", "PhiEvaluator", "Stream.uniform",
+            "martingales.additive_estimator"} <= chains
+    assert sorted(c for c in chains if not _resolves(c)) == []

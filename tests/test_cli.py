@@ -113,61 +113,82 @@ _LDP_ARGS = ["--replicas", "2", "--model", "model.json", "ldp", "--p", "0.5",
              "--t-grid", "1", "--eps-freeze", "0.01"]
 
 
-@pytest.mark.parametrize("files, argv, problem", [
+_NO_COMMAND = ("no command given; choose one of phi, simulate, partition, "
+               "subordinator, martingale, spine, thin, ldp")
+
+
+# every problem line, in order, by its start; a file that cannot be loaded
+# adds no "missing" problem for a field it might have held
+@pytest.mark.parametrize("files, argv, problems", [
     ({}, ["--model", "absent.json"] + _PHI_ARGS,
-     "cannot read model file: [Errno 2] No such file or directory"),
+     ["cannot read model file: [Errno 2] No such file or directory"]),
     ({}, ["--model", "."] + _PHI_ARGS,
-     "cannot read model file: [Errno 21] Is a directory"),
+     ["cannot read model file: [Errno 21] Is a directory"]),
     ({}, ["--config", "absent.json", "--model", "model.json"] + _PHI_ARGS,
-     "cannot read config file: [Errno 2] No such file or directory"),
+     ["cannot read config file: [Errno 2] No such file or directory"]),
     ({"bad.json": b'{"kind": '}, ["--model", "bad.json"] + _PHI_ARGS,
-     "model file is not valid JSON: Expecting value"),
+     ["model file is not valid JSON: Expecting value"]),
     ({"run.json": b'{"command": "phi",'},
      ["--config", "run.json", "--model", "model.json"] + _PHI_ARGS,
-     "config file is not valid JSON: Expecting property name"),
+     ["config file is not valid JSON: Expecting property name"]),
     ({"run.json": b"[1, 2]"},
      ["--config", "run.json", "--model", "model.json"] + _PHI_ARGS,
-     "config file must hold a JSON object"),
-    ({}, ["--model", "model.json"],
-     "no command given; choose one of phi, simulate, partition, "
-     "subordinator, martingale, spine, thin, ldp"),
+     ["config file must hold a JSON object"]),
+    ({}, ["--model", "model.json"], [_NO_COMMAND]),
     ({"run.json": b'{"command": "frobnicate", "model": '
                   b'{"kind": "uniform_binary"}}'}, ["--config", "run.json"],
-     "unknown command 'frobnicate'"),
+     ["unknown command 'frobnicate'"]),
     ({}, _LDP_ARGS + ["--alpha", "0.5", "--beta", "0.5"],
-     "need alpha < beta, got [0.5, 0.5]"),
+     ["need alpha < beta, got [0.5, 0.5]"]),
     # files that ended in a traceback: not UTF-8, an int past Python's
     # digit limit, nesting past the recursion limit
     ({"bad.json": b'{"kind": "uniform_binary", "x": "\xff"}'},
      ["--model", "bad.json"] + _PHI_ARGS,
-     "cannot read model file: 'utf-8' codec can't decode byte 0xff"),
+     ["cannot read model file: 'utf-8' codec can't decode byte 0xff"]),
     ({"bad.json": b'{"kind": "uniform_binary", "epsilon": ' + b"1" * 5001
       + b"}"}, ["--model", "bad.json"] + _PHI_ARGS,
-     "model file is not valid JSON: Exceeds the limit (4300 digits)"),
+     ["model file is not valid JSON: Exceeds the limit (4300 digits)"]),
     ({"bad.json": _DEEP}, ["--model", "bad.json"] + _PHI_ARGS,
-     "model file is not valid JSON: maximum recursion depth exceeded"),
+     ["model file is not valid JSON: maximum recursion depth exceeded"]),
     ({"run.json": b'{"command": "phi", "x": "\xff"}'},
      ["--config", "run.json", "--model", "model.json"] + _PHI_ARGS,
-     "cannot read config file: 'utf-8' codec can't decode byte 0xff"),
+     ["cannot read config file: 'utf-8' codec can't decode byte 0xff"]),
     ({"run.json": b'{"params": ' + _DEEP + b"}"},
      ["--config", "run.json", "--model", "model.json"] + _PHI_ARGS,
-     "config file is not valid JSON: maximum recursion depth exceeded"),
+     ["config file is not valid JSON: maximum recursion depth exceeded"]),
+    # an unreadable config might have held the command, the model and every
+    # param; the values the flags give are still checked
+    ({"run.json": b'{"x": "\xff"}'}, ["--config", "run.json"],
+     ["cannot read config file: 'utf-8' codec can't decode byte 0xff"]),
+    ({"run.json": b'{"x": "\xff"}'},
+     ["--config", "run.json", "--replicas", "0", "phi", "--q-min", "1",
+      "--q-max", "0"],
+     ["cannot read config file: 'utf-8' codec can't decode byte 0xff",
+      "replicas must be a positive integer, got 0",
+      "q_min must be smaller than q_max"]),
+    # a model file cannot hold the command
+    ({"bad.json": b'{"kind": '}, ["--model", "bad.json"],
+     [_NO_COMMAND, "model file is not valid JSON: Expecting value"]),
 ], ids=["missing-model", "model-is-a-directory", "missing-config",
         "model-not-json", "config-not-json", "config-holds-a-list",
         "no-command", "unknown-command", "ldp-empty-window", "model-byte-0xff",
         "model-5001-digits", "model-nested-deep", "config-byte-0xff",
-        "config-nested-deep"])
+        "config-nested-deep", "config-byte-0xff-alone",
+        "config-byte-0xff-bad-flags", "model-not-json-no-command"])
 def test_unreadable_files_and_bad_commands_exit_2(capsys, tmp_path,
                                                   monkeypatch, files, argv,
-                                                  problem):
+                                                  problems):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "model.json").write_text('{"kind": "uniform_binary"}')
     for name, data in files.items():
         (tmp_path / name).write_bytes(data)
     code, out, err = run_cli(capsys, ["--seed", "1"] + argv)
     assert code == 2 and out == ""
-    assert any(line.startswith(f"  - {problem}")
-               for line in err.splitlines()), err
+    head, *lines = err.splitlines()
+    assert head == "configuration errors:", err
+    assert len(lines) == len(problems), err
+    assert all(line.startswith(f"  - {problem}")
+               for line, problem in zip(lines, problems)), err
 
 
 _PT_MODEL = {"kind": "truncated", "family": "power_tail_binary",

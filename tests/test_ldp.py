@@ -15,9 +15,9 @@ from homfrag.ldp import (
     ratio_trace,
     window_center,
 )
-from homfrag.partitions import simulate_subordinator
 from homfrag.ranked import PopulationSnapshot, simulate
 from homfrag.streams import replica_key
+from homfrag.tilting import simulate_subordinator
 
 
 def test_window_center(ub_eval):

@@ -25,12 +25,11 @@ from homfrag.measures import (
     UniformBinaryModel,
     model_from_json,
     model_to_json,
-    sample_size_biased,
-    sample_size_biased_batch,
     truncate_family,
     validate,
 )
 from homfrag.streams import Stream
+from homfrag.tilting import sample_size_biased, sample_size_biased_batch
 
 
 # --- MassPartition and validate -------------------------------------------

@@ -10,7 +10,7 @@ from scipy import stats
 
 from heap_oracle import simulate_partition_heap
 
-from homfrag import partitions
+from homfrag import partitions, tilting
 from homfrag.analytics import PhiEvaluator
 from homfrag.errors import DustNotSupportedError, NonPositiveEntryError
 from homfrag.measures import (
@@ -23,14 +23,16 @@ from homfrag.partitions import (
     PartitionOfN,
     block_frequency_estimates,
     paintbox,
-    read_tagged_lines,
     simulate_partition,
-    simulate_subordinator,
     split_rate,
-    subordinator_values,
     tagged_xi,
 )
-from homfrag.tilting import simulate_event_log
+from homfrag.tilting import (
+    read_tagged_lines,
+    simulate_event_log,
+    simulate_subordinator,
+    subordinator_values,
+)
 from homfrag.streams import (
     _KEY_SALT,
     GOLDEN_GAMMA,
@@ -388,24 +390,24 @@ def _chunk_sizes(monkeypatch):
     """The lane counts of read_tagged_lines' chunks, recorded as it reads
     them (the list is filled in place)."""
     sizes = []
-    read = partitions._read_block
+    read = tilting._read_block
 
     def spy(model, rate, t_end, keys, width):
         sizes.append(len(keys))
         return read(model, rate, t_end, keys, width)
-    monkeypatch.setattr(partitions, "_read_block", spy)
+    monkeypatch.setattr(tilting, "_read_block", spy)
     return sizes
 
 
 def _fallbacks(monkeypatch):
     """The replica keys that subordinator_values hands to the per-path walk."""
     keys = []
-    walk = partitions.simulate_subordinator
+    walk = tilting.simulate_event_log
 
     def spy(model, t_end, seed):
         keys.append(seed)
         return walk(model, t_end, seed)
-    monkeypatch.setattr(partitions, "simulate_subordinator", spy)
+    monkeypatch.setattr(tilting, "simulate_event_log", spy)
     return keys
 
 
@@ -416,7 +418,7 @@ def test_subordinator_values_do_not_depend_on_batch_size_or_chunks(ub, monkeypat
     sizes = _chunk_sizes(monkeypatch)
     # a block holds 19 events at t = 2: chunks of 1, 3 and 16 lanes
     for lanes in (1, 3, 16):
-        monkeypatch.setattr(partitions, "_CHUNK_CELLS", 19 * lanes)
+        monkeypatch.setattr(tilting, "_CHUNK_CELLS", 19 * lanes)
         sizes.clear()
         assert same_bits(subordinator_values(ub, 2.0, 31, 40), full)
         assert max(sizes) == lanes and sum(sizes) == 40
@@ -427,7 +429,7 @@ def test_subordinator_values_across_a_chunk_boundary(ub, monkeypatch):
     # a call of more than one chunk at a short horizon (few events per
     # lane): a block holds 11 events at t = 0.2, so chunks of c lanes
     c = 1000
-    monkeypatch.setattr(partitions, "_CHUNK_CELLS", 11 * c)
+    monkeypatch.setattr(tilting, "_CHUNK_CELLS", 11 * c)
     sizes = _chunk_sizes(monkeypatch)
     vals = subordinator_values(ub, 0.2, 32, c + 5)
     assert sizes == [c, 5]
@@ -444,7 +446,7 @@ def test_paths_longer_than_one_block_are_walked_per_path(ub, monkeypatch):
     walked = _fallbacks(monkeypatch)
     assert same_bits(subordinator_values(ub, t, 5, 3), expected)
     assert walked == []  # the default block holds every path
-    monkeypatch.setattr(partitions, "_CHUNK_CELLS", 1000)
+    monkeypatch.setattr(tilting, "_CHUNK_CELLS", 1000)
     assert same_bits(subordinator_values(ub, t, 5, 3), expected)
     assert walked == [replica_key(5, i) for i in range(3)]
     assert lines_equal_walks(ub, t, 5, 3)
@@ -452,11 +454,11 @@ def test_paths_longer_than_one_block_are_walked_per_path(ub, monkeypatch):
 
 @pytest.mark.parametrize("shift", [-1, 1])
 def test_an_estimate_off_by_one_never_reaches_the_output(ub, monkeypatch, shift):
-    estimate = partitions._estimate_events
+    estimate = tilting._estimate_events
 
     def off(u, rate, t_end):
         return np.clip(estimate(u, rate, t_end) + shift, 0, len(u))
-    monkeypatch.setattr(partitions, "_estimate_events", off)
+    monkeypatch.setattr(tilting, "_estimate_events", off)
     walked = _fallbacks(monkeypatch)
     for t in (0.3, 4.0):
         assert same_bits(subordinator_values(ub, t, 8, 30), per_path_values(ub, t, 8, 30))

@@ -22,12 +22,6 @@ from homfrag.measures import (
     MassPartition,
     PowerTailBinaryModel,
     UniformBinaryModel,
-    sample_size_biased,
-)
-from homfrag.partitions import (
-    read_tagged_lines,
-    simulate_subordinator,
-    subordinator_values,
 )
 from homfrag.ranked import DEFAULT_MAX_FRAGMENTS
 from homfrag.streams import Stream, derive_key
@@ -35,10 +29,14 @@ from homfrag.tilting import (
     TaggedLine,
     check_horizon,
     esscher_exponent,
+    read_tagged_lines,
+    sample_size_biased,
     sample_tilted_split,
     simulate_event_log,
     simulate_spine,
+    simulate_subordinator,
     spine_child_select,
+    subordinator_values,
     thin_fiber,
     thin_lanes,
     tilted_split_rate,

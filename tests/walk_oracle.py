@@ -15,8 +15,8 @@ from homfrag.errors import (
     NotComputableError,
 )
 from homfrag.measures import MassPartition
-from homfrag.streams import Stream, derive_key
-from homfrag.tilting import _MAX_REJECTIONS, TaggedLine, tilted_split_rate
+from homfrag.streams import _MAX_REJECTIONS, Stream, derive_key
+from homfrag.tilting import TaggedLine, tilted_split_rate
 
 
 def _sample(model, stream):
