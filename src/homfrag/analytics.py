@@ -301,16 +301,9 @@ def detect_geometric(model):
 
 def _sample_splits(model, stream, n):
     """n splits drawn from one stream, as n calls of model.sample_masses:
-    the stream's next n uniforms (its next n nonzero ones for an open_draw
-    model) mapped by model.splits, one row per split, its pieces in draw
-    order and then zero padding."""
-    u = stream.uniforms(n)
-    if model.open_draw:
-        u = u[u != 0.0]
-        while len(u) < n:
-            more = stream.uniforms(n - len(u))
-            u = np.concatenate((u, more[more != 0.0]))
-    return model.splits(u)
+    the stream's next n uniforms mapped by model.splits, one row per split,
+    its pieces in draw order and then zero padding."""
+    return model.splits(stream.uniforms(n))
 
 
 class _SplitSums:

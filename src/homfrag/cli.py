@@ -853,9 +853,11 @@ def main(argv=None):
         for problem in e.problems:
             print(f"  - {problem}", file=sys.stderr)
         return 2
-    except (FragmentationError, OverflowError, ZeroDivisionError) as e:
+    except (FragmentationError, OverflowError, ZeroDivisionError,
+            MemoryError) as e:
         # an overflow means the requested estimate is not computable,
-        # for example the window asymptote at p near p_lower
+        # for example the window asymptote at p near p_lower; a MemoryError,
+        # that the request is too large to allocate
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
 

@@ -31,7 +31,7 @@ from .errors import (
     UnknownFamilyError,
 )
 from .numerics import gauss_kronrod
-from .streams import lanewise, pick_index
+from .streams import _INV_2_53, lanewise, pick_index
 
 
 def _binary_terms(u, q):
@@ -146,17 +146,15 @@ class DislocationModel:
     """Base class: finite total rate, a split map, analytic hooks.
 
     A model splits by one uniform pushed through its map: split(u) is the
-    ranked tuple of floats for a uniform u, and splits(u) the zero-padded
-    matrix whose row r equals split(u[r]), bit for bit.  open_draw has the
-    uniforms drawn in (0, 1) instead of [0, 1); a model whose map gives no
-    valid split at u = 0 sets it.  Only this class draws them.
+    ranked tuple of floats for a uniform u, a valid split for every u in
+    [0, 1), and splits(u) the zero-padded matrix whose row r equals
+    split(u[r]), bit for bit.  Only this class draws the uniforms.
     """
 
     kind = "abstract"
     total_rate = None
     conservative = None
     p_lower = -math.inf
-    open_draw = False
 
     def split(self, u):
         """The split of uniform u as a ranked tuple of floats."""
@@ -169,15 +167,7 @@ class DislocationModel:
 
     def sample_masses(self, stream):
         """Draw one split as a ranked tuple of floats (hot path)."""
-        return self.split(stream.uniform_open() if self.open_draw
-                          else stream.uniform())
-
-    def sample_masses_batch(self, streams, idx):
-        """One split per lane idx[r] of a StreamBatch, as splits' matrix:
-        row r equals sample_masses on that lane's scalar stream, bit for bit,
-        and advances it by the same draw."""
-        return self.splits(streams.uniform_open(idx) if self.open_draw
-                           else streams.uniform(idx))
+        return self.split(stream.uniform())
 
     def sample(self, stream):
         """One split as a MassPartition: split's ranked tuple, which is
@@ -185,8 +175,7 @@ class DislocationModel:
         is sample_masses' inlined, since the tagged-line walks call this
         once per event."""
         part = object.__new__(MassPartition)
-        part.masses = self.split(stream.uniform_open() if self.open_draw
-                                 else stream.uniform())
+        part.masses = self.split(stream.uniform())
         return part
 
     # --- analytics hooks; return None when the capability is absent ---
@@ -265,9 +254,6 @@ class UniformBinaryModel(DislocationModel):
     """
 
     kind = "uniform_binary"
-    # at epsilon = 0, u = 0 splits off a piece of mass 0; set at every
-    # epsilon, so that the draws keep their bits
-    open_draw = True
 
     def __init__(self, epsilon=0.0):
         if not 0.0 <= epsilon < 0.5:
@@ -278,12 +264,15 @@ class UniformBinaryModel(DislocationModel):
         self.p_lower = -2.0 if self.epsilon == 0.0 else -math.inf
 
     def split(self, u):
-        u = self.epsilon + self.total_rate * u
+        # u = 0 is read as 2^-53, the smallest positive draw: at epsilon = 0
+        # it would split off a piece of mass 0
+        u = self.epsilon + self.total_rate * (u or _INV_2_53)
         if u < 0.5:
             return (1.0 - u, u)
         return (u, 1.0 - u)
 
     def splits(self, u):
+        u = np.where(u == 0.0, _INV_2_53, u)  # split's zero rule
         u = self.epsilon + self.total_rate * u
         v = 1.0 - u
         # (1 - u, u) if u < 0.5 else (u, 1 - u): the larger piece first

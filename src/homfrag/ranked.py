@@ -10,8 +10,9 @@ the order in which fragments are processed.
 One engine runs any number of independent populations (lanes; a lane is a
 root key, an initial log mass and a start time).  It advances all live
 fragments of a chunk of lanes one generation at a time: one StreamBatch
-draw for every fragment's lifetime, one sample_masses_batch for those that
-split before t_end.  log1p, log and exp go through `lanewise` libm calls.
+draw for every fragment's lifetime, and one more, mapped by the model's
+splits, for those that split before t_end.  log1p, log and exp go through
+`lanewise` libm calls.
 
 Every lane equals, bit for bit, a depth-first walk that pops fragments off
 a stack and pushes the children of a split in index order (the order the
@@ -241,7 +242,7 @@ def _grow(keys, lm, birth, seeds, *, model, t_end, snaps, eps_freeze, slope,
         sp = np.flatnonzero(splits)
         if not sp.size:
             break
-        masses = model.sample_masses_batch(streams, sp)
+        masses = model.splits(streams.uniform(sp))
         width = max(width, masses.shape[1])
         if model.conservative:
             total = masses[:, 0].copy()

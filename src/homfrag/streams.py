@@ -123,13 +123,6 @@ class Stream:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
         return ((z ^ (z >> 31)) >> 11) * _INV_2_53
 
-    def uniform_open(self):
-        """Uniform float in (0, 1): rejects the single value 0."""
-        u = self.uniform()
-        while u == 0.0:
-            u = self.uniform()
-        return u
-
     def uniforms(self, n):
         """Vector of n uniforms in [0, 1); advances the state by n steps."""
         steps = np.arange(1, n + 1, dtype=np.uint64)
@@ -203,12 +196,3 @@ class StreamBatch:
         """
         z = self.state[idx] + np.asarray(k, dtype=np.uint64) * _U64_GAMMA
         return _unit_floats(z)
-
-    def uniform_open(self, idx):
-        """One uniform in (0, 1) per lane in idx; only lanes that drew 0 redraw."""
-        u = self.uniform(idx)
-        zero = np.flatnonzero(u == 0.0)
-        while zero.size:
-            u[zero] = self.uniform(idx[zero])
-            zero = zero[u[zero] == 0.0]
-        return u

@@ -272,14 +272,13 @@ def walk_tagged_line(rate, t_end, seed, draw, p=0.0):
 
 
 def simulate_spine(model, p, t_end, seed, evaluator=None, *,
-                   with_population=False, eps_freeze=None,
-                   max_fragments=DEFAULT_MAX_FRAGMENTS):
+                   with_population=False, eps_freeze=None):
     """Simulate the spine under the tilted law up to t_end.
 
     The spine itself is never frozen.  With with_population=True (requires
     eps_freeze) every shed fragment is evolved to t_end as an ordinary
-    population, and the combined state, spine fragment included, is stored
-    as the record's population snapshot.
+    population, within DEFAULT_MAX_FRAGMENTS, and the combined state, spine
+    fragment included, is stored as the record's population snapshot.
     """
     if evaluator is None:
         evaluator = PhiEvaluator(model)
@@ -298,7 +297,7 @@ def simulate_spine(model, p, t_end, seed, evaluator=None, *,
         shed = simulate_lanes(
             model, t_end, [t_end], eps_freeze, [0] * len(roots), keys,
             initial_log_mass=root_lms, start_time=births,
-            max_fragments=max_fragments, reduce=lambda snaps: snaps[0])
+            reduce=lambda snaps: snaps[0])
         for s in shed:
             logs.extend(s.log_masses.tolist())
             frozen_mass += s.frozen_mass
@@ -406,9 +405,8 @@ def _read_block(model, rate, t_end, keys, width):
     scalar walk's jump times, which must show t_E <= t_end < t_{E+1}
     exactly.  The splits' and picks' draws go straight to
     sample_size_biased_batch.  The estimate never reaches the record: a
-    lane whose check fails, whose path outgrows the block, or whose split
-    draw was 0.0 on an open_draw model (its stream would draw again,
-    shifting the lane's later draws) is walked by simulate_event_log.
+    lane whose check fails or whose path outgrows the block is walked by
+    simulate_event_log.
     """
     streams = StreamBatch(derive_keys(keys, 0))
     lanes = np.arange(len(keys))
@@ -429,10 +427,6 @@ def _read_block(model, rate, t_end, keys, width):
     if lane.size:
         # the splits' draws at 3e + 2, the picks' at 3e + 3
         split_u, pick_u = streams.uniform_at(lane, 3 * e + [[2], [3]])
-        if model.open_draw:  # a stream would draw a zero split draw again
-            redrawn = split_u == 0.0
-            ok[lane[redrawn]] = False
-            split_u[redrawn] = 0.5  # a valid draw; the lane is walked anyway
         picked, picks, masses = sample_size_biased_batch(model, split_u,
                                                          pick_u)
     else:  # no events: a dust model raises only on a line that has one
@@ -445,8 +439,7 @@ def _read_block(model, rate, t_end, keys, width):
 
 def _with_walked(rec, walked, model, t_end):
     """rec with the lanes walked taken from simulate_event_log: their
-    counts, and their events in place of any the pass read for them (a
-    redrawn split draw's lane)."""
+    counts and their events."""
     lines = [simulate_event_log(model, t_end, int(rec.keys[i]))
              for i in walked]
     counts = rec.counts.copy()

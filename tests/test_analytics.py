@@ -121,10 +121,12 @@ def test_monte_carlo_sample_equals_the_scalar_loop(name):
         model, Stream(derive_key(5, 0)), 700)[0].tobytes()
 
 
-def test_monte_carlo_sample_skips_a_zero_draw_as_the_scalar_loop_does(ub):
+def test_monte_carlo_sample_splits_a_zero_draw_as_the_scalar_loop_does(ub):
     key = _key_whose_draw_is_zero(3)
     assert _draw(key, 3) == 0.0
-    vals, owner = _flat(_sample_splits(ub, Stream(key), 5))
+    masses = _sample_splits(ub, Stream(key), 5)
+    assert tuple(masses[2]) == ub.split(2.0 ** -53)
+    vals, owner = _flat(masses)
     want_vals, want_owner = _scalar_sample(ub, Stream(key), 5)
     assert vals.tobytes() == want_vals.tobytes()
     assert owner.tobytes() == want_owner.tobytes()

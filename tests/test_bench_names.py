@@ -3,8 +3,10 @@
 bench/ is read as text, not imported: its cli workload looks up each name
 of LIBRARY_CALLS on homfrag.cli (to wrap it in a trace span), and every
 workload reaches the library as H.<name>, or a dotted chain such as
-H.martingales.additive_estimator, with H the homfrag package.  A name
-removed or moved from the library fails here, not only in a benchmark run.
+H.martingales.additive_estimator, with H the homfrag package.  The probes
+also call methods on the objects they hold: st.<name> on a Stream and
+model.<name> or ref.<model>.<name> on a dislocation model.  A name removed
+or moved from the library fails here, not only in a benchmark run.
 """
 
 import ast
@@ -48,3 +50,17 @@ def test_every_name_the_benchmark_reads_off_the_package_exists():
     assert {"cli.main", "simulate", "PhiEvaluator", "Stream.uniform",
             "martingales.additive_estimator"} <= chains
     assert sorted(c for c in chains if not _resolves(c)) == []
+
+
+def test_every_method_the_probes_call_on_objects_exists():
+    # st.<name> on a Stream; model.<name> and ref.<model>.<name> on a
+    # DislocationModel
+    text = (BENCH / "probes.py").read_text()
+    on_stream = set(re.findall(r"\bst\.(\w+)", text))
+    on_model = set(re.findall(r"\bmodel\.(\w+)", text)) | set(
+        re.findall(r"\bref\.\w+\.(\w+)", text))
+    assert on_stream == {"exponential", "uniforms"}
+    assert on_model == {"sample_masses", "sample"}
+    assert sorted(n for n in on_stream if not hasattr(homfrag.Stream, n)) == []
+    assert sorted(n for n in on_model
+                  if not hasattr(homfrag.DislocationModel, n)) == []

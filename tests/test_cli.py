@@ -8,6 +8,8 @@ import math
 from operator import add
 import os
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
@@ -1478,6 +1480,34 @@ def test_overflowing_window_asymptote_exits_2(capsys, ub_model_file):
     assert code == 2
     assert out == "" and "OverflowError" in err
     assert "Traceback" not in err
+
+
+_CAPPED_MAIN = """
+import resource, sys
+cap = 1 << 30
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from homfrag.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_a_request_too_large_to_allocate_exits_2(ub_model_file):
+    # 2e8 block labels' text needs ~11 GB; the child's address space is
+    # capped at 1 GiB, so the allocation fails after the imports
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RLIMIT_AS"):
+        pytest.skip("no RLIMIT_AS on this platform")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        [str(Path(cli_module.__file__).parents[1])]
+        + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_MAIN, "--seed", "1", "--model",
+         ub_model_file, "partition", "--n", "200000000", "--t-end", "1"],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: MemoryError:")
+    assert "Traceback" not in proc.stderr
 
 
 def test_huge_q_exits_2(capsys, tmp_path, ub_model_file):

@@ -317,22 +317,20 @@ _SAMPLER_MODELS = [
 @pytest.mark.parametrize("model", _SAMPLER_MODELS, ids=lambda m: repr(m.to_json()))
 def test_sampled_splits_are_valid_by_construction(model):
     # sample() wraps split's tuple without checking it again: every split,
-    # drawn or at either end of the uniforms the model draws ([0, 1), or
-    # (0, 1) for an open draw), must be one MassPartition's checks accept.
-    # On streams starting at either end of [0, 1), sample and sample_masses
-    # split the first uniform, or draw again after a 0 on an open draw
+    # drawn or at either end of [0, 1), must be one MassPartition's checks
+    # accept.  On streams starting at either end, sample and sample_masses
+    # split the first uniform, a 0 included: it is never drawn again
     drawn = [model.sample(Stream(seed)) for seed in range(400)]
     for u in (0.0, 1.0 - 2.0 ** -53):
-        want = model.split(0.5 if model.open_draw and u == 0.0 else u)
+        want = model.split(u)
         part = model.sample(_FixedStream([u, 0.5]))
         assert part.masses == want
         assert model.sample_masses(_FixedStream([u, 0.5])) == want
         drawn.append(part)
     if model.kind == "uniform_binary":
-        assert model.sample(_FixedStream([0.0, 0.5])).masses == (0.5, 0.5)
-    edges = (2.0 ** -53 if model.open_draw else 0.0, 1.0 - 2.0 ** -53)
-    for masses in [part.masses for part in drawn] + [model.split(u)
-                                                      for u in edges]:
+        assert model.sample(_FixedStream([0.0, 0.5])).masses == model.split(
+            2.0 ** -53)
+    for masses in [part.masses for part in drawn]:
         checked = MassPartition(masses)
         assert type(masses) is tuple
         assert all(type(m) is float for m in masses)

@@ -12,7 +12,7 @@ from heap_oracle import simulate_partition_heap
 
 from homfrag import partitions, tilting
 from homfrag.analytics import PhiEvaluator
-from homfrag.errors import DustNotSupportedError, NonPositiveEntryError
+from homfrag.errors import DustNotSupportedError
 from homfrag.measures import (
     AtomicModel,
     MassPartition,
@@ -528,25 +528,22 @@ def _draw(key, k):
     return s.uniform()
 
 
-def test_uniform_open_redraws_only_the_lanes_that_drew_zero(ub):
+def test_a_zero_draw_splits_alike_in_a_batch_and_a_scalar_stream(ub):
+    # every split is one draw: a zero is split, not drawn again, so each
+    # lane advances by one draw per split, as its scalar stream does
     keys = [5, _key_whose_draw_is_zero(1), 6, _key_whose_draw_is_zero(2)]
     assert _draw(keys[1], 1) == 0.0 and _draw(keys[3], 2) == 0.0
     idx = np.arange(len(keys))
-
-    batch = StreamBatch(np.array(keys, dtype=np.uint64))
-    u = batch.uniform_open(np.array([1, 2]))
-    assert u.tolist() == [_draw(keys[1], 2), _draw(keys[2], 1)]
-    # lane 1 drew twice, lane 2 once, lanes 0 and 3 not at all
-    assert batch.uniform(idx).tolist() == [
-        _draw(keys[0], 1), _draw(keys[1], 3), _draw(keys[2], 2), _draw(keys[3], 1)]
-
-    # through the model: lane 1 redraws in the first split, lane 3 in the second
     batch = StreamBatch(np.array(keys, dtype=np.uint64))
     scalar = [Stream(k) for k in keys]
-    for _ in range(2):
-        rows = ub.sample_masses_batch(batch, idx)
+    for n in range(2):
+        rows = ub.splits(batch.uniform(idx))
         assert [tuple(r) for r in rows] == [ub.sample_masses(s) for s in scalar]
-    assert batch.uniform(idx).tolist() == [s.uniform() for s in scalar]
+        # lane 1 draws 0 in the first split, lane 3 in the second
+        assert tuple(rows[2 * n + 1]) == ub.split(2.0 ** -53)
+    third = [_draw(key, 3) for key in keys]
+    assert batch.uniform(idx).tolist() == third
+    assert [s.uniform() for s in scalar] == third
 
 
 def _seed_whose_line_draw_is_zero(k):
@@ -560,20 +557,20 @@ def _seed_whose_line_draw_is_zero(k):
 
 @pytest.mark.parametrize("name", sorted(BATCH_MODELS))
 @pytest.mark.parametrize("event", [0, 3])
-def test_a_split_draw_of_zero_is_walked_per_path(name, event, monkeypatch):
-    # event e draws its split at 3e + 2; only uniform_open redraws a zero,
-    # which shifts the lane's later draws
+def test_a_split_draw_of_zero_is_read_by_the_pass_and_no_lane_walked(
+        name, event, monkeypatch):
+    # event e draws its split at 3e + 2, and every model splits a zero, so
+    # the lane keeps the fixed layout of three draws per event
     model = BATCH_MODELS[name]
     seed = _seed_whose_line_draw_is_zero(3 * event + 2)
     path = simulate_subordinator(model, 50.0, replica_key(seed, 0))
     assert len(path) > event
+    assert path.partitions[event].masses == model.split(0.0)
     walked = _fallbacks(monkeypatch)
     assert same_bits(subordinator_values(model, 50.0, seed, 4),
                      per_path_values(model, 50.0, seed, 4))
-    redraws = isinstance(model, UniformBinaryModel)
-    assert walked == [replica_key(seed, 0)] * redraws
-    # the events the pass read for the lane are dropped from its record
     assert lines_equal_walks(model, 50.0, seed, 4)
+    assert walked == []
 
 
 @pytest.mark.parametrize("t", [0.0, 1.0])
@@ -596,17 +593,23 @@ def test_subordinator_values_reject_dust():
 
 
 @pytest.mark.parametrize("name", sorted(BATCH_MODELS))
-def test_sample_masses_batch_rows_equal_sample_masses(name):
+def test_splits_of_batch_draws_equal_sample_masses(name):
+    # the ranked engine's split draw; two lanes draw 0, at their first and
+    # their second split
     model = BATCH_MODELS[name]
-    keys = replica_keys(7, 50)
+    keys = np.concatenate((replica_keys(7, 48), np.array(
+        [_key_whose_draw_is_zero(1), _key_whose_draw_is_zero(2)],
+        dtype=np.uint64)))
     batch = StreamBatch(keys)
     scalar = [Stream(int(k)) for k in keys]
     for idx in (np.arange(50), np.arange(1, 50, 2), np.arange(50)):
-        rows = model.sample_masses_batch(batch, idx)
+        rows = model.splits(batch.uniform(idx))
         for row, i in zip(rows, idx):
             masses = tuple(model.sample_masses(scalar[i]))
             assert tuple(row[:len(masses)]) == masses
             assert not row[len(masses):].any()
+    assert batch.uniform(np.arange(50)).tolist() == [s.uniform()
+                                                      for s in scalar]
 
 
 # the ends of [0, 1), the largest float below 1/2, and 1/2
@@ -635,17 +638,25 @@ def test_split_equals_each_row_of_splits_bit_for_bit(name):
 def test_every_uniform_a_model_draws_gives_a_valid_split(name):
     model = BATCH_MODELS[name]
     u = _uniforms()
-    if model.open_draw:
-        u = u[u != 0.0]  # drawn in (0, 1): a zero is drawn again
+    assert u[0] == 0.0  # in [0, 1), the zero included
     for x in u.tolist():
         part = MassPartition(model.split(x))
         assert part.conservative == model.conservative
         assert not part.is_trivial
 
 
-def test_only_the_uniform_model_draws_open_since_zero_splits_off_nothing():
-    assert UniformBinaryModel().split(0.0) == (1.0, 0.0)
-    with pytest.raises(NonPositiveEntryError):
-        MassPartition(UniformBinaryModel().split(0.0))
-    assert [name for name, model in sorted(BATCH_MODELS.items())
-            if model.open_draw] == ["uniform", "uniform_eps0.1"]
+@pytest.mark.parametrize("name", sorted(BATCH_MODELS))
+def test_split_of_zero_is_valid_for_every_model(name):
+    model = BATCH_MODELS[name]
+    part = MassPartition(model.split(0.0))
+    assert not part.is_trivial
+    # splits reads a zero as split does, and a u below 2^-53 as it is
+    u = np.array([0.0, 2.0 ** -54])
+    for row, x in zip(model.splits(u), u.tolist()):
+        assert tuple(row[row != 0.0].tolist()) == model.split(x)
+    if isinstance(model, UniformBinaryModel):
+        # a zero is read as 2^-53, the smallest positive draw, before the
+        # map: strictly inside (epsilon, 1 - epsilon)
+        assert model.split(0.0) == model.split(2.0 ** -53)
+        assert model.epsilon < part[1] <= part[0] < 1.0 - model.epsilon
+        assert model.split(2.0 ** -54) != model.split(0.0)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from dfs_oracle import simulate_dfs
+from test_partitions import _key_whose_draw_is_zero
 from homfrag import AtomicModel, PowerTailBinaryModel, UniformBinaryModel
 from homfrag import ranked
 from homfrag.errors import BudgetExceededError
@@ -219,6 +220,17 @@ def test_every_lane_equals_the_depth_first_walk(run):
                             initial_log_mass=lm, start_time=start,
                             barrier_slope=slope)
         assert_same_lane(got, want)
+
+
+def test_a_root_split_draw_of_zero_splits_as_the_depth_first_walk(ub):
+    # a ranked root draws its lifetime first and its split second
+    keys = [_key_whose_draw_is_zero(2), 7]
+    lanes = simulate_lanes(ub, 3.0, [1.0, 3.0], 1e-3, [0, 1], keys)
+    for label, key, got in zip([0, 1], keys, lanes):
+        assert_same_lane(got, simulate_dfs(ub, 3.0, [1.0, 3.0], 1e-3, label,
+                                           root_key=key))
+    assert lanes[0][-1].event_count > 0  # the root split
+    assert lanes[0][-1].frozen_count > 0  # its piece of mass 2^-53
 
 
 def test_simulate_is_the_one_lane_engine(ub):

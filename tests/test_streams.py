@@ -74,11 +74,6 @@ def test_uniform_in_half_open_unit_interval():
     assert abs(np.mean(us) - 0.5) < 0.01
 
 
-def test_uniform_open_excludes_zero():
-    s = Stream(42)
-    assert all(0.0 < s.uniform_open() < 1.0 for _ in range(20_000))
-
-
 def test_vectorized_uniforms_match_scalar_sequence():
     a, b = Stream(99), Stream(99)
     vec = a.uniforms(257)
@@ -157,8 +152,6 @@ def test_stream_batch_lanes_are_scalar_streams():
     for idx in ([0, 1, 2, 3, 4, 5], [1, 4], [5], [0, 2, 3]):
         u = batch.uniform(np.array(idx))
         assert u.tolist() == [scalar[i].uniform() for i in idx]
-        u = batch.uniform_open(np.array(idx))
-        assert u.tolist() == [scalar[i].uniform_open() for i in idx]
 
 
 def test_stream_batch_draws_at_offsets_without_advancing():
