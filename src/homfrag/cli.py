@@ -857,8 +857,12 @@ def main(argv=None):
             MemoryError) as e:
         # an overflow means the requested estimate is not computable,
         # for example the window asymptote at p near p_lower; a MemoryError,
-        # that the request is too large to allocate
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        # that the request is too large to allocate, which it seldom says
+        reason = str(e)
+        if not reason and isinstance(e, MemoryError):
+            reason = ("the request is too large to allocate; "
+                      "lower --n or --replicas")
+        print(f"error: {type(e).__name__}: {reason}", file=sys.stderr)
         return 2
 
     if cfg.out:

@@ -306,12 +306,7 @@ def _grow(keys, lm, birth, seeds, *, model, t_end, snaps, eps_freeze, slope,
     f_count = np.bincount(f_cell, minlength=n_lanes * nb).reshape(n_lanes, nb)
     e_cell = np.concatenate(split_cells) if split_cells else np.zeros(0, int)
     e_count = np.bincount(e_cell, minlength=n_lanes * nb).reshape(n_lanes, nb)
-    frozen_mass = np.zeros((n_lanes, n_snaps))
-    running = np.zeros(n_lanes)
-    for i in range(n_snaps):
-        running = running + acc[:, i]
-        frozen_mass[:, i] = running
-    frozen_mass = frozen_mass.tolist()
+    frozen_mass = np.cumsum(acc[:, :n_snaps], axis=1).tolist()
     frozen_count = np.cumsum(f_count[:, :n_snaps], axis=1).tolist()
     event_count = np.cumsum(e_count[:, :n_snaps], axis=1).tolist()
 

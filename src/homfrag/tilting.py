@@ -354,20 +354,20 @@ def read_tagged_lines(model, t_end, seed, n_replicas):
     iterated.
 
     Replica i is the line simulate_event_log(model, t_end,
-    replica_key(seed, i)).  Each lane's whole path is read off its
-    counter-based stream in one pass: a model splits by one uniform, so
-    event e spends draws 3e+1, 3e+2 and 3e+3 (wait, split, size-biased
-    pick), with the scalar walk's arithmetic (see _read_block).  A lane the
-    pass cannot certify is walked by simulate_event_log itself.  Chunks
-    hold at most _CHUNK_CELLS cells (lanes times the block's events), so
-    memory stays bounded and no lane depends on the chunk size or on
-    n_replicas.  check_horizon refuses t_end first.
+    replica_key(seed, i)).  Each lane's path is read off its counter-based
+    stream in numpy, with the scalar walk's arithmetic: a model splits by
+    one uniform, so event e spends draws 3e+1, 3e+2 and 3e+3 (wait, split,
+    size-biased pick), and a lane longer than one block reads on from its
+    last jump (see _jump_times).  Chunks hold at most _CHUNK_CELLS cells
+    (lanes times the block's events), so memory stays bounded and no lane
+    depends on the chunk size or on n_replicas.  check_horizon refuses
+    t_end first.
     """
     rate = model.total_rate
     check_horizon(rate, t_end)
     mean = rate * t_end
     # a Poisson(mean) path outgrows this block with probability below 1e-9,
-    # unless the cap applies (mean above about 10^6)
+    # unless the cap applies (mean above about 10^6): then it reads on
     width = int(min(mean + 6.0 * math.sqrt(mean) + 9.0, _CHUNK_CELLS))
     lanes = _CHUNK_CELLS // width
     keys = replica_keys(seed, n_replicas)
@@ -396,33 +396,13 @@ def subordinator_values(model, t_end, seed, n_replicas):
 
 
 def _read_block(model, rate, t_end, keys, width):
-    """The TaggedLines of the lanes keyed keys, each path read off a block
-    of `width` events.
-
-    numpy's log1p of every wait in the block only estimates each lane's
-    event count E.  The waits of the first E + 1 events then go through
-    libm, as Stream.exponential does, and a sequential cumsum gives the
-    scalar walk's jump times, which must show t_E <= t_end < t_{E+1}
-    exactly.  The splits' and picks' draws go straight to
-    sample_size_biased_batch.  The estimate never reaches the record: a
-    lane whose check fails or whose path outgrows the block is walked by
-    simulate_event_log.
-    """
+    """The TaggedLines of the lanes keyed keys: their jump times, read in
+    blocks of `width` events by _jump_times, then the splits' and picks'
+    draws of all their events, mapped by sample_size_biased_batch."""
     streams = StreamBatch(derive_keys(keys, 0))
-    lanes = np.arange(len(keys))
-    # one row per event, one column per lane: cumsum down a column adds
-    # that lane's terms in event order
-    u = streams.uniform_at(lanes, 3 * np.arange(width)[:, None] + 1)
-    n_events = _estimate_events(u, rate, t_end)
-    steps = np.arange(min(int(n_events.max()) + 1, width))[:, None]
-    first = steps <= n_events
-    wait = np.zeros(first.shape)
-    wait[first] = -lanewise(math.log1p, -u[:len(steps)][first]) / rate
-    t = np.cumsum(wait, axis=0)
-    ok = ((n_events < width)
-          & (t[np.minimum(n_events, len(steps) - 1), lanes] > t_end)
-          & ((n_events == 0) | (t[n_events - 1, lanes] <= t_end)))
-    events = (steps < n_events) & ok
+    counts, times = _jump_times(streams, np.arange(len(keys)), rate, t_end,
+                                width, 0, 0.0)
+    events = np.arange(len(times))[:, None] < counts
     e, lane = np.nonzero(events)
     if lane.size:
         # the splits' draws at 3e + 2, the picks' at 3e + 3
@@ -432,48 +412,49 @@ def _read_block(model, rate, t_end, keys, width):
     else:  # no events: a dust model raises only on a line that has one
         picked, picks = np.empty(0), np.empty(0, np.intp)
         masses = np.empty((0, 0))
-    rec = TaggedLines(keys, n_events, events, t, masses, picks, picked)
-    walked = np.flatnonzero(~ok)
-    return _with_walked(rec, walked, model, t_end) if walked.size else rec
+    return TaggedLines(keys, counts, events, times, masses, picks, picked)
 
 
-def _with_walked(rec, walked, model, t_end):
-    """rec with the lanes walked taken from simulate_event_log: their
-    counts and their events."""
-    lines = [simulate_event_log(model, t_end, int(rec.keys[i]))
-             for i in walked]
-    counts = rec.counts.copy()
-    counts[walked] = [len(line) for line in lines]
-    # the splits the pass read, then the walks', one zero-padded row each
-    splits = [part.masses for line in lines for part in line.partitions]
-    first, width = rec.masses.shape  # first: the row of the next walked split
-    rows = np.zeros((first + len(splits),
-                     max([width] + list(map(len, splits)))))
-    rows[:first, :width] = rec.masses
-    for row, split in zip(rows[first:], splits):
-        row[:len(split)] = split
-    # times, picks and split rows on a grid of event rows and lane columns,
-    # the events then read off it
-    shape = (max(len(rec.times), int(counts.max())), len(counts))
-    times, picks = np.zeros(shape), np.zeros(shape, dtype=np.intp)
-    row_of = np.zeros(shape, dtype=np.intp)
-    times[:len(rec.times)] = rec.times
-    picks[:len(rec.times)][rec.events] = rec.picks
-    row_of[:len(rec.times)][rec.events] = np.arange(first)
-    for i, line in zip(walked, lines):
-        times[:len(line), i] = line.jump_times
-        picks[:len(line), i] = line.picks
-        row_of[:len(line), i] = np.arange(first, first + len(line))
-        first += len(line)
-    events = np.arange(shape[0])[:, None] < counts
-    masses, picks = rows[row_of[events]], picks[events]
-    return TaggedLines(rec.keys, counts, events, times, masses, picks,
-                       masses[np.arange(len(picks)), picks])
+def _jump_times(streams, lanes, rate, t_end, width, start, clock):
+    """(event counts by t_end, jump times) of the lanes `lanes` of streams,
+    from their event `start` on, the last jump before it at time `clock`.
+
+    times[e, i] is the jump time of event start + e of lane i, for e below
+    counts[i] (the rest is filler).  numpy's log1p of a block of `width`
+    waits (event e's at draw 3e + 1) only estimates each lane's count E.
+    The first min(E + 1, width) waits then go through libm, as
+    Stream.exponential does, and a sequential cumsum from clock gives the
+    scalar walk's jump times.  A lane's count is the number of them at or
+    before t_end; a lane whose times all lie there reads on, from the event
+    after its last, so no estimate reaches the record.
+    """
+    u = streams.uniform_at(lanes, 3 * (start + np.arange(width)[:, None]) + 1)
+    reads = np.minimum(_estimate_events(u, rate, t_end - clock) + 1, width)
+    # one row per event, one column per lane: cumsum down a column adds
+    # that lane's terms in event order
+    first = np.arange(reads.max())[:, None] < reads
+    wait = np.zeros(first.shape)
+    wait[first] = -lanewise(math.log1p, -u[:len(wait)][first]) / rate
+    wait[0] += clock
+    times = np.cumsum(wait, axis=0)
+    counts = np.count_nonzero(first & (times <= t_end), axis=0)
+    on = np.flatnonzero(counts == reads)
+    if on.size:
+        more, tail = _jump_times(streams, lanes[on], rate, t_end, width,
+                                 (start + reads)[on], times[reads[on] - 1, on])
+        counts[on] += more
+        e, j = np.nonzero(np.arange(len(tail))[:, None] < more)
+        grown = np.zeros((max(len(times), counts.max()), len(lanes)))
+        grown[:len(times)] = times
+        grown[reads[on][j] + e, on[j]] = tail[e, j]
+        times = grown
+    return counts, times
 
 
 def _estimate_events(u, rate, t_end):
-    """Events by t_end of each lane, from its block of wait draws u and
-    numpy's log1p, which can differ from libm's in the last bit."""
+    """Events of each lane within t_end (one for all lanes or one each) of
+    its block's start, from its block of wait draws u and numpy's log1p,
+    which can differ from libm's in the last bit."""
     t = np.cumsum(-np.log1p(-u) / rate, axis=0)
     return np.count_nonzero(t <= t_end, axis=0)
 

@@ -1507,6 +1507,8 @@ def test_a_request_too_large_to_allocate_exits_2(ub_model_file):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: MemoryError:")
+    # a failed allocation carries no message: the line says what to lower
+    assert proc.stderr.partition("error: MemoryError:")[2].strip()
     assert "Traceback" not in proc.stderr
 
 

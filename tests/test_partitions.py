@@ -400,7 +400,8 @@ def _chunk_sizes(monkeypatch):
 
 
 def _fallbacks(monkeypatch):
-    """The replica keys that subordinator_values hands to the per-path walk."""
+    """The keys of any per-path walk the batch reader makes (it makes none:
+    every lane is read in numpy)."""
     keys = []
     walk = tilting.simulate_event_log
 
@@ -409,6 +410,27 @@ def _fallbacks(monkeypatch):
         return walk(model, t_end, seed)
     monkeypatch.setattr(tilting, "simulate_event_log", spy)
     return keys
+
+
+def _blocks_read(monkeypatch):
+    """blocks[d]: how many lanes read a (d+1)-th block of events, summed
+    over the chunks read while the spy is set (the list is filled in place)."""
+    blocks = []
+    depth = 0
+    read = tilting._jump_times
+
+    def spy(streams, lanes, *args):
+        nonlocal depth
+        if depth == len(blocks):
+            blocks.append(0)
+        blocks[depth] += len(lanes)
+        depth += 1
+        try:
+            return read(streams, lanes, *args)
+        finally:
+            depth -= 1
+    monkeypatch.setattr(tilting, "_jump_times", spy)
+    return blocks
 
 
 def test_subordinator_values_do_not_depend_on_batch_size_or_chunks(ub, monkeypatch):
@@ -440,16 +462,22 @@ def test_subordinator_values_across_a_chunk_boundary(ub, monkeypatch):
     assert (vals > 0).any()
 
 
-def test_paths_longer_than_one_block_are_walked_per_path(ub, monkeypatch):
+def test_paths_longer_than_one_block_read_on_from_their_last_jump(
+        ub, monkeypatch):
     t = 3000.0  # rate * t = 3000 events per lane
     expected = per_path_values(ub, t, 5, 3)
     walked = _fallbacks(monkeypatch)
+    blocks = _blocks_read(monkeypatch)
     assert same_bits(subordinator_values(ub, t, 5, 3), expected)
-    assert walked == []  # the default block holds every path
+    assert blocks == [3]  # the default block holds every path
+    # blocks of 1000 events, one lane a chunk: each lane reads on at least
+    # twice, and reads at most rate * t / width + 2 blocks
     monkeypatch.setattr(tilting, "_CHUNK_CELLS", 1000)
+    blocks.clear()
     assert same_bits(subordinator_values(ub, t, 5, 3), expected)
-    assert walked == [replica_key(5, i) for i in range(3)]
+    assert blocks[:3] == [3, 3, 3] and len(blocks) <= 5
     assert lines_equal_walks(ub, t, 5, 3)
+    assert walked == []
 
 
 @pytest.mark.parametrize("shift", [-1, 1])
@@ -460,16 +488,21 @@ def test_an_estimate_off_by_one_never_reaches_the_output(ub, monkeypatch, shift)
         return np.clip(estimate(u, rate, t_end) + shift, 0, len(u))
     monkeypatch.setattr(tilting, "_estimate_events", off)
     walked = _fallbacks(monkeypatch)
+    blocks = _blocks_read(monkeypatch)
     for t in (0.3, 4.0):
         assert same_bits(subordinator_values(ub, t, 8, 30), per_path_values(ub, t, 8, 30))
         assert lines_equal_walks(ub, t, 8, 30)
-    # every lane but those whose count -1 clips back to 0 is walked per path
-    assert len(walked) > 30
+    assert walked == []
+    if shift > 0:  # each lane's first block reads a wait past t_end
+        assert len(blocks) == 1
+    else:  # every lane but those whose count - 1 clips to 0 reads on
+        assert blocks[1] > 30
 
 
 def test_a_horizon_between_the_numpy_and_libm_jump_times(ub, monkeypatch):
     # t_end at a jump time that numpy's log1p puts on the other side of it:
-    # the estimate is off by one there, and the lane is walked per path
+    # the estimate is off by one there, and the lane stops or reads on as
+    # libm's times say
     for seed in range(100):
         key = replica_key(seed, 0)
         libm = simulate_subordinator(ub, 20.0, key).jump_times
@@ -483,7 +516,39 @@ def test_a_horizon_between_the_numpy_and_libm_jump_times(ub, monkeypatch):
     walked = _fallbacks(monkeypatch)
     t = min(libm[k], approx[k])
     assert same_bits(subordinator_values(ub, t, seed, 3), per_path_values(ub, t, seed, 3))
-    assert walked == [key]
+    assert lines_equal_walks(ub, t, seed, 3)
+    assert walked == []
+
+
+@pytest.mark.parametrize("name", ["uniform", "dyadic", "power_tail_gamma1.5"])
+@pytest.mark.parametrize("force", ["zero", "width", "minus3", "plus3"])
+def test_the_estimate_is_only_a_hint(name, force, monkeypatch):
+    # the estimate sizes the libm work and nothing else: forced to any
+    # count, every lane still equals its walk and none is walked
+    model = BATCH_MODELS[name]
+    estimate = tilting._estimate_events
+    forced = {"zero": lambda e, u: 0 * e, "width": lambda e, u: 0 * e + len(u),
+              "minus3": lambda e, u: np.maximum(e - 3, 0),
+              "plus3": lambda e, u: e + 3}[force]
+    monkeypatch.setattr(tilting, "_estimate_events", lambda u, rate, t_end:
+                        forced(estimate(u, rate, t_end), u))
+    walked = _fallbacks(monkeypatch)
+    blocks = _blocks_read(monkeypatch)
+    counts = np.concatenate([rec.counts for rec in
+                             read_tagged_lines(model, 6.0, 5, 40)])
+    if force == "zero":  # a lane of k events reads k + 1 blocks of one
+        assert blocks == [np.count_nonzero(counts >= d)
+                          for d in range(counts.max() + 1)]
+    if force in ("zero", "minus3") and model.total_rate == 1.0:
+        # seed 5 has lanes of fewer than two events: they stop before a
+        # third block, the others read one
+        assert 0 < blocks[2] < 40
+    if force in ("width", "plus3"):
+        assert blocks == [40]
+    assert same_bits(subordinator_values(model, 6.0, 5, 40),
+                     per_path_values(model, 6.0, 5, 40))
+    assert lines_equal_walks(model, 6.0, 5, 40)
+    assert walked == []
 
 
 def test_jumps_of_minus_zero_sum_to_minus_zero():
