@@ -10,6 +10,13 @@ over the tagged subordinator, and a Gaussian-regime asymptote
 U(t, x), is estimated directly; for p above the critical index the ratio
 U/V converges to a constant, which the ratio trace tracks with bootstrap
 confidence intervals.
+
+The direct estimates grow each replica only down to the window: a fragment
+only shrinks, so one below the lowest window edge over the times is never
+counted, and it freezes there (at exp(edge - 1e-9)) instead of at the
+caller's eps_freeze.  The counts are those at any eps_freeze at or below
+exp(lowest edge); a larger eps_freeze freezes fragments that could be
+counted and lowers U and V.  max_fragments counts only the fragments grown.
 """
 
 import math
@@ -41,10 +48,35 @@ def window_center(evaluator, p, t):
     return -t * evaluator.phi_derivs(p).first
 
 
+def _window_floor(edge):
+    """Mass below which no fragment reaches a window edge at log mass edge.
+
+    A fragment only shrinks, so one lighter than the floor, and all of its
+    descendants, stay below the edge.  The floor is exp(edge - 1e-9), kept
+    only when math.log of it (the engine's freezing cut) lies below the
+    edge: an edge >= 0, or one where exp is subnormal or underflows, has no
+    floor (0.0).
+    """
+    if edge < 0.0:
+        floor = math.exp(edge - 1e-9)
+        if floor > 0.0 and math.log(floor) < edge:
+            return floor
+    return 0.0
+
+
 def _window_counts_at(model, evaluator, p, times, alpha, beta, eps_freeze,
                       n_replicas, seed, threads, max_fragments):
-    """Window centers and the (len(times), n_replicas) window-count matrix."""
+    """Window centers and the (len(times), n_replicas) window-count matrix.
+
+    Lanes grow with eps_freeze raised to the floor of the lowest window edge
+    over the times: every counted fragment and its ancestors lie above it,
+    and streams are keyed by genealogy, so the counts equal those at the
+    caller's eps_freeze (an invalid one is passed on to be refused).
+    """
     xs = {float(t): window_center(evaluator, p, t) for t in times}
+    floor = _window_floor(min(x + alpha for x in xs.values()))
+    if 0.0 < eps_freeze < floor:
+        eps_freeze = floor
     counts = replica_values(
         lambda snap: empirical_interval_count(snap, xs[snap.time], alpha, beta),
         model, times, n_replicas, seed, eps_freeze, threads=threads,
@@ -85,9 +117,11 @@ def presence_summary(model, evaluator, p, t, alpha, beta, eps_freeze,
     """Direct U and V estimates from one set of runs, plus the V prediction.
 
     t may be a scalar or a list; each replica is simulated once, to the
-    largest time.  Returns one PresenceEstimate per time, in the order given
-    (scalar in, scalar out).  Needs at least two replicas (ValueError
-    otherwise).
+    largest time, and only down to the lowest window edge over the times
+    (see the module docstring): the estimates equal those at any eps_freeze
+    up to exp(lowest edge), and max_fragments bounds the fragments above
+    it.  Returns one PresenceEstimate per time, in the order given (scalar
+    in, scalar out).  Needs at least two replicas (ValueError otherwise).
     """
     check_replicas(n_replicas)
     scalar = np.isscalar(t)
@@ -168,9 +202,11 @@ def ratio_trace(model, evaluator, p, t_grid, alpha, beta, eps_freeze,
                 max_fragments=DEFAULT_MAX_FRAGMENTS):
     """Window counts over a time grid (one run per replica, all times observed).
 
-    For p at or below the critical index the ratio has no limiting constant;
-    a RegimeWarning is emitted and the trace is returned anyway.  Needs at
-    least two replicas (ValueError otherwise).
+    Runs grow only down to the lowest window edge over the grid, as in
+    presence_summary, so the trace equals that at any eps_freeze up to
+    exp(lowest edge).  For p at or below the critical index the ratio has
+    no limiting constant; a RegimeWarning is emitted and the trace is
+    returned anyway.  Needs at least two replicas (ValueError otherwise).
     """
     check_replicas(n_replicas)
     pb = evaluator.p_bar()

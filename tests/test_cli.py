@@ -687,6 +687,23 @@ def test_budget_exceeded_exit_3(capsys, ub_model_file):
     assert "budget exceeded" in err
 
 
+def test_ldp_budget_counts_only_fragments_above_the_window_floor(
+        capsys, ub_model_file):
+    # 25 runs to t = 4 at eps_freeze 1e-8 exceed 200 fragments, but ldp grows
+    # only the fragments that can reach the window; the bytes are those of
+    # an unbudgeted run, header included (it keeps the caller's eps_freeze)
+    argv = ["--seed", "5", "--model", ub_model_file, "--replicas", "25",
+            "ldp", "--p", "0.5", "--alpha", "-0.2", "--beta", "0.2",
+            "--t-grid", "4", "--eps-freeze", "1e-8"]
+    code, out, err = run_cli(capsys, argv + ["--max-fragments", "200"])
+    assert code == 0, err
+    assert parse_csv(out)[0]["eps_freeze"] == 1e-8
+    assert run_cli(capsys, argv) == (0, out, err)
+    code, _, err = run_cli(capsys, argv + ["--max-fragments", "2"])
+    assert code == 3
+    assert "budget exceeded" in err
+
+
 def test_config_file_merge_and_override(capsys, tmp_path, ub):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({

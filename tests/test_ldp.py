@@ -1,21 +1,32 @@
 """Window-count estimators and the ratio trace."""
 
 import math
+import random
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
-from homfrag.errors import NotComputableError, OutsideRegimeError, RegimeWarning
+from homfrag import AtomicModel, PhiEvaluator, PowerTailBinaryModel, UniformBinaryModel
+from homfrag.errors import (
+    BudgetExceededError,
+    NotComputableError,
+    OutsideRegimeError,
+    RegimeWarning,
+)
 from homfrag.ldp import (
     RatioTrace,
+    _window_counts_at,
+    _window_floor,
     corollary_functional,
     estimate_V_manyto1,
     presence_summary,
     ratio_trace,
     window_center,
 )
-from homfrag.ranked import PopulationSnapshot, simulate
+from homfrag.martingales import replica_values
+from homfrag.ranked import PopulationSnapshot, empirical_interval_count, simulate
 from homfrag.streams import replica_key
 from homfrag.tilting import simulate_subordinator
 
@@ -203,3 +214,131 @@ def test_population_window_estimators_need_two_replicas(ub, ub_eval):
             ratio_trace(ub, ub_eval, 2.0, [1.0, 2.0], -0.2, 0.2, 1e-3, n, 5)
     s = presence_summary(ub, ub_eval, 0.5, 1.0, -0.2, 0.2, 1e-3, 2, 5)
     assert math.isfinite(s.v_stderr) and math.isfinite(s.u_stderr)
+
+
+# --- window counts grow only the fragments they can count -------------------
+
+# model, the caller's eps_freeze (the oracle's), the scalar time and the grid
+_FLOOR_MODELS = {
+    "uniform": (UniformBinaryModel(), 1e-8, [2.0], [1.0, 2.0, 3.0]),
+    "uniform_eps0.1": (UniformBinaryModel(0.1), 1e-8, [2.0], [1.0, 2.0, 3.0]),
+    "power_tail": (PowerTailBinaryModel(0.01), 1e-3, [1.0], [0.5, 1.0, 1.5]),
+    "dyadic": (AtomicModel([([0.5, 0.5], 1.0)]), 1e-8, [2.0], [1.0, 2.0, 3.0]),
+}
+
+
+def _oracle_counts(model, ev, p, times, alpha, beta, eps_freeze, n, seed,
+                   **kw):
+    """Window counts of runs grown at the caller's eps_freeze, no floor."""
+    return replica_values(
+        lambda s: empirical_interval_count(
+            s, window_center(ev, p, s.time), alpha, beta),
+        model, times, n, seed, eps_freeze, **kw)
+
+
+def _counts(model, ev, p, times, alpha, beta, eps_freeze, n, seed, threads=1,
+            max_fragments=10**7):
+    return _window_counts_at(model, ev, p, times, alpha, beta, eps_freeze, n,
+                             seed, threads, max_fragments)[1]
+
+
+@pytest.mark.parametrize("grid", ["scalar", "grid"])
+@pytest.mark.parametrize("side", ["below_p_bar", "above_p_bar"])
+@pytest.mark.parametrize("name", sorted(_FLOOR_MODELS))
+def test_window_counts_equal_counts_grown_at_the_callers_eps(name, side,
+                                                            grid):
+    # the floor freezes every fragment below the lowest window edge; the
+    # counts stay those of runs grown at the caller's eps_freeze
+    model, eps, scalar, times = _FLOOR_MODELS[name]
+    ev = PhiEvaluator(model)
+    times = scalar if grid == "scalar" else times
+    p = 0.5 if side == "below_p_bar" else ev.p_bar() + 0.5
+    alpha, beta = -0.5, 0.5
+    edge = min(window_center(ev, p, t) + alpha for t in times)
+    assert _window_floor(edge) > eps          # the floor is in force
+    want = _oracle_counts(model, ev, p, times, alpha, beta, eps, 40, 4100)
+    assert want.any()
+    for threads in (1, 2):
+        got = _counts(model, ev, p, times, alpha, beta, eps, 40, 4100, threads)
+        assert got.shape == (len(times), 40)
+        assert np.array_equal(got, want), threads
+
+
+def test_a_fragment_exactly_on_the_lower_edge_is_counted(dyadic, dyadic_eval):
+    # dyadic log masses are sums of log(1/2): put the lower edge exactly on
+    # the third generation's, with a window too narrow to hold another
+    p, t, k = 0.5, 2.0, 3
+    lm = 0.0
+    for _ in range(k):
+        lm += math.log(0.5)
+    x = window_center(dyadic_eval, p, t)
+    alpha = lm - x
+    while x + alpha < lm:
+        alpha = math.nextafter(alpha, math.inf)
+    while x + alpha > lm:
+        alpha = math.nextafter(alpha, -math.inf)
+    assert x + alpha == lm
+    beta = alpha + 0.1
+    floor = _window_floor(lm)
+    assert lm + math.log(0.5) < math.log(floor) < lm  # generation 4 freezes
+    want = _oracle_counts(dyadic, dyadic_eval, p, [t], alpha, beta, 1e-8,
+                          200, 4200)
+    got = _counts(dyadic, dyadic_eval, p, [t], alpha, beta, 1e-8, 200, 4200)
+    assert np.array_equal(got, want)
+    assert (got > 0).any()
+
+
+def test_the_floor_lies_below_every_edge():
+    # math.log(floor) is the engine's freezing cut; it must stay under the
+    # edge, else a fragment on the edge would freeze.  Only where exp(edge)
+    # is subnormal (edges below about -708) may the floor be dropped.
+    rng = random.Random(4300)
+    edges = [rng.uniform(-740.0, 0.0) for _ in range(100_000)]
+    edges += [-k * math.log(2.0) for k in range(1, 1100)]
+    lm = 0.0
+    for _ in range(1100):
+        lm += math.log(0.5)
+        edges.append(lm)
+    dropped = 0
+    for edge in edges:
+        floor = _window_floor(edge)
+        if floor:
+            assert 0.0 < floor < 1.0 and math.log(floor) < edge, edge
+        else:
+            assert edge < -708.0 and math.exp(edge) < sys.float_info.min, edge
+            dropped += 1
+    assert 0 < dropped < 2_000
+
+
+@pytest.mark.parametrize("alpha, beta, t", [
+    (0.5, 1.0, 0.1),         # lowest edge >= 0: no fragment can be counted
+    (-800.0, 0.2, 1.0),      # exp(edge) underflows to 0
+])
+def test_a_window_without_a_floor_grows_at_the_callers_eps(ub, ub_eval, alpha,
+                                                           beta, t):
+    edge = window_center(ub_eval, 0.5, t) + alpha
+    assert _window_floor(edge) == 0.0
+    want = _oracle_counts(ub, ub_eval, 0.5, [t], alpha, beta, 1e-3, 30, 4400)
+    got = _counts(ub, ub_eval, 0.5, [t], alpha, beta, 1e-3, 30, 4400)
+    assert np.array_equal(got, want)
+
+
+def test_an_invalid_eps_freeze_is_still_refused(ub, ub_eval):
+    # the floor raises only a valid eps_freeze
+    for eps in (0.0, -1.0, 1.0, math.nan):
+        with pytest.raises(ValueError, match="eps_freeze"):
+            presence_summary(ub, ub_eval, 0.5, 4.0, -0.2, 0.2, eps, 5, 5)
+
+
+@pytest.mark.parametrize("budget", [20, 50, 200])
+def test_a_budget_too_small_for_the_callers_eps_may_suffice(ub, ub_eval,
+                                                            budget):
+    # the budget counts the fragments grown, and only those above the
+    # window's floor grow: a run over budget at eps_freeze = 1e-8 finishes
+    with pytest.raises(BudgetExceededError):
+        _oracle_counts(ub, ub_eval, 0.5, [4.0], -0.2, 0.2, 1e-8, 25, 5,
+                       max_fragments=budget)
+    est = presence_summary(ub, ub_eval, 0.5, 4.0, -0.2, 0.2, 1e-8, 25, 5,
+                           max_fragments=budget)
+    want = presence_summary(ub, ub_eval, 0.5, 4.0, -0.2, 0.2, 1e-8, 25, 5)
+    assert est == want
