@@ -75,12 +75,9 @@ from .streams import Stream, derive_key, mix64, replica_key
 from .tilting import (
     TaggedLine,
     esscher_exponent,
-    sample_size_biased,
-    sample_tilted_split,
     simulate_event_log,
     simulate_spine,
     simulate_subordinator,
-    spine_child_select,
     thin_fiber,
     tilted_split_rate,
 )

@@ -62,10 +62,11 @@ def tilted_split_rate(model, evaluator, p):
     return rate
 
 
-def _tilted_draw(model, p, evaluator, pick):
-    """draw(stream) -> (split, pick(stream, cum), importance weight): one
-    draw of the split measure reweighted by sum_i s_i^(p+1), where cum holds
-    the running sums of s_i^(p+1) over the split's pieces.
+def _tilted_draw(model, p, evaluator):
+    """draw(stream) -> (split, index of the spine's child, importance
+    weight): one draw of the split measure reweighted by sum_i s_i^(p+1),
+    then the child j picked with probability s_j^(p+1) / sum_i s_i^(p+1),
+    both read off one list of running sums of s_i^(p+1).
 
     The p_lower check and, for p < 0, the normaliser hold for every draw of
     a path, so they run here, once.
@@ -80,7 +81,7 @@ def _tilted_draw(model, p, evaluator, pick):
                 part = sample(stream)
                 cum = _running_powers(part.masses, q)
                 if stream.uniform() < cum[-1]:
-                    return part, pick(stream, cum), 1.0
+                    return part, stream.pick(cum), 1.0
             raise NotComputableError(
                 f"tilted rejection did not accept after {_MAX_REJECTIONS} tries"
             )
@@ -92,7 +93,7 @@ def _tilted_draw(model, p, evaluator, pick):
     def draw(stream):
         part = sample(stream)
         cum = _running_powers(part.masses, q)
-        return part, pick(stream, cum), cum[-1] / norm
+        return part, stream.pick(cum), cum[-1] / norm
     return draw
 
 
@@ -105,27 +106,6 @@ def _running_powers(masses, q):
         acc += m ** q
         cum.append(acc)
     return cum
-
-
-def sample_tilted_split(model, p, stream, evaluator=None):
-    """One draw whose law is the split measure reweighted by sum_i s_i^(p+1).
-
-    Returns (partition, importance weight).  For p >= 0 the reweighting is
-    a rejection probability (exact, weight 1).  For p_lower < p < 0 it
-    exceeds one, so the draw comes with an importance weight of mean one
-    instead; pass a PhiEvaluator to avoid rebuilding one per call.
-    """
-    part, _, weight = _tilted_draw(model, p, evaluator, _no_pick)(stream)
-    return part, weight
-
-
-def _no_pick(stream, cum):
-    return None
-
-
-def spine_child_select(partition, p, stream):
-    """Index of the spine's child: j with probability s_j^(p+1) (normalized)."""
-    return stream.pick(_running_powers(partition.masses, p + 1.0))
 
 
 def size_biased_draw(model):
@@ -154,15 +134,6 @@ def size_biased_draw(model):
                 return part, j, 1.0
         return part, j, 1.0  # round-off left u >= the total: the last piece
     return draw
-
-
-def sample_size_biased(model, stream):
-    """Draw a split and pick one piece with probability equal to its mass.
-
-    Returns (mass, index, partition), as size_biased_draw picks them.
-    """
-    part, j, _ = size_biased_draw(model)(stream)
-    return part.masses[j], j, part
 
 
 @dataclass(slots=True, eq=False)
@@ -286,7 +257,7 @@ def simulate_spine(model, p, t_end, seed, evaluator=None, *,
         raise ValueError("with_population requires eps_freeze")
     rate = tilted_split_rate(model, evaluator, p)
     line = walk_tagged_line(rate, t_end, seed,
-                            _tilted_draw(model, p, evaluator, Stream.pick), p)
+                            _tilted_draw(model, p, evaluator), p)
     if with_population:
         roots, lm = line.shed()
         logs = [lm]
@@ -460,8 +431,9 @@ def _estimate_events(u, rate, t_end):
 
 
 def sample_size_biased_batch(model, split_u, pick_u):
-    """sample_size_biased for each pair of uniforms (split_u[r], pick_u[r]):
-    the split their first uniform maps to, and the pick their second makes.
+    """size_biased_draw's split and pick for each pair of uniforms
+    (split_u[r], pick_u[r]): the split their first uniform maps to, and the
+    pick their second makes.
 
     Returns (picked masses, their indices, the zero-padded split matrix).
     """

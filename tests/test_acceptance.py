@@ -43,13 +43,15 @@ from homfrag.ranked import empirical_moment
 from homfrag.streams import Stream, derive_key, replica_key
 from homfrag.tilting import (
     esscher_exponent,
-    sample_size_biased,
-    sample_tilted_split,
     simulate_event_log,
     simulate_spine,
     simulate_subordinator,
-    spine_child_select,
     thin_fiber,
+)
+from walk_oracle import (
+    sample_size_biased,
+    sample_tilted_split,
+    spine_child_select,
 )
 
 LOG2 = math.log(2.0)

@@ -591,6 +591,26 @@ def test_spine_weight_ess_collapses_near_p_lower(capsys, ub_model_file):
     assert 1.0 <= header["weight_ess"] < 20.0
 
 
+def test_a_negative_value_in_exponent_form_needs_the_equals_sign(
+        capsys, ub_model_file):
+    # argparse takes "-0.5" as a value but reads "-5e-1" as an option:
+    # "--p=-5e-1" passes it, and "--p -5e-1" is a usage error
+    argv = ["--seed", "5", "--model", ub_model_file, "--replicas", "3"]
+    code, want, err = run_cli(capsys, argv + [
+        "spine", "--p", "-0.5", "--t-end", "2"])
+    assert (code, err) == (0, "")
+    assert run_cli(capsys, argv + ["spine", "--p=-5e-1", "--t-end", "2"]) == (
+        0, want, "")
+    for command in (["spine", "--p", "-5e-1", "--t-end", "2"],
+                    ["phi", "--q-min", "-1.5e0", "--q-max", "2"]):
+        # the interpreter exits with a SystemExit's code and no traceback
+        with pytest.raises(SystemExit) as exit_:
+            main(argv + command)
+        out, err = capsys.readouterr()
+        assert (exit_.value.code, out) == (2, "")
+        assert "expected one argument" in err and "Traceback" not in err
+
+
 def test_spine_population_means_in_the_header(capsys, ub, ub_model_file):
     argv = ["--seed", "7", "--model", ub_model_file, "--replicas", "20",
             "spine", "--p", "0.5", "--t-end", "4", "--eps-freeze", "0.01"]

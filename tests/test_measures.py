@@ -29,7 +29,8 @@ from homfrag.measures import (
     validate,
 )
 from homfrag.streams import Stream
-from homfrag.tilting import sample_size_biased, sample_size_biased_batch
+from homfrag.tilting import sample_size_biased_batch
+from walk_oracle import sample_size_biased
 
 
 # --- MassPartition and validate -------------------------------------------

@@ -6,12 +6,14 @@ partitions and measures only models, so neither reaches the walks of the
 tagged line (tilting), the ranked engine or the estimators built on them;
 nothing imports the command line; and no two modules import each other,
 directly or not.  A new edge is a design change: add it here on purpose.
+The oracles in tests/*_oracle.py do not import the command line either.
 """
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "homfrag"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "homfrag"
 
 # module -> the modules it may import from
 ALLOWED = {
@@ -60,6 +62,25 @@ def test_partitions_and_measures_do_not_reach_the_walks():
 
 def test_no_module_imports_the_command_line():
     assert [m for m, names in _imports().items() if "cli" in names] == []
+
+
+def test_no_oracle_imports_the_command_line():
+    # an oracle that borrowed cli's code would check cli against itself
+    oracles = sorted(TESTS.glob("*_oracle.py"))
+    assert oracles
+    borrowers = []
+    for path in oracles:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module] + [f"{node.module}.{alias.name}"
+                                         for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if any(name.split(".")[:2] == ["homfrag", "cli"] for name in names):
+                borrowers.append(path.name)
+    assert borrowers == []
 
 
 def test_there_is_no_import_cycle():

@@ -15,7 +15,7 @@ from homfrag.measures import (
     model_to_json,
 )
 from test_cli import EVENT_LOG_TIMES, MALFORMED_EVENT_RECORDS, run_cli
-from thin_oracle import HAND_LOGS, thin_command
+from thin_oracle import HAND_LOGS, _event_record_problems, thin_command
 
 MODELS = {
     "uniform": UniformBinaryModel(),
@@ -106,7 +106,7 @@ def test_thin_bytes_match_their_golden_digest(capsys, tmp_path, p):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_DIGESTS[p]
 
 
-# records that the column checks must pass or fail exactly as
+# records that the column checks must pass or fail exactly as the oracle's
 # _event_record_problems does
 EDGE_RECORDS = [record for record, _ in MALFORMED_EVENT_RECORDS] + [
     VALID,
@@ -154,7 +154,7 @@ BAD_SPLITS = [
 def test_column_checks_pass_exactly_when_no_record_has_a_problem(t_end):
     for record in EDGE_RECORDS:
         for records in ([record], [VALID, record, VALID], [record, record]):
-            ok = not any(cli._event_record_problems(n, rec, t_end)
+            ok = not any(_event_record_problems(n, rec, t_end)
                          for n, rec in enumerate(records, 1))
             assert (cli._event_columns(records, t_end) is not None) == (
                 ok and t_end is not None), (records, t_end)
@@ -164,7 +164,7 @@ def test_column_checks_compare_times_exactly():
     t_end = 2.0**53
     for t, ok in ((2**53, True), (2**53 + 1, False), (2.0**53, True)):
         records = [dict(VALID, t=t)]
-        assert (not cli._event_record_problems(1, records[0], t_end)) == ok
+        assert (not _event_record_problems(1, records[0], t_end)) == ok
         assert (cli._event_columns(records, t_end) is not None) == ok
 
 

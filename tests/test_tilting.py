@@ -30,12 +30,9 @@ from homfrag.tilting import (
     check_horizon,
     esscher_exponent,
     read_tagged_lines,
-    sample_size_biased,
-    sample_tilted_split,
     simulate_event_log,
     simulate_spine,
     simulate_subordinator,
-    spine_child_select,
     subordinator_values,
     thin_fiber,
     thin_lanes,
@@ -55,7 +52,8 @@ def test_tilted_split_rate(ub, ub_eval):
 
 def test_tilted_split_nonnegative_index(ub, ub_eval):
     s = Stream(61)
-    draws = [sample_tilted_split(ub, 1.0, s, ub_eval) for _ in range(20_000)]
+    draws = [walk_oracle.sample_tilted_split(ub, 1.0, s, ub_eval)
+             for _ in range(20_000)]
     assert all(w == 1.0 for _, w in draws)
     tops = np.array([part[0] for part, _ in draws])
     se = tops.std(ddof=1) / math.sqrt(len(tops))
@@ -65,7 +63,8 @@ def test_tilted_split_nonnegative_index(ub, ub_eval):
 
 def test_tilted_split_negative_index_weights(ub, ub_eval):
     s = Stream(62)
-    draws = [sample_tilted_split(ub, -0.5, s, ub_eval) for _ in range(20_000)]
+    draws = [walk_oracle.sample_tilted_split(ub, -0.5, s, ub_eval)
+             for _ in range(20_000)]
     w = np.array([w for _, w in draws])
     assert (w > 0).all()
     se = w.std(ddof=1) / math.sqrt(len(w))
@@ -74,13 +73,14 @@ def test_tilted_split_negative_index_weights(ub, ub_eval):
 
 def test_tilted_split_below_threshold(ub):
     with pytest.raises(BelowPLowerError):
-        sample_tilted_split(ub, -2.0, Stream(1))
+        walk_oracle.sample_tilted_split(ub, -2.0, Stream(1))
 
 
 def test_spine_child_select_frequencies():
     part = MassPartition([0.8, 0.2])
     s = Stream(63)
-    picks = np.array([spine_child_select(part, 1.0, s) for _ in range(5000)])
+    picks = np.array([walk_oracle.spine_child_select(part, 1.0, s)
+                      for _ in range(5000)])
     target = 0.64 / (0.64 + 0.04)
     assert abs((picks == 0).mean() - target) < 4 * math.sqrt(target * (1 - target) / 5000)
 
@@ -335,15 +335,9 @@ def _outcome(call):
 def test_the_walk_raises_as_the_oracle_does():
     ub = _ORACLE_MODELS["uniform"]
     dusty = AtomicModel([([0.5, 0.3], 1.0)])
-    new = SimpleNamespace(sample_tilted_split=sample_tilted_split,
-                          sample_size_biased=sample_size_biased,
-                          simulate_event_log=simulate_event_log,
+    new = SimpleNamespace(simulate_event_log=simulate_event_log,
                           simulate_spine=simulate_spine)
     cases = [
-        (lambda m: m.sample_tilted_split(ub, -2.0, Stream(1)), True),
-        (lambda m: m.sample_tilted_split(ub, -3.0, Stream(1)), True),
-        (lambda m: m.sample_tilted_split(ub, -0.5, Stream(1)), False),
-        (lambda m: m.sample_size_biased(dusty, Stream(1)), True),
         (lambda m: m.simulate_event_log(dusty, 4.0, 5), True),
         # no event before t_end: no draw, so nothing to refuse
         (lambda m: m.simulate_event_log(dusty, 0.0, 5), False),

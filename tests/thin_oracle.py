@@ -1,14 +1,17 @@
 """Record-by-record reference of the `thin` subcommand (test oracle).
 
 This is `thin` as it ran before it read the event log as columns: every
-line goes through json.loads, every record through
-cli._event_record_problems, and every replica, in replica order, becomes a
-TaggedLine of MassPartitions thinned by thin_fiber on the replica's own
-Stream, each row re-encoded by cli._dumps.  thin_command has the signature of
-a subcommand runner, so a test can put it in cli's command table and compare
-exit codes, stderr and output bytes with the columnar `thin`.  It reads and
-parses the file as `thin` does, so a file that is not UTF-8 or not JSON
-fails alike.
+line goes through json.loads, every record through _event_record_problems,
+and every replica, in replica order, becomes a TaggedLine of MassPartitions
+thinned by thin_fiber on the replica's own Stream, each row re-encoded by
+_dumps.  thin_command has the signature of a subcommand runner, so a test
+can put it in cli's command table and compare exit codes, stderr and output
+bytes with the columnar `thin`.  It reads and parses the file as `thin`
+does, so a file that is not UTF-8 or not JSON fails alike.
+
+The record checker and the encoder are frozen copies of those `thin` used
+then, not imports from homfrag.cli: an oracle that borrowed them would
+compare `thin`'s error wording and row bytes with themselves.
 
 HAND_LOGS are event logs written by hand: interleaved and out-of-order
 replicas, negative and >= 2**64 replica indices, int times and masses, a
@@ -16,13 +19,63 @@ record with extra fields, CRLF line ends, blank lines, and a header alone.
 """
 
 import json
+import math
+import sys
 
 from homfrag.analytics import PhiEvaluator
-from homfrag.cli import _dumps, _event_record_problems, _finite_number
 from homfrag.errors import ConfigError
 from homfrag.measures import MassPartition
 from homfrag.streams import Stream, derive_key, replica_key
 from homfrag.tilting import TaggedLine, thin_fiber
+
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+_EVENT_FIELDS = ("replica", "t", "masses", "pick")
+_EVENT_FIELD_SET = frozenset(_EVENT_FIELDS)
+
+
+def _float(v):
+    """float(v), with an int beyond the float range read as an infinity of
+    its sign."""
+    if type(v) is int and not abs(v) <= sys.float_info.max:
+        return math.inf if v > 0 else -math.inf
+    return float(v)
+
+
+def _finite_number(v):
+    """True for a JSON number (an int or a float, not a bool) whose float is
+    finite."""
+    return type(v) in (int, float) and math.isfinite(_float(v))
+
+
+def _event_record_problems(n, rec, t_end):
+    """Why event-log record n (1-based, after the header) cannot be thinned
+    on a log that runs to t_end (None when the header's is unusable)."""
+    if type(rec) is not dict:
+        return [f"event-log record {n} is not a JSON object"]
+    if not rec.keys() >= _EVENT_FIELD_SET:
+        missing = [k for k in _EVENT_FIELDS if k not in rec]
+        return [f"event-log record {n} lacks {', '.join(missing)}"]
+    replica, masses, pick = rec["replica"], rec["masses"], rec["pick"]
+    t = rec["t"]
+    problems = []
+    if type(replica) is not int:
+        problems.append(f"event-log record {n}: replica must be an integer, "
+                        f"got {replica!r}")
+    if not _finite_number(t):
+        problems.append(f"event-log record {n}: t must be a finite number, "
+                        f"got {t!r}")
+    elif t_end is not None and not 0 <= t <= t_end:
+        problems.append(f"event-log record {n}: t must lie in "
+                        f"[0, t_end = {t_end!r}], got {t!r}")
+    if (type(masses) is not list or not masses
+            or not all(type(m) is float or type(m) is int for m in masses)):
+        problems.append(f"event-log record {n}: masses must be a non-empty "
+                        f"list of numbers, got {masses!r}")
+    elif type(pick) is not int or not 0 <= pick < len(masses):
+        problems.append(f"event-log record {n}: pick must index masses, "
+                        f"got {pick!r}")
+    return problems
 
 
 def thin_command(cfg):

@@ -6,6 +6,9 @@ recomputes the p < 0 normaliser, validates each split as a MassPartition,
 and sums s^(p+1) once for the acceptance test and again for the child
 pick.  The spine is walked without its shed population, which reads only
 the line.  Tests check the walk against it field for field, bit for bit.
+Its one-draw calls sample_tilted_split, spine_child_select and
+sample_size_biased are also where tests take single draws: the library
+draws only whole lines.
 """
 
 from homfrag.analytics import PhiEvaluator
