@@ -131,10 +131,12 @@ class PhiEvaluator:
         if mode in ("auto", "quadrature"):
             out = model.phi_quadrature(q, abs_tol=self.quad_tol)
             if out is None:
+                closed = mode == "quadrature" and model.phi_closed(q) is not None
                 raise NotComputableError(
+                    f"{model.kind} model has no density to integrate; use auto, "
+                    "closed_form or monte_carlo mode" if closed else
                     f"{model.kind} model supports neither closed-form nor "
-                    "quadrature phi; use monte_carlo mode"
-                )
+                    "quadrature phi; use monte_carlo mode")
             (phi, d1, d2), err = out
             return phi, d1, d2, err
         # monte carlo: sample averages of the per-split sums, differentiated

@@ -258,8 +258,7 @@ def _cmd_spine(cfg):
     for i in range(cfg.replicas):
         run = simulate_spine(cfg.model, pr["p"], pr["t_end"],
                              replica_key(cfg.seed, i), ev,
-                             with_population=pr["with_population"],
-                             eps_freeze=pr.get("eps_freeze"))
+                             eps_freeze=pr["eps_freeze"])
         weights.append(run.weight)
         n_shed.append(sum(len(part) for part in run.partitions) - len(run))
         if run.population is not None:
@@ -607,8 +606,9 @@ _COMMAND_PARAMS = {
         "t_grid": Param(TIMES, REQUIRED, _NONEMPTY, _EACH_TIME),
         "eps_freeze": _EPS_FREEZE, "max_fragments": _BUDGET}),
     "spine": (_cmd_spine, "tilted spine trajectories", {
-        "p": _P, "t_end": _T_END, "eps_freeze": Param(FLOAT, None, _EPS),
-        "with_population": Param(SWITCH, False)}),
+        "p": _P, "t_end": _T_END,
+        "eps_freeze": Param(FLOAT, None, _EPS, help="grow the shed population "
+                            "too, frozen at this mass")}),
     "thin": (_cmd_thin, "thin an event-log stream by (picked mass)^p", {
         "p": Param(FLOAT, REQUIRED, _FINITE, (lambda p: not p < 0, "thin "
                    "requires p >= 0 (p < 0 is the inverse direction)")),
@@ -787,9 +787,6 @@ def _validate_params(command, pr, model, found):
             problems.append("truncated martingale requires --a")
         elif pr["kind"] == "truncated" and pr["a"] <= 0:
             problems.append(f"barrier level a must be positive, got {pr['a']}")
-    elif command == "spine":
-        if pr["with_population"] and pr["eps_freeze"] is None:
-            problems.append("spine --with-population requires --eps-freeze")
     elif command == "ldp":
         a, b = pr["alpha"], pr["beta"]
         if a is not None and b is not None and a >= b:

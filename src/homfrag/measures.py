@@ -11,8 +11,9 @@ Models report what they can about the moment function
 
     phi(q) = integral of (1 - sum_i s_i^(q+1)) against the measure,
 
-either in closed form, or through a density for quadrature, or not at all
-(the analytics layer then falls back to Monte Carlo).
+either in closed form, or through a density for quadrature, or not at all:
+the analytics layer's PhiEvaluator then raises NotComputableError in every
+mode but monte_carlo, which alone evaluates such a model.
 """
 
 from functools import reduce

@@ -27,7 +27,6 @@ import numpy as np
 
 from .analytics import PhiEvaluator
 from .errors import (
-    BelowPLowerError,
     BudgetExceededError,
     DustNotSupportedError,
     NotComputableError,
@@ -62,17 +61,16 @@ def tilted_split_rate(model, evaluator, p):
     return rate
 
 
-def _tilted_draw(model, p, evaluator):
+def _tilted_draw(model, p, rate):
     """draw(stream) -> (split, index of the spine's child, importance
     weight): one draw of the split measure reweighted by sum_i s_i^(p+1),
     then the child j picked with probability s_j^(p+1) / sum_i s_i^(p+1),
     both read off one list of running sums of s_i^(p+1).
 
-    The p_lower check and, for p < 0, the normaliser hold for every draw of
-    a path, so they run here, once.
+    rate is the spine's tilted rate, whose phi(p) has refused p <= p_lower;
+    for p < 0 the weight's normaliser, rate / nu_total, holds for every draw
+    of a path, so it is computed here, once.
     """
-    if p <= model.p_lower:
-        raise BelowPLowerError(f"tilting needs p > p_lower = {model.p_lower}")
     sample = model.sample
     q = p + 1.0
     if p >= 0.0:
@@ -86,9 +84,7 @@ def _tilted_draw(model, p, evaluator):
                 f"tilted rejection did not accept after {_MAX_REJECTIONS} tries"
             )
         return draw
-    if evaluator is None:
-        evaluator = PhiEvaluator(model)
-    norm = tilted_split_rate(model, evaluator, p) / model.total_rate
+    norm = rate / model.total_rate
 
     def draw(stream):
         part = sample(stream)
@@ -145,7 +141,7 @@ class TaggedLine:
     weight multiplies the importance weights (1 unless a spine has p < 0),
     p is the tilt or thinning exponent (0 when untilted), kept holds the
     thinning flags (None before thinning) and population is a spine run's
-    combined population at t_end when asked for.
+    combined population at t_end when it was given eps_freeze.
     """
 
     t_end: float
@@ -242,42 +238,31 @@ def walk_tagged_line(rate, t_end, seed, draw, p=0.0):
         picks.append(j)
 
 
-def simulate_spine(model, p, t_end, seed, evaluator=None, *,
-                   with_population=False, eps_freeze=None):
+def simulate_spine(model, p, t_end, seed, evaluator=None, *, eps_freeze=None):
     """Simulate the spine under the tilted law up to t_end.
 
-    The spine itself is never frozen.  With with_population=True (requires
-    eps_freeze) every shed fragment is evolved to t_end as an ordinary
-    population, within DEFAULT_MAX_FRAGMENTS, and the combined state, spine
-    fragment included, is stored as the record's population snapshot.
+    The spine itself is never frozen.  Given eps_freeze, every shed fragment
+    is evolved to t_end as an ordinary population frozen at eps_freeze,
+    within DEFAULT_MAX_FRAGMENTS, and the combined state, spine fragment
+    included, is stored as the record's population snapshot.
     """
     if evaluator is None:
         evaluator = PhiEvaluator(model)
-    if with_population and eps_freeze is None:
-        raise ValueError("with_population requires eps_freeze")
     rate = tilted_split_rate(model, evaluator, p)
-    line = walk_tagged_line(rate, t_end, seed,
-                            _tilted_draw(model, p, evaluator), p)
-    if with_population:
+    line = walk_tagged_line(rate, t_end, seed, _tilted_draw(model, p, rate), p)
+    if eps_freeze is not None:
         roots, lm = line.shed()
-        logs = [lm]
-        frozen_mass = 0.0
-        frozen_count = 0
-        event_count = len(line)
         births, root_lms, keys = zip(*roots) if roots else ((), (), ())
         shed = simulate_lanes(
             model, t_end, [t_end], eps_freeze, [0] * len(roots), keys,
             initial_log_mass=root_lms, start_time=births,
             reduce=lambda snaps: snaps[0])
-        for s in shed:
-            logs.extend(s.log_masses.tolist())
-            frozen_mass += s.frozen_mass
-            frozen_count += s.frozen_count
-            event_count += s.event_count
-        arr = np.sort(np.array(logs))[::-1]
+        logs = np.concatenate([[lm]] + [s.log_masses for s in shed])
         line.population = PopulationSnapshot(
-            time=t_end, log_masses=arr, frozen_mass=frozen_mass,
-            frozen_count=frozen_count, event_count=event_count,
+            time=t_end, log_masses=np.sort(logs)[::-1],
+            frozen_mass=reduce(add, (s.frozen_mass for s in shed), 0.0),
+            frozen_count=sum(s.frozen_count for s in shed),
+            event_count=len(line) + sum(s.event_count for s in shed),
             eps_freeze=eps_freeze, seed=seed,
         )
     return line

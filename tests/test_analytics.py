@@ -12,7 +12,7 @@ from homfrag import PhiEvaluator, PowerTailBinaryModel, UniformBinaryModel
 from homfrag import analytics
 from homfrag.analytics import _sample_splits, detect_geometric
 from homfrag.errors import BelowPLowerError, BracketNotFoundError, NotComputableError
-from homfrag.measures import AtomicModel
+from homfrag.measures import AtomicModel, DislocationModel
 from homfrag.numerics import bracket_upward
 from homfrag.streams import Stream, derive_key
 from test_partitions import _draw, _key_whose_draw_is_zero
@@ -58,6 +58,31 @@ def test_closed_form_mode_refuses_quadrature_only_model(ptail):
     strict = PhiEvaluator(ptail, mode="closed_form")
     with pytest.raises(NotComputableError):
         strict.phi(1.0)
+
+
+class _NoHooks(DislocationModel):
+    """A model with neither phi_closed nor phi_quadrature."""
+
+    kind = "no_hooks"
+    total_rate = 1.0
+    conservative = True
+
+    def split(self, u):
+        return (0.5, 0.5)
+
+    def splits(self, u):
+        return np.full((len(u), 2), 0.5)
+
+
+@pytest.mark.parametrize("mode", ["auto", "quadrature"])
+def test_a_model_without_hooks_is_refused_outside_monte_carlo(mode):
+    with pytest.raises(NotComputableError) as refused:
+        PhiEvaluator(_NoHooks(), mode=mode).phi(1.0)
+    assert str(refused.value) == ("no_hooks model supports neither "
+                                  "closed-form nor quadrature phi; use "
+                                  "monte_carlo mode")
+    assert PhiEvaluator(_NoHooks(), mode="monte_carlo",
+                        mc_samples=10).phi(1.0) == 0.5
 
 
 def test_bad_mode_rejected(ub):

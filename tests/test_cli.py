@@ -611,16 +611,33 @@ def test_a_negative_value_in_exponent_form_needs_the_equals_sign(
         assert "expected one argument" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("mode, problem", [
+    ("quadrature", "atomic model has no density to integrate; use auto, "
+     "closed_form or monte_carlo mode"),
+    # an atomic model stripped of its closed form has neither hook
+    ("auto", "atomic model supports neither closed-form nor quadrature phi; "
+     "use monte_carlo mode"),
+])
+def test_phi_mode_without_its_hook_exits_2(capsys, monkeypatch,
+                                           dyadic_model_file, mode, problem):
+    if mode == "auto":
+        monkeypatch.setattr(AtomicModel, "phi_closed", lambda self, q: None)
+    code, out, err = run_cli(capsys, [
+        "--seed", "1", "--model", dyadic_model_file, "phi", "--q-min", "0",
+        "--q-max", "1", "--mode", mode])
+    assert (code, out, err) == (2, "", f"error: NotComputableError: {problem}\n")
+
+
 def test_spine_population_means_in_the_header(capsys, ub, ub_model_file):
     argv = ["--seed", "7", "--model", ub_model_file, "--replicas", "20",
-            "spine", "--p", "0.5", "--t-end", "4", "--eps-freeze", "0.01"]
+            "spine", "--p", "0.5", "--t-end", "4"]
     code, plain, _ = run_cli(capsys, argv)
     assert code == 0
-    code, out, _ = run_cli(capsys, argv + ["--with-population"])
+    code, out, _ = run_cli(capsys, argv + ["--eps-freeze", "0.01"])
     assert code == 0
     header, columns, rows = parse_csv(out)
     pops = [simulate_spine(ub, 0.5, 4.0, replica_key(7, i),
-                           with_population=True, eps_freeze=0.01).population
+                           eps_freeze=0.01).population
             for i in range(20)]
     assert header["eps_freeze"] == 0.01
     assert header["population_live_mean"] == sum(p.n_live for p in pops) / 20
@@ -634,14 +651,28 @@ def test_spine_population_means_in_the_header(capsys, ub, ub_model_file):
     assert out.split("\n")[1:] == plain.split("\n")[1:]
     plain_header, _, _ = parse_csv(plain)
     assert not {k for k in plain_header if k.startswith("population")}
+    assert "eps_freeze" not in plain_header
 
 
-def test_spine_population_needs_eps(capsys, ub_model_file):
-    code, _, err = run_cli(capsys, [
-        "--seed", "1", "--model", ub_model_file,
-        "spine", "--p", "1.0", "--t-end", "1.0", "--with-population"])
-    assert code == 2
-    assert "eps-freeze" in err
+def test_spine_population_needs_eps(capsys, tmp_path, ub, ub_model_file):
+    # --eps-freeze alone grows the population: the old switch is unknown, as
+    # a flag and as a config param
+    with pytest.raises(SystemExit) as exit_:
+        main(["--seed", "1", "--model", ub_model_file, "spine", "--p", "1.0",
+              "--t-end", "1.0", "--with-population", "--eps-freeze", "0.01"])
+    out, err = capsys.readouterr()
+    assert (exit_.value.code, out) == (2, "")
+    assert "unrecognized arguments: --with-population" in err
+    assert "Traceback" not in err
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({
+        "command": "spine", "seed": 1, "model": model_to_json(ub),
+        "params": {"p": 1.0, "t_end": 1.0, "eps_freeze": 0.01,
+                   "with_population": True}}))
+    code, out, err = run_cli(capsys, ["--config", str(cfg)])
+    assert (code, out) == (2, "")
+    assert err == ("configuration errors:\n"
+                   "  - unknown param 'with_population' for spine\n")
 
 
 def test_ldp_presence_csv(capsys, ub_model_file):
@@ -919,8 +950,8 @@ def _subordinator_config(tmp_path, ub, seed):
       "0"], "max_fragments must be >= 1"),
     (["martingale", "--kind", "derivative", "--t-grid", "1", "--eps-freeze",
       "nan"], "eps_freeze must be in (0, 1)"),
-    (["spine", "--p", "0.5", "--t-end", "1", "--with-population",
-      "--eps-freeze", "2"], "eps_freeze must be in (0, 1)"),
+    (["spine", "--p", "0.5", "--t-end", "1", "--eps-freeze", "2"],
+     "eps_freeze must be in (0, 1)"),
     (["martingale", "--kind", "derivative", "--t-grid=", "--eps-freeze",
       "1e-3"], "t_grid needs one or more times"),
     (["simulate", "--t-end", "1", "--eps-freeze", "1e-3", "--snapshots="],
@@ -1297,7 +1328,7 @@ _FUZZ_FLAGS = {
                    {"--p": _number(-3, 3), "--a": _number(-1, 3),
                     "--max-fragments": _BUDGET}),
     "spine": ({"--p": _number(-3, 3), "--t-end": _TIME},
-              {"--eps-freeze": _EPS, "--with-population": _SWITCH}),
+              {"--eps-freeze": _EPS}),
     "thin": ({"--p": _number(-1, 3),
               "--input": st.sampled_from(["events.jsonl", "missing.jsonl"])},
              {}),

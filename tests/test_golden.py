@@ -1,0 +1,41 @@
+"""The command line's bytes against the committed corpus tests/golden/cli.jsonl.
+
+Every line of the corpus is re-run in process, in file order, in one
+scratch directory (tests/make_golden.py writes the corpus and says what a
+line holds).  On the platform the corpus records, every digest must match.
+Elsewhere the portable lines, whose output holds no computed number, must
+still match, and the others are skipped with the fields that differ.
+"""
+
+import json
+
+import pytest
+
+from homfrag.cli import _COMMANDS
+from make_golden import CORPUS, platform_record, run_lines
+
+RECORD, *LINES = map(json.loads, CORPUS.read_text().splitlines())
+DIFFERS = sorted(k for k, v in platform_record().items()
+                 if RECORD["platform"][k] != v)
+
+
+@pytest.fixture(scope="module")
+def reruns(tmp_path_factory):
+    return run_lines([line["argv"] for line in LINES],
+                     tmp_path_factory.mktemp("golden"))
+
+
+# the test of file line k is line<k>
+@pytest.mark.parametrize("n", range(len(LINES)), ids=lambda n: f"line{n + 2}")
+def test_line_matches_the_corpus(reruns, n):
+    want = LINES[n]
+    if DIFFERS and not want["portable"]:
+        pytest.skip(f"platform differs from the corpus's in {', '.join(DIFFERS)}")
+    got = dict(reruns[n], portable=want["portable"])
+    assert got == want
+
+
+def test_the_corpus_covers_every_subcommand_and_exit_code():
+    commands = {a for line in LINES for a in line["argv"]} & set(_COMMANDS)
+    assert commands == set(_COMMANDS)
+    assert {line["exit"] for line in LINES} == {0, 2, 3, 4}

@@ -169,8 +169,7 @@ def test_a_line_is_read_only_up_to_t_end(ub):
 
 def test_spine_population_conserves_mass(ub):
     for seed in range(10):
-        run = simulate_spine(ub, 1.0, 2.0, seed, with_population=True,
-                             eps_freeze=1e-7)
+        run = simulate_spine(ub, 1.0, 2.0, seed, eps_freeze=1e-7)
         snap = run.population
         assert snap is not None
         assert abs(snap.total_mass + snap.frozen_mass - 1.0) <= 1e-9
@@ -180,8 +179,13 @@ def test_spine_population_conserves_mass(ub):
 
 
 def test_spine_population_requires_eps(ub):
-    with pytest.raises(ValueError):
-        simulate_spine(ub, 1.0, 1.0, 1, with_population=True)
+    # eps_freeze alone grows the shed population; the line is the same
+    line = simulate_spine(ub, 1.0, 1.0, 1)
+    assert line.population is None
+    grown = simulate_spine(ub, 1.0, 1.0, 1, eps_freeze=1e-3)
+    assert grown.population is not None
+    assert (grown.jump_times, grown.picks, grown.weight) == (
+        line.jump_times, line.picks, line.weight)
 
 
 def test_event_log_structure(ub):

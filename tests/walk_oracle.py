@@ -85,7 +85,7 @@ def walk_tagged_line(rate, t_end, seed, draw, p=0.0):
 
 
 def simulate_spine(model, p, t_end, seed, evaluator=None):
-    """homfrag.tilting.simulate_spine without with_population."""
+    """homfrag.tilting.simulate_spine without eps_freeze: no population."""
     if evaluator is None:
         evaluator = PhiEvaluator(model)
     rate = tilted_split_rate(model, evaluator, p)
