@@ -10,9 +10,10 @@ the order in which fragments are processed.
 One engine runs any number of independent populations (lanes; a lane is a
 root key, an initial log mass and a start time).  It advances all live
 fragments of a chunk of lanes one generation at a time: one StreamBatch
-draw for every fragment's lifetime, and one more, mapped by the model's
-splits, for those that split before t_end.  log1p, log and exp go through
-`lanewise` libm calls.
+read of draws 1 (the lifetime) and 2 (the split, mapped by the model's
+splits) of every fragment's stream.  Snapshot buckets come from a
+fragment's birth (its parent's death) and its death.  log1p, log and exp go
+through `lanewise` libm calls.
 
 Every lane equals, bit for bit, a depth-first walk that pops fragments off
 a stack and pushes the children of a split in index order (the order the
@@ -53,6 +54,8 @@ DEFAULT_MAX_FRAGMENTS = 10_000_000
 # they bound memory, they are not knobs
 _CHUNK_LANES = 64
 _CHUNK_FRAGMENTS = 1 << 20
+# draws 1 and 2 of a fragment's stream: its lifetime and its split
+_LIFETIME_AND_SPLIT = np.array([[1], [2]], dtype=np.uint64)
 
 
 class PopulationSnapshot:
@@ -138,6 +141,11 @@ def simulate_lanes(model, t_end, snapshot_times, eps_freeze, seeds, root_keys,
     """
     if not 0.0 < eps_freeze < 1.0:
         raise ValueError(f"eps_freeze must be in (0, 1), got {eps_freeze}")
+    for name, value in (("t_end", t_end), ("snapshot_times", snapshot_times),
+                        ("initial_log_mass", initial_log_mass),
+                        ("start_time", start_time)):
+        if np.isnan(value).any():
+            raise ValueError(f"{name} must not be NaN, got {value}")
     n = len(seeds)
     keys = np.asarray(root_keys, dtype=np.uint64)
     lms = np.broadcast_to(np.asarray(initial_log_mass, dtype=float), (n,))
@@ -182,6 +190,8 @@ def _grow(keys, lm, birth, seeds, *, model, t_end, snaps, eps_freeze, slope,
           max_fragments, cap):
     """Snapshot lists of a chunk of lanes (see simulate_lanes).
 
+    A generation grows only the next one; the live entries of every
+    snapshot are built once, after the loop, from per-generation columns.
     Raises _ChunkFull once the chunk holds more than cap fragments.
     """
     n_lanes, n_snaps = len(keys), len(snaps)
@@ -194,55 +204,43 @@ def _grow(keys, lm, birth, seeds, *, model, t_end, snaps, eps_freeze, slope,
     # freezing), parent fragment (-1: the root itself), piece, mass
     frozen = [[], [], [], []]
     split_cells = []                     # cell of every split
-    live = [[], [], [], []]              # lane * n_snaps + snapshot, fragment,
-                                         # log mass, barrier statistic
-    gen_lanes, starts, parents = [], [], []   # per generation; the parent
-                                              # of generation 0 is None
+    # per generation: first fragment, parents (None for the roots), and the
+    # columns lane, log mass, buckets lo (birth) and hi (death), barrier peak,
+    # each seeded empty since a chunk may have no live root
+    starts, parents = [], []
+    gen = [[np.zeros(0, int)], [np.zeros(0)], [np.zeros(0, int)],
+           [np.zeros(0, int)], [np.zeros(0)]]
+    # every snapshot is at or after every start time: roots start in bucket 0
     cold_roots = lm < log_eps
     root_frozen = np.flatnonzero(cold_roots)
     if root_frozen.size:
         for col, v in zip(frozen, (
-                root_frozen * nb + np.searchsorted(times, birth[root_frozen]),
-                np.full(root_frozen.size, -1), np.zeros(root_frozen.size, int),
+                root_frozen * nb, np.full(root_frozen.size, -1),
+                np.zeros(root_frozen.size, int),
                 lanewise(math.exp, lm[root_frozen]))):
             col.append(v)
     n_frozen = root_frozen.size
     alive = np.flatnonzero(~cold_roots)
     g_lane, g_key, g_lm, g_birth = alive, keys[alive], lm[alive], birth[alive]
-    g_peak = np.full(alive.size, -math.inf)
+    g_lo = np.zeros(alive.size, int)
+    g_peak = None if slope is None else np.full(alive.size, -math.inf)
     g_parent = None
-    width = 0
-    offset = 0
+    width = offset = 0
     while g_lane.size:
-        n = g_lane.size
-        frag = offset + np.arange(n)
-        gen_lanes.append(g_lane)
+        draws = StreamBatch(g_key).uniform_at(slice(None), _LIFETIME_AND_SPLIT)
+        death = g_birth + -lanewise(math.log1p, -draws[0]) / rate
+        # n_snaps for a fragment that dies after t_end >= the last snapshot
+        hi = np.searchsorted(times, death)
+        for col, v in zip(gen, (g_lane, g_lm, g_lo, hi, g_peak)):
+            col.append(v)
         starts.append(offset)
         parents.append(g_parent)
-        offset += n
-        streams = StreamBatch(g_key)
-        death = g_birth + -lanewise(math.log1p, -streams.uniform(np.arange(n))) / rate
-        splits = death <= t_end
-        lo = np.searchsorted(times, g_birth)
-        reps = np.where(splits, np.searchsorted(times, death), n_snaps) - lo
-        who = np.repeat(np.arange(n), reps)
-        if who.size:
-            snap = lo[who]
-            if who.size > np.count_nonzero(reps):   # alive at several snapshots
-                snap += np.arange(who.size) - np.repeat(np.cumsum(reps) - reps, reps)
-            entry_lm = g_lm[who]
-            stat = None
-            if slope is not None:
-                s = entry_lm + times[snap] * slope
-                stat = np.where(s > g_peak[who], s, g_peak[who])
-            for col, v in zip(live, (g_lane[who] * n_snaps + snap, frag[who],
-                                     entry_lm, stat)):
-                col.append(v)
+        start, offset = offset, offset + g_lane.size
 
-        sp = np.flatnonzero(splits)
+        sp = np.flatnonzero(death <= t_end)
         if not sp.size:
             break
-        masses = model.splits(streams.uniform(sp))
+        masses = model.splits(draws[1, sp])
         width = max(width, masses.shape[1])
         if model.conservative:
             total = masses[:, 0].copy()
@@ -253,35 +251,35 @@ def _grow(keys, lm, birth, seeds, *, model, t_end, snaps, eps_freeze, slope,
                 raise AssertionError(
                     f"conservative model produced split with mass {total[off][0]}"
                 )
-        sp_lane, sp_lm, sp_death, sp_frag = g_lane[sp], g_lm[sp], death[sp], frag[sp]
-        sp_cell = sp_lane * nb + np.searchsorted(times, sp_death)
+        sp_cell = g_lane[sp] * nb + hi[sp]
         split_cells.append(sp_cell)
-        child_peak = g_peak[sp]
-        if slope is not None:
-            s = sp_lm + sp_death * slope
-            child_peak = np.where(s > child_peak, s, child_peak)
 
         rows, piece = np.nonzero(masses)          # row-major: (parent, j)
-        clm = sp_lm[rows] + lanewise(math.log, masses[rows, piece])
+        par = sp[rows]
+        clm = g_lm[par] + lanewise(math.log, masses[rows, piece])
         cold = clm < log_eps
         if cold.any():
             r = rows[cold]
-            for col, v in zip(frozen, (sp_cell[r], sp_frag[r], piece[cold],
+            for col, v in zip(frozen, (sp_cell[r], start + sp[r], piece[cold],
                                        lanewise(math.exp, clm[cold]))):
                 col.append(v)
             n_frozen += r.size
         warm = ~cold
-        r = rows[warm]
-        g_parent = sp_frag[r]
-        g_lane, g_lm, g_birth, g_peak = sp_lane[r], clm[warm], sp_death[r], child_peak[r]
-        g_key = derive_keys(g_key[sp][r], piece[warm])
+        par = par[warm]
+        g_parent = start + par
+        g_birth = death[par]
+        if slope is not None:
+            s = g_lm[par] + g_birth * slope
+            g_peak = np.where(s > g_peak[par], s, g_peak[par])
+        g_lane, g_lm, g_lo = g_lane[par], clm[warm], hi[par]
+        g_key = derive_keys(g_key[par], piece[warm])
         held = offset + g_lane.size + n_frozen
         if cap is not None and held > cap:
             raise _ChunkFull
         # the walk checks its budget as it pops; by its last pop it has
         # counted every fragment but (at most `width`) frozen children of it
         if held - width > max_fragments:
-            pops = np.bincount(np.concatenate(gen_lanes + [g_lane]),
+            pops = np.bincount(np.concatenate(gen[0] + [g_lane]),
                                minlength=n_lanes)
             cold_lanes = np.concatenate(frozen[0] + [np.zeros(0, int)]) // nb
             if (pops + np.bincount(cold_lanes, minlength=n_lanes) - width
@@ -289,14 +287,14 @@ def _grow(keys, lm, birth, seeds, *, model, t_end, snaps, eps_freeze, slope,
                 _over_budget(max_fragments, t_end, eps_freeze)
 
     rank = _walk_ranks(parents, starts, offset)
+    lane, frag_lm, lo, hi = (np.concatenate(col) for col in gen[:4])
     f_cell, f_parent, f_piece, f_mass = (
         np.concatenate(col) if col else np.zeros(0, int) for col in frozen)
     f_rank = np.full(f_parent.size, -1)
     f_rank[f_parent >= 0] = rank[f_parent[f_parent >= 0]]
     if offset + n_frozen > max_fragments:
-        pops = np.bincount(np.concatenate(gen_lanes), minlength=n_lanes)
-        _check_budget(pops, f_cell // nb, f_rank, max_fragments, t_end,
-                      eps_freeze)
+        _check_budget(np.bincount(lane, minlength=n_lanes), f_cell // nb,
+                      f_rank, max_fragments, t_end, eps_freeze)
 
     # per-lane frozen mass of every bucket, each summed in walk order
     order = np.lexsort((f_piece, f_rank, f_cell))
@@ -310,15 +308,22 @@ def _grow(keys, lm, birth, seeds, *, model, t_end, snaps, eps_freeze, slope,
     frozen_count = np.cumsum(f_count[:, :n_snaps], axis=1).tolist()
     event_count = np.cumsum(e_count[:, :n_snaps], axis=1).tolist()
 
-    # live masses of every (lane, snapshot), decreasing, ties in walk order
-    if live[0]:
-        cell, frag, entry_lm = (np.concatenate(col) for col in live[:3])
-        order = np.lexsort((rank[frag], -entry_lm, cell))
-        cell, entry_lm = cell[order], entry_lm[order]
-        stat = np.concatenate(live[3])[order] if slope is not None else None
-    else:
-        cell = entry_lm = np.zeros(0)
-        stat = None if slope is None else entry_lm
+    # live masses of every (lane, snapshot), decreasing, ties in walk order:
+    # a fragment is live at the snapshots of buckets lo, ..., hi - 1
+    reps = hi - lo
+    who = np.repeat(np.arange(offset), reps)
+    snap = lo[who]
+    if who.size > np.count_nonzero(reps):       # alive at several snapshots
+        snap += np.arange(who.size) - np.repeat(np.cumsum(reps) - reps, reps)
+    cell = lane[who] * n_snaps + snap
+    entry_lm = frag_lm[who]
+    order = np.lexsort((rank[who], -entry_lm, cell))
+    cell, entry_lm = cell[order], entry_lm[order]
+    stat = None
+    if slope is not None:
+        s = entry_lm + times[snap[order]] * slope
+        peak = np.concatenate(gen[4])[who[order]]
+        stat = np.where(s > peak, s, peak)
     bounds = np.searchsorted(cell, np.arange(n_lanes * n_snaps + 1)).tolist()
 
     out = []

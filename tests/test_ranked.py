@@ -13,6 +13,7 @@ from test_partitions import _key_whose_draw_is_zero
 from homfrag import AtomicModel, PowerTailBinaryModel, UniformBinaryModel
 from homfrag import ranked
 from homfrag.errors import BudgetExceededError
+from homfrag.measures import DislocationModel
 from homfrag.ranked import (
     empirical_interval_count,
     empirical_moment,
@@ -33,6 +34,24 @@ def test_argument_validation(ub):
     with pytest.raises(ValueError):
         simulate_lanes(ub, 1.0, [1.0], 1e-6, [1], [derive_key(1, 0)],
                        start_time=2.0)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("name, kw", [
+    ("t_end", dict(t_end=NAN)),
+    ("snapshot_times", dict(snapshot_times=[NAN])),
+    ("start_time", dict(start_time=[0.0, NAN])),
+    ("initial_log_mass", dict(initial_log_mass=[0.0, NAN])),
+])
+def test_nan_arguments_are_refused(ub, name, kw):
+    # each of these once returned wrong lanes: a run that never split, a
+    # snapshot labelled nan, a lane whose mass vanished, NaN log masses
+    run = dict(t_end=2.0, snapshot_times=[1.0], eps_freeze=1e-3,
+               seeds=[0, 1], root_keys=replica_keys(9, 2)) | kw
+    with pytest.raises(ValueError, match=f"^{name} must not be NaN, got .*nan"):
+        simulate_lanes(ub, **run)
 
 
 def test_no_snapshots_returns_empty(ub):
@@ -133,6 +152,43 @@ def test_shifted_subpopulation_matches_base_run(ub):
                        np.sort(base.log_masses + math.log(0.5)), atol=1e-12)
 
 
+def test_roots_all_frozen_at_birth_fit_a_small_budget(ub):
+    # each lane holds one fragment, whatever the chunk's total
+    lanes = simulate_lanes(ub, 2.0, [1.0], 1e-3, [0, 1, 2], replica_keys(1, 3),
+                           initial_log_mass=-30.0, max_fragments=1)
+    assert [lane[0].frozen_count for lane in lanes] == [1, 1, 1]
+    assert [lane[0].n_live for lane in lanes] == [0, 0, 0]
+
+
+class _Leaky(DislocationModel):
+    """Binary splits whose masses sum to 1 + 1e-6."""
+
+    kind = "leaky"
+    total_rate = 1.0
+
+    def __init__(self, conservative):
+        self.conservative = conservative
+
+    def split(self, u):
+        return (0.5 + 1e-6, 0.5)
+
+    def splits(self, u):
+        return np.tile(self.split(0.0), (len(u), 1))
+
+
+def test_conservation_guard():
+    message = "conservative model produced split with mass 1.000001"
+    with pytest.raises(AssertionError, match=message):
+        simulate_replicas(_Leaky(True), 2.0, [2.0], 1e-3, 3, 5)
+    with pytest.raises(AssertionError, match=message):
+        simulate_dfs(_Leaky(True), 2.0, [2.0], 1e-3, 0)
+    # a model not flagged conservative is not checked
+    lanes = simulate_replicas(_Leaky(False), 2.0, [2.0], 1e-3, 3, 5)
+    assert sum(lane[0].event_count for lane in lanes) > 0
+    assert_same_lane(simulate(_Leaky(False), 2.0, [2.0], 1e-3, 0),
+                     simulate_dfs(_Leaky(False), 2.0, [2.0], 1e-3, 0))
+
+
 def test_budget_exceeded(ub):
     with pytest.raises(BudgetExceededError):
         simulate(ub, 8.0, [8.0], 1e-12, 1, max_fragments=50)
@@ -220,6 +276,27 @@ def test_every_lane_equals_the_depth_first_walk(run):
                             initial_log_mass=lm, start_time=start,
                             barrier_slope=slope)
         assert_same_lane(got, want)
+
+
+def test_two_deep_chunks_equal_the_depth_first_walk(ub):
+    # two chunks of 16 and 11 generations, frozen children, lanes born
+    # between snapshots and one root frozen at birth
+    n = 70
+    assert ranked._CHUNK_LANES < n
+    keys = replica_keys(2024, n)
+    starts = [0.5 * (i % 3 == 1) for i in range(n)]
+    lms = [-8.0 if i == 40 else -0.5 * (i % 4 == 3) for i in range(n)]
+    run = (5.0, [1.0, 2.5, 5.0], 1e-3)
+    lanes = simulate_lanes(ub, *run, list(range(n)), keys, initial_log_mass=lms,
+                           start_time=starts, barrier_slope=0.7)
+    for i, got in enumerate(lanes):
+        assert_same_lane(got, simulate_dfs(
+            ub, *run, i, root_key=int(keys[i]), initial_log_mass=lms[i],
+            start_time=starts[i], barrier_slope=0.7))
+    assert lanes[40][-1].frozen_count == 1 and lanes[40][-1].n_live == 0
+    chunks = lanes[:ranked._CHUNK_LANES], lanes[ranked._CHUNK_LANES:]
+    assert all(sum(lane[-1].frozen_count for lane in chunk) > len(chunk)
+               for chunk in chunks)
 
 
 def test_a_root_split_draw_of_zero_splits_as_the_depth_first_walk(ub):
