@@ -15,15 +15,14 @@ splits) of every fragment's stream.  Snapshot buckets come from a
 fragment's birth (its parent's death) and its death.  log1p, log and exp go
 through `lanewise` libm calls.
 
-Every lane equals, bit for bit, a depth-first walk that pops fragments off
-a stack and pushes the children of a split in index order (the order the
-package's reference test oracle uses).  The engine keeps each fragment's
-parent and reconstructs that walk's visiting order afterwards: subtree
-sizes bottom-up, then rank(child j) = rank(parent) + 1 + the subtree sizes
-of its unfrozen siblings j' > j.  The rank orders each lane's frozen-mass
-additions (floating-point sums depend on order) and breaks ties in the
-ranking of live masses.  Outputs therefore do not depend on the chunk size,
-on a lane's position in its batch, or on the thread count.
+Every lane equals, bit for bit, a breadth-first walk that takes fragments
+off a FIFO queue and appends the children of a split in piece order (the
+package's reference test oracle): its fragments come in the order the
+engine's generations make them.  Each lane's frozen masses are added in
+that order (floating-point sums depend on order), and live fragments of
+equal mass keep it.  Outputs therefore do not depend on the chunk size, on
+a lane's position in its batch, or on the thread count.  A lane raises
+BudgetExceededError once it has made more than max_fragments fragments.
 
 Fragments whose mass falls below eps_freeze at birth are frozen: they stop
 splitting and their mass is tracked in a separate ledger so that
@@ -141,11 +140,16 @@ def simulate_lanes(model, t_end, snapshot_times, eps_freeze, seeds, root_keys,
     """
     if not 0.0 < eps_freeze < 1.0:
         raise ValueError(f"eps_freeze must be in (0, 1), got {eps_freeze}")
-    for name, value in (("t_end", t_end), ("snapshot_times", snapshot_times),
-                        ("initial_log_mass", initial_log_mass),
-                        ("start_time", start_time)):
+    roots = (("initial_log_mass", initial_log_mass), ("start_time", start_time))
+    for name, value in (("t_end", t_end),
+                        ("snapshot_times", snapshot_times)) + roots:
         if np.isnan(value).any():
             raise ValueError(f"{name} must not be NaN, got {value}")
+    # a root born at -inf splits for ever (every death is -inf), and one of
+    # log mass +-inf holds no finite mass
+    for name, value in roots:
+        if np.isinf(value).any():
+            raise ValueError(f"{name} must be finite, got {value}")
     n = len(seeds)
     keys = np.asarray(root_keys, dtype=np.uint64)
     lms = np.broadcast_to(np.asarray(initial_log_mass, dtype=float), (n,))
@@ -192,7 +196,8 @@ def _grow(keys, lm, birth, seeds, *, model, t_end, snaps, eps_freeze, slope,
 
     A generation grows only the next one; the live entries of every
     snapshot are built once, after the loop, from per-generation columns.
-    Raises _ChunkFull once the chunk holds more than cap fragments.
+    Raises _ChunkFull once the chunk holds more than cap fragments, and
+    BudgetExceededError once a lane has made more than max_fragments.
     """
     n_lanes, n_snaps = len(keys), len(snaps)
     nb = n_snaps + 1                     # buckets: before each snapshot, after all
@@ -200,48 +205,55 @@ def _grow(keys, lm, birth, seeds, *, model, t_end, snaps, eps_freeze, slope,
     log_eps = math.log(eps_freeze)
     rate = model.total_rate
 
-    # frozen ledger: cell (lane * nb + bucket, the first snapshot at or after
-    # freezing), parent fragment (-1: the root itself), piece, mass
-    frozen = [[], [], [], []]
+    # frozen ledger, in the order made: cell (lane * nb + bucket, the first
+    # snapshot at or after freezing), mass
+    frozen = [[], []]
     split_cells = []                     # cell of every split
-    # per generation: first fragment, parents (None for the roots), and the
-    # columns lane, log mass, buckets lo (birth) and hi (death), barrier peak,
-    # each seeded empty since a chunk may have no live root
-    starts, parents = [], []
+    # per generation: the columns lane, log mass, buckets lo (birth) and hi
+    # (death), barrier peak, each seeded empty since a chunk may have no
+    # live root
     gen = [[np.zeros(0, int)], [np.zeros(0)], [np.zeros(0, int)],
            [np.zeros(0, int)], [np.zeros(0)]]
     # every snapshot is at or after every start time: roots start in bucket 0
     cold_roots = lm < log_eps
     root_frozen = np.flatnonzero(cold_roots)
     if root_frozen.size:
-        for col, v in zip(frozen, (
-                root_frozen * nb, np.full(root_frozen.size, -1),
-                np.zeros(root_frozen.size, int),
-                lanewise(math.exp, lm[root_frozen]))):
-            col.append(v)
+        frozen[0].append(root_frozen * nb)
+        frozen[1].append(lanewise(math.exp, lm[root_frozen]))
     n_frozen = root_frozen.size
     alive = np.flatnonzero(~cold_roots)
     g_lane, g_key, g_lm, g_birth = alive, keys[alive], lm[alive], birth[alive]
     g_lo = np.zeros(alive.size, int)
     g_peak = None if slope is None else np.full(alive.size, -math.inf)
-    g_parent = None
-    width = offset = 0
-    while g_lane.size:
+    n_grown = 0
+    while True:
+        # fragments made so far: earlier generations, this one, the frozen
+        held = n_grown + g_lane.size + n_frozen
+        if cap is not None and held > cap:
+            raise _ChunkFull
+        if held > max_fragments:
+            made = np.bincount(np.concatenate(
+                gen[0] + [g_lane] + [cell // nb for cell in frozen[0]]),
+                minlength=n_lanes)
+            if (made > max_fragments).any():
+                raise BudgetExceededError(
+                    f"fragment budget {max_fragments} exceeded at t <= {t_end} "
+                    f"(eps_freeze={eps_freeze})"
+                )
+        if not g_lane.size:
+            break
         draws = StreamBatch(g_key).uniform_at(slice(None), _LIFETIME_AND_SPLIT)
         death = g_birth + -lanewise(math.log1p, -draws[0]) / rate
         # n_snaps for a fragment that dies after t_end >= the last snapshot
         hi = np.searchsorted(times, death)
         for col, v in zip(gen, (g_lane, g_lm, g_lo, hi, g_peak)):
             col.append(v)
-        starts.append(offset)
-        parents.append(g_parent)
-        start, offset = offset, offset + g_lane.size
+        n_grown += g_lane.size
 
         sp = np.flatnonzero(death <= t_end)
         if not sp.size:
             break
         masses = model.splits(draws[1, sp])
-        width = max(width, masses.shape[1])
         if model.conservative:
             total = masses[:, 0].copy()
             for column in masses.T[1:]:
@@ -259,47 +271,25 @@ def _grow(keys, lm, birth, seeds, *, model, t_end, snaps, eps_freeze, slope,
         clm = g_lm[par] + lanewise(math.log, masses[rows, piece])
         cold = clm < log_eps
         if cold.any():
-            r = rows[cold]
-            for col, v in zip(frozen, (sp_cell[r], start + sp[r], piece[cold],
-                                       lanewise(math.exp, clm[cold]))):
-                col.append(v)
-            n_frozen += r.size
+            frozen[0].append(sp_cell[rows[cold]])
+            frozen[1].append(lanewise(math.exp, clm[cold]))
+            n_frozen += np.count_nonzero(cold)
         warm = ~cold
         par = par[warm]
-        g_parent = start + par
         g_birth = death[par]
         if slope is not None:
             s = g_lm[par] + g_birth * slope
             g_peak = np.where(s > g_peak[par], s, g_peak[par])
         g_lane, g_lm, g_lo = g_lane[par], clm[warm], hi[par]
         g_key = derive_keys(g_key[par], piece[warm])
-        held = offset + g_lane.size + n_frozen
-        if cap is not None and held > cap:
-            raise _ChunkFull
-        # the walk checks its budget as it pops; by its last pop it has
-        # counted every fragment but (at most `width`) frozen children of it
-        if held - width > max_fragments:
-            pops = np.bincount(np.concatenate(gen[0] + [g_lane]),
-                               minlength=n_lanes)
-            cold_lanes = np.concatenate(frozen[0] + [np.zeros(0, int)]) // nb
-            if (pops + np.bincount(cold_lanes, minlength=n_lanes) - width
-                    > max_fragments).any():
-                _over_budget(max_fragments, t_end, eps_freeze)
 
-    rank = _walk_ranks(parents, starts, offset)
     lane, frag_lm, lo, hi = (np.concatenate(col) for col in gen[:4])
-    f_cell, f_parent, f_piece, f_mass = (
-        np.concatenate(col) if col else np.zeros(0, int) for col in frozen)
-    f_rank = np.full(f_parent.size, -1)
-    f_rank[f_parent >= 0] = rank[f_parent[f_parent >= 0]]
-    if offset + n_frozen > max_fragments:
-        _check_budget(np.bincount(lane, minlength=n_lanes), f_cell // nb,
-                      f_rank, max_fragments, t_end, eps_freeze)
+    f_cell, f_mass = (np.concatenate(col) if col else np.zeros(0, int)
+                      for col in frozen)
 
-    # per-lane frozen mass of every bucket, each summed in walk order
-    order = np.lexsort((f_piece, f_rank, f_cell))
+    # per-lane frozen mass of every bucket, each summed in the order made
     acc = np.zeros(n_lanes * nb)
-    np.add.at(acc, f_cell[order], f_mass[order])
+    np.add.at(acc, f_cell, f_mass)
     acc = acc.reshape(n_lanes, nb)
     f_count = np.bincount(f_cell, minlength=n_lanes * nb).reshape(n_lanes, nb)
     e_cell = np.concatenate(split_cells) if split_cells else np.zeros(0, int)
@@ -308,16 +298,16 @@ def _grow(keys, lm, birth, seeds, *, model, t_end, snaps, eps_freeze, slope,
     frozen_count = np.cumsum(f_count[:, :n_snaps], axis=1).tolist()
     event_count = np.cumsum(e_count[:, :n_snaps], axis=1).tolist()
 
-    # live masses of every (lane, snapshot), decreasing, ties in walk order:
-    # a fragment is live at the snapshots of buckets lo, ..., hi - 1
+    # live masses of every (lane, snapshot), decreasing, ties in the order
+    # made: a fragment is live at the snapshots of buckets lo, ..., hi - 1
     reps = hi - lo
-    who = np.repeat(np.arange(offset), reps)
+    who = np.repeat(np.arange(n_grown), reps)
     snap = lo[who]
     if who.size > np.count_nonzero(reps):       # alive at several snapshots
         snap += np.arange(who.size) - np.repeat(np.cumsum(reps) - reps, reps)
     cell = lane[who] * n_snaps + snap
     entry_lm = frag_lm[who]
-    order = np.lexsort((rank[who], -entry_lm, cell))
+    order = np.lexsort((-entry_lm, cell))
     cell, entry_lm = cell[order], entry_lm[order]
     stat = None
     if slope is not None:
@@ -341,49 +331,6 @@ def _grow(keys, lm, birth, seeds, *, model, t_end, snaps, eps_freeze, slope,
             ))
         out.append(lane_snaps)
     return out
-
-
-def _walk_ranks(parents, starts, n_fragments):
-    """Depth-first visiting rank of every fragment within its lane.
-
-    Fragments are numbered generation by generation; generation g starts at
-    starts[g] and parents[g] holds each of its fragments' parent (None for
-    the roots).  Siblings are contiguous and in piece order.  The walk pops
-    the last-pushed child first, so child j comes right after its parent,
-    and after the whole subtrees of its siblings j' > j.
-    """
-    bounds = starts + [n_fragments]
-    rank = np.zeros(n_fragments, dtype=np.int64)
-    sizes = [np.ones(n_fragments - bounds[-2] if starts else 0, dtype=np.int64)]
-    for g in range(len(starts) - 1, 0, -1):     # subtree sizes, bottom-up
-        below = np.bincount(parents[g] - bounds[g - 1], weights=sizes[-1],
-                            minlength=bounds[g] - bounds[g - 1])
-        sizes.append(1 + below.astype(np.int64))
-    sizes.reverse()
-    for g in range(1, len(starts)):             # ranks, top-down
-        parent = parents[g]
-        done = np.cumsum(sizes[g])
-        last = np.searchsorted(parent, parent, side="right") - 1
-        rank[bounds[g]:bounds[g + 1]] = rank[parent] + 1 + done[last] - done
-    return rank
-
-
-def _check_budget(pops, f_lane, f_rank, max_fragments, t_end, eps_freeze):
-    """Raise where the walk would: when, at its last pop (the lane's highest
-    rank), its count of created fragments exceeds the budget."""
-    n_lanes = pops.size
-    created = pops + np.bincount(f_lane, minlength=n_lanes)
-    last = f_rank == pops[f_lane] - 1
-    after = np.bincount(f_lane[last], minlength=n_lanes)
-    if ((pops > 0) & (created - after > max_fragments)).any():
-        _over_budget(max_fragments, t_end, eps_freeze)
-
-
-def _over_budget(max_fragments, t_end, eps_freeze):
-    raise BudgetExceededError(
-        f"fragment budget {max_fragments} exceeded at t <= {t_end} "
-        f"(eps_freeze={eps_freeze})"
-    )
 
 
 def empirical_moment(snapshot, theta):

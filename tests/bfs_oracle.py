@@ -1,12 +1,16 @@
-"""Depth-first reference walk of one ranked population (test oracle).
+"""Breadth-first reference walk of one ranked population (test oracle).
 
-This is the scalar walk the generation-batched engine in homfrag.ranked
-replaced: one fragment at a time off an explicit stack, children pushed in
-piece order, each fragment's stream keyed by its genealogical path.  Tests
-check the engine against it lane by lane, bit for bit.
+One fragment at a time off a FIFO queue, the children of a split appended
+in piece order, each fragment's stream keyed by its genealogical path: the
+fragments come in the order the generation-batched engine in homfrag.ranked
+makes them, generation by generation.  Frozen masses are added in that
+order, and live masses keep it among ties.  The walk raises once it has
+made more than max_fragments fragments.  Tests check the engine against it
+lane by lane, bit for bit.
 """
 
 from bisect import bisect_left
+from collections import deque
 import math
 
 import numpy as np
@@ -16,7 +20,7 @@ from homfrag.ranked import DEFAULT_MAX_FRAGMENTS, PopulationSnapshot
 from homfrag.streams import Stream, derive_key
 
 
-def simulate_dfs(model, t_end, snapshot_times, eps_freeze, seed, *,
+def simulate_bfs(model, t_end, snapshot_times, eps_freeze, seed, *,
                  barrier_slope=None, max_fragments=DEFAULT_MAX_FRAGMENTS,
                  initial_log_mass=0.0, start_time=0.0, root_key=None):
     """Same arguments and result as homfrag.ranked.simulate."""
@@ -47,23 +51,26 @@ def simulate_dfs(model, t_end, snapshot_times, eps_freeze, seed, *,
     if root_key is None:
         root_key = derive_key(seed, 0)
     created = 0
-    # stack of (key, log_mass, birth_time, lineage_line_peak)
-    stack = [(root_key, initial_log_mass, start_time, -math.inf)]
+    # queue of (key, log_mass, birth_time, lineage_line_peak)
+    queue = deque([(root_key, initial_log_mass, start_time, -math.inf)])
     if initial_log_mass < log_eps:
-        stack.pop()
+        queue.popleft()
         created = 1
         i = bisect_left(snaps, start_time)
         frozen_mass_bucket[i] += math.exp(initial_log_mass)
         frozen_count_bucket[i] += 1
 
-    while stack:
-        key, lm, birth, peak = stack.pop()
-        created += 1
+    while True:
+        # every fragment made so far is counted, the frozen ones included
         if created > max_fragments:
             raise BudgetExceededError(
                 f"fragment budget {max_fragments} exceeded at t <= {t_end} "
                 f"(eps_freeze={eps_freeze})"
             )
+        if not queue:
+            break
+        key, lm, birth, peak = queue.popleft()
+        created += 1
         stream.reset(key)
         death = birth + stream.exponential(rate)
         hi = bisect_left(snaps, death) if death <= t_end else n_snaps
@@ -99,7 +106,7 @@ def simulate_dfs(model, t_end, snapshot_times, eps_freeze, seed, *,
                 frozen_mass_bucket[i] += math.exp(clm)
                 frozen_count_bucket[i] += 1
             else:
-                stack.append((derive_key(key, j), clm, death, child_peak))
+                queue.append((derive_key(key, j), clm, death, child_peak))
 
     out = []
     frozen_mass = 0.0

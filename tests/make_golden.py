@@ -17,7 +17,10 @@ numpy, platform.libc_ver(), the machine, and numpy's SIMD dispatch as
 numpy.show_runtime() reports it.  tests/test_golden.py re-runs every line.
 
 Regenerating the corpus is a contract change: name every line whose digest
-moved, and why, where the change is recorded.
+moved, and why, where the change is recorded.  The script prints those
+lines: for each line whose exit code or digests differ from the line with
+the same argv in the file it replaces, its file line, its argv and the
+fields that moved.
 """
 
 from contextlib import redirect_stderr, redirect_stdout
@@ -205,7 +208,29 @@ def run_lines(argvs, directory):
         os.chdir(cwd)
 
 
+FIELDS = ("exit", "stdout", "stderr", "out")
+
+
+def moved_lines(old, new):
+    """(file line, argv, fields) of every line of new whose fields differ
+    from those of old's line with the same argv (all of them where old has
+    no such line); neither list holds the platform record, file line 1."""
+    before = {tuple(line["argv"]): line for line in old}
+    moved = []
+    for k, line in enumerate(new, start=2):
+        was = before.get(tuple(line["argv"]))
+        fields = [f for f in FIELDS if was is None or was[f] != line[f]]
+        if fields:
+            moved.append((k, line["argv"], fields))
+    return moved
+
+
 def write_corpus():
+    """Rewrite the corpus; returns its line count and moved_lines against
+    the file it replaces."""
+    old = []
+    if CORPUS.is_file():
+        old = list(map(json.loads, CORPUS.read_text().splitlines()))[1:]
     calls = grid()
     with tempfile.TemporaryDirectory() as scratch:
         lines = run_lines([argv for argv, _ in calls], scratch)
@@ -219,7 +244,7 @@ def write_corpus():
     with open(CORPUS, "w", encoding="utf-8", newline="\n") as fh:
         for obj in [{"platform": platform_record()}] + lines:
             fh.write(json.dumps(obj, sort_keys=True) + "\n")
-    return len(lines)
+    return len(lines), moved_lines(old, lines)
 
 
 def report():
@@ -230,13 +255,13 @@ def report():
     print(json.dumps({"platform": platform_record()}, sort_keys=True))
     with tempfile.TemporaryDirectory() as scratch:
         got = run_lines([line["argv"] for line in lines], scratch)
-    # file line k holds lines[k - 2]
-    moved = [k for k, line, new in zip(range(2, len(lines) + 2), lines, got)
-             if dict(new, portable=line["portable"]) != line]
+    moved = [k for k, _, _ in moved_lines(lines, got)]
     print(f"{len(lines) - len(moved)} of {len(lines)} lines reproduced; "
           f"file lines that differ: {moved}")
 
 
 if __name__ == "__main__":
-    n = write_corpus()
-    print(f"wrote {n} lines to {CORPUS}", file=sys.stderr)
+    n, moved = write_corpus()
+    for k, argv, fields in moved:
+        print(f"line {k}: {' '.join(argv)}: {', '.join(fields)}")
+    print(f"wrote {n} lines to {CORPUS}; {len(moved)} moved", file=sys.stderr)

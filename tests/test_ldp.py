@@ -330,11 +330,18 @@ def test_an_invalid_eps_freeze_is_still_refused(ub, ub_eval):
             presence_summary(ub, ub_eval, 0.5, 4.0, -0.2, 0.2, eps, 5, 5)
 
 
-@pytest.mark.parametrize("budget", [20, 50, 200])
+@pytest.mark.parametrize("budget", ["floor", 50, 200])
 def test_a_budget_too_small_for_the_callers_eps_may_suffice(ub, ub_eval,
                                                             budget):
     # the budget counts the fragments grown, and only those above the
     # window's floor grow: a run over budget at eps_freeze = 1e-8 finishes
+    if budget == "floor":
+        # the most any lane makes at the floor (21 fragments)
+        floor = _window_floor(window_center(ub_eval, 0.5, 4.0) - 0.2)
+        made = replica_values(
+            lambda s: s.n_live + s.frozen_count + s.event_count,
+            ub, [4.0], 25, 5, floor)
+        budget = int(made.max())
     with pytest.raises(BudgetExceededError):
         _oracle_counts(ub, ub_eval, 0.5, [4.0], -0.2, 0.2, 1e-8, 25, 5,
                        max_fragments=budget)

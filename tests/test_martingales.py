@@ -117,6 +117,33 @@ def test_truncated_dominated_once_all_terms_small(ub, ub_eval):
     assert checked > 50  # the regime must actually occur
 
 
+def test_tied_masses_carry_their_barrier_statistics_in_any_order(
+        dyadic, dyadic_eval):
+    # live fragments of equal mass come in the order the engine made them;
+    # no estimator may depend on that order
+    slope = dyadic_eval.phi_derivs(dyadic_eval.p_bar()).first
+    snap = simulate(dyadic, 4.0, [4.0], 1e-3, 94, barrier_slope=slope)[0]
+    stats = snap.barrier_stats
+    _, firsts, sizes = np.unique(-snap.log_masses, return_index=True,
+                                 return_counts=True)
+    ties = [slice(i, i + n) for i, n in zip(firsts, sizes)
+            if np.unique(stats[i:i + n]).size > 1]
+    assert len(ties) == 4
+    levels = [float(stats[tie].min()) for tie in ties]
+    estimators = [lambda s: additive(s, dyadic_eval, 0.5),
+                  lambda s: derivative(s, dyadic_eval)]
+    estimators += [lambda s, a=a: truncated_ma(s, dyadic_eval, a)
+                   for a in levels]
+    want = [repr(f(snap)) for f in estimators]
+    permuted = stats.copy()
+    for tie in ties:
+        permuted[tie] = stats[tie][::-1]
+    # each level keeps a tied fragment at a place it did not keep before
+    assert all(((permuted <= a) != (stats <= a)).any() for a in levels)
+    snap.barrier_stats = permuted
+    assert [repr(f(snap)) for f in estimators] == want
+
+
 def test_truncated_mean_close_to_level(ub, ub_eval):
     slope = ub_eval.phi_derivs(ub_eval.p_bar()).first
     res = mc_mean(truncated_estimator(ub_eval, 1.0), ub, 1.5, 4000, 300, 1e-8,

@@ -1,5 +1,5 @@
 """Ranked population runs: conservation, determinism, freezing, barriers,
-and the generation-batched engine against the depth-first oracle."""
+and the generation-batched engine against the breadth-first oracle."""
 
 import math
 from collections import Counter
@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
-from dfs_oracle import simulate_dfs
+from bfs_oracle import simulate_bfs
 from test_partitions import _key_whose_draw_is_zero
 from homfrag import AtomicModel, PowerTailBinaryModel, UniformBinaryModel
 from homfrag import ranked
@@ -52,6 +52,16 @@ def test_nan_arguments_are_refused(ub, name, kw):
                seeds=[0, 1], root_keys=replica_keys(9, 2)) | kw
     with pytest.raises(ValueError, match=f"^{name} must not be NaN, got .*nan"):
         simulate_lanes(ub, **run)
+
+
+@pytest.mark.parametrize("name", ["start_time", "initial_log_mass"])
+@pytest.mark.parametrize("value", [-math.inf, math.inf])
+def test_infinite_roots_are_refused(ub, name, value):
+    # a root born at -inf once split until its budget ran out
+    run = dict(t_end=2.0, snapshot_times=[1.0], eps_freeze=1e-3,
+               seeds=[0, 1], root_keys=replica_keys(9, 2), max_fragments=2000)
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got .*inf"):
+        simulate_lanes(ub, **run, **{name: [0.0, value]})
 
 
 def test_no_snapshots_returns_empty(ub):
@@ -181,12 +191,12 @@ def test_conservation_guard():
     with pytest.raises(AssertionError, match=message):
         simulate_replicas(_Leaky(True), 2.0, [2.0], 1e-3, 3, 5)
     with pytest.raises(AssertionError, match=message):
-        simulate_dfs(_Leaky(True), 2.0, [2.0], 1e-3, 0)
+        simulate_bfs(_Leaky(True), 2.0, [2.0], 1e-3, 0)
     # a model not flagged conservative is not checked
     lanes = simulate_replicas(_Leaky(False), 2.0, [2.0], 1e-3, 3, 5)
     assert sum(lane[0].event_count for lane in lanes) > 0
     assert_same_lane(simulate(_Leaky(False), 2.0, [2.0], 1e-3, 0),
-                     simulate_dfs(_Leaky(False), 2.0, [2.0], 1e-3, 0))
+                     simulate_bfs(_Leaky(False), 2.0, [2.0], 1e-3, 0))
 
 
 def test_budget_exceeded(ub):
@@ -210,7 +220,7 @@ def test_empirical_interval_count(ub):
         empirical_interval_count(snap, x, 0.3, -0.3)
 
 
-# --- the generation-batched engine against the depth-first oracle ----------
+# --- the generation-batched engine against the breadth-first oracle --------
 
 MODELS = {
     "uniform": (UniformBinaryModel(), 3.0),
@@ -263,7 +273,7 @@ def engine_runs(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(engine_runs())
-def test_every_lane_equals_the_depth_first_walk(run):
+def test_every_lane_equals_the_breadth_first_walk(run):
     model, t_end, snaps, eps, slope, starts, lms, seed = run
     keys = replica_keys(seed, len(starts))
     labels = [seed + i for i in range(len(starts))]
@@ -272,13 +282,13 @@ def test_every_lane_equals_the_depth_first_walk(run):
                            barrier_slope=slope)
     for label, key, lm, start, got in zip(labels, keys.tolist(), lms, starts,
                                           lanes):
-        want = simulate_dfs(model, t_end, snaps, eps, label, root_key=key,
+        want = simulate_bfs(model, t_end, snaps, eps, label, root_key=key,
                             initial_log_mass=lm, start_time=start,
                             barrier_slope=slope)
         assert_same_lane(got, want)
 
 
-def test_two_deep_chunks_equal_the_depth_first_walk(ub):
+def test_two_deep_chunks_equal_the_breadth_first_walk(ub):
     # two chunks of 16 and 11 generations, frozen children, lanes born
     # between snapshots and one root frozen at birth
     n = 70
@@ -290,7 +300,7 @@ def test_two_deep_chunks_equal_the_depth_first_walk(ub):
     lanes = simulate_lanes(ub, *run, list(range(n)), keys, initial_log_mass=lms,
                            start_time=starts, barrier_slope=0.7)
     for i, got in enumerate(lanes):
-        assert_same_lane(got, simulate_dfs(
+        assert_same_lane(got, simulate_bfs(
             ub, *run, i, root_key=int(keys[i]), initial_log_mass=lms[i],
             start_time=starts[i], barrier_slope=0.7))
     assert lanes[40][-1].frozen_count == 1 and lanes[40][-1].n_live == 0
@@ -299,12 +309,12 @@ def test_two_deep_chunks_equal_the_depth_first_walk(ub):
                for chunk in chunks)
 
 
-def test_a_root_split_draw_of_zero_splits_as_the_depth_first_walk(ub):
+def test_a_root_split_draw_of_zero_splits_as_the_breadth_first_walk(ub):
     # a ranked root draws its lifetime first and its split second
     keys = [_key_whose_draw_is_zero(2), 7]
     lanes = simulate_lanes(ub, 3.0, [1.0, 3.0], 1e-3, [0, 1], keys)
     for label, key, got in zip([0, 1], keys, lanes):
-        assert_same_lane(got, simulate_dfs(ub, 3.0, [1.0, 3.0], 1e-3, label,
+        assert_same_lane(got, simulate_bfs(ub, 3.0, [1.0, 3.0], 1e-3, label,
                                            root_key=key))
     assert lanes[0][-1].event_count > 0  # the root split
     assert lanes[0][-1].frozen_count > 0  # its piece of mass 2^-53
@@ -314,7 +324,7 @@ def test_simulate_is_the_one_lane_engine(ub):
     for seed in range(5):
         assert_same_lane(
             simulate(ub, 2.5, [0.5, 2.5], 1e-4, seed, barrier_slope=0.3),
-            simulate_dfs(ub, 2.5, [0.5, 2.5], 1e-4, seed, barrier_slope=0.3))
+            simulate_bfs(ub, 2.5, [0.5, 2.5], 1e-4, seed, barrier_slope=0.3))
 
 
 def _replicas(model, **kw):
@@ -364,7 +374,7 @@ def test_reduce_and_empty_batches(ub):
 
 def _oracle_raises(model, t_end, eps, seed, budget):
     try:
-        simulate_dfs(model, t_end, [t_end], eps, seed, max_fragments=budget)
+        simulate_bfs(model, t_end, [t_end], eps, seed, max_fragments=budget)
     except BudgetExceededError:
         return True
     return False
@@ -372,22 +382,16 @@ def _oracle_raises(model, t_end, eps, seed, budget):
 
 @pytest.mark.parametrize("name, t_end, eps", [
     ("uniform", 3.0, 1e-3),
-    ("ternary_binary", 2.0, 0.3),       # last pops have frozen children
+    ("ternary_binary", 2.0, 0.3),
     ("dyadic", 3.0, 0.1),
 ])
-def test_budget_raises_exactly_where_the_walk_does(name, t_end, eps):
+def test_budget_raises_once_a_lane_makes_more_fragments(name, t_end, eps):
     model = MODELS[name][0]
-    tails = 0
     for seed in range(6):
         snap = simulate(model, t_end, [t_end], eps, seed)[0]
-        created = snap.n_live + snap.frozen_count + snap.event_count
-        # the walk counts as it pops, so the smallest budget it survives is
-        # created minus the frozen children of its last pop
-        low = next(b for b in range(created, 0, -1)
-                   if _oracle_raises(model, t_end, eps, seed, b - 1))
-        tails += low < created
-        for budget in range(max(1, low - 3), created + 2):
-            raises = budget < low
+        made = snap.n_live + snap.frozen_count + snap.event_count
+        for budget in range(max(1, made - 3), made + 2):
+            raises = budget < made
             assert _oracle_raises(model, t_end, eps, seed, budget) == raises
             if raises:
                 with pytest.raises(BudgetExceededError):
@@ -396,8 +400,6 @@ def test_budget_raises_exactly_where_the_walk_does(name, t_end, eps):
             else:
                 simulate(model, t_end, [t_end], eps, seed,
                          max_fragments=budget)
-    if name == "ternary_binary":
-        assert tails > 0
 
 
 def test_budget_counts_each_lane_separately(ub):
