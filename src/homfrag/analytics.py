@@ -17,12 +17,8 @@ from collections import namedtuple
 
 import numpy as np
 
-from .errors import (
-    BelowPLowerError,
-    BracketNotFoundError,
-    NotComputableError,
-)
-from .numerics import bisect_root, bracket_upward, certify_bracket
+from .errors import BelowPLowerError, BracketNotFoundError, NotComputableError
+from .numerics import bracket_upward, newton_root
 from .streams import Stream, derive_key
 
 PhiDerivatives = namedtuple("PhiDerivatives", ["first", "second", "abs_error"])
@@ -32,9 +28,6 @@ _MODES = ("auto", "closed_form", "quadrature", "monte_carlo")
 _PROBE_KEY = 0x47454F4D45545259  # fixed probe stream for sampled detection
 _GEOMETRIC_R_MAX = 64  # largest lattice base detect_geometric tries
 _GEOMETRIC_TOL = 1e-9  # how far from an integer a mass's exponent may be
-# rounding in a computed g(q), relative to the sizes of its terms: 4096 ulp,
-# far above the few dozen of numpy's pairwise sums over a sample
-_G_ROUNDING = 2.0 ** -40
 
 
 class PhiEvaluator:
@@ -140,13 +133,15 @@ class PhiEvaluator:
             (phi, d1, d2), err = out
             return phi, d1, d2, err
         # monte carlo: sample averages of the per-split sums, differentiated
-        # under the average
-        per, d1, d2 = self._mc.read(q, lambda *sums: [s.mean() for s in sums])
+        # under the average, as Python floats like the other modes'
+        per, d1, d2 = self._mc.read(
+            q, lambda *sums: [float(s.mean()) for s in sums])
         rate = model.total_rate
         return rate * (1.0 - per), rate * d1, rate * d2, None
 
     def _mc_stderr(self, per):
-        return self.model.total_rate * per.std(ddof=1) / math.sqrt(self._mc.n)
+        return (self.model.total_rate * float(per.std(ddof=1))
+                / math.sqrt(self._mc.n))
 
     def phi_stderr(self, q):
         """Standard error of phi(q) (zero for deterministic modes)."""
@@ -162,39 +157,26 @@ class PhiEvaluator:
         return self.model.p_lower
 
     def _g(self, q):
-        phi, d1 = self._values(q)[:2]
-        return phi - (q + 1.0) * d1
+        return self._g_slope(q)[0]
 
     def _g_slope(self, q):
-        """g(q), g'(q) = -(q+1) phi''(q), and a bound on how far the computed
-        g(q) may stray from the exact one, which is nondecreasing above -1
-        (phi is concave): rounding, plus for an integrated entry the error
-        bound gauss_kronrod reported (above quad_tol where its relative term
-        accepted panels), at least quad_tol, times the weights of phi and
-        phi' in g (a Monte Carlo entry's error is a standard error: the
-        sample's g is exactly nondecreasing)."""
-        phi, d1, d2, err = self._values(q)
+        """g(q) = phi(q) - (q+1) phi'(q), whose root is p_bar, and g'(q) =
+        -(q+1) phi''(q), from one memo entry."""
+        phi, d1, d2 = self._values(q)[:3]
         q1 = q + 1.0
-        slack = _G_ROUNDING * (abs(self.model.total_rate) + abs(phi)
-                               + abs(q1 * d1))
-        if err and self.mode != "monte_carlo":  # closed form gives 0.0
-            slack += (1.0 + abs(q1)) * max(err, self.quad_tol)
-        return float(phi - q1 * d1), float(-q1 * d2), slack
+        return phi - q1 * d1, -q1 * d2
 
     def p_bar(self, residual_tol=1e-10):
         """Critical index: unique root of phi(q) = (q+1) phi'(q) above p_lower.
 
         Found by scanning upward from max(p_lower + 1/4, 0) for a sign change
-        of g(q) = phi(q) - (q+1) phi'(q), then bisecting until |g| falls
-        under residual_tol.  In monte_carlo mode the bracket must be
-        statistically unambiguous (|g| > 3 stderr at both ends), otherwise
-        the root is refused rather than silently noisy.
-
-        The bisection is certified: g is nondecreasing on the bracket, so
-        after a few Newton steps on g' = -(q+1) phi'' and two probes that
-        certify points below and above the root (numerics.certify_bracket),
-        only the midpoints between those points are evaluated.  The root
-        and p_bar_residual are those of the blind bisection, bit for bit.
+        of g(q) = phi(q) - (q+1) phi'(q), then by safeguarded Newton steps on
+        g' = -(q+1) phi'' (numerics.newton_root) until |g| falls under
+        residual_tol, which p_bar_residual then holds.  In monte_carlo mode
+        the bracket must be statistically unambiguous (|g| > 3 stderr at both
+        ends), otherwise the root is refused rather than silently noisy.
+        Every g read is a function of its q alone, so the root does not
+        depend on what the evaluator was asked before.
         """
         if self._p_bar is not None:
             return self._p_bar
@@ -202,7 +184,7 @@ class PhiEvaluator:
         if not math.isfinite(lo0):
             lo0 = 0.0
         start = max(lo0, 0.0)
-        lo, hi = bracket_upward(self._g, start, step=0.5)
+        lo, hi = bracket_upward(self._g, start)
         if self.mode == "monte_carlo":
             # hi first: the sample's sums still hold bracket_upward's last q
             se = {end: self._g_stderr(end) for end in (hi, lo)}
@@ -213,15 +195,9 @@ class PhiEvaluator:
                         f"bracket for p_bar statistically ambiguous at q={end}: "
                         f"g={g:.3e}, stderr={se[end]:.3e}; increase mc_samples"
                     )
-        try:
-            below, above = certify_bracket(self._g_slope, lo, hi, residual_tol)
-        except NotComputableError:  # a probe off the bisection's path failed
-            below, above = -math.inf, math.inf
-        root, res = bisect_root(self._g, lo, hi, residual_tol=residual_tol,
-                                below=below, above=above)
-        self._p_bar = root
-        self.p_bar_residual = res
-        return root
+        self._p_bar, self.p_bar_residual = newton_root(
+            self._g_slope, lo, hi, residual_tol)
+        return self._p_bar
 
     def _g_stderr(self, q):
         if self.mode != "monte_carlo":

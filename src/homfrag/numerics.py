@@ -35,6 +35,11 @@ _MAX_DEPTH = 50  # levels of cuts before the integral is refused
 # abs_tol would ask for more digits than a double holds (QUADPACK's QAG test
 # is max(epsabs, epsrel * |result|) the same way)
 REL_TOL = 2.0 ** -40
+_SCAN_STEP = 0.5  # bracket_upward's grid spacing
+_SCAN_SPAN = 400.0  # how far above its start bracket_upward looks
+# newton_root's evaluations before it gives up: p_bar takes about 6, and
+# closing a bracket of width 1/2 to float resolution takes about 55 halvings
+_NEWTON_EVALS = 100
 
 
 def gauss_kronrod(f, a, b, abs_tol=1e-10):
@@ -89,8 +94,9 @@ def gauss_kronrod(f, a, b, abs_tol=1e-10):
     return values, max(math.fsum(row) for row in np.hstack(errs).tolist())
 
 
-def bracket_upward(g, start, step=0.5, max_span=400.0):
-    """Scan g(start), g(start+step), ... for a sign change to positive.
+def bracket_upward(g, start):
+    """Scan g(start), g(start + _SCAN_STEP), ... for a sign change to
+    positive, at most _SCAN_SPAN above start.
 
     g must be negative at start (increasing-through-zero use case).  Returns
     (lo, hi) with g(lo) <= 0 < g(hi).
@@ -100,113 +106,53 @@ def bracket_upward(g, start, step=0.5, max_span=400.0):
     if glo > 0.0:
         raise BracketNotFoundError(f"g({lo}) = {glo} is already positive")
     hi = lo
-    while hi - start < max_span:
-        hi += step
+    while hi - start < _SCAN_SPAN:
+        hi += _SCAN_STEP
         ghi = g(hi)
         if ghi > 0.0:
             return lo, hi
         lo, glo = hi, ghi
     raise BracketNotFoundError(
-        f"no sign change of g in [{start}, {start + max_span}]"
+        f"no sign change of g in [{start}, {start + _SCAN_SPAN}]"
     )
 
 
-def certify_bracket(gd, lo, hi, residual_tol):
-    """Points below and above the root of a nondecreasing g in [lo, hi] at
-    which bisection's outcome is decided: (below, above) for bisect_root.
+def newton_root(gd, lo, hi, residual_tol):
+    """A root of g in [lo, hi] (g(lo) <= 0 <= g(hi)) by safeguarded Newton
+    steps (rtsafe: Press et al., Numerical Recipes, sec. 9.4).
 
-    gd(x) returns (g(x), g'(x), slack), where slack bounds how far the
-    computed g may stray from an exactly nondecreasing function; the largest
-    slack seen, s, is taken to hold over all of [lo, hi].  Safeguarded Newton
-    steps from the bracket's secant point (a step that leaves the bracket
-    bisects it instead, as rtsafe does; Press et al., Numerical Recipes, sec.
-    9.4) give an estimate r of the root, then g is probed at r -+ d with
-    g(r -+ d) about -+2 (residual_tol + 2 s), widened while the probe fails.
-    below is the largest probe x with g(x) < -(residual_tol + 2 s), above
-    the smallest with g(x) > residual_tol + 2 s (lo and hi count as probes):
-    every computed g(y) with y <= below is then < -residual_tol, and every
-    g(y) with y >= above is > residual_tol.
+    gd(x) returns (g(x), g'(x)).  The first x is the bracket's secant point.
+    Each evaluated x becomes the end of the bracket on its side of zero, and
+    the next x is its Newton step, or the bracket's midpoint where that step
+    would leave the bracket, the slope is not positive, or the step is
+    longer than half the step before the last (Newton no longer converges
+    fast there, as where g wobbles).  Returns (x, g(x)) at the first x with
+    |g(x)| <= residual_tol, or, once no float lies between the ends, at the
+    end with the smaller |g|.  Raises BracketNotFoundError for an invalid
+    bracket, or when _NEWTON_EVALS evaluations reach neither.
     """
-    seen = {x: gd(x) for x in (lo, hi)}
-
-    def margin():
-        return residual_tol + 2.0 * max(s for _, _, s in seen.values())
-
-    def width(slope):
-        return 2.0 * margin() / slope if slope > 0.0 else math.inf
-
-    (glo, _, _), (ghi, _, _) = seen[lo], seen[hi]
-    a, b = lo, hi
-    x = lo - glo * (hi - lo) / (ghi - glo) if ghi > glo else lo
-    step = math.inf
-    for _ in range(12):  # Newton needs 3-5 steps; bisection steps bound it
-        if not a < x < b:
-            x = 0.5 * (a + b)
-        gx, slope, _ = seen[x] = gd(x)
-        if gx <= 0.0:
-            a = x
-        else:
-            b = x
-        new = x - gx / slope if slope > 0.0 else a
-        # after a Newton step h that followed a step H, the error is about
-        # h^3 / H^2: stop once that is well inside a probe's distance
-        prev, step = step, abs(new - x)
-        x = new
-        if step ** 3 <= 0.25 * width(slope) * prev ** 2 < math.inf:
-            break
-    for side in (-1.0, 1.0):
-        d = width(slope)
-        for _ in range(4):
-            y = x + side * d
-            if not lo < y < hi:
-                break
-            seen[y] = gd(y)
-            if side * seen[y][0] > margin():
-                break
-            d *= 4.0
-    tol = margin()
-    return (max((y for y, (g, _, _) in seen.items() if g < -tol),
-                default=-math.inf),
-            min((y for y, (g, _, _) in seen.items() if g > tol),
-                default=math.inf))
-
-
-def bisect_root(g, lo, hi, residual_tol=1e-10, max_iter=200,
-                below=-math.inf, above=math.inf):
-    """Bisection for a root of g in [lo, hi] (g(lo) <= 0 <= g(hi)).
-
-    Runs until the midpoint residual satisfies |g| <= residual_tol or the
-    bracket collapses to floating-point resolution; returns (root, g(root)).
-    below and above are points that decide midpoints without a call of g
-    (see certify_bracket): a midpoint <= below becomes lo and one >= above
-    becomes hi, as g's sign there would make it.  They leave the sequence of
-    midpoints, and so the result, unchanged.
-    """
-    glo, ghi = g(lo), g(hi)
+    (glo, _), (ghi, _) = gd(lo), gd(hi)
     if glo > 0.0 or ghi < 0.0:
         raise BracketNotFoundError(f"invalid bracket: g({lo})={glo}, g({hi})={ghi}")
-    mid, last, gmid = lo, lo, glo
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:  # bracket at float resolution
-            break
-        last, gmid = mid, None
-        if mid <= below:
-            lo = mid
-        elif mid >= above:
-            hi = mid
+    x = lo - glo * (hi - lo) / (ghi - glo) if ghi > glo else lo
+    step = prev = math.inf  # the lengths of the last step and the one before
+    for _ in range(_NEWTON_EVALS):
+        gx, slope = gd(x)
+        if abs(gx) <= residual_tol:
+            return x, gx
+        if gx <= 0.0:
+            lo, glo = x, gx
         else:
-            gmid = g(mid)
-            if abs(gmid) <= residual_tol:
-                return mid, gmid
-            if gmid <= 0.0:
-                lo = mid
-            else:
-                hi = mid
-    if gmid is None:  # the last midpoint was decided without g
-        gmid = g(last)
-    if abs(gmid) <= residual_tol or math.isclose(lo, hi, rel_tol=1e-15, abs_tol=1e-300):
-        return mid, gmid
+            hi, ghi = x, gx
+        dx = gx / slope if slope > 0.0 else math.inf
+        if lo < x - dx < hi and abs(dx) <= 0.5 * prev:
+            x -= dx
+        else:
+            x, dx = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            if not lo < x < hi:  # the bracket is at float resolution
+                return min((lo, glo), (hi, ghi), key=lambda e: abs(e[1]))
+        prev, step = step, abs(dx)
     raise BracketNotFoundError(
-        f"bisection stalled at {mid} with residual {gmid} > {residual_tol}"
+        f"no root of g within {residual_tol} found in [{lo}, {hi}] after "
+        f"{_NEWTON_EVALS} evaluations"
     )

@@ -171,9 +171,9 @@ def lanewise(fn, x, y=None):
 class StreamBatch:
     """Many SplitMix64 streams, one per lane, drawn lane-wise in numpy.
 
-    Lane i is Stream(keys[i]): every draw below equals the scalar draw of
-    the same name on that lane's stream, bit for bit.  idx selects the lanes
-    that draw (distinct indices); the others do not advance.
+    Lane i is Stream(keys[i]): draw k of a lane equals the k-th
+    Stream.uniform of that lane's stream, bit for bit.  A batch never
+    advances: idx selects the lanes that a read draws from.
     """
 
     __slots__ = ("state",)
@@ -181,15 +181,8 @@ class StreamBatch:
     def __init__(self, keys):
         self.state = _mix64_u64(np.array(keys, dtype=np.uint64))
 
-    def uniform(self, idx):
-        """One uniform in [0, 1) per lane in idx."""
-        z = self.state[idx] + _U64_GAMMA
-        self.state[idx] = z
-        return _unit_floats(z)  # mixes z in place; the stored state is a copy
-
     def uniform_at(self, idx, k):
-        """Draw k (1-based, counted from now) of each lane in idx; no lane
-        advances.
+        """Draw k (1-based) of each lane in idx.
 
         SplitMix64 is counter-based: draw k of a stream in state s is the
         uniform of mix64(s + k*gamma).  idx and k broadcast together.

@@ -176,7 +176,7 @@ def _digest(data):
 
 
 def call(argv):
-    """(exit code, stdout digest, stderr digest, --out digest or None) of one
+    """(exit code, stdout, stderr, the --out file's bytes or None) of one
     main call in the current directory."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with redirect_stdout(stdout), redirect_stderr(stderr):
@@ -188,22 +188,28 @@ def call(argv):
     if "--out" in argv:
         path = Path(argv[argv.index("--out") + 1])
         if path.is_file():
-            out = _digest(path.read_bytes())
-    return code, _digest(stdout.getvalue().encode()), \
-        _digest(stderr.getvalue().encode()), out
+            out = path.read_bytes()
+    return code, stdout.getvalue(), stderr.getvalue(), out
+
+
+def corpus_line(argv, result):
+    """The corpus line of argv's call(argv) result, without its "portable"
+    mark: the argv, the exit code and the digests of the texts."""
+    code, stdout, stderr, out = result
+    return {"argv": argv, "exit": code, "stdout": _digest(stdout.encode()),
+            "stderr": _digest(stderr.encode()),
+            "out": None if out is None else _digest(out)}
 
 
 def run_lines(argvs, directory):
-    """The result of each argv, run in order in directory, as a corpus line
-    without its "portable" mark."""
+    """call(argv) of each argv, run in order in directory."""
     prepare(directory)
     cwd = os.getcwd()
     os.chdir(directory)
     try:
         # argparse wraps its usage text to the terminal's width
         with mock.patch.dict(os.environ, COLUMNS="80"):
-            return [dict(zip(("exit", "stdout", "stderr", "out"), call(argv)),
-                         argv=argv) for argv in argvs]
+            return [call(argv) for argv in argvs]
     finally:
         os.chdir(cwd)
 
@@ -233,7 +239,8 @@ def write_corpus():
         old = list(map(json.loads, CORPUS.read_text().splitlines()))[1:]
     calls = grid()
     with tempfile.TemporaryDirectory() as scratch:
-        lines = run_lines([argv for argv, _ in calls], scratch)
+        results = run_lines([argv for argv, _ in calls], scratch)
+    lines = [corpus_line(argv, r) for (argv, _), r in zip(calls, results)]
     for line, (_, portable) in zip(lines, calls):
         if portable:
             empty = _digest(b"")
@@ -253,8 +260,9 @@ def report():
     record, *lines = map(json.loads, CORPUS.read_text().splitlines())
     print(json.dumps(record, sort_keys=True))
     print(json.dumps({"platform": platform_record()}, sort_keys=True))
+    argvs = [line["argv"] for line in lines]
     with tempfile.TemporaryDirectory() as scratch:
-        got = run_lines([line["argv"] for line in lines], scratch)
+        got = list(map(corpus_line, argvs, run_lines(argvs, scratch)))
     moved = [k for k, _, _ in moved_lines(lines, got)]
     print(f"{len(lines) - len(moved)} of {len(lines)} lines reproduced; "
           f"file lines that differ: {moved}")

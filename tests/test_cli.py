@@ -253,6 +253,16 @@ def test_phi_rejects_grid_below_support(capsys, ub_model_file):
     assert "p_lower" in err
 
 
+def test_phi_monte_carlo_names_a_non_finite_entry_in_floats(
+        capsys, dyadic_model_file):
+    code, _, err = run_cli(capsys, [
+        "--seed", "1", "--model", dyadic_model_file, "phi", "--q-min=-1e300",
+        "--q-max", "0", "--points", "2", "--mode", "monte_carlo"])
+    assert code == 2
+    assert "is not finite: (-inf, inf, -inf, nan)" in err
+    assert "np.float64(" not in err
+
+
 def test_phi_reports_geometric_base(capsys, dyadic_model_file):
     code, out, _ = run_cli(capsys, [
         "--seed", "1", "--model", dyadic_model_file,

@@ -5,14 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from bisect_oracle import blind_bisect_root
 from homfrag.errors import BracketNotFoundError, NotComputableError
-from homfrag.numerics import (
-    bisect_root,
-    bracket_upward,
-    certify_bracket,
-    gauss_kronrod,
-)
+from homfrag.numerics import bracket_upward, gauss_kronrod, newton_root
 
 
 def _scalar(f):
@@ -73,85 +67,79 @@ def test_gauss_kronrod_gives_up_on_an_unreachable_tolerance():
         gauss_kronrod(f, 0.0, 1.0, abs_tol=1e-14)
 
 
-def test_bracket_and_bisect_find_sqrt2():
+def test_bracket_and_newton_find_sqrt2():
     g = lambda x: x * x - 2.0
-    lo, hi = bracket_upward(g, 0.25, step=0.5)
-    assert g(lo) < 0.0 < g(hi)
-    root, residual = bisect_root(g, lo, hi)
+    lo, hi = bracket_upward(g, 0.25)
+    assert (lo, hi) == (1.25, 1.75)
+    root, residual = newton_root(lambda x: (g(x), 2.0 * x), lo, hi, 1e-10)
     assert abs(root - math.sqrt(2.0)) < 1e-9
     assert abs(residual) <= 1e-10
 
 
 def test_bracket_upward_failure():
-    with pytest.raises(BracketNotFoundError):
-        bracket_upward(lambda x: -1.0 - x * x, 0.0, step=1.0, max_span=50.0)
+    with pytest.raises(BracketNotFoundError, match=r"\[0.0, 400.0\]"):
+        bracket_upward(lambda x: -1.0 - x * x, 0.0)
 
 
-def test_bisect_requires_sign_change():
-    with pytest.raises(BracketNotFoundError):
-        bisect_root(lambda x: x * x + 1.0, 0.0, 1.0)
+def test_newton_requires_a_sign_change():
+    with pytest.raises(BracketNotFoundError, match="invalid bracket"):
+        newton_root(lambda x: (x * x + 1.0, 2.0 * x), 0.0, 1.0, 1e-10)
+    with pytest.raises(BracketNotFoundError, match="invalid bracket"):
+        newton_root(lambda x: (x - 2.0, 1.0), 0.0, 1.0, 1e-10)
 
 
 def _wobbly(root, slope, curve, noise):
     """An increasing cubic through root plus a deterministic wobble of
-    amplitude noise, which makes g non-monotone below that scale: g, and gd
-    for certify_bracket with the wobble (and rounding) as the slack."""
-    def g(x):
-        d = x - root
-        return slope * d + curve * d ** 3 + noise * math.sin(1e11 * x)
-
+    amplitude noise, which makes g non-monotone below that scale, as gd for
+    newton_root: g, and the cubic's slope without the wobble's."""
     def gd(x):
-        return g(x), slope + 3.0 * curve * (x - root) ** 2, noise + 1e-14
+        d = x - root
+        return (slope * d + curve * d ** 3 + noise * math.sin(1e11 * x),
+                slope + 3.0 * curve * d * d)
 
-    return g, gd
-
-
-def _outcome(f, *args, **kwargs):
-    try:
-        return repr(f(*args, **kwargs))
-    except BracketNotFoundError as e:
-        return repr(e)
+    return gd
 
 
-def test_certified_bisection_equals_the_blind_one_bit_for_bit():
-    """Root and residual, the float-resolution stop and the stall error are
-    those of the blind bisection, also where g wobbles above residual_tol
-    and where max_iter ends the loop at a midpoint decided without g; only
-    midpoints between the certified points are evaluated."""
+def test_newton_root_meets_its_tolerance_or_float_resolution():
+    """Where g wobbles above residual_tol, or residual_tol is 0, the bracket
+    closes to adjacent floats around a sign change instead."""
     rng = np.random.default_rng(7)
-    stalls = evaluated = blind_calls = 0
+    most = 0
+    stops = {"residual": 0, "resolution": 0}
     for case in range(240):
         lo = float(rng.uniform(0.0, 2.0))
         hi = lo + 0.5
         root = float(rng.uniform(lo + 0.01, hi - 0.01))
-        g, gd = _wobbly(root, 10.0 ** rng.uniform(-3, 1),
-                        float(rng.uniform(0.0, 5.0)),
-                        (0.0, 1e-13, 1e-11, 1e-9)[case % 4])
+        gd = _wobbly(root, 10.0 ** rng.uniform(-3, 1),
+                     float(rng.uniform(0.0, 5.0)),
+                     (0.0, 1e-13, 1e-11, 1e-9)[case % 4])
         for tol in (1e-10, 1e-13, 0.0):
-            below, above = certify_bracket(gd, lo, hi, tol)
-            assert lo <= below < root < above <= hi or below == -math.inf
-            for max_iter in (200, 30, 5):
-                calls = []
+            calls = []
 
-                def counted(x):
-                    calls.append(x)
-                    return g(x)
+            def counted(x):
+                calls.append(x)
+                return gd(x)
 
-                want = _outcome(blind_bisect_root, counted, lo, hi, tol,
-                                max_iter)
-                blind_calls += len(calls)
-                del calls[:]
-                got = _outcome(bisect_root, counted, lo, hi, tol, max_iter,
-                               below=below, above=above)
-                assert got == want, (case, tol, max_iter)
-                evaluated += len(calls)
-                stalls += "stalled" in want
-    assert stalls > 100  # the stall error is among the outcomes compared
-    assert evaluated < blind_calls / 2
+            x, gx = newton_root(counted, lo, hi, tol)
+            assert lo <= x <= hi and gx == gd(x)[0], (case, tol)
+            if abs(gx) <= tol:
+                stops["residual"] += 1
+            else:  # x and the nearest float on the other side of zero
+                other = math.nextafter(x, -math.inf if gx > 0.0 else math.inf)
+                assert other in calls and gx * gd(other)[0] <= 0.0, (case, tol)
+                stops["resolution"] += 1
+            most = max(most, len(calls))
+    assert min(stops.values()) > 100
+    assert most <= 50  # 48 with the wobble at 1e-9 and residual_tol 0
 
 
-def test_certify_bracket_brackets_the_root_closely():
-    g, gd = _wobbly(math.sqrt(2.0), 0.7, 1.0, 0.0)
-    below, above = certify_bracket(gd, 1.0, 1.5, 1e-10)
-    assert g(below) < -1e-10 < 1e-10 < g(above)
-    assert above - below < 1e-8
+def test_newton_root_is_exact_on_a_line():
+    # the secant point of a line is its root
+    calls = []
+
+    def gd(x):
+        calls.append(x)
+        return 2.0 * x - 3.0, 2.0
+
+    assert newton_root(gd, 1.0, 2.0, 0.0) == (1.5, 0.0)
+    assert calls == [1.0, 2.0, 1.5]

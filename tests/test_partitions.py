@@ -602,12 +602,12 @@ def test_a_zero_draw_splits_alike_in_a_batch_and_a_scalar_stream(ub):
     batch = StreamBatch(np.array(keys, dtype=np.uint64))
     scalar = [Stream(k) for k in keys]
     for n in range(2):
-        rows = ub.splits(batch.uniform(idx))
+        rows = ub.splits(batch.uniform_at(idx, n + 1))
         assert [tuple(r) for r in rows] == [ub.sample_masses(s) for s in scalar]
         # lane 1 draws 0 in the first split, lane 3 in the second
         assert tuple(rows[2 * n + 1]) == ub.split(2.0 ** -53)
     third = [_draw(key, 3) for key in keys]
-    assert batch.uniform(idx).tolist() == third
+    assert batch.uniform_at(idx, 3).tolist() == third
     assert [s.uniform() for s in scalar] == third
 
 
@@ -667,14 +667,16 @@ def test_splits_of_batch_draws_equal_sample_masses(name):
         dtype=np.uint64)))
     batch = StreamBatch(keys)
     scalar = [Stream(int(k)) for k in keys]
+    drawn = np.zeros(len(keys), dtype=int)  # each lane's draws so far
     for idx in (np.arange(50), np.arange(1, 50, 2), np.arange(50)):
-        rows = model.splits(batch.uniform(idx))
+        drawn[idx] += 1
+        rows = model.splits(batch.uniform_at(idx, drawn[idx]))
         for row, i in zip(rows, idx):
             masses = tuple(model.sample_masses(scalar[i]))
             assert tuple(row[:len(masses)]) == masses
             assert not row[len(masses):].any()
-    assert batch.uniform(np.arange(50)).tolist() == [s.uniform()
-                                                      for s in scalar]
+    assert batch.uniform_at(np.arange(50), drawn + 1).tolist() == [
+        s.uniform() for s in scalar]
 
 
 # the ends of [0, 1), the largest float below 1/2, and 1/2
@@ -683,7 +685,7 @@ _EDGE_UNIFORMS = [0.0, 2.0 ** -53, 0.5 - 2.0 ** -54, 0.5, 1.0 - 2.0 ** -53]
 
 def _uniforms():
     """The edge uniforms, then 1,000 seeded draws."""
-    drawn = StreamBatch(replica_keys(11, 1000)).uniform(np.arange(1000))
+    drawn = StreamBatch(replica_keys(11, 1000)).uniform_at(np.arange(1000), 1)
     return np.concatenate((_EDGE_UNIFORMS, drawn))
 
 

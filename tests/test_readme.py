@@ -45,8 +45,8 @@ def test_the_model_example_maps_split_and_splits_alike():
     model = ns["model"]
     assert abs(ns["ev"].phi(1.0) - 7.0 / 12.0) < 0.01
     u = np.concatenate(([0.0, 2.0 ** -53, 0.5, 1.0 - 2.0 ** -53],
-                        StreamBatch(replica_keys(3, 200)).uniform(
-                            np.arange(200))))
+                        StreamBatch(replica_keys(3, 200)).uniform_at(
+                            np.arange(200), 1)))
     for row, x in zip(model.splits(u), u.tolist()):
         masses = model.split(x)
         MassPartition(masses)

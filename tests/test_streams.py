@@ -149,23 +149,22 @@ def test_stream_batch_lanes_are_scalar_streams():
     keys = replica_keys(17, 6)
     batch = StreamBatch(keys)
     scalar = [Stream(int(k)) for k in keys]
+    drawn = np.zeros(6, dtype=int)  # each lane's draws so far
     for idx in ([0, 1, 2, 3, 4, 5], [1, 4], [5], [0, 2, 3]):
-        u = batch.uniform(np.array(idx))
+        drawn[idx] += 1
+        u = batch.uniform_at(np.array(idx), drawn[idx])
         assert u.tolist() == [scalar[i].uniform() for i in idx]
 
 
 def test_stream_batch_draws_at_offsets_without_advancing():
     keys = replica_keys(19, 4)
     batch = StreamBatch(keys)
-    batch.uniform(np.array([1, 3]))  # offsets count from each lane's state
-    scalar = [Stream(int(k)) for k in keys]
-    for i in (1, 3):
-        scalar[i].uniform()
-    draws = [[s.uniform() for _ in range(7)] for s in scalar]
+    draws = [[s.uniform() for _ in range(7)]
+             for s in (Stream(int(k)) for k in keys)]
     lanes = np.arange(4)
     k = np.arange(1, 8)[:, None]
     assert batch.uniform_at(lanes, k).tolist() == [list(r) for r in zip(*draws)]
     assert batch.uniform_at(np.array([2, 0]), np.array([5, 1])).tolist() == [
         draws[2][4], draws[0][0]]
-    # no lane advanced: the next draw is still draw 1
-    assert batch.uniform(lanes).tolist() == [d[0] for d in draws]
+    # no lane advanced: draw 1 is still the stream's first
+    assert batch.uniform_at(lanes, 1).tolist() == [d[0] for d in draws]
