@@ -28,6 +28,7 @@ _MODES = ("auto", "closed_form", "quadrature", "monte_carlo")
 _PROBE_KEY = 0x47454F4D45545259  # fixed probe stream for sampled detection
 _GEOMETRIC_R_MAX = 64  # largest lattice base detect_geometric tries
 _GEOMETRIC_TOL = 1e-9  # how far from an integer a mass's exponent may be
+P_BAR_TOL = 1e-10  # p_bar's residual: newton_root stops at |g| <= P_BAR_TOL
 
 
 class PhiEvaluator:
@@ -38,8 +39,8 @@ class PhiEvaluator:
       "closed_form"  closed form of phi and its derivatives only (error when
                      unavailable)
       "quadrature"   adaptive Gauss-Kronrod on the family density (abs tol
-                     quad_tol, or relative numerics.REL_TOL where that is
-                     larger), phi, phi' and phi'' on one mesh
+                     numerics.ABS_TOL, or relative numerics.REL_TOL where
+                     that is larger), phi, phi' and phi'' on one mesh
       "monte_carlo"  sample average over a cached set of mc_samples splits;
                      stochastic but deterministic given mc_seed, with
                      reported stderr
@@ -50,13 +51,11 @@ class PhiEvaluator:
     zero or is not finite raises NotComputableError.
     """
 
-    def __init__(self, model, mode="auto", mc_samples=20000, mc_seed=2024,
-                 quad_tol=1e-10):
+    def __init__(self, model, mode="auto", mc_samples=20000, mc_seed=2024):
         if mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
         self.model = model
         self.mode = mode
-        self.quad_tol = quad_tol
         self._p_bar = None
         self.p_bar_residual = None
         self._memo = {}
@@ -122,7 +121,7 @@ class PhiEvaluator:
                     f"{model.kind} model has no closed-form phi and phi'"
                 )
         if mode in ("auto", "quadrature"):
-            out = model.phi_quadrature(q, abs_tol=self.quad_tol)
+            out = model.phi_quadrature(q)
             if out is None:
                 closed = mode == "quadrature" and model.phi_closed(q) is not None
                 raise NotComputableError(
@@ -166,13 +165,13 @@ class PhiEvaluator:
         q1 = q + 1.0
         return phi - q1 * d1, -q1 * d2
 
-    def p_bar(self, residual_tol=1e-10):
+    def p_bar(self):
         """Critical index: unique root of phi(q) = (q+1) phi'(q) above p_lower.
 
         Found by scanning upward from max(p_lower + 1/4, 0) for a sign change
         of g(q) = phi(q) - (q+1) phi'(q), then by safeguarded Newton steps on
-        g' = -(q+1) phi'' (numerics.newton_root) until |g| falls under
-        residual_tol, which p_bar_residual then holds.  In monte_carlo mode
+        g' = -(q+1) phi'' (numerics.newton_root) until |g| <= P_BAR_TOL,
+        which p_bar_residual then holds.  In monte_carlo mode
         the bracket must be statistically unambiguous (|g| > 3 stderr at both
         ends), otherwise the root is refused rather than silently noisy.
         Every g read is a function of its q alone, so the root does not
@@ -196,7 +195,7 @@ class PhiEvaluator:
                         f"g={g:.3e}, stderr={se[end]:.3e}; increase mc_samples"
                     )
         self._p_bar, self.p_bar_residual = newton_root(
-            self._g_slope, lo, hi, residual_tol)
+            self._g_slope, lo, hi, P_BAR_TOL)
         return self._p_bar
 
     def _g_stderr(self, q):

@@ -145,13 +145,14 @@ class RatioTrace:
 
     counts has shape (len(t_grid), n_replicas); replicas are paired across
     grid times (each replica is one run observed at every t), so bootstrap
-    resampling is joint.
+    resampling is joint: resample k draws the same replicas at every t, and
+    the slope pairs its two ratios.  A resample whose window is empty at t
+    has ratio NaN there, left out of t's interval and of a slope reading t.
     """
 
     def __init__(self, t_grid, counts, seed, n_boot=500):
         self.t_grid = list(t_grid)
         self.counts = counts
-        self.n_boot = n_boot
         n = counts.shape[1]
         boot = Stream(derive_key(seed, 0xB007))
         idx = (boot.uniforms(n_boot * n).reshape(n_boot, n) * n).astype(np.int64)
@@ -162,10 +163,10 @@ class RatioTrace:
             res = row[idx]                      # (n_boot, n)
             with np.errstate(invalid="ignore", divide="ignore"):
                 ratios = (res > 0).mean(axis=1) / res.mean(axis=1)
-            ratios = ratios[np.isfinite(ratios)]
             self._boot_ratios.append(ratios)
-            if v > 0 and len(ratios):
-                lo, hi = np.percentile(ratios, [2.5, 97.5])
+            finite = ratios[np.isfinite(ratios)]
+            if v > 0 and len(finite):
+                lo, hi = np.percentile(finite, [2.5, 97.5])
                 point = TracePoint(t, u, u_se, v, v_se, u / v, float(lo), float(hi))
             else:
                 point = TracePoint(t, u, u_se, v, v_se, float("nan"),
@@ -177,21 +178,20 @@ class RatioTrace:
 
         Returns (slope, lo, hi); a stabilized trace has 0 inside [lo, hi].
         Raises NotComputableError when the last two grid times coincide or
-        when no bootstrap resample has a finite ratio at one of them (no
-        replica had a fragment in the window).
+        when no bootstrap resample has a finite ratio at both of them.
         """
         if len(self.t_grid) < 2:
             raise ValueError("need at least two grid times for a slope")
         dt = self.t_grid[-1] - self.t_grid[-2]
         a, b = self._boot_ratios[-2], self._boot_ratios[-1]
-        m = min(len(a), len(b))
-        if dt <= 0.0 or m == 0:
+        both = np.isfinite(a) & np.isfinite(b)
+        if dt <= 0.0 or not both.any():
             raise NotComputableError(
                 f"no ratio slope between t = {self.t_grid[-2]} and "
-                f"t = {self.t_grid[-1]}: the times coincide or a window "
-                "stayed empty in every replica"
+                f"t = {self.t_grid[-1]}: the times coincide or no resample "
+                "has a fragment in the window at both"
             )
-        slopes = (b[:m] - a[:m]) / dt
+        slopes = (b[both] - a[both]) / dt
         slope = (self.points[-1].ratio - self.points[-2].ratio) / dt
         lo, hi = np.percentile(slopes, [2.5, 97.5])
         return slope, float(lo), float(hi)

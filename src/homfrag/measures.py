@@ -185,7 +185,7 @@ class DislocationModel:
         """(phi(q), phi'(q), phi''(q)) in closed form."""
         return None
 
-    def phi_quadrature(self, q, abs_tol=1e-10):
+    def phi_quadrature(self, q):
         """([phi(q), phi'(q), phi''(q)], error) by quadrature on one mesh."""
         return None
 
@@ -297,11 +297,10 @@ class UniformBinaryModel(DislocationModel):
                 -2.0 * (a1 * r - a) / r ** 2,
                 -2.0 * (a2 * r ** 2 - 2.0 * a1 * r + 2.0 * a) / r ** 3)
 
-    def phi_quadrature(self, q, abs_tol=1e-10):
+    def phi_quadrature(self, q):
         e = self.epsilon
         if e > 0.0:
-            return gauss_kronrod(lambda u: _binary_terms(u, q), e, 1.0 - e,
-                                 abs_tol=abs_tol)
+            return gauss_kronrod(lambda u: _binary_terms(u, q), e, 1.0 - e)
         # u^(q+1) and the log factors are singular, or have an unbounded
         # derivative, at both endpoints: fold the symmetric integrand onto
         # [0, 1/2] and substitute u = s^m / 2, which for m(q+2) >= 2 turns
@@ -320,7 +319,7 @@ class UniformBinaryModel(DislocationModel):
                                 m * np.log(s) - math.log(2.0),
                                 w * v ** (q + 1.0), np.log(v))
 
-        return gauss_kronrod(folded, 0.0, 1.0, abs_tol=abs_tol)
+        return gauss_kronrod(folded, 0.0, 1.0)
 
     def to_json(self):
         out = {"kind": "uniform_binary"}
@@ -386,11 +385,11 @@ class PowerTailBinaryModel(DislocationModel):
         v = np.minimum(np.maximum(v, e), 0.5)  # split's clamp
         return np.column_stack((1.0 - v, v))
 
-    def phi_quadrature(self, q, abs_tol=1e-10):
+    def phi_quadrature(self, q):
         def terms(v):  # v is the small piece, with density c v^-gamma
             return _binary_terms(v, q) * (self.c * v ** -self.gamma)
 
-        return gauss_kronrod(terms, self.epsilon, 0.5, abs_tol=abs_tol)
+        return gauss_kronrod(terms, self.epsilon, 0.5)
 
     def to_json(self):
         return {

@@ -30,10 +30,11 @@ _SPLIT = 8
 _CUTS = np.arange(_SPLIT) / _SPLIT
 _MAX_PANELS = 1024  # per level; the models' phi integrands open a few dozen
 _MAX_DEPTH = 50  # levels of cuts before the integral is refused
-# relative tolerance, pre-registered: it loosens abs_tol only for a component
-# whose integral exceeds abs_tol * 2^40 (about 110 at abs_tol = 1e-10), where
-# abs_tol would ask for more digits than a double holds (QUADPACK's QAG test
-# is max(epsabs, epsrel * |result|) the same way)
+# a panel passes at max(abs_tol, REL_TOL * |I|), as in QUADPACK's QAG test
+# max(epsabs, epsrel * |result|); every quadrature phi runs at the default
+# ABS_TOL.  REL_TOL, pre-registered, loosens abs_tol only where |I| exceeds
+# abs_tol * 2^40 (about 110 at 1e-10), past the digits a double holds
+ABS_TOL = 1e-10
 REL_TOL = 2.0 ** -40
 _SCAN_STEP = 0.5  # bracket_upward's grid spacing
 _SCAN_SPAN = 400.0  # how far above its start bracket_upward looks
@@ -42,7 +43,7 @@ _SCAN_SPAN = 400.0  # how far above its start bracket_upward looks
 _NEWTON_EVALS = 100
 
 
-def gauss_kronrod(f, a, b, abs_tol=1e-10):
+def gauss_kronrod(f, a, b, abs_tol=ABS_TOL):
     """Integrate a vector-valued f on [a, b] with adaptive G7-K15.
 
     f maps a 1-D array of nodes to an array of shape (k, nodes): k integrands

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from homfrag import PhiEvaluator, PowerTailBinaryModel, UniformBinaryModel
-from homfrag.analytics import _sample_splits, detect_geometric
+from homfrag.analytics import P_BAR_TOL, _sample_splits, detect_geometric
 from homfrag.errors import BelowPLowerError, BracketNotFoundError, NotComputableError
-from homfrag.measures import AtomicModel, DislocationModel
+from homfrag.measures import AtomicModel, DislocationModel, _binary_terms
+from homfrag.numerics import gauss_kronrod
 from homfrag.streams import Stream, derive_key
 from test_partitions import _draw, _key_whose_draw_is_zero
 
@@ -89,6 +90,27 @@ def test_a_model_without_hooks_is_refused_outside_monte_carlo(mode):
                                   "monte_carlo mode")
     assert PhiEvaluator(_NoHooks(), mode="monte_carlo",
                         mc_samples=10).phi(1.0) == 0.5
+
+
+class _DocumentedHook(DislocationModel):
+    """UniformBinaryModel(epsilon=0.05)'s integrand behind the hook as the
+    README documents it: phi_quadrature(q) takes q alone."""
+
+    kind = "documented_hook"
+    total_rate = 0.9
+    conservative = True
+
+    def phi_quadrature(self, q):
+        return gauss_kronrod(lambda u: _binary_terms(u, q), 0.05, 1.0 - 0.05)
+
+
+@pytest.mark.parametrize("mode", ["auto", "quadrature"])
+def test_a_model_written_as_documented_evaluates(mode):
+    shipped = PhiEvaluator(UniformBinaryModel(epsilon=0.05), mode="quadrature")
+    ev = PhiEvaluator(_DocumentedHook(), mode=mode)
+    for q in (-1.5, 0.0, 1.0, 3.0):
+        want = (shipped.phi(q), *shipped.phi_derivs(q))
+        assert repr((ev.phi(q), *ev.phi_derivs(q))) == repr(want), q
 
 
 def test_bad_mode_rejected(ub):
@@ -354,14 +376,17 @@ def test_power_tail_quadrature_converges_where_phi_is_steep(epsilon):
     panels."""
     model = PowerTailBinaryModel(epsilon=epsilon)
     quad = PhiEvaluator(model, mode="quadrature")
-    finer = PhiEvaluator(model, mode="quadrature", quad_tol=1e-10 / 16)
     mc = PhiEvaluator(model, mode="monte_carlo", mc_samples=200_000, mc_seed=3)
     for q in np.linspace(-4.0, -1.5, 51):
         phi, d = quad.phi(q), quad.phi_derivs(q)
         assert abs(phi - mc.phi(q)) <= 4.0 * mc.phi_stderr(q), q
-        bound = d.abs_error + finer.phi_derivs(q).abs_error
-        assert abs(phi - finer.phi(q)) <= bound, q
-        assert abs(d.first - finer.phi_derivs(q).first) <= bound, q
+        # the model's integrand at a 16 times tighter absolute tolerance
+        (finer, finer_d1, _), finer_error = gauss_kronrod(
+            lambda v: _binary_terms(v, q) * (model.c * v ** -model.gamma),
+            model.epsilon, 0.5, abs_tol=1e-10 / 16)
+        bound = d.abs_error + finer_error
+        assert abs(phi - finer) <= bound, q
+        assert abs(d.first - finer_d1) <= bound, q
         # the bound met: at most the largest component's target
         assert d.abs_error <= max(1e-10, 1e-12 * abs(d.second)), q
 
@@ -426,7 +451,7 @@ def test_p_bar_maximizes_phi_over_q_plus_one(ub_eval):
 _CLI_GRID = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]  # phi --q-min 0 --q-max 3 --points 7
 
 
-def _p_bar_outcome(ev, residual_tol, grid_first):
+def _p_bar_outcome(ev, grid_first):
     """repr of p_bar and its residual, or of the error p_bar raises; with
     grid_first, phi_derivs is read on _CLI_GRID first, as the phi subcommand
     does (a Monte Carlo entry then holds its standard error)."""
@@ -434,7 +459,7 @@ def _p_bar_outcome(ev, residual_tol, grid_first):
         if grid_first:
             for q in _CLI_GRID:
                 ev.phi_derivs(q)
-        return repr((ev.p_bar(residual_tol), ev.p_bar_residual))
+        return repr((ev.p_bar(), ev.p_bar_residual))
     except (BracketNotFoundError, NotComputableError) as e:
         return repr(e)
 
@@ -443,25 +468,22 @@ def _p_bar_outcome(ev, residual_tol, grid_first):
                                   "monte_carlo"])
 @pytest.mark.parametrize("name", sorted(_SAMPLE_MODELS))
 def test_p_bar_is_a_root_within_its_tolerance(name, mode):
-    """|g(p_bar)| <= residual_tol, or g changes sign between p_bar and the
+    """|g(p_bar)| <= P_BAR_TOL, or g changes sign between p_bar and the
     next float; p_bar_residual is g(p_bar), and the outcome has the same
     bits whether or not the phi subcommand's grid was read first."""
     model = _SAMPLE_MODELS[name]
     for seed in (0, 5, 2**64 - 1):
-        for residual_tol in (1e-10, 0.0):  # 0.0: the float-resolution stop
-            ev = PhiEvaluator(model, mode, mc_seed=seed)
-            want = _p_bar_outcome(ev, residual_tol, False)
-            grid_first = PhiEvaluator(model, mode, mc_seed=seed)
-            assert _p_bar_outcome(grid_first, residual_tol, True) == want, (
-                seed, residual_tol)
-            if ev._p_bar is None:  # refused, as closed_form is without one
-                continue
-            root, res = ev.p_bar(), ev.p_bar_residual
-            assert root > model.p_lower and res == ev._g(root)
-            if abs(res) > residual_tol:
-                other = math.nextafter(root, -math.inf if res > 0.0
-                                       else math.inf)
-                assert res * ev._g(other) <= 0.0, (seed, residual_tol)
+        ev = PhiEvaluator(model, mode, mc_seed=seed)
+        want = _p_bar_outcome(ev, False)
+        grid_first = PhiEvaluator(model, mode, mc_seed=seed)
+        assert _p_bar_outcome(grid_first, True) == want, seed
+        if ev._p_bar is None:  # refused, as closed_form is without one
+            continue
+        root, res = ev.p_bar(), ev.p_bar_residual
+        assert root > model.p_lower and res == ev._g(root)
+        if abs(res) > P_BAR_TOL:
+            other = math.nextafter(root, -math.inf if res > 0.0 else math.inf)
+            assert res * ev._g(other) <= 0.0, seed
 
 
 def test_p_bar_reads_at_most_5_new_q_after_the_cli_grid(ptail):

@@ -6,10 +6,14 @@ workload reaches the library as H.<name>, or a dotted chain such as
 H.martingales.additive_estimator, with H the homfrag package.  The probes
 also call methods on the objects they hold: st.<name> on a Stream and
 model.<name> or ref.<model>.<name> on a dislocation model.  A name removed
-or moved from the library fails here, not only in a benchmark run.
+or moved from the library fails here, not only in a benchmark run, and so
+does a keyword argument the benchmark passes to a callable that no longer
+takes it.
 """
 
 import ast
+from functools import reduce
+import inspect
 from pathlib import Path
 import re
 
@@ -64,3 +68,38 @@ def test_every_method_the_probes_call_on_objects_exists():
     assert sorted(n for n in on_stream if not hasattr(homfrag.Stream, n)) == []
     assert sorted(n for n in on_model
                   if not hasattr(homfrag.DislocationModel, n)) == []
+
+
+def _package_chain(func):
+    """The names after H of a call's dotted callee (H.x.y or self.H.x.y), or
+    None when the callee is not read off the package."""
+    names = []
+    while isinstance(func, ast.Attribute):
+        names.append(func.attr)
+        func = func.value
+    if isinstance(func, ast.Name):
+        names.append(func.id)
+    names.reverse()
+    return names[names.index("H") + 1:] if "H" in names[:-1] else None
+
+
+def _takes(callee, keyword):
+    params = inspect.signature(callee).parameters.values()
+    return any(p.kind == p.VAR_KEYWORD
+               or (p.name == keyword and p.kind != p.POSITIONAL_ONLY)
+               for p in params)
+
+
+def test_every_keyword_the_benchmark_passes_is_a_parameter():
+    # literal keywords only: H.PhiEvaluator(model, **kwargs) names none
+    calls = set()
+    for path in sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            chain = isinstance(node, ast.Call) and _package_chain(node.func)
+            if chain:
+                calls |= {(".".join(chain), kw.arg) for kw in node.keywords
+                          if kw.arg is not None}
+    assert {"barrier_slope", "mode", "mc_seed", "epsilon"} <= {
+        keyword for _, keyword in calls}
+    assert sorted((chain, keyword) for chain, keyword in calls if not _takes(
+        reduce(getattr, chain.split("."), homfrag), keyword)) == []

@@ -1251,9 +1251,9 @@ def test_memoised_phi_leaves_martingale_bytes_unchanged(capsys, tmp_path,
     quadratures = []
     quadrature = PowerTailBinaryModel.phi_quadrature
 
-    def counted(self, q, abs_tol=1e-10):
+    def counted(self, q):
         quadratures.append(q)
-        return quadrature(self, q, abs_tol=abs_tol)
+        return quadrature(self, q)
 
     monkeypatch.setattr(PowerTailBinaryModel, "phi_quadrature", counted)
 

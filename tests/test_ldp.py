@@ -27,7 +27,7 @@ from homfrag.ldp import (
 )
 from homfrag.martingales import replica_values
 from homfrag.ranked import PopulationSnapshot, empirical_interval_count, simulate
-from homfrag.streams import replica_key
+from homfrag.streams import Stream, derive_key, replica_key
 from homfrag.tilting import simulate_subordinator
 
 
@@ -141,6 +141,28 @@ def test_ratio_trace_slope_needs_a_finite_ratio_at_both_times():
     trace = RatioTrace([1.0, 1.0], np.ones((2, 5)), seed=1, n_boot=20)
     with pytest.raises(NotComputableError):
         trace.slope_ci()
+
+
+def test_ratio_slope_pairs_each_resample_with_itself():
+    # only replica 5 has fragments in the window at t = 1, so about a third
+    # of the resamples are empty there and finite at t = 2; the slope reads
+    # only the resamples finite at both times, each with its own two ratios
+    counts = np.array([[0, 0, 0, 0, 0, 3], [1, 2, 0, 1, 3, 1]])
+    seed, n_boot, n = 11, 200, counts.shape[1]
+    trace = RatioTrace([1.0, 2.0], counts, seed=seed, n_boot=n_boot)
+    draws = Stream(derive_key(seed, 0xB007)).uniforms(n_boot * n)
+    res = counts[:, (draws.reshape(n_boot, n) * n).astype(np.int64)]
+    with np.errstate(invalid="ignore"):
+        ratios = (res > 0).mean(axis=2) / res.mean(axis=2)  # (time, resample)
+    early, late = np.isfinite(ratios)
+    assert (late & ~early).any() and early.any()
+    for point, row, finite in zip(trace.points, ratios, (early, late)):
+        want = np.percentile(row[finite], [2.5, 97.5])
+        assert (point.ratio_lo, point.ratio_hi) == tuple(want)
+    both = early & late
+    want = np.percentile(ratios[1, both] - ratios[0, both], [2.5, 97.5])
+    _, lo, hi = trace.slope_ci()
+    assert (lo, hi) == tuple(want)
 
 
 def test_presence_summary_over_a_time_list(ub, ub_eval):
