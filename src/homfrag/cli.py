@@ -17,7 +17,7 @@ written), 3 fragment budget exceeded, 4 regime warning under --strict.
 import argparse
 import errno
 import functools
-from itertools import chain, groupby
+from itertools import chain
 import json
 import math
 from operator import itemgetter, lt
@@ -46,7 +46,7 @@ from .martingales import (
     mc_mean,
     truncated_estimator,
 )
-from .measures import SUM_TOL, MassPartition, model_from_json, model_to_json
+from .measures import SUM_TOL, model_from_json, model_to_json
 from .partitions import PartitionOfN, simulate_partition
 # simulate, simulate_subordinator, simulate_event_log and thin_fiber stay
 # names of this module for callers that wrap its library calls
@@ -331,7 +331,11 @@ def _event_record_problems(n, rec, t_end):
             or not all(type(m) is float or type(m) is int for m in masses)):
         problems.append(f"event-log record {n}: masses must be a non-empty "
                         f"list of numbers, got {masses!r}")
-    elif type(pick) is not int or not 0 <= pick < len(masses):
+        return problems
+    if _split_grid([masses]) is None:
+        problems.append(f"event-log record {n}: masses must be positive, "
+                        f"ranked and sum to at most 1, got {masses!r}")
+    if type(pick) is not int or not 0 <= pick < len(masses):
         problems.append(f"event-log record {n}: pick must index masses, "
                         f"got {pick!r}")
     return problems
@@ -350,8 +354,8 @@ def _json_lines(lines):
 
 
 def _event_columns(records, t_end):
-    """The records' columns, or None if one fails a test of
-    _event_record_problems: the same tests, on whole columns."""
+    """The records' columns and _split_grid of their splits, or None if one
+    fails a test of _event_record_problems: the same tests, on columns."""
     try:  # a record that is not a dict, or lacks a field, raises
         columns = [list(map(itemgetter(k), records)) for k in _EVENT_FIELDS]
         replicas, ts, masses, picks = columns
@@ -366,12 +370,14 @@ def _event_columns(records, t_end):
               and all(map(lt, picks, map(len, masses))))
     except (KeyError, TypeError, OverflowError):
         return None
-    return columns if ok else None
+    grid = _split_grid(masses) if ok else None
+    return None if grid is None else (columns, grid)
 
 
 def _split_grid(masses):
-    """The masses as floats, a zero-padded row per split, if every split passes
-    MassPartition's checks (summed left to right, as cumsum adds); else None."""
+    """The masses as floats, a zero-padded row per split, if every split is
+    positive, ranked and sums (as cumsum adds) to at most 1 + SUM_TOL; else
+    None."""
     # an int past the float range reads as inf (_float), which fails
     flat = np.fromiter(map(_float, chain.from_iterable(masses)), float)
     pieces = np.fromiter(map(len, masses), np.intp, len(masses))
@@ -407,8 +413,8 @@ def _cmd_thin(cfg):
                         f">= 0, got {t_end!r}" if "t_end" in in_header
                         else "event-log header lacks t_end")
         t_end = None
-    columns = _event_columns(records, t_end)
-    if columns is None:
+    checked = _event_columns(records, t_end)
+    if checked is None:
         problems += [problem for n, rec in enumerate(records, 1)
                      for problem in _event_record_problems(n, rec, t_end)]
     if problems:
@@ -416,16 +422,11 @@ def _cmd_thin(cfg):
 
     # a lane per replica, in order; rows by lane, each lane's in file order
     p = pr["p"]
-    replicas, ts, masses, picks = columns
+    (replicas, ts, masses, picks), grid = checked
     lanes = sorted(set(replicas))
     lane = np.fromiter(map(dict(zip(lanes, range(len(lanes)))).__getitem__,
                            replicas), np.intp, len(replicas))
     order = np.argsort(lane, kind="stable").tolist()
-    grid = _split_grid(masses)
-    if grid is None:  # build the splits as thin_fiber's walk did, to raise
-        for _, run in groupby(order, lane.__getitem__):  # its first error
-            for part, j in [(MassPartition(masses[i]), picks[i]) for i in run]:
-                pow(part.masses[j], p)
     keys = [derive_key(replica_key(cfg.seed, r), 1) for r in lanes]
     picked = grid[order, [picks[i] for i in order]]
     kept = thin_lanes(keys, lane[order], picked, p).tolist()
@@ -484,12 +485,12 @@ def _cmd_ldp(cfg):
                         pr["beta"], pr["eps_freeze"], cfg.replicas, cfg.seed,
                         n_boot=pr["n_boot"], threads=cfg.threads,
                         max_fragments=pr["max_fragments"])
-    slope, lo, hi = trace.slope_ci()
     empty = [pt.t for pt in trace.points if math.isnan(pt.ratio)]
     if empty:
         raise NotComputableError(
             f"no U/V ratio at t = {empty}: the window stayed empty in every "
             "replica")
+    slope, lo, hi = trace.slope_ci()
     header.update({"slope": slope, "slope_lo": lo, "slope_hi": hi})
     cols = ("t", "u", "u_stderr", "v", "v_stderr", "ratio", "ratio_lo",
             "ratio_hi")

@@ -17,6 +17,7 @@ mode but monte_carlo, which alone evaluates such a model.
 """
 
 from functools import reduce
+from itertools import accumulate
 import math
 from operator import add
 import sys
@@ -32,7 +33,7 @@ from .errors import (
     UnknownFamilyError,
 )
 from .numerics import gauss_kronrod
-from .streams import _INV_2_53, lanewise, pick_index
+from .streams import _INV_2_53, lanewise, pick_index, pick_indices
 
 
 def _binary_terms(u, q):
@@ -211,11 +212,7 @@ class AtomicModel(DislocationModel):
         self.atoms = atoms
         self.total_rate = reduce(add, (w for _, w in atoms), 0)  # as power_sum
         self.conservative = all(p.conservative for p, _ in atoms)
-        self._cum = []
-        acc = 0.0
-        for _, w in atoms:
-            acc += w
-            self._cum.append(acc)
+        self._cum = list(accumulate(w for _, w in atoms))
         self._cum_array = np.array(self._cum)
         width = max(len(p) for p, _ in atoms)
         self._padded = np.array([p.masses + (0.0,) * (width - len(p))
@@ -226,8 +223,8 @@ class AtomicModel(DislocationModel):
         return self.atoms[pick_index(self._cum, u)][0].masses
 
     def splits(self, u):
-        j = np.searchsorted(self._cum_array, u * self._cum[-1], side="right")
-        return self._padded[np.minimum(j, len(self._cum) - 1)]
+        return self._padded[pick_indices(self._cum_array, u,
+                                         len(self._cum) - 1)]
 
     def phi_closed(self, q):
         phi = d1 = d2 = 0.0

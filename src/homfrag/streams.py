@@ -142,10 +142,24 @@ class Stream:
 
 
 def pick_index(cumweights, u):
-    """Index of uniform u among weights given by their running sums: the
-    first running sum above u * total, and the last index if none is."""
-    j = bisect_right(cumweights, u * cumweights[-1])
-    return min(j, len(cumweights) - 1)
+    """Index of uniform u among the weights with running sums cumweights:
+    the one-row form of pick_indices, whose rule it follows."""
+    # the search stops before the last index: the clamp, without a min()
+    return bisect_right(cumweights, u * cumweights[-1], 0, len(cumweights) - 1)
+
+
+def pick_indices(cumweights, u, last):
+    """Index of uniform u[r] among the weights of row r, for each r: the
+    first running sum above u[r] times the row's total, or last[r] if none
+    is.  cumweights holds the running sums, a row per r or one row for all;
+    last[r] (or one int for all) indexes row r's last real weight, past
+    which zeros pad the row, so its running sums repeat the total."""
+    x = u * cumweights[..., -1]
+    if cumweights.ndim == 1:  # one row: a binary search of it for each u
+        below = np.searchsorted(cumweights, x, side="right")
+    else:  # a pass per column: numpy reduces along a short axis slowly
+        below = sum(column <= x for column in cumweights.T)
+    return np.minimum(below, last)
 
 
 def lanewise(fn, x, y=None):

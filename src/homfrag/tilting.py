@@ -20,6 +20,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
+from itertools import accumulate
 from operator import add
 from typing import NamedTuple
 
@@ -40,6 +41,7 @@ from .streams import (
     derive_key,
     derive_keys,
     lanewise,
+    pick_indices,
     replica_keys,
 )
 
@@ -122,13 +124,7 @@ def size_biased_draw(model):
 
     def draw(stream):
         part = sample(stream)
-        u = stream.uniform()
-        acc = 0.0
-        for j, m in enumerate(part.masses):
-            acc += m
-            if u < acc:
-                return part, j, 1.0
-        return part, j, 1.0  # round-off left u >= the total: the last piece
+        return part, stream.pick(list(accumulate(part.masses))), 1.0
     return draw
 
 
@@ -170,9 +166,9 @@ class TaggedLine:
         return reduce(add, self.jump_sizes[:i]) if i else 0.0
 
     def spine_log_mass(self, t):
-        """Log mass of the followed piece at time t: minus the jumps so far."""
-        # summed left to right from int 0, as sum does up to Python 3.11
-        return -reduce(add, self.jump_sizes[:self._jumps_to(t)], 0)
+        """Log mass of the followed piece at time t: minus the jumps so far
+        (0.0, not -0.0, before the first)."""
+        return 0.0 - self.value(t)
 
     def _jumps_to(self, t):
         """How many jumps fall up to and including t, for t <= t_end."""
@@ -425,17 +421,8 @@ def sample_size_biased_batch(model, split_u, pick_u):
     if not model.conservative:
         raise DustNotSupportedError("size-biased pick needs a conservative model")
     masses = model.splits(split_u)
-    # the scalar rule picks the first j with u < acc after acc += m_j; acc
-    # never decreases, so that j is the number of steps with u >= acc
-    acc = np.zeros(len(pick_u))
-    pick = np.zeros(len(pick_u), dtype=np.intp)
-    for column in masses.T:
-        acc += column
-        pick += pick_u >= acc
-    # padding adds nothing, so a pick past the end means no acc exceeded u:
-    # the scalar rule then falls back to the last real piece
-    over = np.flatnonzero(pick == masses.shape[1])
-    pick[over] = np.count_nonzero(masses[over], axis=1) - 1
+    pick = pick_indices(np.cumsum(masses, axis=1), pick_u,
+                        sum(column > 0.0 for column in masses.T) - 1)
     return masses[np.arange(len(pick)), pick], pick, masses
 
 

@@ -5,7 +5,8 @@ of LIBRARY_CALLS on homfrag.cli (to wrap it in a trace span), and every
 workload reaches the library as H.<name>, or a dotted chain such as
 H.martingales.additive_estimator, with H the homfrag package.  The probes
 also call methods on the objects they hold: st.<name> on a Stream and
-model.<name> or ref.<model>.<name> on a dislocation model.  A name removed
+model.<name> or ref.<model>.<name> on a dislocation model, and the ops
+read attributes off the records the library returns.  A name removed
 or moved from the library fails here, not only in a benchmark run, and so
 does a keyword argument the benchmark passes to a callable that no longer
 takes it.
@@ -103,3 +104,36 @@ def test_every_keyword_the_benchmark_passes_is_a_parameter():
         keyword for _, keyword in calls}
     assert sorted((chain, keyword) for chain, keyword in calls if not _takes(
         reduce(getattr, chain.split("."), homfrag), keyword)) == []
+
+
+# the attributes bench/ reads off the records the library returns
+RECORD_ATTRIBUTES = {
+    "event_log": ("jump_times", "value", "partitions", "picks"),
+    "split": ("masses",),
+    "thinned": ("kept",),
+    "spine": ("jump_times", "weight", "spine_log_mass"),
+    "snapshot": ("log_masses", "frozen_mass", "n_live", "frozen_count",
+                 "event_count"),
+}
+
+
+def test_every_record_attribute_the_benchmark_reads_exists():
+    text = "".join(path.read_text() for path in sorted(BENCH.glob("*.py")))
+    model = homfrag.UniformBinaryModel()
+    key = homfrag.replica_key(3, 0)
+    log = homfrag.simulate_event_log(model, 4.0, key)
+    assert len(log) > 0
+    spine = homfrag.simulate_spine(model, 0.5, 4.0, key)
+    records = {
+        "event_log": log,
+        "split": log.partitions[0],
+        "thinned": homfrag.thin_fiber(log, 1.0,
+                                      homfrag.Stream(homfrag.derive_key(key, 1))),
+        "spine": spine,
+        "snapshot": homfrag.simulate(model, 1.0, [1.0], 1e-3, key)[0],
+    }
+    for kind, names in RECORD_ATTRIBUTES.items():
+        assert [n for n in names if not re.search(rf"\.{n}\b", text)] == []
+        assert [n for n in names if not hasattr(records[kind], n)] == [], kind
+    # bench/ stores it in a float array: a float before the first jump too
+    assert {type(spine.spine_log_mass(t)) for t in (0.0, 4.0)} == {float}

@@ -836,27 +836,31 @@ def test_ldp_ratio_needs_two_grid_times(capsys, ub_model_file):
 
 def test_ldp_ratio_with_an_always_empty_window_exits_2(capsys,
                                                        ub_model_file):
-    # the single replica has no fragment in the window at one of the two
-    # times, so no bootstrap resample gives a finite ratio there
+    # the window [x + 5, x + 6] lies above log mass 0 at t = 1 and 2 (x is
+    # -t/8 at p = 2), so no fragment of any replica reaches it
     code, out, err = run_cli(capsys, [
-        "--seed", "7", "--model", ub_model_file, "--replicas", "1"]
-        + RATIO_ARGS + ["--t-grid", "1,2"])
+        "--seed", "7", "--model", ub_model_file, "--replicas", "3", "ldp",
+        "--estimator", "ratio", "--p", "2.0", "--alpha", "5", "--beta", "6",
+        "--eps-freeze", "1e-8", "--t-grid", "1,2"])
     assert code == 2
     assert out == ""
-    assert "NotComputableError" in err and "Traceback" not in err
+    assert "no U/V ratio at t = [1.0, 2.0]" in err
+    assert "Traceback" not in err
 
 
+# at t = 0.25 no replica has a fragment in the window; on the first grid the
+# last two times have some, so the slope exists but that row's ratio would be
+# NaN, and on the second t = 0.25 is one of the slope's two times
+@pytest.mark.parametrize("t_grid", ["1,1.25,0.25", "1,0.25"])
 def test_ldp_ratio_with_an_empty_window_before_the_slope_exits_2(
-        capsys, tmp_path):
-    # at t = 0.25 no replica has a fragment in the window; the last two
-    # times have some, so the slope exists but that row's ratio would be NaN
+        capsys, tmp_path, t_grid):
     model = tmp_path / "tb.json"
     model.write_text(json.dumps({"kind": "atomic", "atoms": [
         [[0.5, 0.3, 0.2], 1.0], [[0.6, 0.4], 2.0]]}))
     code, out, err = run_cli(capsys, [
         "--seed", "0", "--model", str(model), "--replicas", "3", "ldp",
         "--estimator", "ratio", "--p", "0", "--alpha", "-1", "--beta", "0.5",
-        "--t-grid", "1,1.25,0.25", "--eps-freeze", "0.0625"])
+        "--t-grid", t_grid, "--eps-freeze", "0.0625"])
     assert code == 2
     assert out == ""
     assert "no U/V ratio at t = [0.25]" in err and "Traceback" not in err
@@ -1236,7 +1240,8 @@ def test_thin_rejects_unranked_masses(capsys, ub_model_file, tmp_path):
         "thin", "--p", "1.0", "--input", str(log_path)])
     assert code == 2
     assert out == ""
-    assert "masses not ranked" in err
+    assert ("event-log record 1: masses must be positive, ranked and sum to "
+            "at most 1, got [0.4, 0.6]") in err
     assert "Traceback" not in err
 
 

@@ -341,14 +341,15 @@ def test_sampled_splits_are_valid_by_construction(model):
 
 
 def test_size_biased_batch_pick_rule_matches_the_scalar_rule():
-    # the masses sum to 1 - 5e-10 (conservative within tolerance): a draw
-    # above that sum falls back to the last piece in both engines
+    # the masses sum to 1 - 5e-10 (conservative within tolerance), and both
+    # engines compare u times that sum with the running masses: u = 0.5 and
+    # 0.8 equal running masses, which u * total falls just below
     model = AtomicModel([([0.5, 0.3, 0.2 - 5e-10], 1.0), ([0.6, 0.4], 1.0)])
     atoms = [0.1, 0.1, 0.1, 0.1, 0.7, 0.7]
     picks = [0.0, 0.5, 0.8, 0.9999999999, 0.6, 0.59]
     mass, pick, masses = sample_size_biased_batch(
         model, np.array(atoms), np.array(picks))
-    assert pick.tolist() == [0, 1, 2, 2, 1, 0]
+    assert pick.tolist() == [0, 0, 1, 2, 1, 0]
     for r, (a, u) in enumerate(zip(atoms, picks)):
         m, j, part = sample_size_biased(model, _FixedStream([a, u]))
         assert (mass[r], pick[r]) == (m, j)

@@ -679,8 +679,10 @@ def test_splits_of_batch_draws_equal_sample_masses(name):
         s.uniform() for s in scalar]
 
 
-# the ends of [0, 1), the largest float below 1/2, and 1/2
-_EDGE_UNIFORMS = [0.0, 2.0 ** -53, 0.5 - 2.0 ** -54, 0.5, 1.0 - 2.0 ** -53]
+# the ends of [0, 1), the largest float below 1/2, 1/2, and 1/3, which
+# times 3 rounds to 1.0: a tie with ternary_binary's first running weight
+_EDGE_UNIFORMS = [0.0, 2.0 ** -53, 0.5 - 2.0 ** -54, 0.5, 1.0 - 2.0 ** -53,
+                  1.0 / 3.0]
 
 
 def _uniforms():

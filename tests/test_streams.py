@@ -17,6 +17,7 @@ from homfrag.streams import (
     lanewise,
     mix64,
     pick_index,
+    pick_indices,
     replica_key,
     replica_keys,
 )
@@ -133,6 +134,37 @@ def test_pick_index_ties_and_clamp():
     s, t = Stream(5), Stream(5)
     assert [s.pick(cum) for _ in range(50)] == [
         pick_index(cum, t.uniform()) for _ in range(50)]
+
+
+# weights of 1-4 pieces: totals one ulp below and above 1, a trailing piece
+# too small to move the running sum, running sums that u * total can tie
+_PICK_ROWS = [
+    [1.0], [0.75], [0.6, 0.4], [0.5, 0.5 - 2.0 ** -53],
+    [0.5 + 2.0 ** -52, 0.5], [0.75, 0.25, 1e-17], [0.5, 0.3, 0.2 - 5e-10],
+    [1.0, 1.0, 2.0], [0.4, 0.3, 0.2, 0.1], [3.0, 1e-300, 1e-300, 1e-300],
+] + np.random.default_rng(29).dirichlet(np.ones(4), 6).tolist()
+_PICK_U = [0.0, 0.25, 0.5, 0.75, 0.8, 1.0 - 2.0 ** -53, 1.0] + (
+    StreamBatch(replica_keys(29, 40)).uniform_at(np.arange(40), 1).tolist())
+
+
+def test_pick_indices_is_pick_index_row_by_row():
+    width = 5  # every row zero-padded past its last weight
+    weights = np.zeros((len(_PICK_ROWS), width))
+    for r, row in enumerate(_PICK_ROWS):
+        weights[r, :len(row)] = row
+    cum = np.cumsum(weights, axis=1)
+    last = np.array([len(row) - 1 for row in _PICK_ROWS])
+    for u in _PICK_U:
+        got = pick_indices(cum, np.full(len(_PICK_ROWS), u), last)
+        assert got.tolist() == [
+            pick_index(cum[r, :last[r] + 1].tolist(), u)
+            for r in range(len(_PICK_ROWS))], u
+    # one row for every uniform
+    u = np.array(_PICK_U)
+    for r, row in enumerate(_PICK_ROWS):
+        running = cum[r, :len(row)]
+        assert pick_indices(running, u, len(row) - 1).tolist() == [
+            pick_index(running.tolist(), x) for x in _PICK_U]
 
 
 @given(st.integers(min_value=-2**70, max_value=2**70), st.integers(min_value=0, max_value=3))

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from homfrag import cli
+from homfrag.errors import FragmentationError
 from homfrag.measures import (
     AtomicModel,
+    MassPartition,
     PowerTailBinaryModel,
     UniformBinaryModel,
     model_to_json,
@@ -133,7 +135,8 @@ EDGE_RECORDS = [record for record, _ in MALFORMED_EVENT_RECORDS] + [
     dict(VALID, t=int(sys.float_info.max) + 1),
     {"replica": 0, "t": 0.5, "masses": [0.6, 0.4]},
 ]
-# records whose splits fail MassPartition's checks
+# records whose splits fail MassPartition's checks, in thin's words a split
+# that is not positive, ranked and summing to at most 1
 BAD_SPLITS = [
     dict(VALID, masses=[0.4, 0.6]),
     dict(VALID, masses=[0.6, 0.0]),
@@ -175,9 +178,9 @@ def test_split_checks_pass_exactly_when_mass_partition_accepts():
                                 dict(VALID, masses=[0.5, 0.5, 5e-13, 5e-13]),
                                 dict(VALID, masses=[0.5, 0.25, 0.25, 1e-13])]:
         try:
-            cli.MassPartition(record["masses"])
+            MassPartition(record["masses"])
             ok = True
-        except (cli.FragmentationError, OverflowError):
+        except (FragmentationError, OverflowError):
             ok = False
         for masses in ([record["masses"]], [[0.5, 0.5], record["masses"]]):
             with np.errstate(over="ignore"):  # a sum to inf fails the check
@@ -253,20 +256,41 @@ def test_thin_refuses_a_file_it_cannot_decode_as_the_oracle(both, tmp_path,
     assert f"  - {problem}" in new[2]
 
 
-def test_thin_raises_the_first_error_of_the_replica_by_replica_walk(
-        both, tmp_path):
-    # a picked mass just above 1 overflows at p = 1e300 when its replica is
-    # thinned: before a later replica's unranked split is built, after an
-    # earlier one's
-    over = json.dumps(dict(VALID, masses=[1.0 + 5e-13]))
-    unranked = json.dumps(dict(VALID, masses=[0.4, 0.6]))
+def _split_problem(n, masses):
+    return (f"event-log record {n}: masses must be positive, ranked and sum "
+            f"to at most 1, got {json.loads(json.dumps(masses))!r}")
+
+
+def test_thin_lists_every_bad_split_in_record_order(both, tmp_path):
+    # a valid record before each bad one, and the bad ones' replicas
+    # numbered down, so that record order is not replica order
+    lines, problems = [HEADER], []
+    for i, bad in enumerate(BAD_SPLITS + [dict(VALID, masses=[0.3, 0.7],
+                                               pick=2)]):
+        lines += [json.dumps(dict(VALID, replica=i)),
+                  json.dumps(dict(bad, replica=-i))]
+        problems.append(_split_problem(2 * i + 2, bad["masses"]))
+    problems.append(f"event-log record {len(lines) - 1}: pick must index "
+                    "masses, got 2")
+    log = _write_log(tmp_path, "\n".join(lines) + "\n")
+    new, old = both(_thin_argv(_model_file(tmp_path, MODELS["uniform"]), log))
+    assert new == old
+    assert new == (2, "", "configuration errors:\n"
+                   + "".join(f"  - {problem}\n" for problem in problems))
+
+
+def test_thin_overflows_only_on_a_log_whose_records_all_pass(both, tmp_path):
+    # a picked mass just above 1 passes the split check and overflows at
+    # p = 1e300; beside a bad split anywhere in the log, only that is listed
+    over = json.dumps(dict(VALID, replica=1, masses=[1.0 + 5e-13]))
+    unranked = json.dumps(dict(VALID, replica=2, masses=[0.4, 0.6]))
     model_file = _model_file(tmp_path, MODELS["uniform"])
-    errors = set()
-    for first, second in ((over, unranked), (unranked, over)):
-        text = "\n".join([HEADER, first.replace('"replica": 0', '"replica": 1'),
-                          second.replace('"replica": 0', '"replica": 2')])
-        log = _write_log(tmp_path, text + "\n")
+    for lines, error in (
+            ([over], "error: OverflowError: "),
+            ([over, unranked], f"  - {_split_problem(2, [0.4, 0.6])}\n"),
+            ([unranked, over], f"  - {_split_problem(1, [0.4, 0.6])}\n")):
+        log = _write_log(tmp_path, "\n".join([HEADER] + lines) + "\n")
         new, old = both(_thin_argv(model_file, log, p="1e300"))
         assert new == old and new[0] == 2
-        errors.add(new[2])
-    assert len(errors) == 2
+        assert error in new[2]
+        assert ("OverflowError" in new[2]) == (len(lines) == 1)

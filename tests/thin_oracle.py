@@ -11,7 +11,9 @@ does, so a file that is not UTF-8 or not JSON fails alike.
 
 The record checker and the encoder are frozen copies of those `thin` used
 then, not imports from homfrag.cli: an oracle that borrowed them would
-compare `thin`'s error wording and row bytes with themselves.
+compare `thin`'s error wording and row bytes with themselves.  The checker
+has one later rule: a split that MassPartition refuses is a record problem,
+so no split the loop builds raises.
 
 HAND_LOGS are event logs written by hand: interleaved and out-of-order
 replicas, negative and >= 2**64 replica indices, int times and masses, a
@@ -23,7 +25,7 @@ import math
 import sys
 
 from homfrag.analytics import PhiEvaluator
-from homfrag.errors import ConfigError
+from homfrag.errors import ConfigError, FragmentationError
 from homfrag.measures import MassPartition
 from homfrag.streams import Stream, derive_key, replica_key
 from homfrag.tilting import TaggedLine, thin_fiber
@@ -72,7 +74,13 @@ def _event_record_problems(n, rec, t_end):
             or not all(type(m) is float or type(m) is int for m in masses)):
         problems.append(f"event-log record {n}: masses must be a non-empty "
                         f"list of numbers, got {masses!r}")
-    elif type(pick) is not int or not 0 <= pick < len(masses):
+        return problems
+    try:
+        MassPartition(masses)
+    except (FragmentationError, OverflowError):  # an int past the floats
+        problems.append(f"event-log record {n}: masses must be positive, "
+                        f"ranked and sum to at most 1, got {masses!r}")
+    if type(pick) is not int or not 0 <= pick < len(masses):
         problems.append(f"event-log record {n}: pick must index masses, "
                         f"got {pick!r}")
     return problems

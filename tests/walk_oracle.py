@@ -8,8 +8,11 @@ pick.  The spine is walked without its shed population, which reads only
 the line.  Tests check the walk against it field for field, bit for bit.
 Its one-draw calls sample_tilted_split, spine_child_select and
 sample_size_biased are also where tests take single draws: the library
-draws only whole lines.
+draws only whole lines.  sample_size_biased picks by Stream.pick over the
+split's running masses, the package's one rule for a weighted pick.
 """
+
+from itertools import accumulate
 
 from homfrag.analytics import PhiEvaluator
 from homfrag.errors import (
@@ -58,13 +61,8 @@ def sample_size_biased(model, stream):
     if not model.conservative:
         raise DustNotSupportedError("size-biased pick needs a conservative model")
     part = _sample(model, stream)
-    u = stream.uniform()
-    acc = 0.0
-    for j, m in enumerate(part.masses):
-        acc += m
-        if u < acc:
-            return m, j, part
-    return part.masses[-1], len(part.masses) - 1, part
+    j = stream.pick(list(accumulate(part.masses)))
+    return part.masses[j], j, part
 
 
 def walk_tagged_line(rate, t_end, seed, draw, p=0.0):
