@@ -53,7 +53,9 @@ from .partitions import PartitionOfN, simulate_partition
 from .ranked import DEFAULT_MAX_FRAGMENTS, simulate, simulate_replicas  # noqa: F401
 from .streams import MASK64, derive_key, replica_key
 from .tilting import (  # noqa: F401
+    read_spines,
     read_tagged_lines,
+    shed_populations,
     simulate_event_log,
     simulate_spine,
     simulate_subordinator,
@@ -171,10 +173,11 @@ def _cmd_partition(cfg):
 def _cmd_subordinator(cfg):
     pr = cfg.params
     rows = []
+    write = _event_log_rows if pr["event_log"] else _line_rows
     first = 0  # the replica of the record's lane 0
     for rec in read_tagged_lines(cfg.model, pr["t_end"], cfg.seed,
                                  cfg.replicas):
-        rows += _subordinator_rows(rec, first, pr["event_log"])
+        rows += write(rec, first)
         first += len(rec.keys)
     header = {"t_end": pr["t_end"], "rate": cfg.model.total_rate}
     if pr["event_log"]:
@@ -183,22 +186,40 @@ def _cmd_subordinator(cfg):
     return header, "csv", ("replica", "jump_time", "jump_size"), rows
 
 
-def _subordinator_rows(rec, first, event_log):
-    """The rows of a TaggedLines record whose lane 0 is replica `first`,
-    replica by replica, each line's events in order.
-
-    An event-log row is _dumps({"masses": ..., "pick": j, "replica": i,
-    "t": t}), a CSV row i,t,s with s the jump -log(picked mass), written
-    from the record's columns: json writes a finite float by repr, and a
-    split's pieces are its masses before the zero padding.
-    """
+def _by_replica(rec, first):
+    """(order, replicas): the order that lists the events of a TaggedLines
+    record whose lane 0 is replica `first` replica by replica, each line's
+    events in order, and the replica of each event in that order."""
     lane = np.nonzero(rec.events)[1]
     order = np.argsort(lane, kind="stable")
-    replicas = (lane[order] + first).tolist()
+    return order, (lane[order] + first).tolist()
+
+
+def _line_rows(rec, first, log_mass=False):
+    """The CSV rows i,t,s of a TaggedLines record whose lane 0 is replica
+    `first`, in _by_replica's order: s is the jump -log(picked mass), and
+    with log_mass a fourth cell is the line's log mass after the jump, 0.0
+    minus its jumps so far, subtracted in event order.  Cells are written
+    from the record's columns, floats by repr."""
+    order, replicas = _by_replica(rec, first)
+    sizes = rec.jump_sizes()
+    columns = [rec.times[rec.events], sizes]
+    if log_mass:
+        steps = np.zeros((len(rec.events) + 1, len(rec.keys)))
+        steps[1:][rec.events] = sizes
+        columns.append(np.subtract.accumulate(steps)[1:][rec.events])
+    cells = [map(repr, column[order].tolist()) for column in columns]
+    return list(map(",".join, zip(map(str, replicas), *cells)))
+
+
+def _event_log_rows(rec, first):
+    """The event-log rows of a TaggedLines record whose lane 0 is replica
+    `first`, in _by_replica's order: _dumps({"masses": ..., "pick": j,
+    "replica": i, "t": t}), written from the record's columns, since json
+    writes a finite float by repr and a split's pieces are its masses
+    before the zero padding."""
+    order, replicas = _by_replica(rec, first)
     times = rec.times[rec.events][order].tolist()
-    if not event_log:
-        sizes = rec.jump_sizes()[order].tolist()
-        return [f"{i},{t!r},{s!r}" for i, t, s in zip(replicas, times, sizes)]
     masses = rec.masses[order]
     pieces = np.count_nonzero(masses, axis=1).tolist()
     masses = [",".join(map(repr, row[:n]))
@@ -251,24 +272,8 @@ def _cmd_martingale(cfg):
 def _cmd_spine(cfg):
     pr = cfg.params
     ev = PhiEvaluator(cfg.model)
-    rows = []
-    weights = []
-    n_shed = []
-    populations = []
-    for i in range(cfg.replicas):
-        run = simulate_spine(cfg.model, pr["p"], pr["t_end"],
-                             replica_key(cfg.seed, i), ev,
-                             eps_freeze=pr["eps_freeze"])
-        weights.append(run.weight)
-        n_shed.append(sum(len(part) for part in run.partitions) - len(run))
-        if run.population is not None:
-            pop = run.population
-            populations.append((pop.n_live, pop.frozen_mass, pop.event_count))
-        lm = 0.0
-        for t, s in zip(run.jump_times, run.jump_sizes):
-            lm -= s
-            # the line's times and sizes are floats, written by repr
-            rows.append(f"{i},{t!r},{s!r},{lm!r}")
+    read = _read_spines if pr["p"] < 0.0 else _walk_spines
+    rows, weights, n_shed, populations = read(cfg, ev)
 
     def total(floats):
         # left to right from 0, as sum adds floats up to Python 3.11 (3.12
@@ -282,7 +287,7 @@ def _cmd_spine(cfg):
               "weight_mean": w_sum / len(weights),
               # effective sample size of the importance weights
               "weight_ess": w_sum ** 2 / w_sq if w_sq > 0.0 else None,
-              "shed_fragments_mean": sum(n_shed) / len(n_shed)}
+              "shed_fragments_mean": n_shed / len(weights)}
     if populations:
         live, frozen, events = zip(*populations)
         header.update({"eps_freeze": pr["eps_freeze"],
@@ -291,6 +296,56 @@ def _cmd_spine(cfg):
                        "population_events_mean": sum(events) / len(events)})
     return header, "csv", ("replica", "jump_time", "jump_size",
                            "spine_log_mass"), rows
+
+
+def _read_spines(cfg, ev):
+    """(rows, weights, shed fragment count, populations) of the spine's
+    replicas at p < 0, read as lanes by read_spines; a population is
+    (n_live, frozen_mass, event_count), and only those are kept."""
+    pr = cfg.params
+    rows = []
+    weights = []
+    n_shed = 0
+    populations = []
+    first = 0  # the replica of the record's lane 0
+    for rec in read_spines(cfg.model, pr["p"], pr["t_end"], cfg.seed,
+                           cfg.replicas, ev):
+        rows += _line_rows(rec, first, log_mass=True)
+        weights += rec.weights.tolist()
+        # every piece of a split but the one followed is shed
+        n_shed += int(np.count_nonzero(rec.masses)) - len(rec.masses)
+        if pr["eps_freeze"] is not None:
+            populations += [
+                (pop.n_live, pop.frozen_mass, pop.event_count)
+                for pop in shed_populations(cfg.model, pr["t_end"],
+                                            pr["eps_freeze"], rec)]
+        first += len(rec.keys)
+    return rows, weights, n_shed, populations
+
+
+def _walk_spines(cfg, ev):
+    """_read_spines' four items at p >= 0, where simulate_spine walks each
+    replica in turn."""
+    pr = cfg.params
+    rows = []
+    weights = []
+    n_shed = 0
+    populations = []
+    for i in range(cfg.replicas):
+        run = simulate_spine(cfg.model, pr["p"], pr["t_end"],
+                             replica_key(cfg.seed, i), ev,
+                             eps_freeze=pr["eps_freeze"])
+        weights.append(run.weight)
+        n_shed += sum(len(part) for part in run.partitions) - len(run)
+        if run.population is not None:
+            pop = run.population
+            populations.append((pop.n_live, pop.frozen_mass, pop.event_count))
+        lm = 0.0
+        for t, s in zip(run.jump_times, run.jump_sizes):
+            lm -= s
+            # the line's times and sizes are floats, written by repr
+            rows.append(f"{i},{t!r},{s!r},{lm!r}")
+    return rows, weights, n_shed, populations
 
 
 _EVENT_FIELDS = ("replica", "t", "masses", "pick")

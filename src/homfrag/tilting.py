@@ -13,13 +13,14 @@ keeping an event of the untilted stream with probability (picked mass)^p
 The untilted event log, the tilted spine and a thinned log are one record,
 TaggedLine: a line of descent walked by walk_tagged_line.  The untilted
 line is the tagged-piece subordinator (its jumps are -log of size-biased
-picks), and read_tagged_lines reads many of its replicas at once.
+picks).  read_tagged_lines and read_spines read many replicas of the
+untilted line and of the spine at p < 0 at once, as TaggedLines records.
 """
 
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from itertools import accumulate
 from operator import add
 from typing import NamedTuple
@@ -45,9 +46,12 @@ from .streams import (
     replica_keys,
 )
 
-# events (lanes x block width) read at once by read_tagged_lines: bounds
-# its memory, not a knob
+# events (lanes x block width) read at once by read_tagged_lines and
+# read_spines: bounds their memory, not a knob
 _CHUNK_CELLS = 1 << 20
+# shed roots grown by one simulate_lanes call: bounds the populations held
+# at once, not a knob
+_SHED_ROOTS = 256
 
 
 def esscher_exponent(evaluator, p, q):
@@ -248,19 +252,10 @@ def simulate_spine(model, p, t_end, seed, evaluator=None, *, eps_freeze=None):
     line = walk_tagged_line(rate, t_end, seed, _tilted_draw(model, p, rate), p)
     if eps_freeze is not None:
         roots, lm = line.shed()
-        births, root_lms, keys = zip(*roots) if roots else ((), (), ())
-        shed = simulate_lanes(
-            model, t_end, [t_end], eps_freeze, [0] * len(roots), keys,
-            initial_log_mass=root_lms, start_time=births,
-            reduce=lambda snaps: snaps[0])
-        logs = np.concatenate([[lm]] + [s.log_masses for s in shed])
-        line.population = PopulationSnapshot(
-            time=t_end, log_masses=np.sort(logs)[::-1],
-            frozen_mass=reduce(add, (s.frozen_mass for s in shed), 0.0),
-            frozen_count=sum(s.frozen_count for s in shed),
-            event_count=len(line) + sum(s.event_count for s in shed),
-            eps_freeze=eps_freeze, seed=seed,
-        )
+        births, lms, keys = zip(*roots) if roots else ((), (), ())
+        line.population, = _grow_shed(
+            model, t_end, eps_freeze, [seed], [len(line)], [lm],
+            ([0] * len(roots), births, lms, keys))
     return line
 
 
@@ -275,7 +270,7 @@ simulate_subordinator = simulate_event_log
 
 
 class TaggedLines(NamedTuple):
-    """The untilted tagged lines of a chunk of lanes, as arrays.
+    """The tagged lines of a chunk of lanes, as arrays.
 
     Lane i is keyed keys[i] and has counts[i] events by t_end.  The 2-d
     arrays have one row per event index and one column per lane:
@@ -283,8 +278,11 @@ class TaggedLines(NamedTuple):
     (entries not marked are filler).  Event k of np.nonzero(events), which
     lists them by event index, then by lane, has the split masses[k] (a row
     zero-padded to the widest split), the index picks[k] of the piece the
-    line follows and that piece's mass picked[k].  Every lane equals
-    simulate_event_log(model, t_end, keys[i]) bit for bit.
+    line follows and that piece's mass picked[k].  weights[i] is lane i's
+    importance weight (1.0 unless a spine has p < 0).  Every lane of a
+    read_tagged_lines record equals simulate_event_log(model, t_end,
+    keys[i]) bit for bit, and every lane of a read_spines record
+    simulate_spine(model, p, t_end, keys[i]).
     """
 
     keys: np.ndarray
@@ -294,10 +292,92 @@ class TaggedLines(NamedTuple):
     masses: np.ndarray
     picks: np.ndarray
     picked: np.ndarray
+    weights: np.ndarray
 
     def jump_sizes(self):
         """-log of each picked mass, by libm, as TaggedLine.jump_sizes."""
         return -lanewise(math.log, self.picked)
+
+    def values(self):
+        """Each lane's value(t_end): its jumps summed in event order from the
+        first one, as TaggedLine.value sums them (0.0 for a lane with none)."""
+        jumps = np.zeros(self.events.shape)
+        jumps[self.events] = self.jump_sizes()
+        out = np.zeros(len(self.keys))
+        done = np.flatnonzero(self.counts)
+        out[done] = np.cumsum(jumps, axis=0)[self.counts[done] - 1, done]
+        return out
+
+    def shed(self):
+        """(roots, log masses at t_end) of every lane, as TaggedLine.shed
+        gives them line by line: roots are the columns (lane, birth time,
+        log mass, key), by lane, then by event, then by piece."""
+        n = len(self.keys)
+        # the followed piece's log mass before each event and at t_end:
+        # running sums of libm logs from 0.0, in event order
+        logs = np.zeros((len(self.events) + 1, n))
+        logs[1:][self.events] = lanewise(math.log, self.picked)
+        before = np.cumsum(logs, axis=0)
+        e, lane = np.nonzero(self.events)
+        order = np.lexsort((e, lane))
+        e, lane = e[order], lane[order]
+        masses = self.masses[order]
+        row, piece = np.nonzero(masses)          # row-major: (event, piece)
+        shed = piece != self.picks[order][row]
+        row, piece = row[shed], piece[shed]
+        e, lane = e[row], lane[row]
+        lms = before[e, lane] + lanewise(math.log, masses[row, piece])
+        keys = derive_keys(derive_keys(derive_keys(self.keys, 0)[lane], e),
+                           piece)
+        return ((lane, self.times[e, lane], lms, keys),
+                before[self.counts, np.arange(n)])
+
+
+def _grow_shed(model, t_end, eps_freeze, seeds, counts, line_lms, roots):
+    """The population at t_end of each line a in turn: its own fragment, of
+    log mass line_lms[a], beside the roots it shed, grown to t_end by
+    simulate_lanes, frozen at eps_freeze, within DEFAULT_MAX_FRAGMENTS.
+
+    roots holds the columns (line, birth time, log mass, key), by line;
+    each root is a lane of its own, and a line's frozen masses are added in
+    the order of its roots.  One simulate_lanes call grows the roots of
+    consecutive lines, at most _SHED_ROOTS of them unless one line has
+    more, and only that call's populations are held at once.  counts[a] is
+    line a's event count and seeds[a] labels its snapshot.
+    """
+    line, births, lms, keys = roots
+    bounds = np.searchsorted(line, np.arange(len(seeds) + 1)).tolist()
+    a = 0
+    while a < len(seeds):
+        # lines a, ..., b - 1: as many as _SHED_ROOTS roots hold, one at least
+        b = max(a + 1, bisect_right(bounds, bounds[a] + _SHED_ROOTS) - 1)
+        lo, hi = bounds[a], bounds[b]
+        shed = simulate_lanes(model, t_end, [t_end], eps_freeze,
+                              [0] * (hi - lo), keys[lo:hi],
+                              initial_log_mass=lms[lo:hi],
+                              start_time=births[lo:hi],
+                              reduce=lambda snaps: snaps[0])
+        for c in range(a, b):
+            grown = shed[bounds[c] - lo:bounds[c + 1] - lo]
+            logs = np.concatenate([[line_lms[c]]]
+                                  + [s.log_masses for s in grown])
+            yield PopulationSnapshot(
+                time=t_end, log_masses=np.sort(logs)[::-1],
+                frozen_mass=reduce(add, (s.frozen_mass for s in grown), 0.0),
+                frozen_count=sum(s.frozen_count for s in grown),
+                event_count=counts[c] + sum(s.event_count for s in grown),
+                eps_freeze=eps_freeze, seed=seeds[c],
+            )
+        a = b
+
+
+def shed_populations(model, t_end, eps_freeze, rec):
+    """simulate_spine(..., eps_freeze=eps_freeze).population of every lane
+    of rec, a read_spines record to t_end, made as they are iterated: the
+    roots of consecutive lanes are grown together (see _grow_shed)."""
+    roots, line_lms = rec.shed()
+    return _grow_shed(model, t_end, eps_freeze, rec.keys.tolist(),
+                      rec.counts.tolist(), line_lms.tolist(), roots)
 
 
 def read_tagged_lines(model, t_end, seed, n_replicas):
@@ -316,6 +396,42 @@ def read_tagged_lines(model, t_end, seed, n_replicas):
     t_end first.
     """
     rate = model.total_rate
+
+    def pick(split_u, pick_u):  # every weight is 1.0
+        return (*sample_size_biased_batch(model, split_u, pick_u), None)
+    return (_read_block(rate, t_end, keys, width, pick)
+            for keys, width in _chunks(rate, t_end, seed, n_replicas))
+
+
+def read_spines(model, p, t_end, seed, n_replicas, evaluator=None):
+    """The p-tilted spines, p < 0, of replicas 0, ..., n_replicas - 1, as
+    TaggedLines records of consecutive chunks of lanes, made as they are
+    iterated; lane i is simulate_spine(model, p, t_end,
+    replica_key(seed, i), evaluator) bit for bit, without its population
+    (see shed_populations).
+
+    For p < 0 every event spends draws 3e+1, 3e+2 and 3e+3 (wait, split,
+    pick), so the lanes are read as read_tagged_lines reads them, with the
+    tilted pick and weight (sample_tilted_batch).  For p >= 0 an event
+    spends a split and an acceptance draw per try, and simulate_spine
+    walks it alone: read_spines raises ValueError first.  Then
+    tilted_split_rate refuses p <= p_lower and check_horizon refuses t_end.
+    """
+    if not p < 0.0:
+        raise ValueError(f"read_spines reads p < 0 only, got p={p}")
+    if evaluator is None:
+        evaluator = PhiEvaluator(model)
+    rate = tilted_split_rate(model, evaluator, p)
+    chunks = _chunks(rate, t_end, seed, n_replicas)
+    pick = partial(sample_tilted_batch, model, p + 1.0,
+                   rate / model.total_rate)
+    return (_read_block(rate, t_end, keys, width, pick)
+            for keys, width in chunks)
+
+
+def _chunks(rate, t_end, seed, n_replicas):
+    """(keys, block width) of consecutive chunks of replicas 0, ...,
+    n_replicas - 1 of lines at `rate` to t_end, after check_horizon."""
     check_horizon(rate, t_end)
     mean = rate * t_end
     # a Poisson(mean) path outgrows this block with probability below 1e-9,
@@ -323,48 +439,47 @@ def read_tagged_lines(model, t_end, seed, n_replicas):
     width = int(min(mean + 6.0 * math.sqrt(mean) + 9.0, _CHUNK_CELLS))
     lanes = _CHUNK_CELLS // width
     keys = replica_keys(seed, n_replicas)
-    return (_read_block(model, rate, t_end, keys[start:start + lanes], width)
-            for start in range(0, n_replicas, lanes))
+    return [(keys[start:start + lanes], width)
+            for start in range(0, n_replicas, lanes)]
 
 
 def subordinator_values(model, t_end, seed, n_replicas):
     """xi(t_end) of replicas 0, ..., n_replicas - 1 of the tagged subordinator.
 
     Entry i equals simulate_event_log(model, t_end,
-    replica_key(seed, i)).value(t_end) bit for bit: each lane's jumps
-    -log(picked mass), by libm, are summed in event order from the first
-    one, as TaggedLine.value sums them (read_tagged_lines reads the lines).
+    replica_key(seed, i)).value(t_end) bit for bit (TaggedLines.values of
+    the lines read_tagged_lines reads).
     """
-    out = np.zeros(n_replicas)
-    start = 0
-    for rec in read_tagged_lines(model, t_end, seed, n_replicas):
-        jumps = np.zeros(rec.events.shape)
-        jumps[rec.events] = rec.jump_sizes()
-        done = np.flatnonzero(rec.counts)
-        out[start + done] = np.cumsum(jumps, axis=0)[rec.counts[done] - 1,
-                                                      done]
-        start += len(rec.keys)
-    return out
+    return np.concatenate([np.zeros(0)] + [
+        rec.values() for rec in read_tagged_lines(model, t_end, seed,
+                                                  n_replicas)])
 
 
-def _read_block(model, rate, t_end, keys, width):
+def _read_block(rate, t_end, keys, width, pick):
     """The TaggedLines of the lanes keyed keys: their jump times, read in
     blocks of `width` events by _jump_times, then the splits' and picks'
-    draws of all their events, mapped by sample_size_biased_batch."""
+    draws of all their events, mapped by pick(split_u, pick_u) to (picked
+    masses, their indices, split matrix, each event's importance weight or
+    None when every weight is 1.0)."""
     streams = StreamBatch(derive_keys(keys, 0))
     counts, times = _jump_times(streams, np.arange(len(keys)), rate, t_end,
                                 width, 0, 0.0)
     events = np.arange(len(times))[:, None] < counts
     e, lane = np.nonzero(events)
+    weights = np.ones(len(keys))
     if lane.size:
         # the splits' draws at 3e + 2, the picks' at 3e + 3
-        split_u, pick_u = streams.uniform_at(lane, 3 * e + [[2], [3]])
-        picked, picks, masses = sample_size_biased_batch(model, split_u,
-                                                         pick_u)
+        picked, picks, masses, w = pick(*streams.uniform_at(
+            lane, 3 * e + [[2], [3]]))
+        if w is not None:  # each lane's product, in event order from 1.0
+            factors = np.ones(events.shape)
+            factors[events] = w
+            weights = np.cumprod(factors, axis=0)[-1]
     else:  # no events: a dust model raises only on a line that has one
         picked, picks = np.empty(0), np.empty(0, np.intp)
         masses = np.empty((0, 0))
-    return TaggedLines(keys, counts, events, times, masses, picks, picked)
+    return TaggedLines(keys, counts, events, times, masses, picks, picked,
+                       weights)
 
 
 def _jump_times(streams, lanes, rate, t_end, width, start, clock):
@@ -411,6 +526,18 @@ def _estimate_events(u, rate, t_end):
     return np.count_nonzero(t <= t_end, axis=0)
 
 
+def _row_cumsum(x):
+    """np.cumsum(x, axis=1), bit for bit: a column accumulate adds each
+    row's entries left to right, and numpy accumulates along a short last
+    axis slowly."""
+    return np.array(list(accumulate(x.T))).T
+
+
+def _last_pieces(masses):
+    """The index of each split row's last real piece (zeros pad the rest)."""
+    return sum(column > 0.0 for column in masses.T) - 1
+
+
 def sample_size_biased_batch(model, split_u, pick_u):
     """size_biased_draw's split and pick for each pair of uniforms
     (split_u[r], pick_u[r]): the split their first uniform maps to, and the
@@ -421,9 +548,28 @@ def sample_size_biased_batch(model, split_u, pick_u):
     if not model.conservative:
         raise DustNotSupportedError("size-biased pick needs a conservative model")
     masses = model.splits(split_u)
-    pick = pick_indices(np.cumsum(masses, axis=1), pick_u,
-                        sum(column > 0.0 for column in masses.T) - 1)
+    pick = pick_indices(_row_cumsum(masses), pick_u, _last_pieces(masses))
     return masses[np.arange(len(pick)), pick], pick, masses
+
+
+def sample_tilted_batch(model, q, norm, split_u, pick_u):
+    """The p < 0 tilted draw for each pair of uniforms (split_u[r],
+    pick_u[r]), q = p + 1: the split of the first, the piece j the second
+    picks with probability s_j^q / sum_i s_i^q, and the importance weight
+    sum_i s_i^q / norm, as simulate_spine draws them.
+
+    Returns (picked masses, their indices, the zero-padded split matrix,
+    the weights).
+    """
+    masses = model.splits(split_u)
+    # s^q of the real pieces only, by libm: 0.0 is never raised, so a
+    # negative q raises no ZeroDivisionError
+    real = masses > 0.0
+    powers = np.zeros(masses.shape)
+    powers[real] = lanewise(pow, masses[real], q)
+    cum = _row_cumsum(powers)
+    pick = pick_indices(cum, pick_u, _last_pieces(masses))
+    return masses[np.arange(len(pick)), pick], pick, masses, cum[:, -1] / norm
 
 
 def thin_fiber(line, p, stream):

@@ -46,6 +46,7 @@ from homfrag.tilting import (
     simulate_event_log,
     simulate_spine,
     simulate_subordinator,
+    subordinator_values,
     thin_fiber,
 )
 from walk_oracle import (
@@ -204,9 +205,8 @@ def test_criterion_07_spine(ub, ub_eval, acceptance_report):
     spine0 = np.array([
         -simulate_spine(ub, 0.0, 1.0, replica_key(703, i), ub_eval)
         .spine_log_mass(1.0) for i in range(10_000)])
-    direct = np.array([
-        simulate_subordinator(ub, 1.0, replica_key(704, i)).value(1.0)
-        for i in range(10_000)])
+    # replica i is simulate_subordinator(ub, 1.0, replica_key(704, i))
+    direct = subordinator_values(ub, 1.0, 704, 10_000)
     ks_p = stats.ks_2samp(spine0, direct).pvalue
     elapsed = perf_counter() - t0
     ok = worst_z <= 3.0 and ks_p > 0.01 and elapsed < 120.0

@@ -392,9 +392,9 @@ def _chunk_sizes(monkeypatch):
     sizes = []
     read = tilting._read_block
 
-    def spy(model, rate, t_end, keys, width):
+    def spy(rate, t_end, keys, width, pick):
         sizes.append(len(keys))
-        return read(model, rate, t_end, keys, width)
+        return read(rate, t_end, keys, width, pick)
     monkeypatch.setattr(tilting, "_read_block", spy)
     return sizes
 

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import make_golden
 import walk_oracle
 
+from homfrag import tilting
 from homfrag.analytics import PhiEvaluator
 from homfrag.errors import (
     BelowPLowerError,
@@ -22,14 +24,17 @@ from homfrag.measures import (
     MassPartition,
     PowerTailBinaryModel,
     UniformBinaryModel,
+    model_from_json,
 )
 from homfrag.ranked import DEFAULT_MAX_FRAGMENTS
-from homfrag.streams import Stream, derive_key
+from homfrag.streams import Stream, derive_key, replica_key
 from homfrag.tilting import (
     TaggedLine,
     check_horizon,
     esscher_exponent,
+    read_spines,
     read_tagged_lines,
+    shed_populations,
     simulate_event_log,
     simulate_spine,
     simulate_subordinator,
@@ -134,7 +139,8 @@ def test_a_tagged_line_needs_a_finite_horizon(ub, ub_eval, t_end):
     # t > nan never ends a walk, and t > inf ends it only past every event
     walks = [lambda: simulate_event_log(ub, t_end, 1),
              lambda: simulate_subordinator(ub, t_end, 1),
-             lambda: simulate_spine(ub, 0.5, t_end, 1, ub_eval)]
+             lambda: simulate_spine(ub, 0.5, t_end, 1, ub_eval),
+             lambda: read_spines(ub, -0.5, t_end, 1, 3, ub_eval)]
     for walk in walks:
         with pytest.raises(ValueError, match="t_end must be finite and >= 0"):
             walk()
@@ -147,7 +153,8 @@ def test_a_horizon_past_the_event_budget_raises_up_front(ub, ub_eval):
              lambda: simulate_subordinator(ub, 1e300, 1),
              lambda: simulate_spine(ub, 0.5, 1e300, 1, ub_eval),
              lambda: subordinator_values(ub, 1e300, 1, 3),
-             lambda: read_tagged_lines(ub, 1e300, 1, 3)]
+             lambda: read_tagged_lines(ub, 1e300, 1, 3),
+             lambda: read_spines(ub, -0.5, 1e300, 1, 3, ub_eval)]
     for walk in walks:
         with pytest.raises(BudgetExceededError, match="above the budget"):
             walk()
@@ -352,3 +359,141 @@ def test_the_walk_raises_as_the_oracle_does():
         got = _outcome(lambda: case(new))
         assert got == _outcome(lambda: case(walk_oracle))
         assert isinstance(got, tuple) == raises, got
+
+
+# --- the spine as lanes --------------------------------------------------------
+
+_CORPUS_MODELS = {name: model_from_json(obj)
+                  for name, obj in make_golden.MODELS.items()}
+
+
+def _line(line):
+    """What a line holds, every float by repr: its jump times, weight,
+    splits and picks, then its shed roots and final log mass."""
+    roots, lm = line.shed()
+    return (repr(line.jump_times), repr(line.weight),
+            [repr(part.masses) for part in line.partitions], line.picks,
+            repr(roots), repr(lm))
+
+
+def _lanes(records):
+    """_line of every lane of TaggedLines records, read off their columns."""
+    out = []
+    for rec in records:
+        lane = np.nonzero(rec.events)[1]
+        (root_lane, births, lms, keys), lm = rec.shed()
+        for a in range(len(rec.keys)):
+            mine, shed = lane == a, root_lane == a
+            roots = list(zip(births[shed].tolist(), lms[shed].tolist(),
+                             keys[shed].tolist()))
+            out.append((
+                repr(rec.times[:, a][rec.events[:, a]].tolist()),
+                repr(rec.weights.tolist()[a]),
+                [repr(tuple(row[row != 0.0].tolist()))
+                 for row in rec.masses[mine]],
+                rec.picks[mine].tolist(), repr(roots), repr(lm.tolist()[a])))
+    return out
+
+
+@pytest.mark.parametrize("name", list(_CORPUS_MODELS))
+def test_every_spine_lane_equals_its_walk_bit_for_bit(name):
+    model = _CORPUS_MODELS[name]
+    ev = PhiEvaluator(model)
+    tilts = [-0.5, -0.2] + ([-1.9] if name == "uniform" else [])
+    n = 12
+    for seed in (5, 2**64 - 1, 913):
+        for t_end in (0.0, 1.0, 4.0):
+            for p in tilts:
+                keys = [replica_key(seed, i) for i in range(n)]
+                lanes = _lanes(read_spines(model, p, t_end, seed, n, ev))
+                assert lanes == [
+                    _line(simulate_spine(model, p, t_end, k, ev))
+                    for k in keys], (p, seed, t_end)
+                assert lanes == [
+                    _line(walk_oracle.simulate_spine(model, p, t_end, k, ev))
+                    for k in keys], (p, seed, t_end)
+
+
+@pytest.mark.parametrize("name", ["ternary", "dust", "power_tail"])
+@pytest.mark.parametrize("p", [-0.5, -0.2])
+def test_shed_populations_equal_the_walks_populations(name, p, monkeypatch):
+    model = _CORPUS_MODELS[name]
+    ev = PhiEvaluator(model)
+    refs = [simulate_spine(model, p, 3.0, replica_key(5, i), ev,
+                           eps_freeze=0.01).population for i in range(16)]
+    assert any(ref.frozen_count for ref in refs)
+    # one simulate_lanes call per group of lanes, whatever the group's size
+    for roots in (256, 5, 1):
+        monkeypatch.setattr(tilting, "_SHED_ROOTS", roots)
+        pops = [pop for rec in read_spines(model, p, 3.0, 5, 16, ev)
+                for pop in shed_populations(model, 3.0, 0.01, rec)]
+        assert len(pops) == 16
+        for pop, ref in zip(pops, refs):
+            assert (repr(pop.log_masses.tolist())
+                    == repr(ref.log_masses.tolist()))
+            assert (repr(pop.frozen_mass), pop.frozen_count, pop.event_count,
+                    pop.seed, pop.time) == (repr(ref.frozen_mass),
+                                            ref.frozen_count, ref.event_count,
+                                            ref.seed, ref.time)
+
+
+def test_shed_populations_grow_a_bounded_number_of_roots_at_once(
+        ub, ub_eval, monkeypatch):
+    grown = []
+    lanes = tilting.simulate_lanes
+
+    def spy(model, t_end, snaps, eps_freeze, seeds, keys, **kw):
+        grown.append(len(keys))
+        return lanes(model, t_end, snaps, eps_freeze, seeds, keys, **kw)
+    monkeypatch.setattr(tilting, "simulate_lanes", spy)
+    monkeypatch.setattr(tilting, "_SHED_ROOTS", 6)
+    rec, = read_spines(ub, -0.5, 3.0, 9, 40, ub_eval)
+    n_roots = len(rec.shed()[0][0])
+    pops = shed_populations(ub, 3.0, 0.01, rec)
+    next(pops)
+    assert len(grown) == 1 and 1 <= grown[0] <= 6  # grown as iterated
+    assert len(list(pops)) == 39
+    assert sum(grown) == n_roots and len(grown) > n_roots // 6
+    # a group holds more than _SHED_ROOTS roots only when one line sheds them
+    per_line = np.bincount(rec.shed()[0][0], minlength=40)
+    assert all(g <= 6 or g in per_line for g in grown)
+
+
+def test_spine_lanes_do_not_depend_on_the_chunk_size(ub, ub_eval,
+                                                     monkeypatch):
+    full = _lanes(read_spines(ub, -0.5, 4.0, 31, 40, ub_eval))
+    assert _lanes(read_spines(ub, -0.5, 4.0, 31, 7, ub_eval)) == full[:7]
+    # chunks of one lane (reading blocks of 3 events), then of a few lanes:
+    # a block holds 28 events at p = -0.5
+    for cells in (3, 100, 500):
+        monkeypatch.setattr(tilting, "_CHUNK_CELLS", cells)
+        records = list(read_spines(ub, -0.5, 4.0, 31, 40, ub_eval))
+        sizes = [len(rec.keys) for rec in records]
+        assert sum(sizes) == 40
+        assert (max(sizes) == 1) if cells == 3 else (1 < max(sizes) < 40)
+        assert _lanes(records) == full
+
+
+def test_spine_lanes_raise_as_the_walk_does(ub, ub_eval):
+    def walks(p, t_end, seed, n):
+        """_line of each replica's walk in turn, or the first walk's error."""
+        try:
+            return [_line(simulate_spine(ub, p, t_end, replica_key(seed, i),
+                                         ub_eval)) for i in range(n)]
+        except Exception as e:
+            return type(e), str(e)
+
+    for p, t_end in ((-2.0, 4.0), (-2.0, 0.0), (-2.5, 1.0)):
+        try:
+            got = _lanes(read_spines(ub, p, t_end, 5, 3, ub_eval))
+        except Exception as e:
+            got = type(e), str(e)
+        assert got == walks(p, t_end, 5, 3)
+        assert got[0] is BelowPLowerError
+
+
+@pytest.mark.parametrize("p", [0.0, 0.5, 3.0, math.nan])
+def test_read_spines_leaves_p_at_or_above_zero_to_the_walk(ub, ub_eval, p):
+    # a try at p >= 0 spends an acceptance draw, which the lanes do not read
+    with pytest.raises(ValueError, match="read_spines reads p < 0 only"):
+        read_spines(ub, p, 4.0, 5, 3, ub_eval)
