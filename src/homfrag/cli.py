@@ -48,8 +48,8 @@ from .martingales import (
 )
 from .measures import SUM_TOL, model_from_json, model_to_json
 from .partitions import PartitionOfN, simulate_partition
-# simulate, simulate_subordinator, simulate_event_log and thin_fiber stay
-# names of this module for callers that wrap its library calls
+# simulate, simulate_subordinator, simulate_event_log, simulate_spine and
+# thin_fiber stay names of this module for callers that wrap its library calls
 from .ranked import DEFAULT_MAX_FRAGMENTS, simulate, simulate_replicas  # noqa: F401
 from .streams import MASK64, derive_key, replica_key
 from .tilting import (  # noqa: F401
@@ -272,8 +272,24 @@ def _cmd_martingale(cfg):
 def _cmd_spine(cfg):
     pr = cfg.params
     ev = PhiEvaluator(cfg.model)
-    read = _read_spines if pr["p"] < 0.0 else _walk_spines
-    rows, weights, n_shed, populations = read(cfg, ev)
+    rows = []
+    weights = []
+    n_shed = 0
+    # each replica's (n_live, frozen_mass, event_count): only those are kept
+    populations = []
+    first = 0  # the replica of the record's lane 0
+    for rec in read_spines(cfg.model, pr["p"], pr["t_end"], cfg.seed,
+                           cfg.replicas, ev):
+        rows += _line_rows(rec, first, log_mass=True)
+        weights += rec.weights.tolist()
+        # every piece of a split but the one followed is shed
+        n_shed += int(np.count_nonzero(rec.masses)) - len(rec.masses)
+        if pr["eps_freeze"] is not None:
+            populations += [
+                (pop.n_live, pop.frozen_mass, pop.event_count)
+                for pop in shed_populations(cfg.model, pr["t_end"],
+                                            pr["eps_freeze"], rec)]
+        first += len(rec.keys)
 
     def total(floats):
         # left to right from 0, as sum adds floats up to Python 3.11 (3.12
@@ -296,56 +312,6 @@ def _cmd_spine(cfg):
                        "population_events_mean": sum(events) / len(events)})
     return header, "csv", ("replica", "jump_time", "jump_size",
                            "spine_log_mass"), rows
-
-
-def _read_spines(cfg, ev):
-    """(rows, weights, shed fragment count, populations) of the spine's
-    replicas at p < 0, read as lanes by read_spines; a population is
-    (n_live, frozen_mass, event_count), and only those are kept."""
-    pr = cfg.params
-    rows = []
-    weights = []
-    n_shed = 0
-    populations = []
-    first = 0  # the replica of the record's lane 0
-    for rec in read_spines(cfg.model, pr["p"], pr["t_end"], cfg.seed,
-                           cfg.replicas, ev):
-        rows += _line_rows(rec, first, log_mass=True)
-        weights += rec.weights.tolist()
-        # every piece of a split but the one followed is shed
-        n_shed += int(np.count_nonzero(rec.masses)) - len(rec.masses)
-        if pr["eps_freeze"] is not None:
-            populations += [
-                (pop.n_live, pop.frozen_mass, pop.event_count)
-                for pop in shed_populations(cfg.model, pr["t_end"],
-                                            pr["eps_freeze"], rec)]
-        first += len(rec.keys)
-    return rows, weights, n_shed, populations
-
-
-def _walk_spines(cfg, ev):
-    """_read_spines' four items at p >= 0, where simulate_spine walks each
-    replica in turn."""
-    pr = cfg.params
-    rows = []
-    weights = []
-    n_shed = 0
-    populations = []
-    for i in range(cfg.replicas):
-        run = simulate_spine(cfg.model, pr["p"], pr["t_end"],
-                             replica_key(cfg.seed, i), ev,
-                             eps_freeze=pr["eps_freeze"])
-        weights.append(run.weight)
-        n_shed += sum(len(part) for part in run.partitions) - len(run)
-        if run.population is not None:
-            pop = run.population
-            populations.append((pop.n_live, pop.frozen_mass, pop.event_count))
-        lm = 0.0
-        for t, s in zip(run.jump_times, run.jump_sizes):
-            lm -= s
-            # the line's times and sizes are floats, written by repr
-            rows.append(f"{i},{t!r},{s!r},{lm!r}")
-    return rows, weights, n_shed, populations
 
 
 _EVENT_FIELDS = ("replica", "t", "masses", "pick")

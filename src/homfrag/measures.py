@@ -223,8 +223,8 @@ class AtomicModel(DislocationModel):
         return self.atoms[pick_index(self._cum, u)][0].masses
 
     def splits(self, u):
-        return self._padded[pick_indices(self._cum_array, u,
-                                         len(self._cum) - 1)]
+        cum = self._cum_array
+        return self._padded[pick_indices(cum, u * cum[-1], len(cum) - 1)]
 
     def phi_closed(self, q):
         phi = d1 = d2 = 0.0

@@ -30,8 +30,8 @@ _U64_MIX = (np.uint64(30), np.uint64(0xBF58476D1CE4E5B9),
 _U64_11 = np.uint64(11)
 _INV_2_53 = 2.0 ** -53
 
-# draws before a rejection loop is declared not computable: tilted splits
-# at one p >= 0 event, paintboxes at one partitions.simulate_partition ring
+# draws before a rejection loop is declared not computable: paintboxes at
+# one partitions.simulate_partition ring
 _MAX_REJECTIONS = 1_000_000
 
 
@@ -143,19 +143,19 @@ class Stream:
 
 def pick_index(cumweights, u):
     """Index of uniform u among the weights with running sums cumweights:
-    the one-row form of pick_indices, whose rule it follows."""
+    the first running sum above u times the total, clamped to the last
+    index, as pick_indices(cumweights, u * total, last) picks."""
     # the search stops before the last index: the clamp, without a min()
     return bisect_right(cumweights, u * cumweights[-1], 0, len(cumweights) - 1)
 
 
-def pick_indices(cumweights, u, last):
-    """Index of uniform u[r] among the weights of row r, for each r: the
-    first running sum above u[r] times the row's total, or last[r] if none
-    is.  cumweights holds the running sums, a row per r or one row for all;
-    last[r] (or one int for all) indexes row r's last real weight, past
-    which zeros pad the row, so its running sums repeat the total."""
-    x = u * cumweights[..., -1]
-    if cumweights.ndim == 1:  # one row: a binary search of it for each u
+def pick_indices(cumweights, x, last):
+    """For each r, the index of the first running sum of row r above x[r],
+    or last[r] if none is.  cumweights holds the running sums, a row per r
+    or one row for all; last[r] (or one int for all) indexes row r's last
+    real weight, past which zeros pad the row, so its running sums repeat
+    the total.  Pass x = u * total to pick in proportion to the weights."""
+    if cumweights.ndim == 1:  # one row: a binary search of it for each x
         below = np.searchsorted(cumweights, x, side="right")
     else:  # a pass per column: numpy reduces along a short axis slowly
         below = sum(column <= x for column in cumweights.T)

@@ -8,13 +8,17 @@ fragments it sheds evolve as ordinary untilted populations.
 
 The same change of measure acts on the spine's event stream by thinning:
 keeping an event of the untilted stream with probability (picked mass)^p
-(p > 0) turns it into the tilted stream.
+(p > 0) turns it into the tilted stream.  The spine at p >= 0 is made that
+way: the untilted line's tries at rate nu_total, each split by the usual
+split law and kept with probability sum_i s_i^(p+1), so every tagged line
+spends draws 3e+1, 3e+2 and 3e+3 (wait, split, keep-and-pick) on its try e.
+At p < 0 every try is an event, at the tilted rate, importance-weighted.
 
 The untilted event log, the tilted spine and a thinned log are one record,
 TaggedLine: a line of descent walked by walk_tagged_line.  The untilted
 line is the tagged-piece subordinator (its jumps are -log of size-biased
 picks).  read_tagged_lines and read_spines read many replicas of the
-untilted line and of the spine at p < 0 at once, as TaggedLines records.
+untilted line and of the spine at once, as TaggedLines records.
 """
 
 import math
@@ -36,7 +40,6 @@ from .errors import (
 )
 from .ranked import DEFAULT_MAX_FRAGMENTS, PopulationSnapshot, simulate_lanes
 from .streams import (
-    _MAX_REJECTIONS,
     Stream,
     StreamBatch,
     derive_key,
@@ -67,68 +70,60 @@ def tilted_split_rate(model, evaluator, p):
     return rate
 
 
-def _tilted_draw(model, p, rate):
-    """draw(stream) -> (split, index of the spine's child, importance
-    weight): one draw of the split measure reweighted by sum_i s_i^(p+1),
-    then the child j picked with probability s_j^(p+1) / sum_i s_i^(p+1),
-    both read off one list of running sums of s_i^(p+1).
+def _spine_law(model, p, evaluator):
+    """(rate of the spine's tries, normaliser of its p < 0 weights) once
+    tilted_split_rate has refused p: at p >= 0 the spine is the untilted
+    line at rate nu_total, thinned, and every weight is 1."""
+    if evaluator is None:
+        evaluator = PhiEvaluator(model)
+    rate = tilted_split_rate(model, evaluator, p)
+    if p >= 0.0:
+        return model.total_rate, None
+    return rate, rate / model.total_rate
 
-    rate is the spine's tilted rate, whose phi(p) has refused p <= p_lower;
-    for p < 0 the weight's normaliser, rate / nu_total, holds for every draw
-    of a path, so it is computed here, once.
+
+def _line_draw(model, p=None, norm=None):
+    """draw(stream) -> (split, index of the piece followed, importance
+    weight) for one try of a tagged line, or None for a try it thins away.
+
+    A try draws its split, then one uniform u.  The p-tilted spine at p >= 0
+    keeps the try iff u < sum_i s_i^(p+1) and then follows the first piece
+    whose running sum of s_i^(p+1) is above u.  The untilted event log (p
+    None) draws as the spine at p = 0 does, but keeps every try: where u is
+    not below the total it follows the last piece.  It needs a conservative
+    model, checked here, once per draw function.  At p < 0 the spine keeps
+    every try, picks piece j with probability s_j^(p+1) / sum_i s_i^(p+1) by
+    Stream.pick and weighs it sum_i s_i^(p+1) / norm.
     """
     sample = model.sample
-    q = p + 1.0
-    if p >= 0.0:
-        def draw(stream):
-            for _ in range(_MAX_REJECTIONS):
-                part = sample(stream)
-                cum = _running_powers(part.masses, q)
-                if stream.uniform() < cum[-1]:
-                    return part, stream.pick(cum), 1.0
-            raise NotComputableError(
-                f"tilted rejection did not accept after {_MAX_REJECTIONS} tries"
-            )
-        return draw
-    norm = rate / model.total_rate
-
-    def draw(stream):
-        part = sample(stream)
-        cum = _running_powers(part.masses, q)
-        return part, stream.pick(cum), cum[-1] / norm
-    return draw
-
-
-def _running_powers(masses, q):
-    """Running sums of s_i^q over the pieces: their last entry is the tilt's
-    sum_i s_i^q, and they are the spine pick's weights."""
-    cum = []
-    acc = 0.0
-    for m in masses:
-        acc += m ** q
-        cum.append(acc)
-    return cum
-
-
-def size_biased_draw(model):
-    """draw(stream) -> (split, index, 1.0): a split of model, then one of its
-    pieces picked with probability equal to its mass.
-
-    The draw is exact, so its importance weight is 1.0; that is the form
-    walk_tagged_line takes.  Needs a conservative model (with dust the pick
-    probabilities would not sum to one): otherwise every draw raises.  The
-    check runs here, once per draw function, not per draw.
-    """
-    if not model.conservative:
+    if p is None and not model.conservative:
         def draw(stream):
             raise DustNotSupportedError(
                 "size-biased pick needs a conservative model")
         return draw
-    sample = model.sample
+    q = 1.0 if p is None else p + 1.0
+    if p is None or p >= 0.0:
+        def draw(stream):
+            part = sample(stream)
+            u = stream.uniform()
+            acc = 0.0
+            for j, m in enumerate(part.masses):
+                acc += m ** q
+                if u < acc:
+                    return part, j, 1.0
+            # u is not below the total: the event log follows the last
+            # piece, the spine thins the try away
+            return (part, j, 1.0) if p is None else None
+        return draw
 
     def draw(stream):
         part = sample(stream)
-        return part, stream.pick(list(accumulate(part.masses))), 1.0
+        cum = []
+        acc = 0.0
+        for m in part.masses:
+            acc += m ** q
+            cum.append(acc)
+        return part, stream.pick(cum), acc / norm
     return draw
 
 
@@ -215,11 +210,12 @@ def check_horizon(rate, t_end):
 
 
 def walk_tagged_line(rate, t_end, seed, draw, p=0.0):
-    """One line of descent to t_end: events at `rate` on the line's stream.
+    """One line of descent to t_end: tries at `rate` on the line's stream.
 
-    draw(stream) gives each event's (split, index of the followed piece,
-    importance weight); p labels the law the draws follow.  check_horizon
-    refuses t_end first.
+    draw(stream) gives each try's (split, index of the followed piece,
+    importance weight), or None for a try the line thins away, which is no
+    event; p labels the law the draws follow.  check_horizon refuses t_end
+    first.
     """
     check_horizon(rate, t_end)
     stream = Stream(derive_key(seed, 0))
@@ -231,7 +227,10 @@ def walk_tagged_line(rate, t_end, seed, draw, p=0.0):
         t += exponential(rate)
         if t > t_end:
             return TaggedLine(t_end, times, parts, picks, seed, weight, p)
-        part, j, w = draw(stream)
+        event = draw(stream)
+        if event is None:
+            continue
+        part, j, w = event
         weight *= w
         times.append(t)
         parts.append(part)
@@ -239,17 +238,16 @@ def walk_tagged_line(rate, t_end, seed, draw, p=0.0):
 
 
 def simulate_spine(model, p, t_end, seed, evaluator=None, *, eps_freeze=None):
-    """Simulate the spine under the tilted law up to t_end.
+    """Simulate the spine under the tilted law up to t_end: at p >= 0 the
+    untilted line's tries at rate nu_total, thinned (see _line_draw).
 
     The spine itself is never frozen.  Given eps_freeze, every shed fragment
     is evolved to t_end as an ordinary population frozen at eps_freeze,
     within DEFAULT_MAX_FRAGMENTS, and the combined state, spine fragment
     included, is stored as the record's population snapshot.
     """
-    if evaluator is None:
-        evaluator = PhiEvaluator(model)
-    rate = tilted_split_rate(model, evaluator, p)
-    line = walk_tagged_line(rate, t_end, seed, _tilted_draw(model, p, rate), p)
+    rate, norm = _spine_law(model, p, evaluator)
+    line = walk_tagged_line(rate, t_end, seed, _line_draw(model, p, norm), p)
     if eps_freeze is not None:
         roots, lm = line.shed()
         births, lms, keys = zip(*roots) if roots else ((), (), ())
@@ -261,8 +259,7 @@ def simulate_spine(model, p, t_end, seed, evaluator=None, *, eps_freeze=None):
 
 def simulate_event_log(model, t_end, seed):
     """Untilted tagged-fragment event stream: rate nu_total, size-biased picks."""
-    return walk_tagged_line(model.total_rate, t_end, seed,
-                            size_biased_draw(model))
+    return walk_tagged_line(model.total_rate, t_end, seed, _line_draw(model))
 
 
 # the event log's value(t) is the tagged-piece subordinator
@@ -388,50 +385,38 @@ def read_tagged_lines(model, t_end, seed, n_replicas):
     Replica i is the line simulate_event_log(model, t_end,
     replica_key(seed, i)).  Each lane's path is read off its counter-based
     stream in numpy, with the scalar walk's arithmetic: a model splits by
-    one uniform, so event e spends draws 3e+1, 3e+2 and 3e+3 (wait, split,
-    size-biased pick), and a lane longer than one block reads on from its
-    last jump (see _jump_times).  Chunks hold at most _CHUNK_CELLS cells
-    (lanes times the block's events), so memory stays bounded and no lane
-    depends on the chunk size or on n_replicas.  check_horizon refuses
-    t_end first.
+    one uniform, so try e spends draws 3e+1, 3e+2 and 3e+3 (wait, split,
+    keep-and-pick), and a lane longer than one block reads on from its last
+    jump (see _jump_times).  Chunks hold at most _CHUNK_CELLS cells (lanes
+    times the block's tries), so memory stays bounded and no lane depends
+    on the chunk size or on n_replicas.  check_horizon refuses t_end first.
     """
-    rate = model.total_rate
-
-    def pick(split_u, pick_u):  # every weight is 1.0
-        return (*sample_size_biased_batch(model, split_u, pick_u), None)
-    return (_read_block(rate, t_end, keys, width, pick)
-            for keys, width in _chunks(rate, t_end, seed, n_replicas))
+    return _read_lines(model.total_rate, t_end, seed, n_replicas,
+                       partial(sample_tagged_batch, model, None, None))
 
 
 def read_spines(model, p, t_end, seed, n_replicas, evaluator=None):
-    """The p-tilted spines, p < 0, of replicas 0, ..., n_replicas - 1, as
+    """The p-tilted spines of replicas 0, ..., n_replicas - 1, as
     TaggedLines records of consecutive chunks of lanes, made as they are
     iterated; lane i is simulate_spine(model, p, t_end,
     replica_key(seed, i), evaluator) bit for bit, without its population
     (see shed_populations).
 
-    For p < 0 every event spends draws 3e+1, 3e+2 and 3e+3 (wait, split,
-    pick), so the lanes are read as read_tagged_lines reads them, with the
-    tilted pick and weight (sample_tilted_batch).  For p >= 0 an event
-    spends a split and an acceptance draw per try, and simulate_spine
-    walks it alone: read_spines raises ValueError first.  Then
-    tilted_split_rate refuses p <= p_lower and check_horizon refuses t_end.
+    The lanes are read as read_tagged_lines reads them, with the spine's
+    draw (sample_tagged_batch): at p < 0 at the tilted rate, each try an
+    event with its weight; at p >= 0 at nu_total, each lane keeping the
+    tries it does not thin away.  tilted_split_rate refuses p <= p_lower
+    (and NaN) first, then check_horizon refuses t_end.
     """
-    if not p < 0.0:
-        raise ValueError(f"read_spines reads p < 0 only, got p={p}")
-    if evaluator is None:
-        evaluator = PhiEvaluator(model)
-    rate = tilted_split_rate(model, evaluator, p)
-    chunks = _chunks(rate, t_end, seed, n_replicas)
-    pick = partial(sample_tilted_batch, model, p + 1.0,
-                   rate / model.total_rate)
-    return (_read_block(rate, t_end, keys, width, pick)
-            for keys, width in chunks)
+    rate, norm = _spine_law(model, p, evaluator)
+    return _read_lines(rate, t_end, seed, n_replicas,
+                       partial(sample_tagged_batch, model, p, norm))
 
 
-def _chunks(rate, t_end, seed, n_replicas):
-    """(keys, block width) of consecutive chunks of replicas 0, ...,
-    n_replicas - 1 of lines at `rate` to t_end, after check_horizon."""
+def _read_lines(rate, t_end, seed, n_replicas, draw):
+    """The lines at `rate` to t_end of replicas 0, ..., n_replicas - 1, read
+    by _read_block with `draw` in consecutive chunks of lanes, made as they
+    are iterated; check_horizon refuses t_end first."""
     check_horizon(rate, t_end)
     mean = rate * t_end
     # a Poisson(mean) path outgrows this block with probability below 1e-9,
@@ -439,8 +424,8 @@ def _chunks(rate, t_end, seed, n_replicas):
     width = int(min(mean + 6.0 * math.sqrt(mean) + 9.0, _CHUNK_CELLS))
     lanes = _CHUNK_CELLS // width
     keys = replica_keys(seed, n_replicas)
-    return [(keys[start:start + lanes], width)
-            for start in range(0, n_replicas, lanes)]
+    return (_read_block(rate, t_end, keys[start:start + lanes], width, draw)
+            for start in range(0, n_replicas, lanes))
 
 
 def subordinator_values(model, t_end, seed, n_replicas):
@@ -455,29 +440,42 @@ def subordinator_values(model, t_end, seed, n_replicas):
                                                   n_replicas)])
 
 
-def _read_block(rate, t_end, keys, width, pick):
-    """The TaggedLines of the lanes keyed keys: their jump times, read in
-    blocks of `width` events by _jump_times, then the splits' and picks'
-    draws of all their events, mapped by pick(split_u, pick_u) to (picked
-    masses, their indices, split matrix, each event's importance weight or
-    None when every weight is 1.0)."""
+def _read_block(rate, t_end, keys, width, draw):
+    """The TaggedLines of the lanes keyed keys: their tries' times, read in
+    blocks of `width` tries by _jump_times, then the splits' and the
+    keep-and-picks' draws of all their tries, mapped by draw(split_u, u) to
+    (picked masses, their indices, split matrix, each try's importance
+    weight or None when every weight is 1.0, each try's keep flag or None
+    when every try is kept).  A lane's events are its kept tries, numbered
+    in order from 0."""
     streams = StreamBatch(derive_keys(keys, 0))
     counts, times = _jump_times(streams, np.arange(len(keys)), rate, t_end,
                                 width, 0, 0.0)
     events = np.arange(len(times))[:, None] < counts
     e, lane = np.nonzero(events)
     weights = np.ones(len(keys))
-    if lane.size:
-        # the splits' draws at 3e + 2, the picks' at 3e + 3
-        picked, picks, masses, w = pick(*streams.uniform_at(
-            lane, 3 * e + [[2], [3]]))
-        if w is not None:  # each lane's product, in event order from 1.0
-            factors = np.ones(events.shape)
-            factors[events] = w
-            weights = np.cumprod(factors, axis=0)[-1]
-    else:  # no events: a dust model raises only on a line that has one
-        picked, picks = np.empty(0), np.empty(0, np.intp)
-        masses = np.empty((0, 0))
+    if not lane.size:  # no tries: a dust model raises only on a line with one
+        return TaggedLines(keys, counts, events, times, np.empty((0, 0)),
+                           np.empty(0, np.intp), np.empty(0), weights)
+    # the splits' draws at 3e + 2, the keep-and-picks' at 3e + 3
+    picked, picks, masses, w, kept = draw(*streams.uniform_at(
+        lane, 3 * e + [[2], [3]]))
+    if w is not None:  # each lane's product, in event order from 1.0
+        factors = np.ones(events.shape)
+        factors[events] = w
+        weights = np.cumprod(factors, axis=0)[-1]
+    if kept is not None:  # a lane's events are its kept tries, in order
+        flags = events.copy()
+        flags[events] = kept
+        counts = np.count_nonzero(flags, axis=0)
+        events = np.arange(counts.max())[:, None] < counts
+        # the kept tries by event index (the kept tries before each in its
+        # lane), then by lane, as np.nonzero(events) lists the events
+        order = np.lexsort((lane[kept], np.cumsum(flags, axis=0)[flags]))
+        kept_times = times[flags][order]
+        times = times[:len(events)]
+        times[events] = kept_times
+        picked, picks, masses = (x[kept][order] for x in (picked, picks, masses))
     return TaggedLines(keys, counts, events, times, masses, picks, picked,
                        weights)
 
@@ -526,50 +524,39 @@ def _estimate_events(u, rate, t_end):
     return np.count_nonzero(t <= t_end, axis=0)
 
 
-def _row_cumsum(x):
-    """np.cumsum(x, axis=1), bit for bit: a column accumulate adds each
-    row's entries left to right, and numpy accumulates along a short last
-    axis slowly."""
-    return np.array(list(accumulate(x.T))).T
-
-
-def _last_pieces(masses):
-    """The index of each split row's last real piece (zeros pad the rest)."""
-    return sum(column > 0.0 for column in masses.T) - 1
-
-
-def sample_size_biased_batch(model, split_u, pick_u):
-    """size_biased_draw's split and pick for each pair of uniforms
-    (split_u[r], pick_u[r]): the split their first uniform maps to, and the
-    pick their second makes.
-
-    Returns (picked masses, their indices, the zero-padded split matrix).
-    """
-    if not model.conservative:
-        raise DustNotSupportedError("size-biased pick needs a conservative model")
-    masses = model.splits(split_u)
-    pick = pick_indices(_row_cumsum(masses), pick_u, _last_pieces(masses))
-    return masses[np.arange(len(pick)), pick], pick, masses
-
-
-def sample_tilted_batch(model, q, norm, split_u, pick_u):
-    """The p < 0 tilted draw for each pair of uniforms (split_u[r],
-    pick_u[r]), q = p + 1: the split of the first, the piece j the second
-    picks with probability s_j^q / sum_i s_i^q, and the importance weight
-    sum_i s_i^q / norm, as simulate_spine draws them.
+def sample_tagged_batch(model, p, norm, split_u, u):
+    """The draw of _line_draw(model, p, norm) for each pair of uniforms
+    (split_u[r], u[r]): the split the first maps to, then the piece the
+    second picks and, at p >= 0, whether it keeps the try.
 
     Returns (picked masses, their indices, the zero-padded split matrix,
-    the weights).
+    the weights (None when all are 1.0), the keep flags (None when every
+    try is kept)).
     """
+    if p is None and not model.conservative:
+        raise DustNotSupportedError("size-biased pick needs a conservative model")
     masses = model.splits(split_u)
-    # s^q of the real pieces only, by libm: 0.0 is never raised, so a
-    # negative q raises no ZeroDivisionError
-    real = masses > 0.0
-    powers = np.zeros(masses.shape)
-    powers[real] = lanewise(pow, masses[real], q)
-    cum = _row_cumsum(powers)
-    pick = pick_indices(cum, pick_u, _last_pieces(masses))
-    return masses[np.arange(len(pick)), pick], pick, masses, cum[:, -1] / norm
+    q = 1.0 if p is None else p + 1.0
+    powers = masses  # s^1 is s: the event log takes no pow
+    if q != 1.0:
+        # s^q of the real pieces only, by libm: 0.0 is never raised, so a
+        # negative q raises no ZeroDivisionError
+        real = masses > 0.0
+        powers = np.zeros(masses.shape)
+        powers[real] = lanewise(pow, masses[real], q)
+    # each row's running sums, bit for bit np.cumsum(axis=1): a column
+    # accumulate adds a row's entries left to right, and numpy accumulates
+    # along a short last axis slowly
+    cum = np.array(list(accumulate(powers.T))).T
+    total = cum[:, -1]
+    w = kept = None
+    if p is not None and p < 0.0:  # every try kept, picked by u times total
+        u, w = u * total, total / norm
+    elif p is not None:
+        kept = u < total
+    # a row's last real piece: zeros pad the rest
+    pick = pick_indices(cum, u, sum(column > 0.0 for column in masses.T) - 1)
+    return masses[np.arange(len(pick)), pick], pick, masses, w, kept
 
 
 def thin_fiber(line, p, stream):

@@ -52,7 +52,6 @@ from homfrag.tilting import (
 from walk_oracle import (
     sample_size_biased,
     sample_tilted_split,
-    spine_child_select,
 )
 
 LOG2 = math.log(2.0)
@@ -241,10 +240,10 @@ def test_criterion_08_thinning(ub, ub_eval, dyadic, dyadic_eval,
 
         ts = Stream(derive_key(seed + 1, 0))
         tilted_sizes = []
-        for _ in range(5000):
-            part, _ = sample_tilted_split(model, 1.0, ts, ev)
-            j = spine_child_select(part, 1.0, ts)
-            tilted_sizes.append(-math.log(part.masses[j]))
+        while len(tilted_sizes) < 5000:  # the kept tries of the tilted line
+            part, j, _ = sample_tilted_split(model, 1.0, ts, ev)
+            if j is not None:
+                tilted_sizes.append(-math.log(part.masses[j]))
         ks_p = stats.ks_2samp(np.array(kept_sizes),
                               np.array(tilted_sizes)).pvalue
         ok = ok and rate_ok and ks_p > 0.01

@@ -29,8 +29,8 @@ from homfrag.measures import (
     validate,
 )
 from homfrag.streams import Stream
-from homfrag.tilting import sample_size_biased_batch
-from walk_oracle import sample_size_biased
+from homfrag.tilting import _line_draw, sample_tagged_batch
+from walk_oracle import sample_size_biased, sample_tilted_split
 
 
 # --- MassPartition and validate -------------------------------------------
@@ -291,7 +291,7 @@ def test_size_biased_rejects_dust():
     with pytest.raises(DustNotSupportedError):
         sample_size_biased(dusty, Stream(1))
     with pytest.raises(DustNotSupportedError):
-        sample_size_biased_batch(dusty, np.zeros(3), np.zeros(3))
+        sample_tagged_batch(dusty, None, None, np.zeros(3), np.zeros(3))
 
 
 class _FixedStream(Stream):
@@ -340,20 +340,50 @@ def test_sampled_splits_are_valid_by_construction(model):
     assert all(type(part) is MassPartition for part in drawn)
 
 
-def test_size_biased_batch_pick_rule_matches_the_scalar_rule():
-    # the masses sum to 1 - 5e-10 (conservative within tolerance), and both
-    # engines compare u times that sum with the running masses: u = 0.5 and
-    # 0.8 equal running masses, which u * total falls just below
-    model = AtomicModel([([0.5, 0.3, 0.2 - 5e-10], 1.0), ([0.6, 0.4], 1.0)])
-    atoms = [0.1, 0.1, 0.1, 0.1, 0.7, 0.7]
-    picks = [0.0, 0.5, 0.8, 0.9999999999, 0.6, 0.59]
-    mass, pick, masses = sample_size_biased_batch(
-        model, np.array(atoms), np.array(picks))
-    assert pick.tolist() == [0, 0, 1, 2, 1, 0]
+_TOP = 1.0 - 2.0 ** -53  # the largest uniform
+
+
+@pytest.mark.parametrize("model, atoms, picks, want, want_kept", [
+    # the masses sum to 1 - 5e-10 (conservative within tolerance): u = 0.5
+    # and 0.8 equal running masses and pass them, and u = 0.9999999999 is
+    # above the total
+    (AtomicModel([([0.5, 0.3, 0.2 - 5e-10], 1.0), ([0.6, 0.4], 1.0)]),
+     [0.1, 0.1, 0.1, 0.1, 0.7, 0.7], [0.0, 0.5, 0.8, 0.9999999999, 0.6, 0.59],
+     [0, 1, 2, 2, 1, 0], [True, True, True, False, True, True]),
+    # 0.7, 0.2 and 0.1 sum to 1 - 2^-53, the largest uniform
+    (AtomicModel([([0.1, 0.2, 0.7], 1.0)]), [0.5] * 4,
+     [0.7, 0.8999999999999999, 0.9, _TOP], [1, 2, 2, 2],
+     [True, True, True, False]),
+    # 0.56, 0.34 and 0.1 sum to 1 + 2^-52: every uniform is below it
+    (AtomicModel([([0.56, 0.34, 0.1], 1.0)]), [0.5] * 3,
+     [0.56, 0.9000000000000001, _TOP],
+     [1, 2, 2], [True, True, True]),
+], ids=["total_5e-10_below", "ulp_below", "ulp_above"])
+def test_size_biased_batch_pick_rule_matches_the_scalar_rule(
+        model, atoms, picks, want, want_kept):
+    # every engine compares u itself, not u times the total, with the
+    # running masses; where u is at or above the total the event log
+    # follows the last piece and the spine at p = 0 thins the try away
+    mass, pick, masses, w, kept = sample_tagged_batch(
+        model, None, None, np.array(atoms), np.array(picks))
+    assert pick.tolist() == want
+    assert w is None and kept is None
+    _, spine_pick, _, _, spine_kept = sample_tagged_batch(
+        model, 0.0, None, np.array(atoms), np.array(picks))
+    assert spine_kept.tolist() == want_kept
+    assert spine_pick[spine_kept].tolist() == pick[spine_kept].tolist()
+    log_draw, spine_draw = _line_draw(model), _line_draw(model, 0.0)
     for r, (a, u) in enumerate(zip(atoms, picks)):
         m, j, part = sample_size_biased(model, _FixedStream([a, u]))
         assert (mass[r], pick[r]) == (m, j)
         assert tuple(masses[r][:len(part)]) == part.masses
+        assert log_draw(_FixedStream([a, u]))[1:] == (j, 1.0)
+        tried = spine_draw(_FixedStream([a, u]))
+        _, oracle_j, _ = sample_tilted_split(model, 0.0, _FixedStream([a, u]))
+        if spine_kept[r]:
+            assert tried[1:] == (j, 1.0) and oracle_j == j
+        else:
+            assert tried is None and oracle_j is None
 
 
 # --- families and JSON -------------------------------------------------------

@@ -1,5 +1,6 @@
 """Counter-based stream primitives: determinism, splitting, distributions."""
 
+from bisect import bisect_right
 import math
 
 import numpy as np
@@ -136,11 +137,13 @@ def test_pick_index_ties_and_clamp():
         pick_index(cum, t.uniform()) for _ in range(50)]
 
 
-# weights of 1-4 pieces: totals one ulp below and above 1, a trailing piece
-# too small to move the running sum, running sums that u * total can tie
+# weights of 1-4 pieces: totals one ulp below and above 1 (the splits 0.7,
+# 0.2, 0.1 and 0.56, 0.34, 0.1 among them), a trailing piece too small to
+# move the running sum, running sums that u * total can tie
 _PICK_ROWS = [
     [1.0], [0.75], [0.6, 0.4], [0.5, 0.5 - 2.0 ** -53],
-    [0.5 + 2.0 ** -52, 0.5], [0.75, 0.25, 1e-17], [0.5, 0.3, 0.2 - 5e-10],
+    [0.5 + 2.0 ** -52, 0.5], [0.7, 0.2, 0.1], [0.56, 0.34, 0.1],
+    [0.75, 0.25, 1e-17], [0.5, 0.3, 0.2 - 5e-10],
     [1.0, 1.0, 2.0], [0.4, 0.3, 0.2, 0.1], [3.0, 1e-300, 1e-300, 1e-300],
 ] + np.random.default_rng(29).dirichlet(np.ones(4), 6).tolist()
 _PICK_U = [0.0, 0.25, 0.5, 0.75, 0.8, 1.0 - 2.0 ** -53, 1.0] + (
@@ -155,16 +158,21 @@ def test_pick_indices_is_pick_index_row_by_row():
     cum = np.cumsum(weights, axis=1)
     last = np.array([len(row) - 1 for row in _PICK_ROWS])
     for u in _PICK_U:
-        got = pick_indices(cum, np.full(len(_PICK_ROWS), u), last)
+        got = pick_indices(cum, u * cum[:, -1], last)
         assert got.tolist() == [
             pick_index(cum[r, :last[r] + 1].tolist(), u)
+            for r in range(len(_PICK_ROWS))], u
+        # unscaled, as the tagged lines pick: the first running sum above u
+        got = pick_indices(cum, np.full(len(_PICK_ROWS), u), last)
+        assert got.tolist() == [
+            min(bisect_right(cum[r].tolist(), u), last[r])
             for r in range(len(_PICK_ROWS))], u
     # one row for every uniform
     u = np.array(_PICK_U)
     for r, row in enumerate(_PICK_ROWS):
         running = cum[r, :len(row)]
-        assert pick_indices(running, u, len(row) - 1).tolist() == [
-            pick_index(running.tolist(), x) for x in _PICK_U]
+        assert pick_indices(running, u * running[-1], len(row) - 1).tolist() \
+            == [pick_index(running.tolist(), x) for x in _PICK_U]
 
 
 @given(st.integers(min_value=-2**70, max_value=2**70), st.integers(min_value=0, max_value=3))

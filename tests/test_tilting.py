@@ -17,6 +17,7 @@ from homfrag.analytics import PhiEvaluator
 from homfrag.errors import (
     BelowPLowerError,
     BudgetExceededError,
+    NotComputableError,
     ThinningDirectionError,
 )
 from homfrag.measures import (
@@ -58,9 +59,12 @@ def test_tilted_split_rate(ub, ub_eval):
 def test_tilted_split_nonnegative_index(ub, ub_eval):
     s = Stream(61)
     draws = [walk_oracle.sample_tilted_split(ub, 1.0, s, ub_eval)
-             for _ in range(20_000)]
-    assert all(w == 1.0 for _, w in draws)
-    tops = np.array([part[0] for part, _ in draws])
+             for _ in range(30_000)]
+    assert all(w == 1.0 for _, _, w in draws)
+    # a try is kept with probability E[u^2 + (1-u)^2] = 2/3
+    tops = np.array([part[0] for part, j, _ in draws if j is not None])
+    assert abs(len(tops) / len(draws) - 2.0 / 3.0) < 4 * math.sqrt(
+        2.0 / 9.0 / len(draws))
     se = tops.std(ddof=1) / math.sqrt(len(tops))
     # tilting by u^2 + (1-u)^2 puts the larger-piece mean at 25/32
     assert abs(tops.mean() - 25.0 / 32.0) < 4 * se
@@ -70,7 +74,8 @@ def test_tilted_split_negative_index_weights(ub, ub_eval):
     s = Stream(62)
     draws = [walk_oracle.sample_tilted_split(ub, -0.5, s, ub_eval)
              for _ in range(20_000)]
-    w = np.array([w for _, w in draws])
+    assert all(j is not None for _, j, _ in draws)
+    w = np.array([w for _, _, w in draws])
     assert (w > 0).all()
     se = w.std(ddof=1) / math.sqrt(len(w))
     assert abs(w.mean() - 1.0) < 4 * se
@@ -140,7 +145,8 @@ def test_a_tagged_line_needs_a_finite_horizon(ub, ub_eval, t_end):
     walks = [lambda: simulate_event_log(ub, t_end, 1),
              lambda: simulate_subordinator(ub, t_end, 1),
              lambda: simulate_spine(ub, 0.5, t_end, 1, ub_eval),
-             lambda: read_spines(ub, -0.5, t_end, 1, 3, ub_eval)]
+             lambda: read_spines(ub, -0.5, t_end, 1, 3, ub_eval),
+             lambda: read_spines(ub, 0.5, t_end, 1, 3, ub_eval)]
     for walk in walks:
         with pytest.raises(ValueError, match="t_end must be finite and >= 0"):
             walk()
@@ -154,7 +160,8 @@ def test_a_horizon_past_the_event_budget_raises_up_front(ub, ub_eval):
              lambda: simulate_spine(ub, 0.5, 1e300, 1, ub_eval),
              lambda: subordinator_values(ub, 1e300, 1, 3),
              lambda: read_tagged_lines(ub, 1e300, 1, 3),
-             lambda: read_spines(ub, -0.5, 1e300, 1, 3, ub_eval)]
+             lambda: read_spines(ub, -0.5, 1e300, 1, 3, ub_eval),
+             lambda: read_spines(ub, 0.5, 1e300, 1, 3, ub_eval)]
     for walk in walks:
         with pytest.raises(BudgetExceededError, match="above the budget"):
             walk()
@@ -275,6 +282,11 @@ def test_subordinator_event_log_and_spine_share_one_walk():
     assert sub.jump_sizes == [
         -math.log(part.masses[j]) for part, j in zip(log.partitions, log.picks)]
 
+    # the spine at p = 0 keeps every try when each split's masses total 1.0
+    zero = simulate_spine(model, 0.0, 3.0, seed, PhiEvaluator(model))
+    assert (zero.jump_times, zero.partitions, zero.picks) == (
+        log.jump_times, log.partitions, log.picks)
+
     run = simulate_spine(model, 0.5, 3.0, seed, PhiEvaluator(model))
     assert len(run.jump_times) > 0
     assert all(type(r) is TaggedLine for r in (sub, log, thinned, run))
@@ -305,6 +317,11 @@ def _fields(run):
             line.picks, repr(line.p), thinned.kept)
 
 
+# splits whose masses, ranked and summed left to right, total one ulp below
+# and one ulp above 1: u and u times the total pick apart only on them
+_ULP_MODELS = {"ulp_below": AtomicModel([([0.1, 0.2, 0.7], 1.0)]),
+               "ulp_above": AtomicModel([([0.56, 0.34, 0.1], 1.0)])}
+
 _ORACLE_MODELS = {
     "uniform": UniformBinaryModel(),
     "uniform_eps0.1": UniformBinaryModel(0.1),
@@ -314,6 +331,7 @@ _ORACLE_MODELS = {
     "three_piece": AtomicModel([([0.5, 0.3, 0.2], 1.0),
                                 ([0.7, 0.2, 0.1], 0.5),
                                 ([0.9, 0.1], 2.0)]),
+    **_ULP_MODELS,
 }
 
 
@@ -395,11 +413,12 @@ def _lanes(records):
     return out
 
 
-@pytest.mark.parametrize("name", list(_CORPUS_MODELS))
+@pytest.mark.parametrize("name", list(_CORPUS_MODELS) + list(_ULP_MODELS))
 def test_every_spine_lane_equals_its_walk_bit_for_bit(name):
-    model = _CORPUS_MODELS[name]
+    model = {**_CORPUS_MODELS, **_ULP_MODELS}[name]
     ev = PhiEvaluator(model)
-    tilts = [-0.5, -0.2] + ([-1.9] if name == "uniform" else [])
+    tilts = [-0.5, -0.2, 0.0, 0.5, 1.0, 3.0] + (
+        [-1.9] if name == "uniform" else [])
     n = 12
     for seed in (5, 2**64 - 1, 913):
         for t_end in (0.0, 1.0, 4.0):
@@ -474,6 +493,19 @@ def test_spine_lanes_do_not_depend_on_the_chunk_size(ub, ub_eval,
         assert _lanes(records) == full
 
 
+def test_a_chunk_whose_every_try_is_thinned_reads_as_its_walks():
+    # a try is kept with probability 0.5^4 + 0.3^4 = 0.07; at seed 3 the
+    # lanes' tries are all thinned away, so the record holds no event row
+    model = _CORPUS_MODELS["dust"]
+    ev = PhiEvaluator(model)
+    rec, = read_spines(model, 3.0, 1.0, 3, 3, ev)
+    assert rec.events.shape == (0, 3) and rec.counts.tolist() == [0, 0, 0]
+    assert rec.values().tolist() == [0.0, 0.0, 0.0]
+    assert _lanes([rec]) == [
+        _line(simulate_spine(model, 3.0, 1.0, replica_key(3, i), ev))
+        for i in range(3)]
+
+
 def test_spine_lanes_raise_as_the_walk_does(ub, ub_eval):
     def walks(p, t_end, seed, n):
         """_line of each replica's walk in turn, or the first walk's error."""
@@ -492,8 +524,11 @@ def test_spine_lanes_raise_as_the_walk_does(ub, ub_eval):
         assert got[0] is BelowPLowerError
 
 
-@pytest.mark.parametrize("p", [0.0, 0.5, 3.0, math.nan])
-def test_read_spines_leaves_p_at_or_above_zero_to_the_walk(ub, ub_eval, p):
-    # a try at p >= 0 spends an acceptance draw, which the lanes do not read
-    with pytest.raises(ValueError, match="read_spines reads p < 0 only"):
-        read_spines(ub, p, 4.0, 5, 3, ub_eval)
+def test_read_spines_and_the_walk_refuse_a_nan_tilt_alike(ub, ub_eval):
+    errors = []
+    for read in (lambda: simulate_spine(ub, math.nan, 4.0, 5, ub_eval),
+                 lambda: read_spines(ub, math.nan, 4.0, 5, 3, ub_eval)):
+        with pytest.raises(NotComputableError) as caught:
+            read()
+        errors.append(str(caught.value))
+    assert errors[0] == errors[1]

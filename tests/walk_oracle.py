@@ -1,27 +1,28 @@
 """Per-draw reference walk of one tagged line (test oracle).
 
-This is the scalar walk homfrag.tilting ran before its draws were built
+This is homfrag.tilting's scalar walk with its draws built per draw, not
 once per path: every draw re-checks p_lower and the model's conservation,
 recomputes the p < 0 normaliser, validates each split as a MassPartition,
-and sums s^(p+1) once for the acceptance test and again for the child
-pick.  The spine is walked without its shed population, which reads only
-the line.  Tests check the walk against it field for field, bit for bit.
-Its one-draw calls sample_tilted_split, spine_child_select and
-sample_size_biased are also where tests take single draws: the library
-draws only whole lines.  sample_size_biased picks by Stream.pick over the
-split's running masses, the package's one rule for a weighted pick.
+and sums s^(p+1) once for the keep test and again for the child pick.  The
+spine is walked without its shed population, which reads only the line.
+Tests check the walk against it field for field, bit for bit.  Its one-try
+calls sample_tilted_split, spine_child_select and sample_size_biased are
+also where tests take single draws: the library draws only whole lines.
+
+A try draws a split, then one uniform u.  sample_size_biased follows the
+first piece whose running mass is above u (the last if none is); at p >= 0
+sample_tilted_split keeps the try iff u < sum_i s_i^(p+1) and follows the
+first piece whose running sum of s_i^(p+1) is above u; at p < 0 it keeps
+every try and spine_child_select picks by Stream.pick.
 """
 
+from bisect import bisect_right
 from itertools import accumulate
 
 from homfrag.analytics import PhiEvaluator
-from homfrag.errors import (
-    BelowPLowerError,
-    DustNotSupportedError,
-    NotComputableError,
-)
+from homfrag.errors import BelowPLowerError, DustNotSupportedError
 from homfrag.measures import MassPartition
-from homfrag.streams import _MAX_REJECTIONS, Stream, derive_key
+from homfrag.streams import Stream, derive_key
 from homfrag.tilting import TaggedLine, tilted_split_rate
 
 
@@ -31,21 +32,23 @@ def _sample(model, stream):
 
 
 def sample_tilted_split(model, p, stream, evaluator=None):
+    """One try of the p-tilted spine: (split, index of the piece followed,
+    importance weight), the index None when the try is thinned away."""
     if p <= model.p_lower:
         raise BelowPLowerError(f"tilting needs p > p_lower = {model.p_lower}")
     if p >= 0.0:
-        for _ in range(_MAX_REJECTIONS):
-            part = _sample(model, stream)
-            if stream.uniform() < part.power_sum(p + 1.0):
-                return part, 1.0
-        raise NotComputableError(
-            f"tilted rejection did not accept after {_MAX_REJECTIONS} tries"
-        )
+        part = _sample(model, stream)
+        u = stream.uniform()
+        if not u < part.power_sum(p + 1.0):
+            return part, None, 1.0
+        cum = list(accumulate(m ** (p + 1.0) for m in part.masses))
+        return part, bisect_right(cum, u), 1.0
     if evaluator is None:
         evaluator = PhiEvaluator(model)
     norm = tilted_split_rate(model, evaluator, p) / model.total_rate
     part = _sample(model, stream)
-    return part, part.power_sum(p + 1.0) / norm
+    return (part, spine_child_select(part, p, stream),
+            part.power_sum(p + 1.0) / norm)
 
 
 def spine_child_select(partition, p, stream):
@@ -61,7 +64,8 @@ def sample_size_biased(model, stream):
     if not model.conservative:
         raise DustNotSupportedError("size-biased pick needs a conservative model")
     part = _sample(model, stream)
-    j = stream.pick(list(accumulate(part.masses)))
+    cum = list(accumulate(part.masses))
+    j = min(bisect_right(cum, stream.uniform()), len(cum) - 1)
     return part.masses[j], j, part
 
 
@@ -76,6 +80,8 @@ def walk_tagged_line(rate, t_end, seed, draw, p=0.0):
         if t > t_end:
             return TaggedLine(t_end, times, parts, picks, seed, weight, p)
         part, j, w = draw(stream)
+        if j is None:  # a thinned try
+            continue
         weight *= w
         times.append(t)
         parts.append(part)
@@ -87,10 +93,11 @@ def simulate_spine(model, p, t_end, seed, evaluator=None):
     if evaluator is None:
         evaluator = PhiEvaluator(model)
     rate = tilted_split_rate(model, evaluator, p)
+    if p >= 0.0:  # the untilted line's tries, thinned
+        rate = model.total_rate
 
     def draw(stream):
-        part, w = sample_tilted_split(model, p, stream, evaluator)
-        return part, spine_child_select(part, p, stream), w
+        return sample_tilted_split(model, p, stream, evaluator)
 
     return walk_tagged_line(rate, t_end, seed, draw, p)
 
