@@ -62,6 +62,7 @@ from .partitions import (
     block_frequency_estimates,
     paintbox,
     simulate_partition,
+    simulate_partitions,
     split_rate,
     tagged_xi,
 )

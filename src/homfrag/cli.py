@@ -47,9 +47,10 @@ from .martingales import (
     truncated_estimator,
 )
 from .measures import SUM_TOL, model_from_json, model_to_json
-from .partitions import PartitionOfN, simulate_partition
-# simulate, simulate_subordinator, simulate_event_log, simulate_spine and
-# thin_fiber stay names of this module for callers that wrap its library calls
+from .partitions import PartitionOfN, simulate_partition, simulate_partitions  # noqa: F401
+# simulate, simulate_partition, simulate_subordinator, simulate_event_log,
+# simulate_spine and thin_fiber stay names of this module for callers that
+# wrap its library calls
 from .ranked import DEFAULT_MAX_FRAGMENTS, simulate, simulate_replicas  # noqa: F401
 from .streams import MASK64, derive_key, replica_key
 from .tilting import (  # noqa: F401
@@ -155,10 +156,9 @@ def _cmd_partition(cfg):
     label_text = list(map(str, range(pr["n"])))
     rows = []
     boundaries = []
-    for i in range(cfg.replicas):
+    for path in simulate_partitions(cfg.model, pr["n"], pr["t_end"], cfg.seed,
+                                    cfg.replicas, ev):
         boundaries.append(len(rows))
-        path = simulate_partition(cfg.model, pr["n"], pr["t_end"],
-                                  replica_key(cfg.seed, i), ev)
         for t, labels in path.refinements():
             block_of = ",".join(map(label_text.__getitem__,
                                     PartitionOfN(labels).assignment.tolist()))

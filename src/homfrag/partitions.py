@@ -16,15 +16,19 @@ module samples exactly by size-biased picks.
 import math
 from bisect import bisect_right
 from collections import namedtuple
-from operator import attrgetter
+from itertools import accumulate
 
 import numpy as np
 
 from .analytics import PhiEvaluator
 from .errors import NotComputableError
-from .streams import _MAX_REJECTIONS, Stream, derive_key
+from .streams import _MAX_REJECTIONS, MASK64, StreamBatch, derive_keys, lanewise, replica_keys
 
 PartitionEvent = namedtuple("PartitionEvent", ["time", "elements", "sub_assignment"])
+
+_CHUNK_POINTS = 1 << 16  # points of the replicas read together
+_ROUND_CELLS = 1 << 20  # draws of a round of tries, unless one try is more
+_MISS = 0.01  # chance that a block finds no non-trivial try in a round
 
 
 def _canonical_labels(labels):
@@ -107,19 +111,11 @@ def paintbox(masses, n, stream):
     Point j falls in box i with probability masses[i]; leftover mass (for
     dust-producing partitions) turns into singletons.
     """
-    return PartitionOfN(_paintbox_labels(masses, n, stream))
-
-
-def _paintbox_labels(masses, n, stream):
-    """The box of each point in paintbox, dust points numbered after the
-    boxes, before canonical relabelling."""
     cum = np.cumsum(np.asarray(masses, dtype=float))
     labels = np.searchsorted(cum, stream.uniforms(n), side="right")
-    k = len(cum)
-    dust = labels == k
-    if dust.any():
-        labels[dust] = k + np.arange(int(dust.sum()))
-    return labels
+    dust = labels == len(cum)
+    labels[dust] = len(cum) + np.arange(np.count_nonzero(dust))
+    return PartitionOfN(labels)
 
 
 def split_rate(evaluator, b):
@@ -168,55 +164,168 @@ class NestedPartitionPath:
 
 
 def simulate_partition(model, n, t_end, seed, evaluator=None):
-    """Simulate the nested partition path up to t_end (math.inf = shatter fully).
+    """The nested partition path on n points up to t_end (math.inf shatters
+    fully), its root block keyed derive_key(seed, 0): a one-replica read."""
+    return _read_paths(model, n, t_end, [seed], evaluator)[0]
 
-    Each block owns a stream keyed by its genealogical path; its first draw
-    is the holding time, subsequent draws feed the rejection loop (split
-    draw + paintbox) at the ring.  Blocks refine independently of each
-    other, so the walk visits them depth first off a stack, reads each
-    stream once, and sorts the events by ring time at the end (stably: a
-    tie keeps the walk's order, a block's event before its children's).
-    """
+
+def simulate_partitions(model, n, t_end, seed, n_replicas, evaluator=None):
+    """[simulate_partition(model, n, t_end, replica_key(seed, i), evaluator)
+    for i in range(n_replicas)], read together in chunks of at most
+    _CHUNK_POINTS points (or one replica), so memory stays bounded."""
+    evaluator = evaluator or PhiEvaluator(model)
+    seeds = replica_keys(seed, n_replicas).tolist()
+    lanes = max(1, _CHUNK_POINTS // max(n, 1))
+    return [path for at in range(0, n_replicas, lanes) for path in
+            _read_paths(model, n, t_end, seeds[at:at + lanes], evaluator)]
+
+
+def _read_paths(model, n, t_end, seeds, evaluator):
+    """The NestedPartitionPath of each seed, read one generation of blocks
+    at a time, each block a lane of a StreamBatch (see the README's
+    Determinism section for the layout of its draws)."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if evaluator is None:
-        evaluator = PhiEvaluator(model)
-    rates = {}
-    events = []
-    stream = Stream(0)
-    stack = []  # (time the block was born, its key, its points)
-    if n >= 2:
-        stack.append((0.0, derive_key(seed, 0), np.arange(n, dtype=np.int64)))
-    while stack:
-        born, key, elements = stack.pop()
-        b = len(elements)
-        if b not in rates:
-            rates[b] = split_rate(evaluator, b)
-            if rates[b] <= 0.0:
-                raise NotComputableError(
-                    f"split rate phi({b - 1}) = {rates[b]} is not positive")
-        stream.reset(key)
-        ring = born + stream.exponential(rates[b])
-        if ring > t_end:
-            continue
-        for _ in range(_MAX_REJECTIONS):
-            labels = _paintbox_labels(model.sample_masses(stream), b, stream)
-            if (labels != labels[0]).any():  # not trivial
-                break
-        else:
-            raise NotComputableError(
-                f"paintbox rejection did not terminate after {_MAX_REJECTIONS} tries"
-            )
-        sub = PartitionOfN(labels)
-        events.append(PartitionEvent(ring, elements, sub.assignment))
-        for label, block in enumerate(sub.blocks()):
-            if len(block) >= 2:
-                stack.append((ring, derive_key(key, label), elements[block]))
+    evaluator = evaluator or PhiEvaluator(model)
+    rates = np.full(n + 1, np.nan)  # phi(b - 1) by block size b
+    tries = np.zeros(n + 1, np.int64)  # and the tries read per round
+    # the live blocks: key, birth, replica, size, event of the parent, label
+    # among its siblings, and their points, block after block
+    live = len(seeds) if n >= 2 else 0
+    key = derive_keys(np.array([s & MASK64 for s in seeds[:live]], np.uint64), 0)
+    born, lane, size = np.zeros(live), np.arange(live), np.full(live, n)
+    parent, label = np.full(live, -1), np.zeros(live, np.int64)
+    points = np.tile(np.arange(n), live)
+    rounds, elements, subs = [], [], []
+    while live:
+        rate = rates[size]
+        if np.isnan(rate).any():
+            for b in sorted(set(size[np.isnan(rate)].tolist())):
+                rates[b] = split_rate(evaluator, b)
+                if not rates[b] > 0.0:
+                    raise NotComputableError(
+                        f"split rate phi({b - 1}) = {rates[b]} is not positive")
+                # all tries of a block miss with probability at most _MISS
+                rho = rates[b] / model.total_rate
+                m = math.ceil(math.log(_MISS) / math.log1p(-rho)) if rho < 1.0 - _MISS else 1
+                tries[b] = min(m, _MAX_REJECTIONS)
+            rate = rates[size]
+        streams = StreamBatch(key)
+        ring = born + -lanewise(math.log1p, -streams.uniform_at(
+            slice(None), 1)) / rate
+        rang = ~(ring > t_end)  # as the walk's test: a NaN t_end never stops it
+        blk = rang.nonzero()[0]
+        if not blk.size:
+            break
+        b = size[blk]
+        ends = b.cumsum()
+        starts = ends - b
+        pts = points[rang.repeat(size)]
+        box, width = _first_tries(model, streams, blk, b, tries[b])
+        # a point's group is the first point of its block in its box (a
+        # dust point is its own): groups by block, then by first point
+        of = np.arange(len(b)).repeat(b)
+        cell = np.arange(len(pts))
+        first = np.full((width + 1) * len(b), len(pts))
+        dust = box == 0
+        box += (width + 1) * of
+        np.minimum.at(first, box, cell)
+        first = first[box]
+        first[dust] = cell[dust]
+        opens = first == cell
+        group = (opens.cumsum() - 1)[first]
+        head = group[starts]
+        sub = group - head.repeat(b)
+        sizes = np.bincount(group)
+        ring, lane = ring[blk], lane[blk]
+        rounds.append((ring, lane, parent[blk], label[blk],
+                       np.where(pts[starts] == 0, sizes[head], -1)))
+        ids = len(elements) + of
+        for s, e in zip(starts.tolist(), ends.tolist()):
+            elements.append(pts[s:e])
+            subs.append(sub[s:e])
+        big = sizes >= 2  # the children of two or more points, in group order
+        kids = opens & big[group]
+        at = of[kids]
+        label = sub[kids]
+        key = derive_keys(key[blk[at]], label)
+        born, lane, parent, size = ring[at], lane[at], ids[kids], sizes[big]
+        points = pts[group.argsort(kind="stable")][big.repeat(sizes)]
+        live = len(key)
+    return _paths(n, t_end, seeds, rounds, elements, subs)
 
-    events.sort(key=attrgetter("time"))
-    tagged_trace = [(ev.time, int(np.count_nonzero(ev.sub_assignment == 0)))
-                    for ev in events if ev.elements[0] == 0]
-    return NestedPartitionPath(n, t_end, events, tagged_trace, seed)
+
+def _first_tries(model, streams, blk, b, m):
+    """(box, width): the box of every point, block after block, in the first
+    non-trivial paintbox of its block (the lanes blk, of b[i] points each),
+    reading m[i] tries of each, then twice as many.  A box is the number of
+    running sums above the point's uniform, so dust is 0 whatever the width
+    of the split matrix, which bounds the boxes."""
+    box = first = None  # the boxes, and each block's first point in them
+    done = width = 0  # tries read so far
+    while True:
+        # at most _ROUND_CELLS draws; each block's tries lie in one run
+        m = np.minimum(m, max(1, _ROUND_CELLS // (b + 1).sum()))
+        span = m * (b + 1)
+        ends = span.cumsum()
+        u = streams.uniform_at(blk.repeat(span), (2 + done * (b + 1) + span - ends)
+                               .repeat(span) + np.arange(ends[-1]))
+        rows = (b + 1).repeat(m)
+        starts = rows.cumsum() - rows
+        # the running sums, a column at a time (the rows' cumsum, bit for bit)
+        cum = list(accumulate(model.splits(u[starts]).T))
+        width = max(width, len(cum))
+        u[starts] = u[starts + 1]  # the split's draw takes its first point's box
+        of = np.arange(len(rows)).repeat(rows)
+        above = sum(column[of] > u for column in cum)
+        lo = np.minimum.reduceat(above, starts)
+        good = (lo != np.maximum.reduceat(above, starts)) | (lo == 0)
+        last = m.cumsum()  # each block's first non-trivial try, else its last
+        hit = np.minimum.reduceat(
+            np.where(good, np.arange(len(rows)), (last - 1).repeat(m)), last - m)
+        ok = good[hit]
+        at = b.cumsum()
+        src = (starts[hit] + 1 - at + b).repeat(b) + np.arange(at[-1])
+        if box is None:  # every block: those without one are read again
+            box, first = above[src], at - b
+        else:
+            keep = ok.repeat(b)
+            box[((first - at + b).repeat(b) + np.arange(at[-1]))[keep]] = above[src[keep]]
+        if ok.all():
+            return box, width
+        done = done + m
+        if (done[~ok] >= _MAX_REJECTIONS).any():
+            raise NotComputableError(
+                f"paintbox rejection did not terminate after {_MAX_REJECTIONS} tries")
+        blk, b, m, done, first = (x[~ok] for x in (blk, b, 2 * m, done, first))
+        m = np.minimum(m, _MAX_REJECTIONS - done)
+
+
+def _paths(n, t_end, seeds, rounds, elements, subs):
+    """The NestedPartitionPath of each seed from _read_paths' rounds: each
+    replica's events by ring time, ties in the depth-first walk's order."""
+    if not rounds:
+        return [NestedPartitionPath(n, t_end, [], [], seed) for seed in seeds]
+    time, lane, parent, label, tag = map(np.concatenate, zip(*rounds))
+    order = np.lexsort((time, lane))  # stable: a round after its parents'
+    t, r = time[order], lane[order]
+    if ((t[1:] == t[:-1]) & (r[1:] == r[:-1])).any():
+        def walk_key(e):  # the labels from the root down, negated: the
+            path = []     # depth-first walk pops the last child first
+            while e >= 0:
+                path.append(-label[e])
+                e = parent[e]
+            return path[::-1]
+        order = np.array(sorted(order.tolist(), key=lambda e: (
+            lane[e], time[e], walk_key(e))))
+        t, r = time[order], lane[order]
+    ends = np.bincount(r, minlength=len(seeds)).cumsum().tolist()
+    time, tag, order = t.tolist(), tag[order].tolist(), order.tolist()
+    events = list(map(PartitionEvent, time, map(elements.__getitem__, order),
+                      map(subs.__getitem__, order)))
+    return [NestedPartitionPath(n, t_end, events[a:e], [
+        (ti, s) for ti, s in zip(time[a:e], tag[a:e]) if s >= 0], seed)
+        for a, e, seed in zip([0] + ends, ends, seeds)]
 
 
 def block_frequency_estimates(path, t):

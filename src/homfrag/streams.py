@@ -14,7 +14,6 @@ integer ops per draw) and batches cheaply through numpy for vector draws.
 """
 
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from itertools import repeat
 import math
 
@@ -30,8 +29,8 @@ _U64_MIX = (np.uint64(30), np.uint64(0xBF58476D1CE4E5B9),
 _U64_11 = np.uint64(11)
 _INV_2_53 = 2.0 ** -53
 
-# draws before a rejection loop is declared not computable: paintboxes at
-# one partitions.simulate_partition ring
+# tries before a rejection loop is declared not computable: paintboxes at
+# one ring of a partitions block
 _MAX_REJECTIONS = 1_000_000
 
 
@@ -94,8 +93,10 @@ def map_replicas(fn, n_replicas, threads):
 
     fn(i) must depend only on i (replica i draws from replica_key(seed, i));
     results come back in index order, so they do not depend on `threads`.
+    One task runs inline, and the pool's module is imported only to fan out.
     """
-    if threads > 1:
+    if threads > 1 and n_replicas > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, range(n_replicas)))
     return [fn(i) for i in range(n_replicas)]

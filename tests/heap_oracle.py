@@ -1,9 +1,10 @@
 """Time-ordered reference walk of one nested partition path (test oracle).
 
-This is the walk homfrag.partitions.simulate_partition replaced: blocks
+This is the first walk of homfrag.partitions.simulate_partition: blocks
 visited in ring-time order off a heap (ties broken by push order), each
-block's holding-time draw replayed when it is popped.  Tests check the
-depth-first walk against it event for event, bit for bit.
+block's holding-time draw replayed when it is popped, and each paintbox
+drawn off the block's scalar Stream.  Tests check the generation-wise
+engine against it event for event, bit for bit.
 """
 
 import heapq
@@ -16,10 +17,20 @@ from homfrag.partitions import (
     NestedPartitionPath,
     PartitionEvent,
     PartitionOfN,
-    _paintbox_labels,
     split_rate,
 )
 from homfrag.streams import _MAX_REJECTIONS, Stream, derive_key
+
+
+def _paintbox_labels(masses, n, stream):
+    """The box of each of n points, dust points numbered after the boxes."""
+    cum = np.cumsum(np.asarray(masses, dtype=float))
+    labels = np.searchsorted(cum, stream.uniforms(n), side="right")
+    k = len(cum)
+    dust = labels == k
+    if dust.any():
+        labels[dust] = k + np.arange(int(dust.sum()))
+    return labels
 
 
 def simulate_partition_heap(model, n, t_end, seed, evaluator=None):

@@ -35,7 +35,7 @@ from homfrag.martingales import (
 )
 from homfrag.measures import model_to_json
 from homfrag.partitions import (
-    simulate_partition,
+    simulate_partitions,
     split_rate,
     tagged_xi,
 )
@@ -335,8 +335,7 @@ def test_criterion_11_partition_consistency(ub, ub_eval, acceptance_report):
     grid = np.linspace(0.0, 2.0, 9)
     nested_ok = True
     order_ok = True
-    for i in range(1000):
-        path = simulate_partition(ub, 8, 2.0, replica_key(1101, i))
+    for path in simulate_partitions(ub, 8, 2.0, 1101, 1000):
         parts = [path.partition_at(t) for t in grid]
         for coarse, fine in zip(parts, parts[1:]):
             nested_ok = nested_ok and fine.finer_than(coarse)
@@ -349,8 +348,7 @@ def test_criterion_11_partition_consistency(ub, ub_eval, acceptance_report):
     for n_pts, seed in ((2, 1102), (5, 1103)):
         rate = split_rate(ub_eval, n_pts)
         times = []
-        for i in range(2000):
-            path = simulate_partition(ub, n_pts, 30.0, replica_key(seed, i))
+        for path in simulate_partitions(ub, n_pts, 30.0, seed, 2000):
             if path.events:
                 times.append(path.events[0].time)
         ks_p = stats.kstest(np.array(times),
@@ -358,10 +356,8 @@ def test_criterion_11_partition_consistency(ub, ub_eval, acceptance_report):
         split_ok = split_ok and ks_p > 0.01
         ks_details.append(f"b={n_pts}: p={ks_p:.3f}")
 
-    xi_part = np.array([
-        tagged_xi(simulate_partition(ub, 10_000, 1.0, replica_key(1104, i)),
-                  1.0)
-        for i in range(1000)])
+    xi_part = np.array([tagged_xi(path, 1.0) for path in
+                        simulate_partitions(ub, 10_000, 1.0, 1104, 1000)])
     xi_direct = np.array([
         simulate_subordinator(ub, 1.0, replica_key(1105, i)).value(1.0)
         for i in range(1000)])

@@ -1,6 +1,7 @@
 """Exchangeable partitions, paintbox sampling, nested paths, tagged piece."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from heap_oracle import simulate_partition_heap
 
 from homfrag import partitions, tilting
 from homfrag.analytics import PhiEvaluator
-from homfrag.errors import DustNotSupportedError
+from homfrag.errors import DustNotSupportedError, NotComputableError
 from homfrag.measures import (
     AtomicModel,
     MassPartition,
@@ -24,6 +25,7 @@ from homfrag.partitions import (
     block_frequency_estimates,
     paintbox,
     simulate_partition,
+    simulate_partitions,
     split_rate,
     tagged_xi,
 )
@@ -136,51 +138,179 @@ PATH_MODELS = {
     "ternary_binary": AtomicModel([([0.5, 0.3, 0.2], 1.0), ([0.6, 0.4], 2.0)]),
     "dust": AtomicModel([([0.5, 0.3], 1.0)]),  # paintbox makes singletons
 }
-
-
-@pytest.mark.parametrize("name", sorted(PATH_MODELS))
-def test_partition_paths_equal_the_sort_based_oracle(name, monkeypatch):
-    model = PATH_MODELS[name]
-    for seed in (0, 5, 2**64 - 1):
-        got = simulate_partition(model, 60, 4.0, seed)
-        with monkeypatch.context() as m:
-            m.setattr(partitions, "_canonical_labels", _unique_canonical)
-            m.setattr(PartitionOfN, "blocks", _sorted_blocks)
-            want = simulate_partition(model, 60, 4.0, seed)
-        assert got.events  # the paths do refine
-        assert all(e.sub_assignment.max() >= 1 for e in got.events)
-        assert [(repr(e.time), e.elements.tobytes(), e.sub_assignment.tobytes())
-                for e in got.events] == [
-            (repr(e.time), e.elements.tobytes(), e.sub_assignment.tobytes())
-            for e in want.events]
-        assert got.tagged_trace == want.tagged_trace
+# the power tail with the most redrawn paintboxes, and splits whose masses,
+# summed left to right, total one ulp below 1 (a conservative model whose
+# paintbox can still leave a point as dust) and one ulp above 1
+READ_MODELS = {**PATH_MODELS,
+               "power_tail_eps0.01": PowerTailBinaryModel(epsilon=0.01),
+               "ulp_below": AtomicModel([([0.1, 0.2, 0.7], 1.0)]),
+               "ulp_above": AtomicModel([([0.56, 0.34, 0.1], 1.0)])}
 
 
 def _path_bits(path):
     return ([(repr(e.time), e.elements.tobytes(), e.sub_assignment.tobytes())
-             for e in path.events], path.tagged_trace)
+             for e in path.events], path.tagged_trace, path.seed)
 
 
 @pytest.mark.parametrize("name", sorted(PATH_MODELS))
-def test_depth_first_paths_equal_the_heap_walk_bit_for_bit(name):
+def test_partition_paths_equal_the_sort_based_oracle(name, monkeypatch):
+    # the heap walk relabels through PartitionOfN and its blocks, here the
+    # sort-based ones; the engine relabels by its own first-appearance pass
     model = PATH_MODELS[name]
+    got = simulate_partitions(model, 60, 4.0, 5, 3)
+    with monkeypatch.context() as m:
+        m.setattr(partitions, "_canonical_labels", _unique_canonical)
+        m.setattr(PartitionOfN, "blocks", _sorted_blocks)
+        want = [simulate_partition_heap(model, 60, 4.0, replica_key(5, i))
+                for i in range(3)]
+    for path, oracle in zip(got, want):
+        assert path.events  # the paths do refine
+        assert all(e.sub_assignment.max() >= 1 for e in path.events)
+        assert _path_bits(path) == _path_bits(oracle)
+
+
+# (n, t_end, replicas): every n of {1, 2, 60, 500} at every t_end of
+# {0, 4, inf}, with fewer replicas where a path costs more
+READS = [(n, t, {1: 3, 2: 30, 60: 12, 500: 2}[n])
+         for n in (1, 2, 60, 500) for t in (0.0, 4.0, math.inf)]
+
+
+@pytest.mark.parametrize("name", sorted(READ_MODELS))
+def test_every_replica_read_equals_its_single_path_and_the_heap_walk(name):
+    model = READ_MODELS[name]
     ev = PhiEvaluator(model)
     refined = 0
-    for seed in [*range(40), 2**64 - 1]:
-        for n, t_end in ((60, 4.0), (200, 2.0), (30, math.inf)):
-            got = simulate_partition(model, n, t_end, seed, ev)
-            want = simulate_partition_heap(model, n, t_end, seed, ev)
-            assert _path_bits(got) == _path_bits(want), (seed, n, t_end)
-            refined += len(got.events) > 1
-    assert refined > 100  # the paths branch, so the visiting orders differ
+    for seed in (7, 2**64 - 1):
+        for n, t_end, replicas in READS:
+            got = simulate_partitions(model, n, t_end, seed, replicas, ev)
+            assert len(got) == replicas
+            for i, path in enumerate(got):
+                key = replica_key(seed, i)
+                want = simulate_partition_heap(model, n, t_end, key, ev)
+                assert _path_bits(path) == _path_bits(want), (seed, n, t_end, i)
+                if i < 2:
+                    assert _path_bits(simulate_partition(model, n, t_end, key, ev)) \
+                        == _path_bits(want)
+                refined += len(path.events) > 1
+    assert refined > 40  # the paths branch, so the visiting orders differ
 
 
-def test_depth_first_path_handles_one_point_and_no_time(ub):
+def test_a_replica_does_not_depend_on_the_replica_count_or_the_chunks(monkeypatch):
+    model = READ_MODELS["power_tail_eps0.01"]
+    want = [_path_bits(p) for p in simulate_partitions(model, 60, 4.0, 3, 12)]
+    assert [_path_bits(p) for p in simulate_partitions(model, 60, 4.0, 3, 5)] \
+        == want[:5]
+    for points in (1, 60, 130, 600):  # one, one, two and ten replicas a chunk
+        monkeypatch.setattr(partitions, "_CHUNK_POINTS", points)
+        assert [_path_bits(p) for p in simulate_partitions(model, 60, 4.0, 3, 12)] \
+            == want
+
+
+def _seed_whose_child_waits_zero(levels):
+    """A seed whose root block's first child (label 0) draws a holding time
+    of exactly 0: its key is derive_key(., 0) applied `levels` times to the
+    seed, two for simulate_partition, three for replica 0 of a read."""
+    key = _key_whose_draw_is_zero(1)
+    for _ in range(levels):  # invert derive_key(key, 0) = mix64((key ^ salt) + gamma)
+        key = ((_mix64_inverse(key) - GOLDEN_GAMMA) & MASK64) ^ _KEY_SALT
+    return key
+
+
+def test_a_child_that_waits_zero_rings_with_its_parent_and_comes_after_it(ub):
+    ev = PhiEvaluator(ub)
+    for path, key in (
+            (simulate_partition(ub, 40, math.inf, _seed_whose_child_waits_zero(2), ev),
+             _seed_whose_child_waits_zero(2)),
+            (simulate_partitions(ub, 40, math.inf, _seed_whose_child_waits_zero(3), 2,
+                                 ev)[0], replica_key(_seed_whose_child_waits_zero(3), 0))):
+        root, child = path.events[:2]
+        assert len(root.elements) == 40
+        assert child.time == root.time  # born and rung at the root's ring
+        assert child.elements.tolist() == np.flatnonzero(root.sub_assignment == 0).tolist()
+        assert _path_bits(path) == _path_bits(simulate_partition_heap(ub, 40, math.inf, key, ev))
+
+
+def _depth_first_order(path):
+    """The events of a path in the order of the depth-first walk: pop a
+    block, take its event, push its children of two or more points in label
+    order, so that the last child is walked first."""
+    by_block = {e.elements.tobytes(): e for e in path.events}
+    order, stack = [], [path.events[0]]
+    while stack:
+        ev = stack.pop()
+        order.append(ev)
+        for label in range(int(ev.sub_assignment.max()) + 1):
+            child = ev.elements[ev.sub_assignment == label]
+            if len(child) >= 2:
+                stack.append(by_block[child.tobytes()])
+    return order
+
+
+@pytest.mark.parametrize("name", ["uniform", "ternary_binary", "dust"])
+def test_events_that_ring_together_keep_the_depth_first_order(name, monkeypatch):
+    # every holding time 0: the whole path rings at time 0, so only the tie
+    # rule orders its events
+    monkeypatch.setattr(partitions, "lanewise",
+                        lambda fn, x, y=None: np.zeros(len(x)))
+    for path in simulate_partitions(PATH_MODELS[name], 30, 0.0, 9, 4):
+        assert len(path.events) > 3
+        assert {e.time for e in path.events} == {0.0}
+        assert [e.elements.tolist() for e in path.events] == [
+            e.elements.tolist() for e in _depth_first_order(path)]
+
+
+class _RateOf:
+    """An evaluator whose phi is the given function."""
+
+    def __init__(self, phi):
+        self.phi = phi
+
+
+@pytest.mark.parametrize("rate", [0.0, -1.0])
+def test_a_split_rate_that_is_not_positive_is_refused(ub, rate):
+    ev = _RateOf(lambda q: rate if q == 2.0 else 1.0)  # phi(2): blocks of 3
+    message = f"split rate phi(2) = {rate} is not positive"
+    for read in (lambda: simulate_partition(ub, 3, 1.0, 4, ev),
+                 lambda: simulate_partitions(ub, 3, 1.0, 4, 5, ev),
+                 lambda: simulate_partition_heap(ub, 3, 1.0, 4, ev)):
+        with pytest.raises(NotComputableError, match=re.escape(message)):
+            read()
+
+
+def test_a_paintbox_rejection_past_its_limit_is_refused_as_by_the_walk(monkeypatch):
+    # at b = 2 a split [0.999, 0.001] is non-trivial with probability 0.002
+    # per try: within 400 tries about half of the blocks find one
+    import heap_oracle
+    model = AtomicModel([([0.999, 0.001], 1.0)])
+    ev = PhiEvaluator(model)
+    monkeypatch.setattr(partitions, "_MAX_REJECTIONS", 400)
+    monkeypatch.setattr(heap_oracle, "_MAX_REJECTIONS", 400)
+    message = "paintbox rejection did not terminate after 400 tries"
+    outcomes = []
+    for seed in range(16):
+        try:
+            want = _path_bits(simulate_partition_heap(model, 2, 1e3, seed, ev))
+        except NotComputableError as refused:
+            assert str(refused) == message
+            with pytest.raises(NotComputableError, match=message):
+                simulate_partition(model, 2, 1e3, seed, ev)
+            outcomes.append("refused")
+            continue
+        assert _path_bits(simulate_partition(model, 2, 1e3, seed, ev)) == want
+        outcomes.append("split")
+    assert {"refused", "split"} <= set(outcomes)
+
+
+def test_partition_path_handles_one_point_and_no_time(ub):
     assert simulate_partition(ub, 1, math.inf, 3).events == []
-    for seed in range(20):
-        path = simulate_partition(ub, 5, 0.0, seed)
+    paths = simulate_partitions(ub, 5, 0.0, 3, 20)
+    for i, path in enumerate(paths):
         assert path.events == [] and path.tagged_trace == []
         assert path.partition_at(0.0) == PartitionOfN([0] * 5)
+        assert path.seed == replica_key(3, i)
+    assert simulate_partitions(ub, 7, 1.0, 3, 0) == []
+    with pytest.raises(ValueError, match="need n >= 1"):
+        simulate_partitions(ub, 0, 1.0, 3, 2)
 
 
 # --- paintbox -----------------------------------------------------------------
@@ -250,8 +380,8 @@ def test_first_split_time_distribution(ub, ub_eval):
     n = 5
     rate = ub_eval.phi(float(n - 1))
     firsts = []
-    for seed in range(2000):
-        path = simulate_partition(ub, n, 50.0, seed)
+    # simulate_partition(ub, n, 50.0, seed) for seed in range(2000), in one read
+    for path in partitions._read_paths(ub, n, 50.0, range(2000), ub_eval):
         assert path.events, "full shatter horizon must produce events"
         firsts.append(path.events[0].time)
     d, pvalue = stats.kstest(firsts, stats.expon(scale=1.0 / rate).cdf)
@@ -313,8 +443,9 @@ def test_subordinator_jump_count_poisson_mean(ub):
 
 def test_tagged_xi_close_to_subordinator_mean(ub):
     # law of large numbers at large n: one partition path per seed
-    vals = [tagged_xi(simulate_partition(ub, 4000, 1.0, seed), 1.0)
-            for seed in range(600)]
+    # simulate_partition(ub, 4000, 1.0, seed) for seed in range(600), in one read
+    vals = [tagged_xi(path, 1.0) for path in partitions._read_paths(
+        ub, 4000, 1.0, range(600), PhiEvaluator(ub))]
     ref = [simulate_subordinator(ub, 1.0, 10_000 + seed).value(1.0)
            for seed in range(6000)]
     # E xi(1) = phi'(0) = 0.5; four combined standard errors of slack

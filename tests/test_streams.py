@@ -16,6 +16,7 @@ from homfrag.streams import (
     derive_key,
     derive_keys,
     lanewise,
+    map_replicas,
     mix64,
     pick_index,
     pick_indices,
@@ -208,3 +209,39 @@ def test_stream_batch_draws_at_offsets_without_advancing():
         draws[2][4], draws[0][0]]
     # no lane advanced: draw 1 is still the stream's first
     assert batch.uniform_at(lanes, 1).tolist() == [d[0] for d in draws]
+
+
+def test_map_replicas_runs_one_task_inline_and_fans_out_more(monkeypatch):
+    import concurrent.futures
+
+    from homfrag.measures import UniformBinaryModel
+    from homfrag.ranked import simulate_replicas
+
+    pools = []
+    real = concurrent.futures.ThreadPoolExecutor
+
+    def pool(**kw):
+        pools.append(kw["max_workers"])
+        return real(**kw)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", pool)
+    assert map_replicas(lambda i: i * i, 1, 4) == [0]
+    assert map_replicas(lambda i: i * i, 0, 4) == []
+    assert pools == []  # one task (or none) never builds a pool
+    assert map_replicas(lambda i: i * i, 3, 2) == [0, 1, 4]
+    assert pools == [2]
+    # the benchmark's simulate op: 8 replicas are one chunk, run inline
+    ub = UniformBinaryModel()
+    runs = [simulate_replicas(ub, 6.0, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0], 1e-3, 5, 8,
+                              threads=threads) for threads in (1, 2, 4)]
+    assert pools == [2]
+    for run in runs[1:]:
+        assert [[(s.log_masses.tobytes(), repr(s.frozen_mass)) for s in lane]
+                for lane in run] == [
+            [(s.log_masses.tobytes(), repr(s.frozen_mass)) for s in lane]
+            for lane in runs[0]]
+    many = [simulate_replicas(ub, 2.0, [2.0], 1e-3, 5, 130, threads=threads)
+            for threads in (1, 2)]  # three chunks of at most 64 lanes
+    assert pools == [2, 2]
+    assert [s.log_masses.tobytes() for lane in many[0] for s in lane] == [
+        s.log_masses.tobytes() for lane in many[1] for s in lane]
