@@ -157,42 +157,55 @@ def test_partition_paths_equal_the_sort_based_oracle(name, monkeypatch):
     # the heap walk relabels through PartitionOfN and its blocks, here the
     # sort-based ones; the engine relabels by its own first-appearance pass
     model = PATH_MODELS[name]
-    got = simulate_partitions(model, 60, 4.0, 5, 3)
-    with monkeypatch.context() as m:
-        m.setattr(partitions, "_canonical_labels", _unique_canonical)
-        m.setattr(PartitionOfN, "blocks", _sorted_blocks)
-        want = [simulate_partition_heap(model, 60, 4.0, replica_key(5, i))
-                for i in range(3)]
-    for path, oracle in zip(got, want):
-        assert path.events  # the paths do refine
-        assert all(e.sub_assignment.max() >= 1 for e in path.events)
-        assert _path_bits(path) == _path_bits(oracle)
+    for seed in (0, 5, 2**64 - 1):
+        got = [simulate_partition(model, 60, 4.0, seed),
+               *simulate_partitions(model, 60, 4.0, seed, 3)]
+        with monkeypatch.context() as m:
+            m.setattr(partitions, "_canonical_labels", _unique_canonical)
+            m.setattr(PartitionOfN, "blocks", _sorted_blocks)
+            want = [simulate_partition_heap(model, 60, 4.0, key) for key in
+                    (seed, *(replica_key(seed, i) for i in range(3)))]
+        for path, oracle in zip(got, want):
+            assert path.events  # the paths do refine
+            assert all(e.sub_assignment.max() >= 1 for e in path.events)
+            assert _path_bits(path) == _path_bits(oracle)
 
 
 # (n, t_end, replicas): every n of {1, 2, 60, 500} at every t_end of
-# {0, 4, inf}, with fewer replicas where a path costs more
-READS = [(n, t, {1: 3, 2: 30, 60: 12, 500: 2}[n])
+# {0, 4, inf}, with fewer replicas where a path costs more, read at
+# replica_key(2**64 - 1, i)
+READS = [(n, t, {1: 3, 2: 30, 60: 4, 500: 1}[n])
          for n in (1, 2, 60, 500) for t in (0.0, 4.0, math.inf)]
+# and, on PATH_MODELS, 41 paths at each of these, read at the raw seeds
+WALKS = [(60, 4.0), (200, 2.0), (30, math.inf)]
+WALK_SEEDS = [*range(40), 2**64 - 1]
 
 
 @pytest.mark.parametrize("name", sorted(READ_MODELS))
 def test_every_replica_read_equals_its_single_path_and_the_heap_walk(name):
     model = READ_MODELS[name]
     ev = PhiEvaluator(model)
-    refined = 0
-    for seed in (7, 2**64 - 1):
-        for n, t_end, replicas in READS:
-            got = simulate_partitions(model, n, t_end, seed, replicas, ev)
-            assert len(got) == replicas
-            for i, path in enumerate(got):
-                key = replica_key(seed, i)
-                want = simulate_partition_heap(model, n, t_end, key, ev)
-                assert _path_bits(path) == _path_bits(want), (seed, n, t_end, i)
-                if i < 2:
-                    assert _path_bits(simulate_partition(model, n, t_end, key, ev)) \
-                        == _path_bits(want)
+    if name in PATH_MODELS:
+        refined = 0
+        for n, t_end in WALKS:
+            got = partitions._read_paths(model, n, t_end, WALK_SEEDS, ev)
+            for seed, path in zip(WALK_SEEDS, got):
+                want = _path_bits(simulate_partition_heap(model, n, t_end, seed, ev))
+                assert _path_bits(simulate_partition(model, n, t_end, seed, ev)) == want
+                assert _path_bits(path) == want, (seed, n, t_end)
                 refined += len(path.events) > 1
-    assert refined > 40  # the paths branch, so the visiting orders differ
+        assert refined > 100  # the paths branch, so the visiting orders differ
+    seed = 2**64 - 1
+    for n, t_end, replicas in READS:
+        got = simulate_partitions(model, n, t_end, seed, replicas, ev)
+        assert len(got) == replicas
+        for i, path in enumerate(got):
+            key = replica_key(seed, i)
+            want = simulate_partition_heap(model, n, t_end, key, ev)
+            assert _path_bits(path) == _path_bits(want), (n, t_end, i)
+            if i < 2:
+                assert _path_bits(simulate_partition(model, n, t_end, key, ev)) \
+                    == _path_bits(want)
 
 
 def test_a_replica_does_not_depend_on_the_replica_count_or_the_chunks(monkeypatch):
