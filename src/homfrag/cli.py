@@ -47,12 +47,12 @@ from .martingales import (
     truncated_estimator,
 )
 from .measures import SUM_TOL, model_from_json, model_to_json
-from .partitions import PartitionOfN, simulate_partition, simulate_partitions  # noqa: F401
+from .partitions import simulate_partition, simulate_partitions  # noqa: F401
 # simulate, simulate_partition, simulate_subordinator, simulate_event_log,
 # simulate_spine and thin_fiber stay names of this module for callers that
 # wrap its library calls
 from .ranked import DEFAULT_MAX_FRAGMENTS, simulate, simulate_replicas  # noqa: F401
-from .streams import MASK64, derive_key, replica_key
+from .streams import MASK64, derive_keys
 from .tilting import (  # noqa: F401
     read_spines,
     read_tagged_lines,
@@ -149,22 +149,37 @@ def _cmd_simulate(cfg):
     return header, "jsonl", None, rows
 
 
+def _digit_words(n):
+    """The words ",k" of k in range(n) as bytes, zero padded to the least
+    power-of-two width that holds ",{n - 1}", which numpy gathers fast."""
+    return np.array([f",{k}" for k in range(n)], f"S{1 << len(str(n - 1)).bit_length()}")
+
+
+def _comma_rows(matrix, words):
+    """The rows of a non-negative int matrix as comma-joined text, one str a
+    row, through words = _digit_words(m) for m above every entry: each
+    row's words are gathered, its leading comma becomes a newline, and the
+    padding goes in one translate."""
+    text = words[matrix]
+    text.view(np.uint8)[:, 0] = ord("\n")
+    return text.tobytes().translate(None, b"\0").decode().split("\n")[1:]
+
+
 def _cmd_partition(cfg):
     pr = cfg.params
     ev = PhiEvaluator(cfg.model)
-    # the JSON text of every block label: a canonical label is below n
-    label_text = list(map(str, range(pr["n"])))
+    paths = simulate_partitions(cfg.model, pr["n"], pr["t_end"], cfg.seed,
+                                cfg.replicas, ev)
+    words = _digit_words(pr["n"])  # a canonical label is below n
     rows = []
     boundaries = []
-    for path in simulate_partitions(cfg.model, pr["n"], pr["t_end"], cfg.seed,
-                                    cfg.replicas, ev):
+    for path in paths:
         boundaries.append(len(rows))
-        for t, labels in path.refinements():
-            block_of = ",".join(map(label_text.__getitem__,
-                                    PartitionOfN(labels).assignment.tolist()))
+        for times, labels in path.label_rows():
             # _dumps({"block_of": ..., "t": t}), keys in sorted order; t may
             # be a numpy float, whose repr is not json's
-            rows.append(f'{{"block_of":[{block_of}],"t":{float(t)!r}}}')
+            rows += [f'{{"block_of":[{block_of}],"t":{float(t)!r}}}'
+                     for t, block_of in zip(times, _comma_rows(labels, words))]
     header = {"n": pr["n"], "t_end": pr["t_end"],
               "replica_row_start": boundaries}
     return header, "jsonl", None, rows
@@ -448,7 +463,11 @@ def _cmd_thin(cfg):
     lane = np.fromiter(map(dict(zip(lanes, range(len(lanes)))).__getitem__,
                            replicas), np.intp, len(replicas))
     order = np.argsort(lane, kind="stable").tolist()
-    keys = [derive_key(replica_key(cfg.seed, r), 1) for r in lanes]
+    # derive_key(replica_key(seed, r), 1) of every lane: both derivations
+    # read r modulo 2**64
+    keys = derive_keys(derive_keys(
+        np.full(len(lanes), cfg.seed, np.uint64),
+        np.array([r & MASK64 for r in lanes], np.uint64)), 1)
     picked = grid[order, [picks[i] for i in order]]
     kept = thin_lanes(keys, lane[order], picked, p).tolist()
     # _dumps(dict(record, kept=k)): json writes an int or finite float by repr

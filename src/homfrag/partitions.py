@@ -17,6 +17,7 @@ import math
 from bisect import bisect_right
 from collections import namedtuple
 from itertools import accumulate
+from operator import itemgetter
 
 import numpy as np
 
@@ -29,6 +30,7 @@ PartitionEvent = namedtuple("PartitionEvent", ["time", "elements", "sub_assignme
 _CHUNK_POINTS = 1 << 16  # points of the replicas read together
 _ROUND_CELLS = 1 << 20  # draws of a round of tries, unless one try is more
 _MISS = 0.01  # chance that a block finds no non-trivial try in a round
+_CHUNK_CELLS = 1 << 16  # labels of the rows that label_rows builds together
 
 
 def _canonical_labels(labels):
@@ -156,10 +158,60 @@ class NestedPartitionPath:
             pass
         return PartitionOfN(labels)
 
+    def label_rows(self):
+        """Yield (times, labels) for every event in order, a chunk of at
+        most _CHUNK_CELLS labels at a time: row i of labels is the canonical
+        labelling after the event at times[i], PartitionOfN(labels).assignment
+        of the refinements() step.
+
+        A block's label is the rank of its least point among the least
+        points of all blocks.  A point becomes a least point once, at the
+        event that makes it the least point of a child, and stays one; and
+        the least point of a point's block only grows, so it is carried
+        forward along the events by a running maximum.
+        """
+        n, events = self.n, self.events
+        if not events:
+            return
+        size = np.array([len(ev.elements) for ev in events])
+        ends = size.cumsum()
+        elements = np.concatenate([ev.elements for ev in events])
+        sub = np.concatenate([ev.sub_assignment for ev in events])
+        # the children of all events, numbered event after event
+        kids = np.maximum.reduceat(sub, ends - size) + 1
+        child = sub + (kids.cumsum() - kids).repeat(size)
+        least = np.full(kids.sum(), n)
+        np.minimum.at(least, child, elements)
+        born = np.full(n, len(events))  # the event that makes a point least
+        np.minimum.at(born, least, np.arange(len(events)).repeat(kids))
+        # the least points in increasing order, each carried as its place
+        # there; point 0, least from the start, has rank 0 and is not counted
+        lead = born < len(events)
+        place = lead.cumsum() - 1
+        born = born[lead]
+        born[0] = len(events)
+        least = place[least[child]]
+        event = np.arange(len(events)).repeat(size)
+        times = [ev.time for ev in events]
+        rows = max(1, _CHUNK_CELLS // n)
+        carry = np.zeros(n, np.intp)
+        for a in range(0, len(events), rows):
+            b = min(a + rows, len(events))
+            cells = slice(ends[a] - size[a], ends[b - 1])
+            # at[r, j]: the place of the least point of j's block after event
+            # a + r (copied out before it becomes an index into the ranks)
+            at = np.zeros((b - a, n), np.intp)
+            at[0] = carry
+            at[event[cells] - a, elements[cells]] = least[cells]
+            np.maximum.accumulate(at, axis=0, out=at)
+            carry = at[-1].copy()
+            rank = (born <= np.arange(a, b)[:, None]).cumsum(axis=1)
+            at += len(born) * np.arange(b - a)[:, None]
+            yield times[a:b], rank.ravel()[at]
+
     def tagged_block_size(self, t):
         """Size of the block containing point 0 at time t."""
-        times = [rec[0] for rec in self.tagged_trace]
-        i = bisect_right(times, t)
+        i = bisect_right(self.tagged_trace, t, key=itemgetter(0))
         return self.n if i == 0 else self.tagged_trace[i - 1][1]
 
 

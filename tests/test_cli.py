@@ -502,7 +502,7 @@ def test_partition_rows_are_the_dumps_of_their_dicts(capsys, tmp_path, name):
     path.write_text(json.dumps(model_to_json(model)))
     for seed in (1, 2**64 - 1):
         for n, t_end, replicas in ((1, "1", 2), (6, "2", 3), (40, "inf", 1),
-                                   (500, "8", 1)):
+                                   (500, "8", 1), (1001, "inf", 2)):
             code, out, _ = run_cli(capsys, [
                 "--seed", str(seed), "--model", str(path),
                 "--replicas", str(replicas),
@@ -1575,8 +1575,9 @@ sys.exit(main(sys.argv[1:]))
 
 
 def test_a_request_too_large_to_allocate_exits_2(ub_model_file):
-    # 2e8 block labels' text needs ~11 GB; the child's address space is
-    # capped at 1 GiB, so the allocation fails after the imports
+    # 2e8 points' split rates alone need 1.6 GB and their labels' text
+    # ~11 GB; the child's address space is capped at 1 GiB, so the
+    # allocation fails after the imports
     resource = pytest.importorskip("resource")
     if not hasattr(resource, "RLIMIT_AS"):
         pytest.skip("no RLIMIT_AS on this platform")

@@ -219,6 +219,36 @@ def test_a_replica_does_not_depend_on_the_replica_count_or_the_chunks(monkeypatc
             == want
 
 
+# n at the edges of a label's digits (9/10, 99/100, 999/1000) and of the
+# words the partition subcommand writes them through (10/11, 1000/1001)
+LABEL_NS = (1, 2, 9, 10, 11, 99, 100, 999, 1000, 1001)
+
+
+@pytest.mark.parametrize("name", ["uniform", "power_tail_eps0.01", "dust"])
+def test_label_rows_are_the_canonical_labels_after_every_event(name, monkeypatch):
+    model = READ_MODELS[name]
+    ev = PhiEvaluator(model)
+    spanned = 0
+    for n in LABEL_NS:
+        for t_end in (0.0, 2.0, math.inf):
+            path = simulate_partition(model, n, t_end, 11, ev)
+            want = [PartitionOfN(labels).assignment.tolist()
+                    for _, labels in path.refinements()]
+            # the default chunk, and one of a row or a few rows at most
+            for cells in (partitions._CHUNK_CELLS, 300):
+                with monkeypatch.context() as m:
+                    m.setattr(partitions, "_CHUNK_CELLS", cells)
+                    chunks = list(path.label_rows())
+                assert all(len(times) == len(labels) >= 1 and
+                           labels.size <= max(cells, n) for times, labels in chunks)
+                assert [t for times, _ in chunks for t in times] \
+                    == [e.time for e in path.events]
+                assert [row.tolist() for _, labels in chunks for row in labels] \
+                    == want, (n, t_end, cells)
+                spanned += len(chunks) > 1
+    assert spanned > 10
+
+
 def _seed_whose_child_waits_zero(levels):
     """A seed whose root block's first child (label 0) draws a holding time
     of exactly 0: its key is derive_key(., 0) applied `levels` times to the

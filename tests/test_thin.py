@@ -89,6 +89,20 @@ def test_thin_bytes_equal_the_oracle_on_hand_written_logs(both, tmp_path,
             assert new[0] == 0
 
 
+def test_thin_keys_every_replica_modulo_2_64_as_the_oracle(both, tmp_path):
+    # the oracle keys replica r by derive_key(replica_key(seed, r), 1), one
+    # replica at a time; thin derives the keys of all replicas together
+    replicas = [*range(200), -1, 2**64 - 1, 2**70 + 3, -2**65]
+    log = _write_log(tmp_path, "\n".join([HEADER] + [
+        json.dumps(dict(VALID, replica=r, t=t))
+        for t in (0.25, 0.5) for r in replicas]) + "\n")
+    model_file = _model_file(tmp_path, MODELS["uniform"])
+    for seed in (0, 5, 2**64 - 1):
+        new, old = both(_thin_argv(model_file, log, "0.5", seed))
+        assert new == old
+        assert new[0] == 0
+
+
 # SHA-256 of thin's stdout on HAND_LOGS["mixed"] (seed 7, uniform binary
 # model), taken from the record-by-record thin.  The path holds SplitMix64,
 # comparisons, repr and dyadic masses to the power 0 or 1, and no libm call
