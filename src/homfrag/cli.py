@@ -201,47 +201,36 @@ def _cmd_subordinator(cfg):
     return header, "csv", ("replica", "jump_time", "jump_size"), rows
 
 
-def _by_replica(rec, first):
-    """(order, replicas): the order that lists the events of a TaggedLines
-    record whose lane 0 is replica `first` replica by replica, each line's
-    events in order, and the replica of each event in that order."""
-    lane = np.nonzero(rec.events)[1]
-    order = np.argsort(lane, kind="stable")
-    return order, (lane[order] + first).tolist()
-
-
 def _line_rows(rec, first, log_mass=False):
     """The CSV rows i,t,s of a TaggedLines record whose lane 0 is replica
-    `first`, in _by_replica's order: s is the jump -log(picked mass), and
-    with log_mass a fourth cell is the line's log mass after the jump, 0.0
-    minus its jumps so far, subtracted in event order.  Cells are written
-    from the record's columns, floats by repr."""
-    order, replicas = _by_replica(rec, first)
+    `first`, in the record's order (lane by lane): s is the jump -log(picked
+    mass), and with log_mass a fourth cell is the line's log mass after the
+    jump, 0.0 minus its jumps so far, subtracted in event order.  Cells are
+    written from the record's columns, floats by repr."""
     sizes = rec.jump_sizes()
-    columns = [rec.times[rec.events], sizes]
+    columns = [rec.times.T[rec.events.T], sizes]
     if log_mass:
         steps = np.zeros((len(rec.events) + 1, len(rec.keys)))
-        steps[1:][rec.events] = sizes
-        columns.append(np.subtract.accumulate(steps)[1:][rec.events])
-    cells = [map(repr, column[order].tolist()) for column in columns]
-    return list(map(",".join, zip(map(str, replicas), *cells)))
+        steps[1:].T[rec.events.T] = sizes
+        columns.append(np.subtract.accumulate(steps)[1:].T[rec.events.T])
+    cells = [map(repr, column.tolist()) for column in columns]
+    return list(map(",".join, zip(map(str, (rec.lane + first).tolist()),
+                                  *cells)))
 
 
 def _event_log_rows(rec, first):
     """The event-log rows of a TaggedLines record whose lane 0 is replica
-    `first`, in _by_replica's order: _dumps({"masses": ..., "pick": j,
-    "replica": i, "t": t}), written from the record's columns, since json
-    writes a finite float by repr and a split's pieces are its masses
-    before the zero padding."""
-    order, replicas = _by_replica(rec, first)
-    times = rec.times[rec.events][order].tolist()
-    masses = rec.masses[order]
-    pieces = np.count_nonzero(masses, axis=1).tolist()
+    `first`, in the record's order (lane by lane): _dumps({"masses": ...,
+    "pick": j, "replica": i, "t": t}), written from the record's columns,
+    since json writes a finite float by repr and a split's pieces are its
+    masses before the zero padding."""
+    pieces = np.count_nonzero(rec.masses, axis=1).tolist()
     masses = [",".join(map(repr, row[:n]))
-              for row, n in zip(masses.tolist(), pieces)]
+              for row, n in zip(rec.masses.tolist(), pieces)]
     return [f'{{"masses":[{m}],"pick":{j},"replica":{i},"t":{t!r}}}'
-            for m, j, i, t in zip(masses, rec.picks[order].tolist(),
-                                  replicas, times)]
+            for m, j, i, t in zip(masses, rec.picks.tolist(),
+                                  (rec.lane + first).tolist(),
+                                  rec.times.T[rec.events.T].tolist())]
 
 
 def _require_two_replicas(cfg):

@@ -111,11 +111,6 @@ class Stream:
         self.key = key & MASK64
         self.state = mix64(self.key)
 
-    def reset(self, key):
-        """Re-point this object at a fresh stream (avoids allocation in hot loops)."""
-        self.key = key & MASK64
-        self.state = mix64(self.key)
-
     def uniform(self):
         """Uniform float in [0, 1)."""
         # one SplitMix64 step with mix64 inlined: the scalar walks' hot draw

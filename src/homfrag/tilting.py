@@ -135,8 +135,7 @@ class TaggedLine:
     this record; picks[k] indexes the piece of partitions[k] followed.
     weight multiplies the importance weights (1 unless a spine has p < 0),
     p is the tilt or thinning exponent (0 when untilted), kept holds the
-    thinning flags (None before thinning) and population is a spine run's
-    combined population at t_end when it was given eps_freeze.
+    thinning flags (None before thinning).
     """
 
     t_end: float
@@ -147,7 +146,6 @@ class TaggedLine:
     weight: float = 1.0
     p: float = 0.0
     kept: list = None
-    population: PopulationSnapshot = None
 
     def __len__(self):
         return len(self.jump_times)
@@ -174,24 +172,6 @@ class TaggedLine:
         if t > self.t_end:
             raise ValueError(f"path simulated only to {self.t_end}, asked at {t}")
         return bisect_right(self.jump_times, t)
-
-    def shed(self):
-        """(roots of the pieces the line shed, its log mass at t_end).
-
-        A root is (birth time, log mass, key); piece i of event k is keyed
-        derive_key(derive_key(derive_key(seed, 0), k), i).
-        """
-        line_key = derive_key(self.seed, 0)
-        lm = 0.0
-        roots = []
-        for k, (t, part, j) in enumerate(zip(self.jump_times, self.partitions,
-                                             self.picks)):
-            event_key = derive_key(line_key, k)
-            for i, m in enumerate(part.masses):
-                if i != j:
-                    roots.append((t, lm + math.log(m), derive_key(event_key, i)))
-            lm += math.log(part.masses[j])
-        return roots, lm
 
 
 def check_horizon(rate, t_end):
@@ -237,24 +217,12 @@ def walk_tagged_line(rate, t_end, seed, draw, p=0.0):
         picks.append(j)
 
 
-def simulate_spine(model, p, t_end, seed, evaluator=None, *, eps_freeze=None):
+def simulate_spine(model, p, t_end, seed, evaluator=None):
     """Simulate the spine under the tilted law up to t_end: at p >= 0 the
-    untilted line's tries at rate nu_total, thinned (see _line_draw).
-
-    The spine itself is never frozen.  Given eps_freeze, every shed fragment
-    is evolved to t_end as an ordinary population frozen at eps_freeze,
-    within DEFAULT_MAX_FRAGMENTS, and the combined state, spine fragment
-    included, is stored as the record's population snapshot.
-    """
+    untilted line's tries at rate nu_total, thinned (see _line_draw).  The
+    spine itself is never frozen; shed_populations grows what it sheds."""
     rate, norm = _spine_law(model, p, evaluator)
-    line = walk_tagged_line(rate, t_end, seed, _line_draw(model, p, norm), p)
-    if eps_freeze is not None:
-        roots, lm = line.shed()
-        births, lms, keys = zip(*roots) if roots else ((), (), ())
-        line.population, = _grow_shed(
-            model, t_end, eps_freeze, [seed], [len(line)], [lm],
-            ([0] * len(roots), births, lms, keys))
-    return line
+    return walk_tagged_line(rate, t_end, seed, _line_draw(model, p, norm), p)
 
 
 def simulate_event_log(model, t_end, seed):
@@ -272,20 +240,22 @@ class TaggedLines(NamedTuple):
     Lane i is keyed keys[i] and has counts[i] events by t_end.  The 2-d
     arrays have one row per event index and one column per lane:
     events[e, i] marks event e of lane i and times[e, i] is its jump time
-    (entries not marked are filler).  Event k of np.nonzero(events), which
-    lists them by event index, then by lane, has the split masses[k] (a row
-    zero-padded to the widest split), the index picks[k] of the piece the
-    line follows and that piece's mass picked[k].  weights[i] is lane i's
-    importance weight (1.0 unless a spine has p < 0).  Every lane of a
-    read_tagged_lines record equals simulate_event_log(model, t_end,
-    keys[i]) bit for bit, and every lane of a read_spines record
-    simulate_spine(model, p, t_end, keys[i]).
+    (entries not marked are filler).  The events are listed lane by lane,
+    each lane's in order, as np.nonzero(events.T) lists them: event k is of
+    lane lane[k] and has the split masses[k] (a row zero-padded to the
+    widest split), the index picks[k] of the piece the line follows and
+    that piece's mass picked[k].  weights[i] is lane i's importance weight
+    (1.0 unless a spine has p < 0).  Every lane of a read_tagged_lines
+    record equals simulate_event_log(model, t_end, keys[i]) bit for bit,
+    and every lane of a read_spines record simulate_spine(model, p, t_end,
+    keys[i]).
     """
 
     keys: np.ndarray
     counts: np.ndarray
     events: np.ndarray
     times: np.ndarray
+    lane: np.ndarray
     masses: np.ndarray
     picks: np.ndarray
     picked: np.ndarray
@@ -299,54 +269,55 @@ class TaggedLines(NamedTuple):
         """Each lane's value(t_end): its jumps summed in event order from the
         first one, as TaggedLine.value sums them (0.0 for a lane with none)."""
         jumps = np.zeros(self.events.shape)
-        jumps[self.events] = self.jump_sizes()
+        jumps.T[self.events.T] = self.jump_sizes()
         out = np.zeros(len(self.keys))
         done = np.flatnonzero(self.counts)
         out[done] = np.cumsum(jumps, axis=0)[self.counts[done] - 1, done]
         return out
 
     def shed(self):
-        """(roots, log masses at t_end) of every lane, as TaggedLine.shed
-        gives them line by line: roots are the columns (lane, birth time,
-        log mass, key), by lane, then by event, then by piece."""
+        """(roots, log masses at t_end) of every lane: roots are the columns
+        (lane, birth time, log mass, key), by lane, then by event, then by
+        piece.  A root is a piece a lane did not follow, born at its event
+        with the followed piece's log mass before it plus its own; piece j
+        of event e of lane i is keyed
+        derive_key(derive_key(derive_key(keys[i], 0), e), j)."""
         n = len(self.keys)
         # the followed piece's log mass before each event and at t_end:
         # running sums of libm logs from 0.0, in event order
         logs = np.zeros((len(self.events) + 1, n))
-        logs[1:][self.events] = lanewise(math.log, self.picked)
+        logs[1:].T[self.events.T] = lanewise(math.log, self.picked)
         before = np.cumsum(logs, axis=0)
-        e, lane = np.nonzero(self.events)
-        order = np.lexsort((e, lane))
-        e, lane = e[order], lane[order]
-        masses = self.masses[order]
-        row, piece = np.nonzero(masses)          # row-major: (event, piece)
-        shed = piece != self.picks[order][row]
+        row, piece = np.nonzero(self.masses)     # row-major: (event, piece)
+        shed = piece != self.picks[row]
         row, piece = row[shed], piece[shed]
-        e, lane = e[row], lane[row]
-        lms = before[e, lane] + lanewise(math.log, masses[row, piece])
+        lane, e = self.lane[row], np.nonzero(self.events.T)[1][row]
+        lms = before[e, lane] + lanewise(math.log, self.masses[row, piece])
         keys = derive_keys(derive_keys(derive_keys(self.keys, 0)[lane], e),
                            piece)
         return ((lane, self.times[e, lane], lms, keys),
                 before[self.counts, np.arange(n)])
 
 
-def _grow_shed(model, t_end, eps_freeze, seeds, counts, line_lms, roots):
-    """The population at t_end of each line a in turn: its own fragment, of
-    log mass line_lms[a], beside the roots it shed, grown to t_end by
-    simulate_lanes, frozen at eps_freeze, within DEFAULT_MAX_FRAGMENTS.
+def shed_populations(model, t_end, eps_freeze, rec):
+    """The population at t_end of every lane of rec, a read_spines record
+    to t_end, made as they are iterated: the lane's own fragment beside
+    the roots it shed (TaggedLines.shed), grown to t_end by simulate_lanes,
+    frozen at eps_freeze, within DEFAULT_MAX_FRAGMENTS.
 
-    roots holds the columns (line, birth time, log mass, key), by line;
-    each root is a lane of its own, and a line's frozen masses are added in
+    Each root is a lane of its own, and a lane's frozen masses are added in
     the order of its roots.  One simulate_lanes call grows the roots of
-    consecutive lines, at most _SHED_ROOTS of them unless one line has
-    more, and only that call's populations are held at once.  counts[a] is
-    line a's event count and seeds[a] labels its snapshot.
+    consecutive lanes, at most _SHED_ROOTS of them unless one lane has
+    more, and only that call's populations are held at once.  A snapshot's
+    event count is its lane's events and its roots' splits, and its seed is
+    its lane's key.
     """
-    line, births, lms, keys = roots
+    (line, births, lms, keys), line_lms = rec.shed()
+    seeds, counts = rec.keys.tolist(), rec.counts.tolist()
     bounds = np.searchsorted(line, np.arange(len(seeds) + 1)).tolist()
     a = 0
     while a < len(seeds):
-        # lines a, ..., b - 1: as many as _SHED_ROOTS roots hold, one at least
+        # lanes a, ..., b - 1: as many as _SHED_ROOTS roots hold, one at least
         b = max(a + 1, bisect_right(bounds, bounds[a] + _SHED_ROOTS) - 1)
         lo, hi = bounds[a], bounds[b]
         shed = simulate_lanes(model, t_end, [t_end], eps_freeze,
@@ -356,7 +327,7 @@ def _grow_shed(model, t_end, eps_freeze, seeds, counts, line_lms, roots):
                               reduce=lambda snaps: snaps[0])
         for c in range(a, b):
             grown = shed[bounds[c] - lo:bounds[c + 1] - lo]
-            logs = np.concatenate([[line_lms[c]]]
+            logs = np.concatenate([line_lms[c:c + 1]]
                                   + [s.log_masses for s in grown])
             yield PopulationSnapshot(
                 time=t_end, log_masses=np.sort(logs)[::-1],
@@ -366,15 +337,6 @@ def _grow_shed(model, t_end, eps_freeze, seeds, counts, line_lms, roots):
                 eps_freeze=eps_freeze, seed=seeds[c],
             )
         a = b
-
-
-def shed_populations(model, t_end, eps_freeze, rec):
-    """simulate_spine(..., eps_freeze=eps_freeze).population of every lane
-    of rec, a read_spines record to t_end, made as they are iterated: the
-    roots of consecutive lanes are grown together (see _grow_shed)."""
-    roots, line_lms = rec.shed()
-    return _grow_shed(model, t_end, eps_freeze, rec.keys.tolist(),
-                      rec.counts.tolist(), line_lms.tolist(), roots)
 
 
 def read_tagged_lines(model, t_end, seed, n_replicas):
@@ -399,8 +361,8 @@ def read_spines(model, p, t_end, seed, n_replicas, evaluator=None):
     """The p-tilted spines of replicas 0, ..., n_replicas - 1, as
     TaggedLines records of consecutive chunks of lanes, made as they are
     iterated; lane i is simulate_spine(model, p, t_end,
-    replica_key(seed, i), evaluator) bit for bit, without its population
-    (see shed_populations).
+    replica_key(seed, i), evaluator) bit for bit (shed_populations grows
+    what the lanes shed).
 
     The lanes are read as read_tagged_lines reads them, with the spine's
     draw (sample_tagged_batch): at p < 0 at the tilted rate, each try an
@@ -452,32 +414,31 @@ def _read_block(rate, t_end, keys, width, draw):
     counts, times = _jump_times(streams, np.arange(len(keys)), rate, t_end,
                                 width, 0, 0.0)
     events = np.arange(len(times))[:, None] < counts
-    e, lane = np.nonzero(events)
+    lane, e = np.nonzero(events.T)
     weights = np.ones(len(keys))
     if not lane.size:  # no tries: a dust model raises only on a line with one
-        return TaggedLines(keys, counts, events, times, np.empty((0, 0)),
-                           np.empty(0, np.intp), np.empty(0), weights)
+        return TaggedLines(keys, counts, events, times, lane,
+                           np.empty((0, 0)), np.empty(0, np.intp), np.empty(0),
+                           weights)
     # the splits' draws at 3e + 2, the keep-and-picks' at 3e + 3
     picked, picks, masses, w, kept = draw(*streams.uniform_at(
         lane, 3 * e + [[2], [3]]))
     if w is not None:  # each lane's product, in event order from 1.0
         factors = np.ones(events.shape)
-        factors[events] = w
+        factors.T[events.T] = w
         weights = np.cumprod(factors, axis=0)[-1]
     if kept is not None:  # a lane's events are its kept tries, in order
         flags = events.copy()
-        flags[events] = kept
+        flags.T[events.T] = kept
         counts = np.count_nonzero(flags, axis=0)
         events = np.arange(counts.max())[:, None] < counts
-        # the kept tries by event index (the kept tries before each in its
-        # lane), then by lane, as np.nonzero(events) lists the events
-        order = np.lexsort((lane[kept], np.cumsum(flags, axis=0)[flags]))
-        kept_times = times[flags][order]
+        kept_times = times.T[flags.T]
         times = times[:len(events)]
-        times[events] = kept_times
-        picked, picks, masses = (x[kept][order] for x in (picked, picks, masses))
-    return TaggedLines(keys, counts, events, times, masses, picks, picked,
-                       weights)
+        times.T[events.T] = kept_times
+        lane, picked, picks, masses = (
+            x[kept] for x in (lane, picked, picks, masses))
+    return TaggedLines(keys, counts, events, times, lane, masses, picks,
+                       picked, weights)
 
 
 def _jump_times(streams, lanes, rate, t_end, width, start, clock):

@@ -46,7 +46,6 @@ def simulate_bfs(model, t_end, snapshot_times, eps_freeze, seed, *,
     slope = barrier_slope
     log = math.log
     sample_masses = model.sample_masses
-    stream = Stream(0)
 
     if root_key is None:
         root_key = derive_key(seed, 0)
@@ -71,7 +70,7 @@ def simulate_bfs(model, t_end, snapshot_times, eps_freeze, seed, *,
             break
         key, lm, birth, peak = queue.popleft()
         created += 1
-        stream.reset(key)
+        stream = Stream(key)
         death = birth + stream.exponential(rate)
         hi = bisect_left(snaps, death) if death <= t_end else n_snaps
         lo = bisect_left(snaps, birth)

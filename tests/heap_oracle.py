@@ -51,12 +51,11 @@ def simulate_partition_heap(model, n, t_end, seed, evaluator=None):
 
     events = []
     tagged_trace = []
-    stream = Stream(0)
     heap = []
     uid = 0
     root_key = derive_key(seed, 0)
     if n >= 2:
-        stream.reset(root_key)
+        stream = Stream(root_key)
         heapq.heappush(heap, (stream.exponential(rate_for(n)), uid, root_key,
                               np.arange(n, dtype=np.int64)))
         uid += 1
@@ -66,7 +65,7 @@ def simulate_partition_heap(model, n, t_end, seed, evaluator=None):
         if ring > t_end:
             break
         b = len(elements)
-        stream.reset(key)
+        stream = Stream(key)
         stream.exponential(rate_for(b))  # replay the holding-time draw
         for attempt in range(_MAX_REJECTIONS):
             masses = model.sample_masses(stream)
@@ -85,7 +84,7 @@ def simulate_partition_heap(model, n, t_end, seed, evaluator=None):
             child = elements[block]
             if len(child) >= 2:
                 child_key = derive_key(key, label)
-                stream.reset(child_key)
+                stream = Stream(child_key)
                 wait = stream.exponential(rate_for(len(child)))
                 heapq.heappush(heap, (ring + wait, uid, child_key, child))
                 uid += 1

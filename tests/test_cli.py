@@ -15,6 +15,8 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 import pytest
 
+import walk_oracle
+
 from homfrag import cli as cli_module
 from homfrag.cli import main
 from homfrag.measures import (
@@ -646,9 +648,9 @@ def test_spine_population_means_in_the_header(capsys, ub, ub_model_file):
     code, out, _ = run_cli(capsys, argv + ["--eps-freeze", "0.01"])
     assert code == 0
     header, columns, rows = parse_csv(out)
-    pops = [simulate_spine(ub, 0.5, 4.0, replica_key(7, i),
-                           eps_freeze=0.01).population
-            for i in range(20)]
+    pops = [walk_oracle.population(
+        ub, 4.0, 0.01, simulate_spine(ub, 0.5, 4.0, replica_key(7, i)))
+        for i in range(20)]
     assert header["eps_freeze"] == 0.01
     assert header["population_live_mean"] == sum(p.n_live for p in pops) / 20
     assert header["population_frozen_mass_mean"] == (

@@ -525,11 +525,10 @@ def lines_equal_walks(model, t, seed, n):
     for rec in read_tagged_lines(model, t, seed, n):
         assert len(rec.masses) == len(rec.picks) == len(rec.picked) \
             == np.count_nonzero(rec.events)
-        lanes = np.nonzero(rec.events)[1]
         for lane, key in enumerate(rec.keys.tolist()):
             log = simulate_event_log(model, t, replica_key(seed, i))
             assert key == replica_key(seed, i)
-            mine = lanes == lane
+            mine = rec.lane == lane
             assert rec.counts[lane] == len(log)
             assert np.flatnonzero(rec.events[:, lane]).tolist() == list(
                 range(len(log)))

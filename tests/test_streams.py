@@ -98,13 +98,6 @@ def test_same_key_same_sequence_different_key_diverges():
     assert Stream(3).uniform() != Stream(4).uniform()
 
 
-def test_reset_restores_sequence():
-    s = Stream(11)
-    first = [s.uniform() for _ in range(4)]
-    s.reset(11)
-    assert [s.uniform() for _ in range(4)] == first
-
-
 def test_exponential_mean_and_positivity():
     s = Stream(1234)
     xs = np.array([s.exponential(2.0) for _ in range(40_000)])

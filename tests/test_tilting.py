@@ -181,25 +181,15 @@ def test_a_line_is_read_only_up_to_t_end(ub):
             read(math.nextafter(1.0, 2.0))
 
 
-def test_spine_population_conserves_mass(ub):
-    for seed in range(10):
-        run = simulate_spine(ub, 1.0, 2.0, seed, eps_freeze=1e-7)
-        snap = run.population
-        assert snap is not None
+def test_spine_population_conserves_mass(ub, ub_eval):
+    rec, = read_spines(ub, 1.0, 2.0, 0, 10, ub_eval)
+    spine_lms = 0.0 - rec.values()
+    pops = list(shed_populations(ub, 2.0, 1e-7, rec))
+    assert len(pops) == 10
+    for snap, spine_lm in zip(pops, spine_lms):
         assert abs(snap.total_mass + snap.frozen_mass - 1.0) <= 1e-9
         # the spine fragment itself is part of the live population
-        spine_lm = run.spine_log_mass(2.0)
         assert np.isclose(snap.log_masses, spine_lm, atol=1e-12).any()
-
-
-def test_spine_population_requires_eps(ub):
-    # eps_freeze alone grows the shed population; the line is the same
-    line = simulate_spine(ub, 1.0, 1.0, 1)
-    assert line.population is None
-    grown = simulate_spine(ub, 1.0, 1.0, 1, eps_freeze=1e-3)
-    assert grown.population is not None
-    assert (grown.jump_times, grown.picks, grown.weight) == (
-        line.jump_times, line.picks, line.weight)
 
 
 def test_event_log_structure(ub):
@@ -293,7 +283,7 @@ def test_subordinator_event_log_and_spine_share_one_walk():
     spine_key = derive_key(seed, 0)
     masses = model.atoms[0][0].masses
     seen = set()
-    roots, _ = run.shed()
+    roots, _ = walk_oracle.shed(run)
     for t, lm, key in roots:
         k = run.jump_times.index(t)
         piece = math.exp(lm + sum(run.jump_sizes[:k]))
@@ -388,7 +378,7 @@ _CORPUS_MODELS = {name: model_from_json(obj)
 def _line(line):
     """What a line holds, every float by repr: its jump times, weight,
     splits and picks, then its shed roots and final log mass."""
-    roots, lm = line.shed()
+    roots, lm = walk_oracle.shed(line)
     return (repr(line.jump_times), repr(line.weight),
             [repr(part.masses) for part in line.partitions], line.picks,
             repr(roots), repr(lm))
@@ -398,10 +388,9 @@ def _lanes(records):
     """_line of every lane of TaggedLines records, read off their columns."""
     out = []
     for rec in records:
-        lane = np.nonzero(rec.events)[1]
         (root_lane, births, lms, keys), lm = rec.shed()
         for a in range(len(rec.keys)):
-            mine, shed = lane == a, root_lane == a
+            mine, shed = rec.lane == a, root_lane == a
             roots = list(zip(births[shed].tolist(), lms[shed].tolist(),
                              keys[shed].tolist()))
             out.append((
@@ -434,12 +423,13 @@ def test_every_spine_lane_equals_its_walk_bit_for_bit(name):
 
 
 @pytest.mark.parametrize("name", ["ternary", "dust", "power_tail"])
-@pytest.mark.parametrize("p", [-0.5, -0.2])
+@pytest.mark.parametrize("p", [-0.5, -0.2, 0.5, 1.0])
 def test_shed_populations_equal_the_walks_populations(name, p, monkeypatch):
     model = _CORPUS_MODELS[name]
     ev = PhiEvaluator(model)
-    refs = [simulate_spine(model, p, 3.0, replica_key(5, i), ev,
-                           eps_freeze=0.01).population for i in range(16)]
+    refs = [walk_oracle.population(
+        model, 3.0, 0.01, simulate_spine(model, p, 3.0, replica_key(5, i), ev))
+        for i in range(16)]
     assert any(ref.frozen_count for ref in refs)
     # one simulate_lanes call per group of lanes, whatever the group's size
     for roots in (256, 5, 1):
@@ -476,6 +466,35 @@ def test_shed_populations_grow_a_bounded_number_of_roots_at_once(
     # a group holds more than _SHED_ROOTS roots only when one line sheds them
     per_line = np.bincount(rec.shed()[0][0], minlength=40)
     assert all(g <= 6 or g in per_line for g in grown)
+
+
+def test_a_record_lists_its_events_lane_by_lane(ub, ub_eval):
+    dust = _CORPUS_MODELS["dust"]
+    dust_eval = PhiEvaluator(dust)
+    cases = [  # (records, the walk of a key, whether a record holds events)
+        (read_tagged_lines(ub, 4.0, 5, 12),
+         lambda k: simulate_event_log(ub, 4.0, k), True),
+        (read_spines(ub, -0.5, 4.0, 5, 12, ub_eval),
+         lambda k: simulate_spine(ub, -0.5, 4.0, k, ub_eval), True),
+        (read_spines(ub, 0.5, 4.0, 5, 12, ub_eval),
+         lambda k: simulate_spine(ub, 0.5, 4.0, k, ub_eval), True),
+        # every try thinned away (see the test below), then no try at all
+        (read_spines(dust, 3.0, 1.0, 3, 3, dust_eval),
+         lambda k: simulate_spine(dust, 3.0, 1.0, k, dust_eval), False),
+        (read_tagged_lines(ub, 0.0, 5, 4),
+         lambda k: simulate_event_log(ub, 0.0, k), False),
+    ]
+    for records, walk, has_events in cases:
+        rec, = records
+        n = np.count_nonzero(rec.events)
+        assert (n > 0) == has_events and n == rec.counts.sum()
+        assert len(rec.lane) == len(rec.masses) == len(rec.picks) == len(
+            rec.picked) == n
+        assert (np.diff(rec.lane) >= 0).all()
+        assert rec.lane.tolist() == np.nonzero(rec.events.T)[0].tolist()
+        times = np.split(rec.times.T[rec.events.T], np.cumsum(rec.counts)[:-1])
+        assert [repr(t.tolist()) for t in times] == [
+            repr(walk(k).jump_times) for k in rec.keys.tolist()]
 
 
 def test_spine_lanes_do_not_depend_on_the_chunk_size(ub, ub_eval,
